@@ -9,108 +9,18 @@ memberships numerically, certifies sharpness through witness Jacobians,
 and evaluates the Bloch-Landau consequence for bounded harmonic maps.
 """
 
-from .coefficients import (
-    BoundFamily,
-    CoefficientSeq,
-    TailBound,
-    koebe_bounds,
-    convex_bounds,
-    load_sequence,
-    save_sequence,
-    sequence_from_dict,
-    sequence_to_dict,
-    power_sums,
-    weighted_sum,
-    weighted_sum_limit,
-)
-from .maps import (
-    EPS_EVAL,
-    ClosedForm,
-    EvaluationDomainError,
-    HarmonicMap,
-    UnsupportedOperation,
-    identity_map,
-)
-from .extremals import (
-    CONVEX_EXTREMAL_CONVEXITY_RADIUS,
-    EXTREMALS,
-    JacobianProfile,
-    convex_extremal,
-    convex_witness,
-    convex_witness_jacobian,
-    convex_witness_profile,
-    get_extremal,
-    harmonic_koebe,
-    koebe_witness,
-    koebe_witness_jacobian,
-    koebe_witness_profile,
-    one_term_extremal,
-    power_sum_identities,
-    uniform_witness,
-    uniform_witness_jacobian,
-    uniform_witness_profile,
-)
-from .membership import (
-    BOUNDARY_TOL,
-    GridSpec,
-    MembershipReport,
-    c_h2_numeric,
-    coeff_condition,
-    coefficient_growth_check,
-    injectivity_oracle,
-    starlike_scan,
-)
-from .radii import (
-    BISECTION_TOL,
-    NoRadiusError,
-    RadiusReport,
-    SharpnessReport,
-    convex_family_radius,
-    jacobian_roots,
-    koebe_family_radius,
-    radius_by_bisection,
-    uniform_family_radius,
-    verify_sharpness,
-)
-from .bloch import (
-    BlochRow,
-    MIN_BOUND,
-    PRIOR_ESTIMATE_FACTOR,
-    bloch_radius,
-    bloch_table,
-    bloch_table_csv,
-    coefficient_bound,
-    phi,
-    psi,
-)
+from . import bloch, coefficients, extremals, maps, membership, radii
+from .coefficients import *
+from .maps import *
+from .extremals import *
+from .membership import *
+from .radii import *
+from .bloch import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    # coefficients
-    "BoundFamily", "CoefficientSeq", "TailBound", "koebe_bounds",
-    "convex_bounds", "load_sequence", "save_sequence", "sequence_from_dict",
-    "sequence_to_dict", "power_sums", "weighted_sum", "weighted_sum_limit",
-    # maps
-    "EPS_EVAL", "ClosedForm", "EvaluationDomainError", "HarmonicMap",
-    "UnsupportedOperation", "identity_map",
-    # extremals
-    "CONVEX_EXTREMAL_CONVEXITY_RADIUS", "EXTREMALS", "JacobianProfile",
-    "convex_extremal", "convex_witness", "convex_witness_jacobian",
-    "convex_witness_profile", "get_extremal", "harmonic_koebe",
-    "koebe_witness", "koebe_witness_jacobian", "koebe_witness_profile",
-    "one_term_extremal", "power_sum_identities", "uniform_witness",
-    "uniform_witness_jacobian", "uniform_witness_profile",
-    # membership
-    "BOUNDARY_TOL", "GridSpec", "MembershipReport", "c_h2_numeric",
-    "coeff_condition", "coefficient_growth_check", "injectivity_oracle",
-    "starlike_scan",
-    # radii
-    "BISECTION_TOL", "NoRadiusError", "RadiusReport", "SharpnessReport",
-    "convex_family_radius", "jacobian_roots", "koebe_family_radius",
-    "radius_by_bisection", "uniform_family_radius", "verify_sharpness",
-    # bloch
-    "BlochRow", "MIN_BOUND", "PRIOR_ESTIMATE_FACTOR", "bloch_radius",
-    "bloch_table", "bloch_table_csv", "coefficient_bound", "phi", "psi",
+__all__ = ["__version__"] + [
+    name
+    for module in (coefficients, maps, extremals, membership, radii, bloch)
+    for name in module.__all__
 ]

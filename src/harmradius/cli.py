@@ -15,7 +15,7 @@ import json
 import sys
 
 from ._util import round12, fmt12
-from .coefficients import BoundFamily, load_sequence
+from .coefficients import BoundFamily, load_sequence, power_sums
 from .maps import HarmonicMap, UnsupportedOperation
 from .extremals import (
     EXTREMALS,
@@ -23,7 +23,6 @@ from .extremals import (
     koebe_witness_profile,
     convex_witness_profile,
     uniform_witness_profile,
-    power_sum_identities,
 )
 from .membership import (
     GridSpec,
@@ -35,9 +34,7 @@ from .membership import (
 )
 from .radii import (
     NoRadiusError,
-    koebe_family_radius,
-    convex_family_radius,
-    uniform_family_radius,
+    closed_form_radius,
     radius_by_bisection,
     verify_sharpness,
 )
@@ -99,15 +96,17 @@ def _parse_family(text: str) -> BoundFamily:
 def _parse_witness(text: str):
     """-> (JacobianProfile, claimed radius from the matching closed form)."""
     if text == "F0":
-        return koebe_witness_profile(), koebe_family_radius().radius
-    if text == "L0":
-        return convex_witness_profile(), convex_family_radius().radius
-    if text.startswith("f0:"):
+        profile, family = koebe_witness_profile(), BoundFamily.koebe()
+    elif text == "L0":
+        profile, family = convex_witness_profile(), BoundFamily.convex()
+    elif text.startswith("f0:"):
         c, b1 = _split_params(text[len("f0:"):], "witness f0")
-        return uniform_witness_profile(c, b1), uniform_family_radius(c, b1).radius
-    raise argparse.ArgumentTypeError(
-        f"unknown witness {text!r}; use F0, L0, or f0:c[,b1]"
-    )
+        profile, family = uniform_witness_profile(c, b1), BoundFamily.uniform(c, b1)
+    else:
+        raise argparse.ArgumentTypeError(
+            f"unknown witness {text!r}; use F0, L0, or f0:c[,b1]"
+        )
+    return profile, closed_form_radius(family).radius
 
 
 def _parse_map(text: str) -> HarmonicMap:
@@ -136,13 +135,7 @@ def _cmd_radius(args) -> int:
         named = args.family is not None
         method = "closed" if named and args.beta == 0.0 else "bisect"
     if method == "closed":
-        fam = args.family
-        if fam.kind == "koebe":
-            report = koebe_family_radius()
-        elif fam.kind == "convex":
-            report = convex_family_radius()
-        else:
-            report = uniform_family_radius(fam.c, fam.b1_abs)
+        report = closed_form_radius(args.family)
     else:
         report = radius_by_bisection(subject, args.beta)
     _emit(report.to_dict())
@@ -220,7 +213,9 @@ def _cmd_sharpness(args) -> int:
 
 
 def _cmd_identities(args) -> int:
-    s1, s2, s3 = power_sum_identities(args.r)
+    if not 0.0 < args.r < 1.0:
+        raise ValueError("r must lie in (0, 1)")
+    s1, s2, s3 = power_sums(args.r)
     _emit({
         "r": args.r,
         "sum_n_rn": s1,
@@ -319,7 +314,7 @@ def main(argv=None) -> int:
     except NoRadiusError as exc:
         _emit({"error": str(exc), "kind": "no-radius"})
         return 2
-    except (ValueError, ZeroDivisionError, UnsupportedOperation) as exc:
+    except (ValueError, ArithmeticError, UnsupportedOperation) as exc:
         _emit({"error": str(exc), "kind": "domain"})
         return 2
     except OSError as exc:

@@ -347,6 +347,15 @@ def weighted_sum_limit(seq: CoefficientSeq) -> float:
 # JSON sequence format
 # ---------------------------------------------------------------------------
 
+def _json_int(x, what: str) -> int:
+    """An integral JSON number as an int; 2.0 passes, 2.7, null and "2" do not."""
+    if isinstance(x, float) and x.is_integer():
+        return int(x)
+    if isinstance(x, int) and not isinstance(x, bool):
+        return x
+    raise ValueError(f"{what} must be an integer, got {x!r}")
+
+
 def _entries_to_map(entries, low: int, what: str) -> dict[int, complex]:
     out: dict[int, complex] = {}
     last = low - 1
@@ -354,7 +363,7 @@ def _entries_to_map(entries, low: int, what: str) -> dict[int, complex]:
         if not (isinstance(item, (list, tuple)) and len(item) == 3):
             raise ValueError(f"{what} entries must be [n, re, im] triples")
         n, re, im = item
-        n = _require_index(int(n), low, what)
+        n = _require_index(_json_int(n, f"{what} index"), low, what)
         if n in out:
             raise ValueError(f"duplicate {what} index {n}")
         if n <= last:
@@ -386,8 +395,10 @@ def sequence_from_dict(doc: dict) -> CoefficientSeq:
     tail = None
     if doc.get("tail") is not None:
         t = doc["tail"]
+        if not (isinstance(t, dict) and {"degree", "constant"} <= set(t)):
+            raise ValueError("tail must be an object with degree and constant")
         tail = TailBound(float(t["degree"]), float(t["constant"]))
-    return CoefficientSeq(a, b, int(doc["truncation"]), tail)
+    return CoefficientSeq(a, b, _json_int(doc["truncation"], "truncation"), tail)
 
 
 def sequence_to_dict(seq: CoefficientSeq) -> dict:

@@ -19,10 +19,11 @@ Jacobian closed forms for the root scanner.
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
-from .coefficients import CoefficientSeq, power_sums
+from ._util import check_uniform
+from .coefficients import CoefficientSeq
 from .maps import HarmonicMap
 
 __all__ = [
@@ -39,7 +40,6 @@ __all__ = [
     "koebe_witness_profile",
     "convex_witness_profile",
     "uniform_witness_profile",
-    "power_sum_identities",
     "one_term_extremal",
     "EXTREMALS",
     "get_extremal",
@@ -151,12 +151,7 @@ def uniform_witness(c: float, b1_abs: float = 0.0) -> HarmonicMap:
     h(z) = z - (c/2) z^2/(1-z), g(z) = -b1_abs z - (c/2) z^2/(1-z), so
     a_n = b_n = -c/2 for n >= 2 and g'(0) = -b1_abs.
     """
-    c = float(c)
-    b1 = float(b1_abs)
-    if c <= 0:
-        raise ValueError("uniform bound c must be positive")
-    if not 0.0 <= b1 < 1.0:
-        raise ValueError("b1_abs must lie in [0, 1)")
+    c, b1 = check_uniform(c, b1_abs)
     tail = lambda z: (c / 2) * z * z / (1 - z)
     # d/dz [z^2/(1-z)] = 1/(1-z)^2 - 1
     dtail = lambda z: (c / 2) * (1 / (1 - z) ** 2 - 1)
@@ -205,10 +200,7 @@ def convex_witness_jacobian(r: float) -> float:
 def uniform_witness_jacobian(r: float, c: float, b1_abs: float = 0.0) -> float:
     """J along the real axis for f0(c, b1_abs)."""
     r = _check_radius(r)
-    if c <= 0:
-        raise ValueError("uniform bound c must be positive")
-    if not 0.0 <= b1_abs < 1.0:
-        raise ValueError("b1_abs must lie in [0, 1)")
+    c, b1_abs = check_uniform(c, b1_abs)
     return (1 + b1_abs) * (1 + c - b1_abs - c / (1 - r) ** 2)
 
 
@@ -218,8 +210,6 @@ class JacobianProfile:
 
     label: str
     evaluator: Callable[[float], float]
-    b1_abs: float = 0.0
-    parameters: dict = field(default_factory=dict)
 
     def __call__(self, r: float) -> float:
         return float(self.evaluator(_check_radius(r)))
@@ -234,28 +224,11 @@ def convex_witness_profile() -> JacobianProfile:
 
 
 def uniform_witness_profile(c: float, b1_abs: float = 0.0) -> JacobianProfile:
-    uniform_witness_jacobian(0.0, c, b1_abs)  # validate parameters up front
-    return JacobianProfile(
-        "f0",
-        lambda r: uniform_witness_jacobian(r, c, b1_abs),
-        b1_abs=float(b1_abs),
-        parameters={"c": float(c), "b1_abs": float(b1_abs)},
-    )
+    c, b1_abs = check_uniform(c, b1_abs)  # validate parameters up front
+    return JacobianProfile("f0", lambda r: uniform_witness_jacobian(r, c, b1_abs))
 
 
-# -- power-sum identities and one-term boundary maps ------------------------
-
-def power_sum_identities(r: float) -> tuple[float, float, float]:
-    """Closed forms of sum(n r^n), sum(n^2 r^n), sum(n^3 r^(n-1)) over n >= 1.
-
-    These are the three weighted geometric sums the closed-form radius
-    expressions are assembled from; at r = 1/2 the triple is (2, 6, 52).
-    """
-    r = float(r)
-    if not 0.0 < r < 1.0:
-        raise ValueError("r must lie in (0, 1)")
-    return power_sums(r)
-
+# -- one-term boundary maps ---------------------------------------------------
 
 def one_term_extremal(n: int, theta: float = 0.0, anti: bool = False) -> HarmonicMap:
     """z + (e^(i theta)/n) z^n, or with conj(z^n) when anti is set.

@@ -1,8 +1,8 @@
 """Harmonic mappings of the unit disk, f = h + conj(g).
 
-A HarmonicMap is backed either by an explicit coefficient sequence
-(evaluated as polynomials) or by closed-form expressions for h, g and
-their derivatives.  Both backings support evaluation, the two Wirtinger
+A HarmonicMap evaluates closed-form expressions for h, g and their
+derivatives; an explicit coefficient sequence is compiled into
+polynomial ones.  Maps support evaluation, the two Wirtinger
 derivatives f_z = h' and f_zbar = conj(g'), the Jacobian |h'|^2 - |g'|^2,
 the second complex dilatation g'/h', dilation f_r(z) = f(rz)/r, and
 (where coefficients are available) truncation to partial sums.
@@ -49,7 +49,8 @@ class UnsupportedOperation(RuntimeError):
 
 @dataclass(frozen=True)
 class ClosedForm:
-    """Hand-coded evaluators for h, g and their derivatives.
+    """Evaluators for h, g and their derivatives, hand-coded or compiled
+    from a coefficient sequence.
 
     coeff, when present, returns the exact series coefficients (a_n, b_n)
     for n >= 1 and makes the map sectionable.
@@ -67,30 +68,52 @@ def _split_scalar(z):
     return arr, arr.ndim == 0
 
 
+def _compile(seq: CoefficientSeq) -> ClosedForm:
+    """Polynomial evaluators for a stored sequence, with its coefficient rule."""
+    ch = np.zeros(max(seq.truncation + 1, 2), dtype=complex)
+    cg = np.zeros_like(ch)
+    ch[1] = 1.0
+    for k, v in seq.a.items():
+        ch[k] = v
+    for k, v in seq.b.items():
+        cg[k] = v
+    dch, dcg = npoly.polyder(ch), npoly.polyder(cg)
+    return ClosedForm(
+        lambda w: npoly.polyval(w, ch),
+        lambda w: npoly.polyval(w, cg),
+        lambda w: npoly.polyval(w, dch),
+        lambda w: npoly.polyval(w, dcg),
+        lambda n: (1.0 + 0j if n == 1 else seq.a.get(n, 0j), seq.b.get(n, 0j)),
+    )
+
+
+# Evaluation domain per backing: the largest accepted |z| and the refusal
+# message.  Closed forms refuse |z| >= 1, i.e. |z| above the float below 1.
+_SERIES_DOMAIN = (SERIES_EVAL_MAX * (1.0 + 1e-12),
+                  f"series evaluation requires |z| <= {SERIES_EVAL_MAX}")
+_CLOSED_DOMAIN = (math.nextafter(1.0, 0.0), "evaluation requires |z| < 1")
+
+
 class HarmonicMap:
-    """A normalized harmonic mapping f = h + conj(g) on the unit disk."""
+    """A normalized harmonic mapping f = h + conj(g) on the unit disk.
+
+    Every evaluation goes through closed-form evaluators.  A coefficient
+    sequence given as series is compiled into polynomial evaluators here
+    (unless forms compiled from it are passed along, as dilate does) and
+    kept for as_sequence.
+    """
 
     def __init__(self, label: str, *, series: CoefficientSeq | None = None,
                  forms: ClosedForm | None = None, scale: float = 1.0):
-        if (series is None) == (forms is None):
-            raise ValueError("exactly one of series/forms must be given")
+        if series is None and forms is None:
+            raise ValueError("a series or closed forms must be given")
         if not (0.0 < scale <= 1.0):
             raise ValueError("scale must lie in (0, 1]")
         self.label = str(label)
         self._series = series
-        self._forms = forms
+        self._forms = forms if forms is not None else _compile(series)
+        self._domain = _CLOSED_DOMAIN if series is None else _SERIES_DOMAIN
         self._scale = float(scale)
-        if series is not None:
-            n = series.truncation
-            ch = np.zeros(max(n + 1, 2), dtype=complex)
-            cg = np.zeros(max(n + 1, 2), dtype=complex)
-            ch[1] = 1.0
-            for k, v in series.a.items():
-                ch[k] = v
-            for k, v in series.b.items():
-                cg[k] = v
-            self._ch, self._cg = ch, cg
-            self._dch, self._dcg = npoly.polyder(ch), npoly.polyder(cg)
         self._check_normalization()
 
     # -- constructors -----------------------------------------------------
@@ -116,24 +139,15 @@ class HarmonicMap:
             raise ValueError(f"{self.label}: |g'(0)| must be < 1")
 
     def _guard(self, arr: np.ndarray) -> np.ndarray:
-        mod = np.abs(arr)
-        if self._series is not None:
-            if np.any(mod > SERIES_EVAL_MAX * (1.0 + 1e-12)):
-                raise EvaluationDomainError(
-                    f"series evaluation requires |z| <= {SERIES_EVAL_MAX}"
-                )
-        elif np.any(mod >= 1.0):
-            raise EvaluationDomainError("evaluation requires |z| < 1")
+        limit, message = self._domain
+        if np.any(np.abs(arr) > limit):
+            raise EvaluationDomainError(message)
         return arr * self._scale
 
     def _parts_raw(self, w: np.ndarray):
-        if self._series is not None:
-            return npoly.polyval(w, self._ch), npoly.polyval(w, self._cg)
         return self._forms.h(w), self._forms.g(w)
 
     def _derivs_raw(self, w: np.ndarray):
-        if self._series is not None:
-            return npoly.polyval(w, self._dch), npoly.polyval(w, self._dcg)
         return self._forms.dh(w), self._forms.dg(w)
 
     # -- evaluation --------------------------------------------------------
@@ -187,7 +201,7 @@ class HarmonicMap:
 
     @property
     def has_coefficients(self) -> bool:
-        return self._series is not None or self._forms.coeff is not None
+        return self._forms.coeff is not None
 
     def coefficient(self, n: int) -> tuple[complex, complex]:
         """The series coefficients (a_n, b_n); a_1 is 1 by normalization.
@@ -197,18 +211,13 @@ class HarmonicMap:
         """
         if n < 1:
             raise ValueError("coefficient index must be >= 1")
-        if self._series is not None:
-            a = 1.0 + 0j if n == 1 else self._series.a.get(n, 0j)
-            b = self._series.b.get(n, 0j)
-        elif self._forms.coeff is not None:
-            a, b = self._forms.coeff(n)
-            a, b = complex(a), complex(b)
-        else:
+        if not self.has_coefficients:
             raise UnsupportedOperation(
                 f"{self.label}: closed-form map without stored coefficients"
             )
+        a, b = self._forms.coeff(n)
         s = self._scale ** (n - 1)
-        return a * s, b * s
+        return complex(a) * s, complex(b) * s
 
     def dilate(self, r: float) -> "HarmonicMap":
         """The dilated map f_r(z) = f(rz)/r; series coefficients pick up r^(n-1)."""
@@ -216,18 +225,13 @@ class HarmonicMap:
             raise ValueError("dilation parameter must lie in (0, 1]")
         if r == 1.0:
             return self
-        out = HarmonicMap.__new__(HarmonicMap)
-        out.label = f"dilate({self.label},{r:g})"
-        out._series = self._series
-        out._forms = self._forms
-        out._scale = self._scale * r
-        if self._series is not None:
-            out._ch, out._cg = self._ch, self._cg
-            out._dch, out._dcg = self._dch, self._dcg
-        return out
+        return HarmonicMap(f"dilate({self.label},{r:g})", series=self._series,
+                           forms=self._forms, scale=self._scale * r)
 
     def section(self, n: int, m: int) -> "HarmonicMap":
         """Partial sums: h truncated at degree n, g at degree m.
+
+        Zero coefficients are not stored in the section's sequence.
 
         Args:
             n: highest retained h index, n >= 1.
@@ -242,16 +246,10 @@ class HarmonicMap:
             raise UnsupportedOperation(
                 f"{self.label}: closed-form map without stored coefficients"
             )
-        if self._series is not None:
-            hi_a = min(n, self._series.truncation)
-            hi_b = min(m, self._series.truncation)
-            a = {k: self.coefficient(k)[0] for k in self._series.a if k <= hi_a}
-            b = {k: self.coefficient(k)[1] for k in self._series.b if k <= hi_b}
-        else:
-            a = {k: self.coefficient(k)[0] for k in range(2, n + 1)}
-            b = {k: self.coefficient(k)[1] for k in range(1, m + 1)}
-            a = {k: v for k, v in a.items() if v != 0}
-            b = {k: v for k, v in b.items() if v != 0}
+        a = {k: self.coefficient(k)[0] for k in range(2, n + 1)}
+        b = {k: self.coefficient(k)[1] for k in range(1, m + 1)}
+        a = {k: v for k, v in a.items() if v != 0}
+        b = {k: v for k, v in b.items() if v != 0}
         seq = CoefficientSeq(a, b, max(1, n, m))
         return HarmonicMap.from_series(seq, f"section({self.label},{n},{m})")
 

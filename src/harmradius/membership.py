@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.spatial import cKDTree
 
+from ._util import check_beta
 from .coefficients import CoefficientSeq, weighted_sum_limit
 from .maps import HarmonicMap
 
@@ -119,13 +120,6 @@ def _graded_verdict(margin: float, witness, grid_spec: str, note: str = "") -> M
     return MembershipReport("violated", margin, witness, grid_spec, False, note)
 
 
-def _check_beta(beta: float) -> float:
-    beta = float(beta)
-    if not 0.0 <= beta < 1.0:
-        raise ValueError("beta must lie in [0, 1)")
-    return beta
-
-
 def _as_sequence(x) -> CoefficientSeq:
     if isinstance(x, CoefficientSeq):
         return x
@@ -142,7 +136,7 @@ def coeff_condition(seq, beta: float = 0.0) -> MembershipReport:
     margin = (1-beta) - S(1-).  Requires |b1| < 1-beta up front; failing
     that, a violation report is returned without summing the series.
     """
-    beta = _check_beta(beta)
+    beta = check_beta(beta)
     seq = _as_sequence(seq)
     b1a = abs(seq.b1)
     spec = "coefficient series, exact limit at r=1"
@@ -170,7 +164,7 @@ def coefficient_growth_check(seq, beta: float = 0.0) -> MembershipReport:
     and the aggregate sum n^2 (|a_n|^2 + |b_n|^2) <= (1-beta)^2 - |b1|^2.
     margin is the smaller of the two slacks; the note carries both.
     """
-    beta = _check_beta(beta)
+    beta = check_beta(beta)
     seq = _as_sequence(seq)
     spec = "coefficient series, exact"
     if seq.tail is not None and seq.tail.constant > 0.0:
@@ -213,7 +207,7 @@ def c_h2_numeric(f: HarmonicMap, beta: float = 0.0,
 
     margin = min over the grid of (1-beta) - |f_zbar| - |f_z - 1|.
     """
-    beta = _check_beta(beta)
+    beta = check_beta(beta)
     grid = grid or GridSpec()
     pts = grid.points()
     fz, fzbar = f.wirtinger(pts)

@@ -6,9 +6,11 @@ membership condition exactly when S(r) <= 1 - beta, so the radius of the
 class is the unique crossing point of the increasing function S.
 
 Closed forms are provided for the three stock families (koebe, convex,
-uniform); a bisection engine handles any BoundFamily or CoefficientSeq.
-Sharpness of a radius is certified by locating the first zero of a
-witness Jacobian profile and checking its sign pattern.
+uniform); bisection handles any BoundFamily or CoefficientSeq.  One
+bracketed solver (bisection closed by a secant step) serves the bisection
+radii, the convex-family cubic and the Jacobian root scan.  Sharpness of
+a radius is certified by locating the first zero of a witness Jacobian
+profile and checking its sign pattern.
 """
 
 import math
@@ -16,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._util import check_beta, check_uniform
 from .coefficients import (
     TAIL_EVAL_MAX,
     BoundFamily,
@@ -35,6 +38,7 @@ __all__ = [
     "koebe_family_radius",
     "convex_family_radius",
     "uniform_family_radius",
+    "closed_form_radius",
     "jacobian_roots",
     "verify_sharpness",
 ]
@@ -84,11 +88,32 @@ class RadiusReport:
         }
 
 
-def _check_beta(beta: float) -> float:
-    beta = float(beta)
-    if not 0.0 <= beta < 1.0:
-        raise ValueError("beta must lie in [0, 1)")
-    return beta
+def _solve(fn, lo: float, hi: float, flo: float, fhi: float,
+           tol: float = BISECTION_TOL) -> tuple[float, float, float]:
+    """(root, lo, hi): a zero of fn bracketed in the final [lo, hi].
+
+    flo = fn(lo) and fhi = fn(hi) must have opposite signs.  Bisects to
+    width tol, then one secant step inside the final bracket sharpens the
+    root well below the bracket width.  A midpoint where fn is exactly
+    zero is returned at once with the bracket collapsed onto it.
+    """
+    for _ in range(_MAX_ITER):
+        if hi - lo <= tol:
+            break
+        mid = 0.5 * (lo + hi)
+        fm = fn(mid)
+        if fm == 0.0:
+            return mid, mid, mid
+        if (flo < 0.0) == (fm < 0.0):
+            lo, flo = mid, fm
+        else:
+            hi, fhi = mid, fm
+    if fhi != flo:
+        root = lo - flo * (hi - lo) / (fhi - flo)
+        root = min(max(root, lo), hi)
+    else:
+        root = 0.5 * (lo + hi)
+    return root, lo, hi
 
 
 def radius_by_bisection(family, beta: float = 0.0) -> RadiusReport:
@@ -100,7 +125,7 @@ def radius_by_bisection(family, beta: float = 0.0) -> RadiusReport:
     Raises:
         NoRadiusError: S(0) = |b1| already meets or exceeds 1 - beta.
     """
-    beta = _check_beta(beta)
+    beta = check_beta(beta)
     if not isinstance(family, (BoundFamily, CoefficientSeq)):
         raise TypeError("expected a BoundFamily or CoefficientSeq")
     target = 1.0 - beta
@@ -125,23 +150,8 @@ def radius_by_bisection(family, beta: float = 0.0) -> RadiusReport:
                             bracket=(hi, hi), saturated=True, label=label,
                             beta=beta)
 
-    lo, glo = 0.0, g0
-    for _ in range(_MAX_ITER):
-        if hi - lo <= BISECTION_TOL:
-            break
-        mid = 0.5 * (lo + hi)
-        gm = weighted_sum(family, mid) - target
-        if gm <= 0.0:
-            lo, glo = mid, gm
-        else:
-            hi, ghi = mid, gm
-    # one secant step inside the final bracket sharpens the root well
-    # below the bracket width
-    if ghi != glo:
-        root = lo - glo * (hi - lo) / (ghi - glo)
-        root = min(max(root, lo), hi)
-    else:
-        root = 0.5 * (lo + hi)
+    root, lo, hi = _solve(lambda r: weighted_sum(family, r) - target,
+                          0.0, hi, g0, ghi)
     residual = abs(weighted_sum(family, root) - target)
     return RadiusReport(root, "bisection", residual, BISECTION_TOL,
                         bracket=(lo, hi), label=label, beta=beta)
@@ -167,61 +177,36 @@ def convex_family_radius() -> RadiusReport:
     """Unique real root of 2 r^3 - 6 r^2 + 7 r - 1 = 0.
 
     The derivative 6 r^2 - 12 r + 7 has negative discriminant, so the
-    cubic is strictly increasing and has exactly one real root; it is
-    found by Newton from 0.2 safeguarded by the bracket [0, 1].
+    cubic is strictly increasing and has exactly one real root, which
+    p(0) = -1 and p(1) = 2 bracket in [0, 1].
     """
     p = lambda r: ((2.0 * r - 6.0) * r + 7.0) * r - 1.0
-    dp = lambda r: (6.0 * r - 12.0) * r + 7.0
-    lo, hi = 0.0, 1.0
-    r = 0.2
-    for _ in range(_MAX_ITER):
-        fr = p(r)
-        if fr < 0.0:
-            lo = r
-        elif fr > 0.0:
-            hi = r
-        else:
-            break
-        step = fr / dp(r)
-        nxt = r - step
-        if not lo < nxt < hi:
-            nxt = 0.5 * (lo + hi)
-        if abs(nxt - r) <= 1e-16:
-            r = nxt
-            break
-        r = nxt
+    r, _, _ = _solve(p, 0.0, 1.0, p(0.0), p(1.0))
     return RadiusReport(r, "closed_form", abs(p(r)), 1e-9, label="convex")
 
 
 def uniform_family_radius(c: float, b1_abs: float = 0.0) -> RadiusReport:
     """r = 1 - sqrt(c / (c + 1 - b1_abs)); decreasing in both arguments."""
-    c = float(c)
-    b1 = float(b1_abs)
-    if c <= 0.0:
-        raise ValueError("uniform bound c must be positive")
-    if not 0.0 <= b1 < 1.0:
-        raise ValueError("b1_abs must lie in [0, 1)")
+    c, b1 = check_uniform(c, b1_abs)
     r = 1.0 - math.sqrt(c / (c + 1.0 - b1))
     residual = abs(b1 + c * (1.0 / (1.0 - r) ** 2 - 1.0) - 1.0)
     return RadiusReport(r, "closed_form", residual, 1e-9, label="uniform")
 
 
-def _bisect_root(fn, lo, hi, flo, fhi, tol):
-    for _ in range(_MAX_ITER):
-        if hi - lo <= tol:
-            break
-        mid = 0.5 * (lo + hi)
-        fm = fn(mid)
-        if fm == 0.0:
-            return mid
-        if (flo < 0.0) == (fm < 0.0):
-            lo, flo = mid, fm
-        else:
-            hi, fhi = mid, fm
-    if fhi != flo:
-        root = lo - flo * (hi - lo) / (fhi - flo)
-        return min(max(root, lo), hi)
-    return 0.5 * (lo + hi)
+def closed_form_radius(family: BoundFamily) -> RadiusReport:
+    """The closed-form radius (beta = 0) of a stock bound family."""
+    if family.kind == "koebe":
+        return koebe_family_radius()
+    if family.kind == "convex":
+        return convex_family_radius()
+    return uniform_family_radius(family.c, family.b1_abs)
+
+
+def _as_profile(witness) -> JacobianProfile:
+    """A HarmonicMap's Jacobian restricted to the real axis; profiles pass through."""
+    if isinstance(witness, HarmonicMap):
+        return JacobianProfile(witness.label, witness.jacobian)
+    return witness
 
 
 def jacobian_roots(profile, lo: float = 0.0, hi: float = 0.999,
@@ -233,9 +218,7 @@ def jacobian_roots(profile, lo: float = 0.0, hi: float = 0.999,
     in scope are low-degree rational functions with well-separated roots,
     so the default scan density cannot straddle two roots in one cell.
     """
-    if isinstance(profile, HarmonicMap):
-        f = profile
-        profile = JacobianProfile(f.label, lambda r: f.jacobian(r))
+    profile = _as_profile(profile)
     if not 0.0 <= lo < hi < 1.0:
         raise ValueError("scan interval must satisfy 0 <= lo < hi < 1")
     grid = np.linspace(lo, hi, int(num))
@@ -246,8 +229,8 @@ def jacobian_roots(profile, lo: float = 0.0, hi: float = 0.999,
         if a == 0.0:
             roots.append(float(grid[i]))
         elif (a < 0.0) != (b < 0.0):
-            roots.append(_bisect_root(profile, float(grid[i]), float(grid[i + 1]),
-                                      float(a), float(b), tol))
+            roots.append(_solve(profile, float(grid[i]), float(grid[i + 1]),
+                                float(a), float(b), tol)[0])
     if len(vals) and vals[-1] == 0.0:
         roots.append(float(grid[-1]))
     return sorted(roots)
@@ -285,9 +268,7 @@ def verify_sharpness(witness, r_claimed: float,
     axis).  Passes when min J on (0, r_claimed) is positive,
     |J(r_claimed)| <= 1e-9, and J(r_claimed + 1e-3) < 0.
     """
-    if isinstance(witness, HarmonicMap):
-        f = witness
-        witness = JacobianProfile(f.label, lambda r: f.jacobian(r))
+    witness = _as_profile(witness)
     r = float(r_claimed)
     if not 0.0 < r < 1.0 - 1e-3:
         raise ValueError("claimed radius must lie in (0, 0.999)")

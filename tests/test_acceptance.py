@@ -15,13 +15,12 @@ import time
 import numpy as np
 import pytest
 
-from harmradius.coefficients import BoundFamily
+from harmradius.coefficients import BoundFamily, power_sums
 from harmradius.extremals import (
     convex_witness_profile,
     get_extremal,
     koebe_witness_profile,
     one_term_extremal,
-    power_sum_identities,
     uniform_witness_jacobian,
 )
 from harmradius.bloch import bloch_table
@@ -164,7 +163,7 @@ def test_criterion_07_power_sum_identities():
     t0 = time.perf_counter()
     failures = []
     for r in (0.1, 0.3, 0.5):
-        s1, s2, s3 = power_sum_identities(r)
+        s1, s2, s3 = power_sums(r)
         n = np.arange(1, 201)
         partial = (float(np.sum(n * r ** n)),
                    float(np.sum(n ** 2 * r ** n)),
@@ -175,7 +174,7 @@ def test_criterion_07_power_sum_identities():
             if abs(closed - direct) > tail + 1e-10:
                 failures.append(f"sum {tag} at r={r}: closed {closed!r} vs "
                                 f"direct {direct!r}")
-    s1, s2, s3 = power_sum_identities(0.5)
+    s1, s2, s3 = power_sums(0.5)
     for got, want in ((s1, 2.0), (s2, 6.0), (s3, 52.0)):
         if abs(got - want) > 1e-10:
             failures.append(f"triple at 0.5: {got!r} off {want}")

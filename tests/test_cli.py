@@ -114,6 +114,31 @@ def test_radius_no_radius_is_exit_2(capsys, tmp_path):
     check(doc, "error.schema.json")
 
 
+@pytest.mark.parametrize("doc", [
+    {"a": [], "b": [], "truncation": None},
+    {"a": [], "b": [], "truncation": 2, "tail": {"constant": 0.1}},
+    {"a": [[2.7, 0.1, 0.0]], "b": [], "truncation": 3},
+], ids=["null-truncation", "tail-without-degree", "fractional-index"])
+def test_radius_malformed_seq_file_is_exit_2(capsys, tmp_path, doc):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, _ = run_json(capsys, "radius", "--seq", str(path))
+    assert code == 2
+    assert out["kind"] == "domain"
+    check(out, "error.schema.json")
+
+
+def test_radius_overflowing_tail_is_exit_2(capsys, tmp_path):
+    path = tmp_path / "steep.json"
+    path.write_text(json.dumps({"a": [], "b": [], "truncation": 3,
+                                "tail": {"degree": 600, "constant": 1.0}}),
+                    encoding="utf-8")
+    code, out, _ = run_json(capsys, "radius", "--seq", str(path))
+    assert code == 2
+    assert out["kind"] == "domain"
+    check(out, "error.schema.json")
+
+
 def test_radius_usage_errors(capsys, tmp_path):
     path = seq_file(tmp_path, CoefficientSeq({2: 1.0}, {}, 2))
     for argv in (
@@ -345,9 +370,10 @@ def test_identities_defaults(capsys):
 
 
 def test_identities_domain_error(capsys):
-    code, doc, _ = run_json(capsys, "identities", "--r", "1.5")
-    assert code == 2
-    assert doc["kind"] == "domain"
+    for r in ("1.5", "0", "1"):
+        code, doc, _ = run_json(capsys, "identities", "--r", r)
+        assert code == 2
+        assert doc == {"error": "r must lie in (0, 1)", "kind": "domain"}
 
 
 def test_list_extremals(capsys):

@@ -300,6 +300,18 @@ def test_sequence_from_dict_rejects_garbage():
         sequence_from_dict({"a": [], "b": [], "truncation": 2, "bogus": 1})
     with pytest.raises(ValueError):
         sequence_from_dict({"a": [[2, 0.1]], "b": [], "truncation": 2})
+    with pytest.raises(ValueError):
+        sequence_from_dict({"a": [], "b": [], "truncation": None})
+    with pytest.raises(ValueError):
+        sequence_from_dict({"a": [], "b": [], "truncation": 2,
+                            "tail": {"constant": 0.1}})  # no degree
+    with pytest.raises(ValueError):
+        sequence_from_dict({"a": [[2.7, 0.1, 0.0]], "b": [], "truncation": 3})
+
+
+def test_sequence_from_dict_accepts_integral_floats():
+    seq = sequence_from_dict({"a": [[2.0, 0.1, 0.0]], "b": [], "truncation": 3.0})
+    assert seq.a == {2: 0.1 + 0j} and seq.truncation == 3
 
 
 def test_load_sequence_missing_file(tmp_path):

@@ -1,4 +1,4 @@
-"""Named extremal maps, witness Jacobians, power-sum identities."""
+"""Named extremal maps, witness Jacobians, power-sum closed forms."""
 
 import cmath
 import math
@@ -20,7 +20,7 @@ from harmradius import (
     koebe_witness_jacobian,
     koebe_witness_profile,
     one_term_extremal,
-    power_sum_identities,
+    power_sums,
     uniform_family_radius,
     uniform_witness,
     uniform_witness_jacobian,
@@ -194,8 +194,6 @@ def test_profiles_normalize_at_zero():
     assert convex_witness_profile()(0.0) == pytest.approx(1.0)
     p = uniform_witness_profile(2.0, 0.3)
     assert p(0.0) == pytest.approx(1.0 - 0.09, abs=1e-15)
-    assert p.b1_abs == 0.3
-    assert p.parameters == {"c": 2.0, "b1_abs": 0.3}
 
 
 def test_profile_domain_check():
@@ -205,10 +203,10 @@ def test_profile_domain_check():
         uniform_witness_jacobian(0.5, -1.0)
 
 
-# -- power-sum identities ---------------------------------------------------------
+# -- power-sum closed forms ---------------------------------------------------------
 
 def test_power_sum_identities_at_half():
-    s1, s2, s3 = power_sum_identities(0.5)
+    s1, s2, s3 = power_sums(0.5)
     assert s1 == pytest.approx(2.0, abs=1e-12)
     assert s2 == pytest.approx(6.0, abs=1e-12)
     assert s3 == pytest.approx(52.0, abs=1e-12)
@@ -222,24 +220,27 @@ def test_power_sum_identities_against_summation():
         p3 = math.fsum(n ** 3 * r ** (n - 1))
         # remainder majorant: terms decay at least geometrically after n=200
         tail = 201 ** 3 * r ** 200 / (1 - r)
-        c1, c2, c3 = power_sum_identities(r)
+        c1, c2, c3 = power_sums(r)
         assert abs(c1 - p1) <= 1e-10 + tail
         assert abs(c2 - p2) <= 1e-10 + tail
         assert abs(c3 - p3) <= 1e-10 + tail
 
 
 def test_power_sum_identities_small_r():
-    s1, s2, s3 = power_sum_identities(1e-8)
+    s1, s2, s3 = power_sums(1e-8)
     assert s1 == pytest.approx(1e-8, abs=1e-7)
     assert s2 == pytest.approx(1e-8, abs=1e-7)
     assert s3 == pytest.approx(1.0, abs=1e-7)
 
 
 def test_power_sum_identities_domain():
+    # power_sums is defined on [0, 1); the identities subcommand keeps
+    # its own (0, 1) check (test_cli.py::test_identities_domain_error)
+    assert power_sums(0.0) == (0.0, 0.0, 1.0)
     with pytest.raises(ValueError):
-        power_sum_identities(0.0)
+        power_sums(1.0)
     with pytest.raises(ValueError):
-        power_sum_identities(1.0)
+        power_sums(-0.1)
 
 
 # -- one-term boundary maps -------------------------------------------------------
