@@ -5,6 +5,8 @@ below the tolerance floors and above printed-table precision.  Parameter
 checks shared by several modules raise ValueError with one message each.
 """
 
+import math
+
 __all__ = ["fmt12", "round12", "check_beta", "check_uniform"]
 
 
@@ -26,10 +28,10 @@ def check_beta(beta: float) -> float:
 
 
 def check_uniform(c: float, b1_abs: float) -> tuple[float, float]:
-    """The uniform-family parameters (c > 0, b1_abs in [0, 1)) as floats."""
+    """The uniform-family parameters (finite c > 0, b1_abs in [0, 1)) as floats."""
     c, b1_abs = float(c), float(b1_abs)
-    if c <= 0.0:
-        raise ValueError("uniform bound c must be positive")
+    if not (math.isfinite(c) and c > 0.0):
+        raise ValueError("uniform bound c must be finite and positive")
     if not 0.0 <= b1_abs < 1.0:
         raise ValueError("b1_abs must lie in [0, 1)")
     return c, b1_abs

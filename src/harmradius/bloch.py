@@ -15,6 +15,7 @@ import math
 from dataclasses import dataclass
 
 from ._util import fmt12
+from .radii import uniform_family_radius
 
 __all__ = [
     "MIN_BOUND",
@@ -41,6 +42,8 @@ BLOCH_CSV_HEADER = "M,phi,psi,r_S,R_S"
 
 def _check_bound(M: float) -> float:
     M = float(M)
+    if not math.isfinite(M):
+        raise ValueError("sup-norm bound M must be finite")
     if M < MIN_BOUND:
         raise ValueError("sup-norm bound M must be >= pi/4")
     return M
@@ -54,13 +57,11 @@ def coefficient_bound(M: float) -> float:
 def bloch_radius(M: float) -> tuple[float, float]:
     """(r_S, R_S): starlikeness radius and guaranteed univalent-disk radius.
 
-    r_S = 1 - sqrt(4M/(4M + pi)); R_S = r_S - (4M/pi) r_S^2/(1 - r_S).
+    r_S is the uniform-family radius at c = 4M/pi, b1 = 0;
+    R_S = r_S - (4M/pi) r_S^2/(1 - r_S).
     """
-    M = _check_bound(M)
-    c = 4.0 * M / math.pi
-    # identical arithmetic to the uniform-family radius at b1=0, so the
-    # two entry points agree bit for bit
-    r_s = 1.0 - math.sqrt(c / (c + 1.0 - 0.0))
+    c = coefficient_bound(M)
+    r_s = uniform_family_radius(c).radius
     big_r = r_s - c * r_s * r_s / (1.0 - r_s)
     return r_s, big_r
 

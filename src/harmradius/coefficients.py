@@ -21,7 +21,10 @@ import json
 import math
 from dataclasses import dataclass, field
 
+from ._util import check_uniform
+
 __all__ = [
+    "SERIES_EVAL_MAX",
     "TailBound",
     "CoefficientSeq",
     "BoundFamily",
@@ -37,9 +40,11 @@ __all__ = [
     "save_sequence",
 ]
 
-# Series-type evaluations (stored terms plus tail majorants) are trusted only
-# away from the boundary; mirrors the evaluation guard in maps.py.
-TAIL_EVAL_MAX = 0.999
+# Series-type evaluations (tail majorants here, stored polynomials in maps)
+# are trusted only for |z| <= SERIES_EVAL_MAX: polynomially growing
+# coefficient families make truncation error controllable only away from
+# the boundary.
+SERIES_EVAL_MAX = 0.999
 
 
 def _require_index(n: int, low: int, what: str) -> int:
@@ -87,28 +92,20 @@ class CoefficientSeq:
     def __post_init__(self) -> None:
         if self.truncation < 1:
             raise ValueError("truncation must be >= 1")
-        a = {}
-        for n, v in self.a.items():
-            _require_index(n, 2, "a")
-            if n > self.truncation:
-                raise ValueError(f"a index {n} exceeds truncation {self.truncation}")
-            v = complex(v)
-            if not (math.isfinite(v.real) and math.isfinite(v.imag)):
-                raise ValueError(f"a[{n}] is not finite")
-            a[n] = v
-        b = {}
-        for n, v in self.b.items():
-            _require_index(n, 1, "b")
-            if n > self.truncation:
-                raise ValueError(f"b index {n} exceeds truncation {self.truncation}")
-            v = complex(v)
-            if not (math.isfinite(v.real) and math.isfinite(v.imag)):
-                raise ValueError(f"b[{n}] is not finite")
-            b[n] = v
-        if abs(b.get(1, 0j)) >= 1.0:
+        for what, low in (("a", 2), ("b", 1)):
+            checked = {}
+            for n, v in getattr(self, what).items():
+                _require_index(n, low, what)
+                if n > self.truncation:
+                    raise ValueError(
+                        f"{what} index {n} exceeds truncation {self.truncation}")
+                v = complex(v)
+                if not (math.isfinite(v.real) and math.isfinite(v.imag)):
+                    raise ValueError(f"{what}[{n}] is not finite")
+                checked[n] = v
+            object.__setattr__(self, what, dict(sorted(checked.items())))
+        if abs(self.b1) >= 1.0:
             raise ValueError("|b_1| must be < 1 (sense-preserving normalization)")
-        object.__setattr__(self, "a", dict(sorted(a.items())))
-        object.__setattr__(self, "b", dict(sorted(b.items())))
 
     @property
     def b1(self) -> complex:
@@ -165,10 +162,7 @@ class BoundFamily:
         if self.kind not in ("koebe", "convex", "uniform"):
             raise ValueError(f"unknown family kind {self.kind!r}")
         if self.kind == "uniform":
-            if not (math.isfinite(self.c) and self.c > 0.0):
-                raise ValueError("uniform family needs c > 0")
-            if not (0.0 <= self.b1_abs < 1.0):
-                raise ValueError("uniform family needs b1_abs in [0, 1)")
+            check_uniform(self.c, self.b1_abs)
 
     @classmethod
     def koebe(cls) -> "BoundFamily":
@@ -240,7 +234,7 @@ def _family_sum(fam: BoundFamily, r: float) -> float:
 
 
 def _tail_sum(degree: float, start: int, r: float) -> float:
-    """Upper bound for sum_{n>=start} n^(degree+1) r^(n-1), 0 <= r <= TAIL_EVAL_MAX.
+    """Upper bound for sum_{n>=start} n^(degree+1) r^(n-1), 0 <= r <= SERIES_EVAL_MAX.
 
     Sums terms directly and closes with a geometric remainder bound once the
     term ratio has dropped below 1, so the result is a true majorant.
@@ -251,8 +245,9 @@ def _tail_sum(degree: float, start: int, r: float) -> float:
     total = 0.0
     n = start
     term = n**p * r ** (n - 1)
-    # Ratio ((n+1)/n)^p * r is eventually < 1 and decreasing; with the 0.999
-    # cap this loop is bounded by a few tens of thousands of iterations.
+    # Ratio ((n+1)/n)^p * r is eventually < 1 and decreasing; with the
+    # SERIES_EVAL_MAX cap this loop is bounded by a few tens of thousands
+    # of iterations.
     while True:
         total += term
         n += 1
@@ -271,9 +266,9 @@ def weighted_sum_tail(seq: CoefficientSeq, r: float) -> float:
         return 0.0
     if not (0.0 <= r < 1.0):
         raise ValueError(f"r must lie in [0, 1), got {r}")
-    if r > TAIL_EVAL_MAX:
+    if r > SERIES_EVAL_MAX:
         raise ValueError(
-            f"tail majorant is evaluated only for r <= {TAIL_EVAL_MAX}"
+            f"tail majorant is evaluated only for r <= {SERIES_EVAL_MAX}"
         )
     return seq.tail.constant * _tail_sum(seq.tail.degree, seq.truncation + 1, r)
 
@@ -328,9 +323,7 @@ def weighted_sum_limit(seq: CoefficientSeq) -> float:
     """
     if not isinstance(seq, CoefficientSeq):
         raise TypeError(f"expected CoefficientSeq, got {type(seq).__name__}")
-    terms = [abs(seq.b1)] if 1 in seq.b else []
-    terms.extend(n * c for n, c in _combined_abs(seq).items())
-    total = math.fsum(terms)
+    total = _stored_sum(seq, 1.0)
     if seq.tail is not None and seq.tail.constant > 0.0:
         s = -(seq.tail.degree + 1.0)
         if s <= 1.0:
@@ -356,6 +349,13 @@ def _json_int(x, what: str) -> int:
     raise ValueError(f"{what} must be an integer, got {x!r}")
 
 
+def _json_number(x, what: str) -> float:
+    """A JSON number as a float; null, strings and booleans are rejected."""
+    if isinstance(x, (int, float)) and not isinstance(x, bool):
+        return float(x)
+    raise ValueError(f"{what} must be a number, got {x!r}")
+
+
 def _entries_to_map(entries, low: int, what: str) -> dict[int, complex]:
     out: dict[int, complex] = {}
     last = low - 1
@@ -369,7 +369,8 @@ def _entries_to_map(entries, low: int, what: str) -> dict[int, complex]:
         if n <= last:
             raise ValueError(f"{what} indices must be strictly increasing")
         last = n
-        out[n] = complex(float(re), float(im))
+        out[n] = complex(_json_number(re, f"{what}[{n}] real part"),
+                         _json_number(im, f"{what}[{n}] imaginary part"))
     return out
 
 
@@ -393,11 +394,12 @@ def sequence_from_dict(doc: dict) -> CoefficientSeq:
     a = _entries_to_map(doc.get("a", []), 2, "a")
     b = _entries_to_map(doc.get("b", []), 1, "b")
     tail = None
-    if doc.get("tail") is not None:
+    if "tail" in doc:
         t = doc["tail"]
         if not (isinstance(t, dict) and {"degree", "constant"} <= set(t)):
             raise ValueError("tail must be an object with degree and constant")
-        tail = TailBound(float(t["degree"]), float(t["constant"]))
+        tail = TailBound(_json_number(t["degree"], "tail degree"),
+                         _json_number(t["constant"], "tail constant"))
     return CoefficientSeq(a, b, _json_int(doc["truncation"], "truncation"), tail)
 
 

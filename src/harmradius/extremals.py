@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from ._util import check_uniform
-from .coefficients import CoefficientSeq
+from .coefficients import CoefficientSeq, koebe_bounds
 from .maps import HarmonicMap
 
 __all__ = [
@@ -67,14 +67,10 @@ def _koebe_dg(z):
     return z * (1 + z) / (1 - z) ** 4
 
 
-def _koebe_coeff(n: int):
-    return (2 * n + 1) * (n + 1) / 6, (2 * n - 1) * (n - 1) / 6
-
-
 def harmonic_koebe() -> HarmonicMap:
     """The harmonic Koebe function; dilatation g'/h' = z."""
     return HarmonicMap.from_closed_form(
-        "koebe", _koebe_h, _koebe_g, _koebe_dh, _koebe_dg, _koebe_coeff
+        "koebe", _koebe_h, _koebe_g, _koebe_dh, _koebe_dg, koebe_bounds
     )
 
 
@@ -107,42 +103,36 @@ def convex_extremal() -> HarmonicMap:
 
 # -- sharpness witnesses ---------------------------------------------------
 
-def _koebe_witness_coeff(n: int):
-    if n == 1:
-        return 1.0, 0.0
-    a, b = _koebe_coeff(n)
-    return -a, -b
+def _negated_witness(label: str, h, g, dh, dg, coeff) -> HarmonicMap:
+    """(2z - h) - conj(g): the base map h + conj(g) with every coefficient
+    past a_1 = 1 negated (and b_1 = 0)."""
+
+    def witness_coeff(n: int):
+        if n == 1:
+            return 1.0, 0.0
+        a, b = coeff(n)
+        return -a, -b
+
+    return HarmonicMap.from_closed_form(
+        label,
+        lambda z: 2 * z - h(z),
+        lambda z: -g(z),
+        lambda z: 2 - dh(z),
+        lambda z: -dg(z),
+        witness_coeff,
+    )
 
 
 def koebe_witness() -> HarmonicMap:
     """F0 = (2z - H) - conj(G): the Koebe-family map with negated tail."""
-    return HarmonicMap.from_closed_form(
-        "F0",
-        lambda z: 2 * z - _koebe_h(z),
-        lambda z: -_koebe_g(z),
-        lambda z: 2 - _koebe_dh(z),
-        lambda z: -_koebe_dg(z),
-        _koebe_witness_coeff,
-    )
-
-
-def _convex_witness_coeff(n: int):
-    if n == 1:
-        return 1.0, 0.0
-    a, b = _convex_coeff(n)
-    return -a, -b
+    return _negated_witness("F0", _koebe_h, _koebe_g, _koebe_dh, _koebe_dg,
+                            koebe_bounds)
 
 
 def convex_witness() -> HarmonicMap:
     """L0 = (2z - M) - conj(N): the convex-family map with negated tail."""
-    return HarmonicMap.from_closed_form(
-        "L0",
-        lambda z: 2 * z - _convex_h(z),
-        lambda z: -_convex_g(z),
-        lambda z: 2 - _convex_dh(z),
-        lambda z: -_convex_dg(z),
-        _convex_witness_coeff,
-    )
+    return _negated_witness("L0", _convex_h, _convex_g, _convex_dh, _convex_dg,
+                            _convex_coeff)
 
 
 def uniform_witness(c: float, b1_abs: float = 0.0) -> HarmonicMap:

@@ -18,23 +18,15 @@ from typing import Callable
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .coefficients import CoefficientSeq
+from .coefficients import SERIES_EVAL_MAX, CoefficientSeq
 
 __all__ = [
-    "EPS_EVAL",
-    "SERIES_EVAL_MAX",
     "EvaluationDomainError",
     "UnsupportedOperation",
     "ClosedForm",
     "HarmonicMap",
     "identity_map",
 ]
-
-# Series evaluation refuses |z| > 1 - EPS_EVAL: polynomially growing
-# coefficient families make truncation error controllable only away from
-# the boundary.
-EPS_EVAL = 1e-3
-SERIES_EVAL_MAX = 1.0 - EPS_EVAL
 
 _NORM_TOL = 1e-14
 
@@ -120,6 +112,13 @@ class HarmonicMap:
 
     @classmethod
     def from_series(cls, seq: CoefficientSeq, label: str = "series") -> "HarmonicMap":
+        """The polynomial map with the stored coefficients of seq.
+
+        A tail majorant on seq is kept (as_sequence returns it) but never
+        evaluated: every sampled check on this map sees the stored
+        polynomial only.  The tail enters only S(r)-based computations
+        (radius_by_bisection, coeff_condition).
+        """
         return cls(label, series=seq)
 
     @classmethod
@@ -129,8 +128,9 @@ class HarmonicMap:
     # -- internals ---------------------------------------------------------
 
     def _check_normalization(self) -> None:
-        h0, g0 = self._parts_raw(np.asarray(0j))
-        dh0, dg0 = self._derivs_raw(np.asarray(0j))
+        w = np.asarray(0j)
+        h0, g0 = self._forms.h(w), self._forms.g(w)
+        dh0, dg0 = self._forms.dh(w), self._forms.dg(w)
         if abs(h0) > _NORM_TOL or abs(g0) > _NORM_TOL:
             raise ValueError(f"{self.label}: normalization f(0)=0 fails")
         if abs(dh0 - 1.0) > _NORM_TOL:
@@ -144,39 +144,28 @@ class HarmonicMap:
             raise EvaluationDomainError(message)
         return arr * self._scale
 
-    def _parts_raw(self, w: np.ndarray):
-        return self._forms.h(w), self._forms.g(w)
-
-    def _derivs_raw(self, w: np.ndarray):
-        return self._forms.dh(w), self._forms.dg(w)
-
     # -- evaluation --------------------------------------------------------
 
     def __call__(self, z):
         """f(z) = h(z) + conj(g(z)), broadcasting over array input."""
         arr, scalar = _split_scalar(z)
-        h, g = self._parts_raw(self._guard(arr))
-        val = (h + np.conj(g)) / self._scale
+        w = self._guard(arr)
+        val = (self._forms.h(w) + np.conj(self._forms.g(w))) / self._scale
         return complex(val) if scalar else val
-
-    def analytic_parts(self, z):
-        """The pair (h(z), g(z))."""
-        arr, scalar = _split_scalar(z)
-        h, g = self._parts_raw(self._guard(arr))
-        h, g = h / self._scale, g / self._scale
-        return (complex(h), complex(g)) if scalar else (h, g)
 
     def wirtinger(self, z):
         """The Wirtinger derivatives (f_z, f_zbar) = (h'(z), conj(g'(z)))."""
         arr, scalar = _split_scalar(z)
-        dh, dg = self._derivs_raw(self._guard(arr))
+        w = self._guard(arr)
+        dh, dg = self._forms.dh(w), self._forms.dg(w)
         fzbar = np.conj(dg)
         return (complex(dh), complex(fzbar)) if scalar else (dh, fzbar)
 
     def jacobian(self, z):
         """J_f(z) = |h'(z)|^2 - |g'(z)|^2.  Positive iff sense-preserving at z."""
         arr, scalar = _split_scalar(z)
-        dh, dg = self._derivs_raw(self._guard(arr))
+        w = self._guard(arr)
+        dh, dg = self._forms.dh(w), self._forms.dg(w)
         val = np.abs(dh) ** 2 - np.abs(dg) ** 2
         return float(val) if scalar else val
 
@@ -187,7 +176,8 @@ class HarmonicMap:
             ZeroDivisionError: if |h'(z)| <= 1e-14 at any requested point.
         """
         arr, scalar = _split_scalar(z)
-        dh, dg = self._derivs_raw(self._guard(arr))
+        w = self._guard(arr)
+        dh, dg = self._forms.dh(w), self._forms.dg(w)
         if np.any(np.abs(dh) <= 1e-14):
             raise ZeroDivisionError(f"{self.label}: h' vanishes at a requested point")
         val = dg / dh

@@ -14,7 +14,7 @@ boundary flag: the extremal examples sit exactly on the boundary.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -92,14 +92,7 @@ class MembershipReport:
             raise ValueError(f"unknown verdict {self.verdict!r}")
 
     def to_dict(self) -> dict:
-        return {
-            "verdict": self.verdict,
-            "margin": self.margin,
-            "witness": _witness_json(self.witness),
-            "grid_spec": self.grid_spec,
-            "boundary": self.boundary,
-            "note": self.note,
-        }
+        return asdict(self) | {"witness": _witness_json(self.witness)}
 
 
 def _witness_json(w):
@@ -160,8 +153,9 @@ def coeff_condition(seq, beta: float = 0.0) -> MembershipReport:
 def coefficient_growth_check(seq, beta: float = 0.0) -> MembershipReport:
     """Necessary coefficient bounds for membership with parameter beta.
 
-    Two families: | |a_n| - |b_n| | <= (1-beta)/n per stored index n >= 2,
-    and the aggregate sum n^2 (|a_n|^2 + |b_n|^2) <= (1-beta)^2 - |b1|^2.
+    Two families: | |a_n| - |b_n| | <= (1-beta)/n per index n >= 2 where
+    a_n or b_n is nonzero, and the aggregate sum
+    n^2 (|a_n|^2 + |b_n|^2) <= (1-beta)^2 - |b1|^2.
     margin is the smaller of the two slacks; the note carries both.
     """
     beta = check_beta(beta)
@@ -173,7 +167,9 @@ def coefficient_growth_check(seq, beta: float = 0.0) -> MembershipReport:
             note="tail bound present: per-index growth cannot be checked",
         )
     one = 1.0 - beta
-    idx = sorted(set(seq.a) | set(k for k in seq.b if k >= 2))
+    # indices with a nonzero coefficient; a stored zero checks nothing
+    idx = sorted(n for n in set(seq.a) | set(seq.b)
+                 if n >= 2 and (seq.a.get(n, 0j) or seq.b.get(n, 0j)))
     per_margin, per_witness = one, None
     for n in idx:
         an, bn = abs(seq.a.get(n, 0j)), abs(seq.b.get(n, 0j))

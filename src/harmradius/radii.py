@@ -14,13 +14,13 @@ profile and checking its sign pattern.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from ._util import check_beta, check_uniform
 from .coefficients import (
-    TAIL_EVAL_MAX,
+    SERIES_EVAL_MAX,
     BoundFamily,
     CoefficientSeq,
     weighted_sum,
@@ -76,16 +76,7 @@ class RadiusReport:
             raise ValueError(f"unknown method {self.method!r}")
 
     def to_dict(self) -> dict:
-        return {
-            "radius": self.radius,
-            "method": self.method,
-            "residual": self.residual,
-            "tolerance": self.tolerance,
-            "bracket": list(self.bracket) if self.bracket else None,
-            "saturated": self.saturated,
-            "label": self.label,
-            "beta": self.beta,
-        }
+        return asdict(self) | {"bracket": list(self.bracket) if self.bracket else None}
 
 
 def _solve(fn, lo: float, hi: float, flo: float, fhi: float,
@@ -138,13 +129,13 @@ def radius_by_bisection(family, beta: float = 0.0) -> RadiusReport:
         )
 
     tailed = isinstance(family, CoefficientSeq) and family.tail is not None
-    hi = TAIL_EVAL_MAX if tailed else 1.0 - 1e-12
+    hi = SERIES_EVAL_MAX if tailed else 1.0 - 1e-12
     ghi = weighted_sum(family, hi) - target
     if ghi <= 0.0:
         if tailed and weighted_sum_limit(family) - target > 0.0:
             raise ValueError(
-                "crossing lies beyond r=0.999 where the tail majorant "
-                "is not evaluable; supply more explicit coefficients"
+                f"crossing lies beyond r={SERIES_EVAL_MAX} where the tail "
+                "majorant is not evaluable; supply more explicit coefficients"
             )
         return RadiusReport(1.0 - 1e-12, "bisection", abs(ghi), BISECTION_TOL,
                             bracket=(hi, hi), saturated=True, label=label,
@@ -189,7 +180,7 @@ def uniform_family_radius(c: float, b1_abs: float = 0.0) -> RadiusReport:
     """r = 1 - sqrt(c / (c + 1 - b1_abs)); decreasing in both arguments."""
     c, b1 = check_uniform(c, b1_abs)
     r = 1.0 - math.sqrt(c / (c + 1.0 - b1))
-    residual = abs(b1 + c * (1.0 / (1.0 - r) ** 2 - 1.0) - 1.0)
+    residual = abs(weighted_sum(BoundFamily("uniform", c, b1), r) - 1.0)
     return RadiusReport(r, "closed_form", residual, 1e-9, label="uniform")
 
 
@@ -250,14 +241,7 @@ class SharpnessReport:
     exterior_margin: float
 
     def to_dict(self) -> dict:
-        return {
-            "passed": self.passed,
-            "label": self.label,
-            "r_claimed": self.r_claimed,
-            "interior_min": self.interior_min,
-            "root_residual": self.root_residual,
-            "exterior_margin": self.exterior_margin,
-        }
+        return asdict(self)
 
 
 def verify_sharpness(witness, r_claimed: float,

@@ -37,6 +37,10 @@ def test_coefficient_bound_domain():
     with pytest.raises(ValueError):
         coefficient_bound(0.7)
     assert MIN_BOUND == pytest.approx(math.pi / 4)
+    for M in (math.nan, math.inf):
+        for fn in (coefficient_bound, bloch_radius, lambda m: bloch_table([1.0, m])):
+            with pytest.raises(ValueError, match="M must be finite"):
+                fn(M)
 
 
 def test_bloch_radius_table_values():

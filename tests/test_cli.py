@@ -118,8 +118,16 @@ def test_radius_no_radius_is_exit_2(capsys, tmp_path):
     {"a": [], "b": [], "truncation": None},
     {"a": [], "b": [], "truncation": 2, "tail": {"constant": 0.1}},
     {"a": [[2.7, 0.1, 0.0]], "b": [], "truncation": 3},
-], ids=["null-truncation", "tail-without-degree", "fractional-index"])
+    {"a": [[2, None, 0]], "b": [], "truncation": 2},
+    {"a": [], "b": [], "truncation": 2, "tail": {"degree": None, "constant": 1}},
+    {"a": [[2, "0.1", 0]], "b": [], "truncation": 2},
+    {"a": [[2, True, 0]], "b": [], "truncation": 2},
+    {"a": [], "b": [], "truncation": 2, "tail": None},
+], ids=["null-truncation", "tail-without-degree", "fractional-index", "null-value",
+        "null-degree", "string-value", "bool-value", "null-tail"])
 def test_radius_malformed_seq_file_is_exit_2(capsys, tmp_path, doc):
+    # the published schema rejects what the loader rejects
+    assert not Draft202012Validator(schema("coefficient_seq.schema.json")).is_valid(doc)
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
     code, out, _ = run_json(capsys, "radius", "--seq", str(path))
@@ -330,6 +338,14 @@ def test_bloch_table_bound_below_pi_quarter(capsys):
     code, doc, _ = run_json(capsys, "bloch-table", "--M", "0.5")
     assert code == 2
     assert doc["kind"] == "domain"
+
+
+@pytest.mark.parametrize("M", ["nan", "inf", "2,nan"])
+def test_bloch_table_non_finite_bound(capsys, M):
+    code, doc, _ = run_json(capsys, "bloch-table", "--M", M)
+    assert code == 2
+    assert doc == {"error": "sup-norm bound M must be finite", "kind": "domain"}
+    check(doc, "error.schema.json")
 
 
 # -- sharpness -------------------------------------------------------------

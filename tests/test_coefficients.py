@@ -21,7 +21,7 @@ from harmradius import (
     weighted_sum,
     weighted_sum_limit,
 )
-from harmradius.coefficients import TAIL_EVAL_MAX, weighted_sum_tail
+from harmradius.coefficients import SERIES_EVAL_MAX, weighted_sum_tail
 
 from conftest import brute_weighted_sum
 
@@ -238,7 +238,7 @@ def test_tail_sum_majorizes_truncated_series():
 
 def test_tail_refuses_near_boundary():
     seq = CoefficientSeq({2: 0.1}, {}, 10, tail=TailBound(-4.0, 0.01))
-    weighted_sum(seq, TAIL_EVAL_MAX)
+    weighted_sum(seq, SERIES_EVAL_MAX)
     with pytest.raises(ValueError):
         weighted_sum(seq, 0.9995)
 
@@ -307,6 +307,19 @@ def test_sequence_from_dict_rejects_garbage():
                             "tail": {"constant": 0.1}})  # no degree
     with pytest.raises(ValueError):
         sequence_from_dict({"a": [[2.7, 0.1, 0.0]], "b": [], "truncation": 3})
+    # coefficient values and tail fields must be JSON numbers
+    with pytest.raises(ValueError):
+        sequence_from_dict({"a": [[2, None, 0]], "b": [], "truncation": 2})
+    with pytest.raises(ValueError):
+        sequence_from_dict({"a": [], "b": [], "truncation": 2,
+                            "tail": {"degree": None, "constant": 1}})
+    with pytest.raises(ValueError):
+        sequence_from_dict({"a": [[2, "0.1", 0]], "b": [], "truncation": 2})
+    with pytest.raises(ValueError):
+        sequence_from_dict({"a": [], "b": [[1, 0.1, True]], "truncation": 2})
+    with pytest.raises(ValueError):
+        sequence_from_dict({"a": [], "b": [], "truncation": 2,
+                            "tail": {"degree": -4, "constant": "1"}})
 
 
 def test_sequence_from_dict_accepts_integral_floats():

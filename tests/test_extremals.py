@@ -67,6 +67,11 @@ def test_uniform_witness_validation():
         uniform_witness(0.0)
     with pytest.raises(ValueError):
         uniform_witness(1.0, 1.0)
+    for c in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            uniform_witness(c)
+        with pytest.raises(ValueError, match="finite"):
+            uniform_witness_profile(c, 0.2)
 
 
 # -- closed form vs series ------------------------------------------------------

@@ -1,9 +1,11 @@
-"""Golden CLI outputs: stdout bytes and exit codes of fixed invocations.
+"""Golden outputs: CLI stdout bytes and exit codes, and demo stdout bytes.
 
 Each case in tests/golden/cases.json names an argv and the exit code it
 must return; tests/golden/<name>.out holds the exact stdout.  The string
 "{golden}" in an argv is replaced by the path of tests/golden, so cases
-can read the checked-in sequence file.
+can read the checked-in sequence file.  Each script demos/<name>.py is
+run in-process as __main__; tests/golden/demos/<name>.out holds its
+exact stdout.
 
 Re-record (only when a change of output is intended and explained):
 
@@ -13,6 +15,7 @@ Re-record (only when a change of output is intended and explained):
 import contextlib
 import io
 import json
+import runpy
 import sys
 from pathlib import Path
 
@@ -22,6 +25,7 @@ from harmradius.cli import main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 CASES = json.loads((GOLDEN / "cases.json").read_text(encoding="utf-8"))
+DEMOS = sorted((GOLDEN.parent.parent / "demos").glob("*.py"))
 
 
 def invoke(argv) -> tuple[int, bytes]:
@@ -35,11 +39,23 @@ def invoke(argv) -> tuple[int, bytes]:
     return code, out.getvalue().encode("utf-8")
 
 
+def run_demo(path: Path) -> bytes:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        runpy.run_path(str(path), run_name="__main__")
+    return out.getvalue().encode("utf-8")
+
+
 @pytest.mark.parametrize("case", CASES, ids=[c["name"] for c in CASES])
 def test_golden_output(case):
     code, out = invoke(case["argv"])
     assert code == case["exit"]
     assert out == (GOLDEN / f"{case['name']}.out").read_bytes()
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=[d.stem for d in DEMOS])
+def test_demo_output(demo):
+    assert run_demo(demo) == (GOLDEN / "demos" / f"{demo.stem}.out").read_bytes()
 
 
 if __name__ == "__main__":
@@ -48,4 +64,7 @@ if __name__ == "__main__":
         if code != case["exit"]:
             sys.exit(f"{case['name']}: exit {code}, expected {case['exit']}")
         (GOLDEN / f"{case['name']}.out").write_bytes(out)
-    print(f"recorded {len(CASES)} cases under {GOLDEN}")
+    (GOLDEN / "demos").mkdir(exist_ok=True)
+    for demo in DEMOS:
+        (GOLDEN / "demos" / f"{demo.stem}.out").write_bytes(run_demo(demo))
+    print(f"recorded {len(CASES)} cases and {len(DEMOS)} demos under {GOLDEN}")

@@ -150,6 +150,15 @@ def test_growth_balanced_pair_passes_first_family():
     assert "sum-of-squares margin 0.82" in rep.note
 
 
+def test_growth_ignores_stored_zero():
+    # a stored zero at index 40 is not a checked index: same report as without it
+    with_zero = coefficient_growth_check(CoefficientSeq({2: 0.1, 40: 0}, {}, 40))
+    without = coefficient_growth_check(CoefficientSeq({2: 0.1}, {}, 40))
+    assert with_zero == without
+    assert with_zero.witness == 2
+    assert with_zero.margin == pytest.approx(0.5 - 0.1, abs=1e-15)
+
+
 def test_growth_b1_enters_aggregate():
     seq = CoefficientSeq({}, {1: 0.6}, 1)
     rep = coefficient_growth_check(seq, 0.0)

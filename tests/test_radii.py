@@ -83,6 +83,11 @@ def test_uniform_radius_validation():
         uniform_family_radius(-1.0)
     with pytest.raises(ValueError):
         uniform_family_radius(1.0, 1.0)
+    for c in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            uniform_family_radius(c)
+        with pytest.raises(ValueError, match="finite"):
+            BoundFamily.uniform(c)
 
 
 # -- bisection engine ------------------------------------------------------------
