@@ -6,8 +6,9 @@ checks shared by several modules raise ValueError with one message each.
 """
 
 import math
+import operator
 
-__all__ = ["fmt12", "round12", "check_beta", "check_uniform"]
+__all__ = ["fmt12", "round12", "check_index", "check_beta", "check_uniform"]
 
 
 def fmt12(x: float) -> str:
@@ -17,6 +18,16 @@ def fmt12(x: float) -> str:
 def round12(x: float) -> float:
     """Round through the 12-digit representation, for deterministic JSON."""
     return float(fmt12(x))
+
+
+def check_index(n, low: int, what: str) -> int:
+    """An integer index n >= low (an operator.index integer, not a bool) as an int."""
+    if isinstance(n, bool) or not hasattr(type(n), "__index__"):
+        raise TypeError(f"{what} index must be an integer, got {n!r}")
+    n = operator.index(n)
+    if n < low:
+        raise ValueError(f"{what} index must be >= {low}, got {n}")
+    return n
 
 
 def check_beta(beta: float) -> float:

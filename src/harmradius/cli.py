@@ -17,13 +17,7 @@ import sys
 from ._util import round12, fmt12
 from .coefficients import BoundFamily, load_sequence, power_sums
 from .maps import HarmonicMap, UnsupportedOperation
-from .extremals import (
-    EXTREMALS,
-    get_extremal,
-    koebe_witness_profile,
-    convex_witness_profile,
-    uniform_witness_profile,
-)
+from .extremals import EXTREMALS, PARAMETERS, WITNESSES, get_extremal
 from .membership import (
     GridSpec,
     coeff_condition,
@@ -65,56 +59,37 @@ def _round_tree(x):
 
 
 def _emit(obj) -> None:
-    sys.stdout.write(json.dumps(_round_tree(obj), sort_keys=True, indent=2))
+    sys.stdout.write(json.dumps(_round_tree(obj), sort_keys=True, indent=2,
+                                allow_nan=False))
     sys.stdout.write("\n")
 
 
-# -- option value parsers ------------------------------------------------
+# -- option values ---------------------------------------------------------
 
-def _split_params(text: str, what: str):
-    parts = text.split(",")
-    if len(parts) not in (1, 2):
-        raise argparse.ArgumentTypeError(f"{what} takes c or c,b1")
-    c = float(parts[0])
-    b1 = float(parts[1]) if len(parts) == 2 else 0.0
-    return c, b1
+def _label(build):
+    """An argparse type for labels name[:c[,b1]]: build(name, *params), whose
+    ValueError becomes a usage error with the library's message."""
 
+    def convert(text: str):
+        name, colon, params = text.partition(":")
+        try:
+            values = [float(p) for p in params.split(",")] if colon else []
+            if len(values) > 2:
+                raise ValueError(f"{text!r}: a label takes at most the parameters c,b1")
+            return build(name, *values)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
 
-def _parse_family(text: str) -> BoundFamily:
-    if text == "koebe":
-        return BoundFamily.koebe()
-    if text == "convex":
-        return BoundFamily.convex()
-    if text.startswith("uniform:"):
-        c, b1 = _split_params(text[len("uniform:"):], "uniform family")
-        return BoundFamily.uniform(c, b1)
-    raise argparse.ArgumentTypeError(
-        f"unknown family {text!r}; use koebe, convex, or uniform:c[,b1]"
-    )
+    return convert
 
 
-def _parse_witness(text: str):
+def _witness(label: str, *params):
     """-> (JacobianProfile, claimed radius from the matching closed form)."""
-    if text == "F0":
-        profile, family = koebe_witness_profile(), BoundFamily.koebe()
-    elif text == "L0":
-        profile, family = convex_witness_profile(), BoundFamily.convex()
-    elif text.startswith("f0:"):
-        c, b1 = _split_params(text[len("f0:"):], "witness f0")
-        profile, family = uniform_witness_profile(c, b1), BoundFamily.uniform(c, b1)
-    else:
-        raise argparse.ArgumentTypeError(
-            f"unknown witness {text!r}; use F0, L0, or f0:c[,b1]"
-        )
-    return profile, closed_form_radius(family).radius
-
-
-def _parse_map(text: str) -> HarmonicMap:
-    label, _, params = text.partition(":")
-    if params:
-        c, b1 = _split_params(params, f"extremal {label}")
-        return get_extremal(label, c, b1)
-    return get_extremal(label)
+    if label not in WITNESSES:
+        raise ValueError(f"unknown witness {label!r}; known labels: {', '.join(WITNESSES)}")
+    kind, profile = WITNESSES[label]
+    family = BoundFamily(kind, *params)
+    return profile(*params), closed_form_radius(family).radius
 
 
 # -- subcommands -----------------------------------------------------------
@@ -226,10 +201,9 @@ def _cmd_identities(args) -> int:
 
 
 def _cmd_list_extremals(args) -> int:
-    params = {"f0": ["c", "b1_abs"]}
     _emit({
         "extremals": [
-            {"label": label, "parameters": params.get(label, [])}
+            {"label": label, "parameters": list(PARAMETERS.get(label, ()))}
             for label in sorted(EXTREMALS)
         ]
     })
@@ -247,7 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     p = sub.add_parser("radius", parents=[], help="radius of a coefficient family")
-    p.add_argument("--family", type=_parse_family,
+    p.add_argument("--family", type=_label(BoundFamily),
                    help="koebe | convex | uniform:c[,b1]")
     p.add_argument("--seq", help="path to a coefficient sequence JSON file")
     p.add_argument("--beta", type=float, default=0.0)
@@ -257,7 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("membership", help="class membership checks")
     p.add_argument("--check", required=True,
                    choices=["coeff", "growth", "c-h2", "starlike", "injectivity"])
-    p.add_argument("--map", type=_parse_map,
+    p.add_argument("--map", type=_label(get_extremal),
                    help="extremal label, e.g. koebe, convex_L, F0, L0, f0:c[,b1]")
     p.add_argument("--seq", help="path to a coefficient sequence JSON file")
     p.add_argument("--dilate", type=float,
@@ -272,7 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_membership)
 
     p = sub.add_parser("jacobian-scan", help="CSV of a witness Jacobian on [lo, hi]")
-    p.add_argument("--witness", type=_parse_witness, required=True,
+    p.add_argument("--witness", type=_label(_witness), required=True,
                    help="F0 | L0 | f0:c[,b1]")
     p.add_argument("--lo", type=float, default=0.001)
     p.add_argument("--hi", type=float, default=0.25)
@@ -287,7 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_bloch_table)
 
     p = sub.add_parser("sharpness", help="verify a witness Jacobian sign pattern")
-    p.add_argument("--witness", type=_parse_witness, required=True,
+    p.add_argument("--witness", type=_label(_witness), required=True,
                    help="F0 | L0 | f0:c[,b1]")
     p.add_argument("--radius", type=float,
                    help="claimed radius (default: the family closed form)")

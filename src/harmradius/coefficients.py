@@ -21,7 +21,7 @@ import json
 import math
 from dataclasses import dataclass, field
 
-from ._util import check_uniform
+from ._util import check_index, check_uniform
 
 __all__ = [
     "SERIES_EVAL_MAX",
@@ -45,14 +45,6 @@ __all__ = [
 # coefficient families make truncation error controllable only away from
 # the boundary.
 SERIES_EVAL_MAX = 0.999
-
-
-def _require_index(n: int, low: int, what: str) -> int:
-    if not isinstance(n, (int,)) or isinstance(n, bool):
-        raise TypeError(f"{what} index must be an integer, got {n!r}")
-    if n < low:
-        raise ValueError(f"{what} index must be >= {low}, got {n}")
-    return n
 
 
 @dataclass(frozen=True)
@@ -95,13 +87,14 @@ class CoefficientSeq:
         for what, low in (("a", 2), ("b", 1)):
             checked = {}
             for n, v in getattr(self, what).items():
-                _require_index(n, low, what)
+                n = check_index(n, low, what)
                 if n > self.truncation:
                     raise ValueError(
                         f"{what} index {n} exceeds truncation {self.truncation}")
                 v = complex(v)
-                if not (math.isfinite(v.real) and math.isfinite(v.imag)):
-                    raise ValueError(f"{what}[{n}] is not finite")
+                # S(r) weighs v by n, so n*|v| must be finite as well as v
+                if not math.isfinite(n * abs(v)):
+                    raise ValueError(f"{what}[{n}]: n*|{what}_n| is not finite")
                 checked[n] = v
             object.__setattr__(self, what, dict(sorted(checked.items())))
         if abs(self.b1) >= 1.0:
@@ -135,13 +128,13 @@ def koebe_bounds(n: int) -> tuple[float, float]:
     Raises:
         ValueError: if n < 1.
     """
-    _require_index(n, 1, "bound")
+    check_index(n, 1, "bound")
     return (2 * n + 1) * (n + 1) / 6.0, (2 * n - 1) * (n - 1) / 6.0
 
 
 def convex_bounds(n: int) -> tuple[float, float]:
     """Per-index bounds ((n+1)/2, (n-1)/2) of the convex-mapping family."""
-    _require_index(n, 1, "bound")
+    check_index(n, 1, "bound")
     return (n + 1) / 2.0, (n - 1) / 2.0
 
 
@@ -149,20 +142,24 @@ def convex_bounds(n: int) -> tuple[float, float]:
 class BoundFamily:
     """A family of harmonic maps defined by per-index coefficient bounds.
 
-    kind is one of "koebe", "convex", "uniform".  The uniform family carries
-    a combined bound |a_n| + |b_n| <= c for n >= 2 together with |b_1| = b1_abs;
-    the other two have split per-index bounds and b_1 = 0.
+    kind is one of "koebe", "convex", "uniform".  Only the uniform family
+    takes parameters: the bound c on |a_n| + |b_n| for n >= 2 (required)
+    and b1_abs = |b_1| (default 0).  Koebe and convex take none (b_1 = 0).
     """
 
     kind: str
-    c: float = float("nan")
+    c: float | None = None
     b1_abs: float = 0.0
 
     def __post_init__(self) -> None:
         if self.kind not in ("koebe", "convex", "uniform"):
             raise ValueError(f"unknown family kind {self.kind!r}")
         if self.kind == "uniform":
+            if self.c is None:
+                raise ValueError("family 'uniform' requires the bound parameter c")
             check_uniform(self.c, self.b1_abs)
+        elif self.c is not None or self.b1_abs != 0.0:
+            raise ValueError(f"family {self.kind!r} takes no parameters")
 
     @classmethod
     def koebe(cls) -> "BoundFamily":
@@ -175,26 +172,6 @@ class BoundFamily:
     @classmethod
     def uniform(cls, c: float, b1_abs: float = 0.0) -> "BoundFamily":
         return cls("uniform", float(c), float(b1_abs))
-
-    @property
-    def b1(self) -> float:
-        return self.b1_abs if self.kind == "uniform" else 0.0
-
-    def bounds(self, n: int) -> tuple[float, float]:
-        """Split per-index bounds; undefined for the uniform (combined) kind."""
-        if self.kind == "koebe":
-            return koebe_bounds(n)
-        if self.kind == "convex":
-            return convex_bounds(n)
-        raise ValueError("uniform family has only a combined bound; use combined(n)")
-
-    def combined(self, n: int) -> float:
-        """The bound on |a_n| + |b_n| at index n."""
-        _require_index(n, 1, "bound")
-        if self.kind == "uniform":
-            return self.b1_abs if n == 1 else self.c
-        an, bn = self.bounds(n)
-        return an + bn
 
 
 # ---------------------------------------------------------------------------
@@ -363,7 +340,7 @@ def _entries_to_map(entries, low: int, what: str) -> dict[int, complex]:
         if not (isinstance(item, (list, tuple)) and len(item) == 3):
             raise ValueError(f"{what} entries must be [n, re, im] triples")
         n, re, im = item
-        n = _require_index(_json_int(n, f"{what} index"), low, what)
+        n = check_index(_json_int(n, f"{what} index"), low, what)
         if n in out:
             raise ValueError(f"duplicate {what} index {n}")
         if n <= last:

@@ -12,8 +12,10 @@ Five maps are exposed through a label registry for CLI use:
   have closed forms whose smallest positive roots realize the radii
   computed in the radii module.
 
-Each map carries both a closed-form evaluator and an exact coefficient
-rule; tests reconcile the two.  JacobianProfile wraps the real-axis
+Only f0 takes parameters (PARAMETERS names them).  WITNESSES pairs
+each witness with the stock family it is sharp for.  Each map carries
+both a closed-form evaluator and an exact coefficient rule; tests
+reconcile the two.  JacobianProfile wraps the real-axis
 Jacobian closed forms for the root scanner.
 """
 
@@ -23,7 +25,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from ._util import check_uniform
-from .coefficients import CoefficientSeq, koebe_bounds
+from .coefficients import CoefficientSeq, convex_bounds, koebe_bounds
 from .maps import HarmonicMap
 
 __all__ = [
@@ -42,6 +44,8 @@ __all__ = [
     "uniform_witness_profile",
     "one_term_extremal",
     "EXTREMALS",
+    "PARAMETERS",
+    "WITNESSES",
     "get_extremal",
 ]
 
@@ -91,7 +95,8 @@ def _convex_dg(z):
 
 
 def _convex_coeff(n: int):
-    return (n + 1) / 2, -(n - 1) / 2
+    a, b = convex_bounds(n)
+    return a, -b
 
 
 def convex_extremal() -> HarmonicMap:
@@ -246,18 +251,28 @@ EXTREMALS: dict[str, Callable[..., HarmonicMap]] = {
     "f0": uniform_witness,
 }
 
+# Parameter names of the extremals that take parameters; the others take none.
+PARAMETERS: dict[str, tuple[str, ...]] = {"f0": ("c", "b1_abs")}
+
+# Sharpness witness label -> (BoundFamily kind it is extremal for, its profile).
+WITNESSES: dict[str, tuple[str, Callable[..., JacobianProfile]]] = {
+    "F0": ("koebe", koebe_witness_profile),
+    "L0": ("convex", convex_witness_profile),
+    "f0": ("uniform", uniform_witness_profile),
+}
+
 
 def get_extremal(label: str, c: float | None = None,
                  b1_abs: float | None = None) -> HarmonicMap:
-    """Look up a named extremal; only "f0" takes (and requires) parameters."""
+    """Look up a named extremal; those in PARAMETERS require c, the rest take none."""
     try:
         factory = EXTREMALS[label]
     except KeyError:
         known = ", ".join(sorted(EXTREMALS))
         raise ValueError(f"unknown extremal {label!r}; known labels: {known}") from None
-    if label == "f0":
+    if label in PARAMETERS:
         if c is None:
-            raise ValueError("extremal 'f0' requires the bound parameter c")
+            raise ValueError(f"extremal {label!r} requires the bound parameter c")
         return factory(c, b1_abs if b1_abs is not None else 0.0)
     if c is not None or b1_abs is not None:
         raise ValueError(f"extremal {label!r} takes no parameters")

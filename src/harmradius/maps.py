@@ -18,6 +18,7 @@ from typing import Callable
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
+from ._util import check_index
 from .coefficients import SERIES_EVAL_MAX, CoefficientSeq
 
 __all__ = [
@@ -197,10 +198,10 @@ class HarmonicMap:
         """The series coefficients (a_n, b_n); a_1 is 1 by normalization.
 
         Raises:
+            TypeError: n is not an integer (numpy integers pass, bools do not).
             UnsupportedOperation: closed-form backing without a coefficient rule.
         """
-        if n < 1:
-            raise ValueError("coefficient index must be >= 1")
+        n = check_index(n, 1, "coefficient")
         if not self.has_coefficients:
             raise UnsupportedOperation(
                 f"{self.label}: closed-form map without stored coefficients"

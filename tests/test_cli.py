@@ -162,10 +162,45 @@ def test_radius_usage_errors(capsys, tmp_path):
 
 
 def test_radius_unknown_family_exits_1(capsys):
-    with pytest.raises(SystemExit) as excinfo:
-        main(["radius", "--family", "elliptic"])
-    assert excinfo.value.code == 1
-    assert "unknown family" in capsys.readouterr().err
+    # bad labels are usage errors that keep the library's message
+    for argv, message in (
+        (["radius", "--family", "elliptic"], "unknown family kind 'elliptic'"),
+        (["radius", "--family", "koebe:1"], "family 'koebe' takes no parameters"),
+        (["radius", "--family", "uniform"], "family 'uniform' requires the bound parameter c"),
+        (["radius", "--family", "uniform:1,2,3"], "takes at most the parameters c,b1"),
+        (["radius", "--family", "uniform:nan"], "uniform bound c must be finite and positive"),
+        (["sharpness", "--witness", "F0:1"], "family 'koebe' takes no parameters"),
+        (["sharpness", "--witness", "f0"], "family 'uniform' requires the bound parameter c"),
+        (["jacobian-scan", "--witness", "K0"], "unknown witness 'K0'"),
+        (["membership", "--check", "coeff", "--map", "foo"],
+         "unknown extremal 'foo'; known labels: F0, L0, convex_L, f0, koebe"),
+        (["membership", "--check", "coeff", "--map", "koebe:1"],
+         "extremal 'koebe' takes no parameters"),
+    ):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
+
+
+@pytest.mark.parametrize("argv, doc", [
+    (["radius"], {"a": [[2, 1e308, 1e308]], "b": [], "truncation": 2}),
+    (["membership", "--check", "coeff"], {"a": [[2, 1e308, 1e308]], "b": [], "truncation": 2}),
+    (["membership", "--check", "c-h2"],
+     {"a": [[n, 3e306, 0] for n in range(2, 12)], "b": [], "truncation": 11}),
+], ids=["radius-overflow", "coeff-overflow", "c-h2-nan-margin"])
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                            "ignore:invalid value:RuntimeWarning")
+def test_non_finite_results_are_exit_2(capsys, tmp_path, argv, doc):
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, _ = run(capsys, *argv, "--seq", str(path))
+    assert code == 2
+    doc = json.loads(out, parse_constant=pytest.fail)  # no NaN or Infinity
+    assert doc["kind"] == "domain"
+    check(doc, "error.schema.json")
 
 
 def test_radius_missing_seq_file_is_exit_3(capsys, tmp_path):

@@ -45,6 +45,13 @@ def test_seq_rejects_bad_b_index():
         CoefficientSeq({}, {0: 1.0}, 2)
 
 
+def test_seq_indices_become_ints():
+    seq = CoefficientSeq({np.int64(2): 0.1}, {np.int64(1): 0.2}, 2)
+    assert [type(n) for n in (*seq.a, *seq.b)] == [int, int]
+    with pytest.raises(TypeError):
+        CoefficientSeq({True: 0.1}, {}, 2)
+
+
 def test_seq_rejects_index_beyond_truncation():
     with pytest.raises(ValueError):
         CoefficientSeq({5: 1.0}, {}, 4)
@@ -63,6 +70,8 @@ def test_seq_rejects_nonfinite():
         CoefficientSeq({2: complex("inf")}, {}, 2)
     with pytest.raises(ValueError):
         CoefficientSeq({}, {2: complex("nan")}, 2)
+    with pytest.raises(ValueError):  # finite b_5, but 5*|b_5| overflows
+        CoefficientSeq({}, {5: 1e308}, 5)
 
 
 def test_tail_bound_validation():
@@ -114,7 +123,7 @@ def test_bounds_reject_bad_index():
 
 def test_family_constructors():
     k = BoundFamily.koebe()
-    assert k.kind == "koebe" and k.b1 == 0.0
+    assert k.kind == "koebe" and k.b1_abs == 0.0
     u = BoundFamily.uniform(2.0, 0.25)
     assert u.kind == "uniform" and u.c == 2.0 and u.b1_abs == 0.25
     with pytest.raises(ValueError):
@@ -123,15 +132,16 @@ def test_family_constructors():
         BoundFamily.uniform(1.0, 1.0)
 
 
-def test_family_combined():
-    assert BoundFamily.koebe().combined(2) == pytest.approx(3.0)  # (2.5 + 0.5)
-    assert BoundFamily.convex().combined(3) == pytest.approx(3.0)  # (2 + 1)
-    assert BoundFamily.uniform(1.5).combined(7) == pytest.approx(1.5)
-
-
-def test_uniform_split_bounds_unavailable():
-    with pytest.raises(ValueError):
-        BoundFamily.uniform(1.0).bounds(2)
+@pytest.mark.parametrize("kwargs, message", [
+    ({"kind": "koebe", "c": 3.0}, "family 'koebe' takes no parameters"),
+    ({"kind": "koebe", "c": float("nan")}, "family 'koebe' takes no parameters"),
+    ({"kind": "convex", "b1_abs": 0.5}, "family 'convex' takes no parameters"),
+    ({"kind": "uniform"}, "family 'uniform' requires the bound parameter c"),
+    ({"kind": "elliptic"}, "unknown family kind 'elliptic'"),
+])
+def test_family_parameters_per_kind(kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        BoundFamily(**kwargs)
 
 
 # -- power sums --------------------------------------------------------------
@@ -320,6 +330,9 @@ def test_sequence_from_dict_rejects_garbage():
     with pytest.raises(ValueError):
         sequence_from_dict({"a": [], "b": [], "truncation": 2,
                             "tail": {"degree": -4, "constant": "1"}})
+    # each value is finite, but n*|a_n| (the weight in S(r)) is not
+    with pytest.raises(ValueError, match="not finite"):
+        sequence_from_dict({"a": [[2, 1e308, 1e308]], "b": [], "truncation": 2})
 
 
 def test_sequence_from_dict_accepts_integral_floats():

@@ -9,6 +9,10 @@ import pytest
 from harmradius import (
     CONVEX_EXTREMAL_CONVEXITY_RADIUS,
     EXTREMALS,
+    PARAMETERS,
+    WITNESSES,
+    BoundFamily,
+    closed_form_radius,
     convex_extremal,
     convex_family_radius,
     convex_witness,
@@ -25,6 +29,7 @@ from harmradius import (
     uniform_witness,
     uniform_witness_jacobian,
     uniform_witness_profile,
+    verify_sharpness,
 )
 
 
@@ -284,3 +289,14 @@ def test_get_extremal_dispatch():
         get_extremal("koebe", c=1.0)
     with pytest.raises(ValueError):
         get_extremal("nope")
+
+
+def test_witness_table_pairs_each_witness_with_its_family():
+    assert set(WITNESSES) <= set(EXTREMALS)
+    for label, (kind, profile) in WITNESSES.items():
+        params = (2.0, 0.3) if label in PARAMETERS else ()
+        assert len(params) == len(PARAMETERS.get(label, ()))
+        witness = profile(*params)
+        assert witness.label == label == get_extremal(label, *params).label
+        radius = closed_form_radius(BoundFamily(kind, *params)).radius
+        assert verify_sharpness(witness, radius).passed

@@ -7,10 +7,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from harmradius import (
+    EXTREMALS,
+    PARAMETERS,
     CoefficientSeq,
     EvaluationDomainError,
     HarmonicMap,
     UnsupportedOperation,
+    get_extremal,
     harmonic_koebe,
     identity_map,
 )
@@ -205,6 +208,21 @@ def test_closed_form_without_rule_cannot_section():
     with pytest.raises(UnsupportedOperation):
         f.coefficient(2)
     assert not f.has_coefficients
+
+
+@pytest.mark.parametrize("label", [*sorted(EXTREMALS), "series"])
+def test_coefficient_index_is_any_integer_but_bool(label):
+    if label == "series":
+        f = HarmonicMap.from_series(_sample_seq())
+    else:
+        f = get_extremal(label, 2.0) if label in PARAMETERS else get_extremal(label)
+    assert f.coefficient(np.int64(3)) == f.coefficient(3)
+    assert f.dilate(0.5).coefficient(np.int32(4)) == f.dilate(0.5).coefficient(4)
+    for bad in (3.0, np.float64(3.0), True, np.bool_(True), "3"):
+        with pytest.raises(TypeError, match="index must be an integer"):
+            f.coefficient(bad)
+    with pytest.raises(ValueError):
+        f.coefficient(np.int64(0))
 
 
 def test_as_sequence_roundtrip_and_closed_refusal():
