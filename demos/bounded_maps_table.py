@@ -26,8 +26,8 @@ def main() -> None:
 
     print("\nimprovement over the comparison bounds:")
     for row in rows:
-        print(f"  M={row.M:<5} r_S/phi = {row.r_S / row.phi_val:6.3f}   "
-              f"R_S/psi = {row.R_S / row.psi_val:6.3f}")
+        print(f"  M={row.M:<5} r_S/phi = {row.r_S / row.phi:6.3f}   "
+              f"R_S/psi = {row.R_S / row.psi:6.3f}")
 
     print("\nschlicht disk vs the older fixed-constant estimate at M=1:")
     r_s, big_r = bloch_radius(1.0)

@@ -12,7 +12,7 @@ norms impossible.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from ._util import fmt12
 from .radii import uniform_family_radius
@@ -97,8 +97,8 @@ class BlochRow:
     c: float
     r_S: float
     R_S: float
-    phi_val: float
-    psi_val: float
+    phi: float
+    psi: float
 
     def __post_init__(self):
         if self.c < 1.0:
@@ -109,14 +109,7 @@ class BlochRow:
             raise ValueError("R_S must lie in (0, r_S)")
 
     def to_dict(self) -> dict:
-        return {
-            "M": self.M,
-            "c": self.c,
-            "r_S": self.r_S,
-            "R_S": self.R_S,
-            "phi": self.phi_val,
-            "psi": self.psi_val,
-        }
+        return asdict(self)
 
 
 def bloch_table(Ms) -> list[BlochRow]:
@@ -136,6 +129,6 @@ def bloch_table_csv(rows) -> str:
     lines = [BLOCH_CSV_HEADER]
     for row in rows:
         lines.append(",".join(fmt12(v) for v in
-                              (row.M, row.phi_val, row.psi_val,
+                              (row.M, row.phi, row.psi,
                                row.r_S, row.R_S)))
     return "\n".join(lines) + "\n"

@@ -13,6 +13,7 @@ Exit codes: 0 success, 1 usage, 2 no-radius or domain failure, 3 I/O.
 import argparse
 import json
 import sys
+from dataclasses import asdict, is_dataclass
 
 from ._util import round12, fmt12
 from .coefficients import BoundFamily, load_sequence, power_sums
@@ -47,8 +48,12 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _round_tree(x):
-    if isinstance(x, bool) or x is None or isinstance(x, (str, int)):
-        return x
+    """JSON-ready data: a report dataclass becomes the dict of its fields,
+    a complex number [re, im], a tuple a list, a float 12 digits."""
+    if is_dataclass(x):
+        return _round_tree(asdict(x))
+    if isinstance(x, complex):
+        return [round12(x.real), round12(x.imag)]
     if isinstance(x, float):
         return round12(x)
     if isinstance(x, dict):
@@ -113,7 +118,7 @@ def _cmd_radius(args) -> int:
         report = closed_form_radius(args.family)
     else:
         report = radius_by_bisection(subject, args.beta)
-    _emit(report.to_dict())
+    _emit(report)
     return 0
 
 
@@ -143,9 +148,7 @@ def _cmd_membership(args) -> int:
         report = starlike_scan(subject, args.r, grid)
     else:
         report = injectivity_oracle(subject, args.r, args.resolution)
-    out = {"check": check, "subject": subject.label}
-    out.update(report.to_dict())
-    _emit(out)
+    _emit({"check": check, "subject": subject.label} | asdict(report))
     return 0
 
 
@@ -174,7 +177,7 @@ def _cmd_bloch_table(args) -> int:
     if args.csv:
         sys.stdout.write(bloch_table_csv(rows))
     else:
-        _emit([row.to_dict() for row in rows])
+        _emit(rows)
     return 0
 
 
@@ -182,8 +185,7 @@ def _cmd_sharpness(args) -> int:
     profile, claimed = args.witness
     if args.radius is not None:
         claimed = args.radius
-    report = verify_sharpness(profile, claimed)
-    _emit(report.to_dict())
+    _emit(verify_sharpness(profile, claimed))
     return 0
 
 

@@ -63,7 +63,8 @@ def _split_scalar(z):
 
 def _compile(seq: CoefficientSeq) -> ClosedForm:
     """Polynomial evaluators for a stored sequence, with its coefficient rule."""
-    ch = np.zeros(max(seq.truncation + 1, 2), dtype=complex)
+    # degree: the highest stored index (not seq.truncation); past it all are zero
+    ch = np.zeros(max([1, *seq.a, *seq.b]) + 1, dtype=complex)
     cg = np.zeros_like(ch)
     ch[1] = 1.0
     for k, v in seq.a.items():

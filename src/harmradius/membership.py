@@ -14,7 +14,7 @@ boundary flag: the extremal examples sit exactly on the boundary.
 """
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -90,19 +90,6 @@ class MembershipReport:
     def __post_init__(self):
         if self.verdict not in ("satisfied", "violated", "inconclusive"):
             raise ValueError(f"unknown verdict {self.verdict!r}")
-
-    def to_dict(self) -> dict:
-        return asdict(self) | {"witness": _witness_json(self.witness)}
-
-
-def _witness_json(w):
-    if w is None:
-        return None
-    if isinstance(w, complex):
-        return [w.real, w.imag]
-    if isinstance(w, tuple):
-        return [_witness_json(x) for x in w]
-    return w
 
 
 def _graded_verdict(margin: float, witness, grid_spec: str, note: str = "") -> MembershipReport:
@@ -197,6 +184,15 @@ def coefficient_growth_check(seq, beta: float = 0.0) -> MembershipReport:
 
 # -- sampled checks ----------------------------------------------------------
 
+def _sampled_verdict(vals: np.ndarray, pts: np.ndarray, grid: GridSpec) -> MembershipReport:
+    """The graded verdict at the smallest slack vals[i], sampled at pts[i]."""
+    if not np.all(np.isfinite(vals)):
+        raise ValueError("map evaluation is not finite on the grid")
+    i = int(np.argmin(vals))
+    return _graded_verdict(float(vals[i]), complex(pts[i]), grid.describe(),
+                           note="sampled check: satisfied means satisfied on the grid")
+
+
 def c_h2_numeric(f: HarmonicMap, beta: float = 0.0,
                  grid: GridSpec | None = None) -> MembershipReport:
     """Sample the defining inequality |f_z - 1| < 1 - beta - |f_zbar|.
@@ -207,10 +203,7 @@ def c_h2_numeric(f: HarmonicMap, beta: float = 0.0,
     grid = grid or GridSpec()
     pts = grid.points()
     fz, fzbar = f.wirtinger(pts)
-    vals = (1.0 - beta) - np.abs(fzbar) - np.abs(fz - 1.0)
-    i = int(np.argmin(vals))
-    return _graded_verdict(float(vals[i]), complex(pts[i]), grid.describe(),
-                           note="sampled check: satisfied means satisfied on the grid")
+    return _sampled_verdict((1.0 - beta) - np.abs(fzbar) - np.abs(fz - 1.0), pts, grid)
 
 
 def starlike_scan(f: HarmonicMap, r: float,
@@ -237,10 +230,7 @@ def starlike_scan(f: HarmonicMap, r: float,
             note="singularity: |f(z)| < 1e-12 at a sample point",
         )
     fz, fzbar = f.wirtinger(pts)
-    vals = np.real((pts * fz - np.conj(pts) * fzbar) / fval)
-    i = int(np.argmin(vals))
-    return _graded_verdict(float(vals[i]), complex(pts[i]), grid.describe(),
-                           note="sampled check: satisfied means satisfied on the grid")
+    return _sampled_verdict(np.real((pts * fz - np.conj(pts) * fzbar) / fval), pts, grid)
 
 
 def _newton_collide(f: HarmonicMap, target: complex, z: complex, r: float):

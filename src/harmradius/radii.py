@@ -14,7 +14,7 @@ profile and checking its sign pattern.
 """
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,6 +45,8 @@ __all__ = [
 
 BISECTION_TOL = 1e-12
 _MAX_ITER = 200
+_SCAN_POINTS = 10000  # jacobian_roots scan density
+_INTERIOR_SAMPLES = 1000  # verify_sharpness samples of J on (0, r)
 
 
 class NoRadiusError(ValueError):
@@ -75,21 +77,17 @@ class RadiusReport:
         if self.method not in ("closed_form", "bisection"):
             raise ValueError(f"unknown method {self.method!r}")
 
-    def to_dict(self) -> dict:
-        return asdict(self) | {"bracket": list(self.bracket) if self.bracket else None}
 
-
-def _solve(fn, lo: float, hi: float, flo: float, fhi: float,
-           tol: float = BISECTION_TOL) -> tuple[float, float, float]:
+def _solve(fn, lo: float, hi: float, flo: float, fhi: float) -> tuple[float, float, float]:
     """(root, lo, hi): a zero of fn bracketed in the final [lo, hi].
 
     flo = fn(lo) and fhi = fn(hi) must have opposite signs.  Bisects to
-    width tol, then one secant step inside the final bracket sharpens the
-    root well below the bracket width.  A midpoint where fn is exactly
-    zero is returned at once with the bracket collapsed onto it.
+    width BISECTION_TOL, then one secant step inside the final bracket
+    sharpens the root well below the bracket width.  A midpoint where fn
+    is exactly zero is returned at once with the bracket collapsed onto it.
     """
     for _ in range(_MAX_ITER):
-        if hi - lo <= tol:
+        if hi - lo <= BISECTION_TOL:
             break
         mid = 0.5 * (lo + hi)
         fm = fn(mid)
@@ -200,30 +198,25 @@ def _as_profile(witness) -> JacobianProfile:
     return witness
 
 
-def jacobian_roots(profile, lo: float = 0.0, hi: float = 0.999,
-                   num: int = 10000, tol: float = BISECTION_TOL) -> list[float]:
+def jacobian_roots(profile, lo: float = 0.0, hi: float = 0.999) -> list[float]:
     """Zeros of a Jacobian profile on [lo, hi], sorted.
 
-    Sign changes are bracketed on a num-point scan and refined by
-    bisection to tol.  No sign change means an empty list; the profiles
-    in scope are low-degree rational functions with well-separated roots,
-    so the default scan density cannot straddle two roots in one cell.
+    Exact zeros of a _SCAN_POINTS-point scan are roots; sign changes
+    between two nonzero neighbours are refined by the bracketed solver.
+    No sign change means an empty list; the profiles in scope are
+    low-degree rational functions with well-separated roots, so the scan
+    density cannot straddle two roots in one cell.
     """
     profile = _as_profile(profile)
     if not 0.0 <= lo < hi < 1.0:
         raise ValueError("scan interval must satisfy 0 <= lo < hi < 1")
-    grid = np.linspace(lo, hi, int(num))
+    grid = np.linspace(lo, hi, _SCAN_POINTS)
     vals = np.array([profile(r) for r in grid])
-    roots = []
-    for i in range(len(grid) - 1):
-        a, b = vals[i], vals[i + 1]
-        if a == 0.0:
-            roots.append(float(grid[i]))
-        elif (a < 0.0) != (b < 0.0):
-            roots.append(_solve(profile, float(grid[i]), float(grid[i + 1]),
-                                float(a), float(b), tol)[0])
-    if len(vals) and vals[-1] == 0.0:
-        roots.append(float(grid[-1]))
+    cross = (vals[:-1] != 0.0) & ((vals[:-1] < 0.0) != (vals[1:] < 0.0))
+    roots = [float(x) for x in grid[vals == 0.0]]
+    roots += [_solve(profile, float(grid[i]), float(grid[i + 1]),
+                     float(vals[i]), float(vals[i + 1]))[0]
+              for i in np.flatnonzero(cross)]
     return sorted(roots)
 
 
@@ -240,12 +233,8 @@ class SharpnessReport:
     root_residual: float
     exterior_margin: float
 
-    def to_dict(self) -> dict:
-        return asdict(self)
 
-
-def verify_sharpness(witness, r_claimed: float,
-                     interior_samples: int = 1000) -> SharpnessReport:
+def verify_sharpness(witness, r_claimed: float) -> SharpnessReport:
     """Check the sign pattern of a witness Jacobian around a claimed radius.
 
     witness is a JacobianProfile or a HarmonicMap (restricted to the real
@@ -256,7 +245,7 @@ def verify_sharpness(witness, r_claimed: float,
     r = float(r_claimed)
     if not 0.0 < r < 1.0 - 1e-3:
         raise ValueError("claimed radius must lie in (0, 0.999)")
-    inner = np.linspace(0.0, r, int(interior_samples) + 2)[1:-1]
+    inner = np.linspace(0.0, r, _INTERIOR_SAMPLES + 2)[1:-1]
     interior_min = min(witness(float(x)) for x in inner)
     root_residual = abs(witness(r))
     exterior_margin = -witness(r + 1e-3)

@@ -150,12 +150,12 @@ def test_criterion_06_bloch_table_values():
             failures.append(f"M={row.M}: r_S {row.r_S!r} off {r_s}")
         if abs(row.R_S - big_r) > 1e-5:
             failures.append(f"M={row.M}: R_S {row.R_S!r} off {big_r}")
-        if abs(row.phi_val - phi) > 1e-4:
-            failures.append(f"M={row.M}: phi {row.phi_val!r} off {phi}")
-        if abs(row.psi_val - psi) > 1e-4:
-            failures.append(f"M={row.M}: psi {row.psi_val!r} off {psi}")
-        if not row.r_S > row.phi_val:
-            failures.append(f"M={row.M}: r_S {row.r_S!r} <= phi {row.phi_val!r}")
+        if abs(row.phi - phi) > 1e-4:
+            failures.append(f"M={row.M}: phi {row.phi!r} off {phi}")
+        if abs(row.psi - psi) > 1e-4:
+            failures.append(f"M={row.M}: psi {row.psi!r} off {psi}")
+        if not row.r_S > row.phi:
+            failures.append(f"M={row.M}: r_S {row.r_S!r} <= phi {row.phi!r}")
     finish(6, "bounded-map radius table, M in {1,2,3}", t0, 0.1, failures)
 
 

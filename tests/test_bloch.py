@@ -100,13 +100,13 @@ def test_table_rows():
     assert len(rows) == 3
     for row in rows:
         p, q, r_s, big_r = EXPECTED_ROWS[row.M]
-        assert row.phi_val == pytest.approx(p, abs=1e-4)
-        assert row.psi_val == pytest.approx(q, abs=1e-4)
+        assert row.phi == pytest.approx(p, abs=1e-4)
+        assert row.psi == pytest.approx(q, abs=1e-4)
         assert row.r_S == pytest.approx(r_s, abs=1e-5)
         assert row.R_S == pytest.approx(big_r, abs=1e-5)
         assert row.c == pytest.approx(4 * row.M / math.pi, abs=1e-15)
         # the new radius beats the phi comparison bound
-        assert row.r_S > row.phi_val
+        assert row.r_S > row.phi
 
 
 def test_table_rejects_small_M():

@@ -185,22 +185,42 @@ def test_radius_unknown_family_exits_1(capsys):
         assert message in captured.err
 
 
-@pytest.mark.parametrize("argv, doc", [
-    (["radius"], {"a": [[2, 1e308, 1e308]], "b": [], "truncation": 2}),
-    (["membership", "--check", "coeff"], {"a": [[2, 1e308, 1e308]], "b": [], "truncation": 2}),
-    (["membership", "--check", "c-h2"],
-     {"a": [[n, 3e306, 0] for n in range(2, 12)], "b": [], "truncation": 11}),
-], ids=["radius-overflow", "coeff-overflow", "c-h2-nan-margin"])
+OVERFLOW = {"a": [[2, 1e308, 1e308]], "b": [], "truncation": 2}
+SAMPLED_OVERFLOW = {"a": [[n, 3e306, 0] for n in range(2, 12)], "b": [], "truncation": 11}
+
+
+@pytest.mark.parametrize("argv, doc, message", [
+    (["radius"], OVERFLOW, "a[2]: n*|a_n| is not finite"),
+    (["membership", "--check", "coeff"], OVERFLOW, "a[2]: n*|a_n| is not finite"),
+    (["membership", "--check", "c-h2"], SAMPLED_OVERFLOW,
+     "map evaluation is not finite on the grid"),
+    (["membership", "--check", "starlike"], SAMPLED_OVERFLOW,
+     "map evaluation is not finite on the grid"),
+], ids=["radius-overflow", "coeff-overflow", "c-h2-nan-margin", "starlike-nan-margin"])
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
                             "ignore:invalid value:RuntimeWarning")
-def test_non_finite_results_are_exit_2(capsys, tmp_path, argv, doc):
+def test_non_finite_results_are_exit_2(capsys, tmp_path, argv, doc, message):
     path = tmp_path / "huge.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
     code, out, _ = run(capsys, *argv, "--seq", str(path))
     assert code == 2
     doc = json.loads(out, parse_constant=pytest.fail)  # no NaN or Infinity
-    assert doc["kind"] == "domain"
+    assert doc == {"error": message, "kind": "domain"}
     check(doc, "error.schema.json")
+
+
+@pytest.mark.parametrize("check_name", ["c-h2", "starlike"])
+def test_sampled_check_ignores_huge_truncation(capsys, tmp_path, check_name):
+    # the map is the stored polynomial; a truncation of 1e12 allocates nothing
+    doc = {"a": [[2, 0.01, 0]], "b": [], "truncation": 10 ** 12}
+    check(doc, "coefficient_seq.schema.json")
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, _ = run(capsys, "membership", "--check", check_name, "--seq", str(path),
+                       "--grid-radial", "20", "--grid-angular", "8")
+    assert code in (0, 2)
+    check(json.loads(out), "membership_report.schema.json" if code == 0
+          else "error.schema.json")
 
 
 def test_radius_missing_seq_file_is_exit_3(capsys, tmp_path):

@@ -5,7 +5,8 @@ must return; tests/golden/<name>.out holds the exact stdout.  The string
 "{golden}" in an argv is replaced by the path of tests/golden, so cases
 can read the checked-in sequence file.  Each script demos/<name>.py is
 run in-process as __main__; tests/golden/demos/<name>.out holds its
-exact stdout.
+exact stdout.  Every JSON output validates against its schema in
+docs/schemas/ (a failure, exit 2, against error.schema.json).
 
 Re-record (only when a change of output is intended and explained):
 
@@ -20,12 +21,23 @@ import sys
 from pathlib import Path
 
 import pytest
+from jsonschema import Draft202012Validator
 
 from harmradius.cli import main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
+SCHEMAS = GOLDEN.parent.parent / "docs" / "schemas"
 CASES = json.loads((GOLDEN / "cases.json").read_text(encoding="utf-8"))
 DEMOS = sorted((GOLDEN.parent.parent / "demos").glob("*.py"))
+
+REPORT_SCHEMA = {
+    "radius": "radius_report", "membership": "membership_report",
+    "sharpness": "sharpness_report", "bloch-table": "bloch_table",
+    "identities": "identities", "list-extremals": "extremals_list",
+}
+# every case but the CSV outputs and the usage errors (exit 1, empty stdout)
+JSON_CASES = [c for c in CASES if c["exit"] != 1 and c["argv"][0] != "jacobian-scan"
+              and "--csv" not in c["argv"]]
 
 
 def invoke(argv) -> tuple[int, bytes]:
@@ -51,6 +63,14 @@ def test_golden_output(case):
     code, out = invoke(case["argv"])
     assert code == case["exit"]
     assert out == (GOLDEN / f"{case['name']}.out").read_bytes()
+
+
+@pytest.mark.parametrize("case", JSON_CASES, ids=[c["name"] for c in JSON_CASES])
+def test_golden_json_matches_schema(case):
+    name = "error" if case["exit"] == 2 else REPORT_SCHEMA[case["argv"][0]]
+    schema = json.loads((SCHEMAS / f"{name}.schema.json").read_text(encoding="utf-8"))
+    doc = json.loads((GOLDEN / f"{case['name']}.out").read_text(encoding="utf-8"))
+    Draft202012Validator(schema).validate(doc)
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.stem for d in DEMOS])

@@ -208,6 +208,19 @@ def test_c_h2_respects_supplied_grid():
     assert c_h2_numeric(K, 0.0).verdict == "violated"  # 0.2 * 0.999 is not
 
 
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                            "ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("check", [
+    lambda f: c_h2_numeric(f, 0.0),
+    lambda f: starlike_scan(f, 0.999),
+], ids=["c-h2", "starlike"])
+def test_sampled_checks_refuse_non_finite_samples(check):
+    # every n|a_n| is finite, but the sampled sums overflow near the rim
+    f = HarmonicMap.from_series(CoefficientSeq({n: 3e306 for n in range(2, 12)}, {}, 11))
+    with pytest.raises(ValueError, match="map evaluation is not finite on the grid"):
+        check(f)
+
+
 # -- starlike_scan -----------------------------------------------------------------
 
 def test_starlike_identity():
