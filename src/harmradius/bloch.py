@@ -46,6 +46,8 @@ def _check_bound(M: float) -> float:
         raise ValueError("sup-norm bound M must be finite")
     if M < MIN_BOUND:
         raise ValueError("sup-norm bound M must be >= pi/4")
+    if math.isinf(8.0 * M / math.pi):
+        raise ValueError(f"sup-norm bound M = {M:g} is too large: 8M/pi overflows")
     return M
 
 

@@ -269,7 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="claimed radius (default: the family closed form)")
     p.set_defaults(func=_cmd_sharpness)
 
-    p = sub.add_parser("identities", help="closed power sums vs direct summation")
+    p = sub.add_parser("identities", help="closed forms of the power sums behind the family radii")
     p.add_argument("--r", type=float, default=0.5)
     p.set_defaults(func=_cmd_identities)
 

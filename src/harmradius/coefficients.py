@@ -247,25 +247,22 @@ def weighted_sum_tail(seq: CoefficientSeq, r: float) -> float:
         raise ValueError(
             f"tail majorant is evaluated only for r <= {SERIES_EVAL_MAX}"
         )
-    return seq.tail.constant * _tail_sum(seq.tail.degree, seq.truncation + 1, r)
+    try:
+        return seq.tail.constant * _tail_sum(seq.tail.degree, seq.truncation + 1, r)
+    except OverflowError:
+        raise ValueError(f"tail majorant of degree {seq.tail.degree:g} overflows "
+                         f"at r={r:g}") from None
 
 
-def _combined_abs(seq: CoefficientSeq) -> dict[int, float]:
-    """|a_n| + |b_n| keyed by index n >= 2, ascending."""
-    combined: dict[int, float] = {}
-    for n, v in seq.a.items():
-        combined[n] = combined.get(n, 0.0) + abs(v)
-    for n, v in seq.b.items():
-        if n >= 2:
-            combined[n] = combined.get(n, 0.0) + abs(v)
-    return dict(sorted(combined.items()))
+def _moduli(seq: CoefficientSeq) -> dict[int, tuple[float, float]]:
+    """(|a_n|, |b_n|) keyed by every stored index n, ascending; unstored ones are 0."""
+    return {n: (abs(seq.a.get(n, 0j)), abs(seq.b.get(n, 0j)))
+            for n in sorted(seq.a.keys() | seq.b.keys())}
 
 
 def _stored_sum(seq: CoefficientSeq, r: float) -> float:
-    terms = [abs(seq.b1)] if 1 in seq.b else []
-    # ascending index, exact (Shewchuk) accumulation via fsum
-    terms.extend(n * c * r ** (n - 1) for n, c in _combined_abs(seq).items())
-    return math.fsum(terms)
+    # n = 1 contributes |b_1| (a_1 is never stored); fsum accumulates exactly
+    return math.fsum(n * (a + b) * r ** (n - 1) for n, (a, b) in _moduli(seq).items())
 
 
 def weighted_sum(x: CoefficientSeq | BoundFamily, r: float) -> float:

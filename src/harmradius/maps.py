@@ -11,6 +11,7 @@ All evaluators accept scalars or numpy arrays and are pure; maps are
 immutable once constructed.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -30,6 +31,7 @@ __all__ = [
 ]
 
 _NORM_TOL = 1e-14
+_MAX_SERIES_DEGREE = 10_000  # highest stored index a series map is compiled to
 
 
 class EvaluationDomainError(ValueError):
@@ -64,7 +66,11 @@ def _split_scalar(z):
 def _compile(seq: CoefficientSeq) -> ClosedForm:
     """Polynomial evaluators for a stored sequence, with its coefficient rule."""
     # degree: the highest stored index (not seq.truncation); past it all are zero
-    ch = np.zeros(max([1, *seq.a, *seq.b]) + 1, dtype=complex)
+    degree = max([1, *seq.a, *seq.b])
+    if degree > _MAX_SERIES_DEGREE:
+        raise ValueError(f"series maps are evaluated up to degree {_MAX_SERIES_DEGREE}; "
+                         f"the highest stored index is {degree}")
+    ch = np.zeros(degree + 1, dtype=complex)
     cg = np.zeros_like(ch)
     ch[1] = 1.0
     for k, v in seq.a.items():
@@ -92,9 +98,9 @@ class HarmonicMap:
     """A normalized harmonic mapping f = h + conj(g) on the unit disk.
 
     Every evaluation goes through closed-form evaluators.  A coefficient
-    sequence given as series is compiled into polynomial evaluators here
-    (unless forms compiled from it are passed along, as dilate does) and
-    kept for as_sequence.
+    sequence given as series is kept for as_sequence and compiled into
+    polynomial evaluators on first use, so the coefficient checks, which
+    read only the sequence, never build the polynomial.
     """
 
     def __init__(self, label: str, *, series: CoefficientSeq | None = None,
@@ -105,10 +111,16 @@ class HarmonicMap:
             raise ValueError("scale must lie in (0, 1]")
         self.label = str(label)
         self._series = series
-        self._forms = forms if forms is not None else _compile(series)
         self._domain = _CLOSED_DOMAIN if series is None else _SERIES_DOMAIN
         self._scale = float(scale)
-        self._check_normalization()
+        if forms is not None:
+            self._forms = forms
+            self._check_normalization()
+
+    @functools.cached_property
+    def _forms(self) -> ClosedForm:
+        # a CoefficientSeq is normalized by construction: a_1 = 1, |b_1| < 1
+        return _compile(self._series)
 
     # -- constructors -----------------------------------------------------
 
@@ -193,7 +205,7 @@ class HarmonicMap:
 
     @property
     def has_coefficients(self) -> bool:
-        return self._forms.coeff is not None
+        return self.is_series or self._forms.coeff is not None
 
     def coefficient(self, n: int) -> tuple[complex, complex]:
         """The series coefficients (a_n, b_n); a_1 is 1 by normalization.
@@ -218,7 +230,8 @@ class HarmonicMap:
         if r == 1.0:
             return self
         return HarmonicMap(f"dilate({self.label},{r:g})", series=self._series,
-                           forms=self._forms, scale=self._scale * r)
+                           forms=None if self.is_series else self._forms,
+                           scale=self._scale * r)
 
     def section(self, n: int, m: int) -> "HarmonicMap":
         """Partial sums: h truncated at degree n, g at degree m.

@@ -20,7 +20,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from ._util import check_beta
-from .coefficients import CoefficientSeq, weighted_sum_limit
+from .coefficients import CoefficientSeq, _moduli, weighted_sum_limit
 from .maps import HarmonicMap
 
 __all__ = [
@@ -39,13 +39,16 @@ BOUNDARY_TOL = 1e-12
 # Two grid samples whose images land within COLLISION_TOL (after Newton
 # refinement) count as one image point.
 COLLISION_TOL = 1e-9
+# Most points a GridSpec samples: the injectivity oracle's largest grid, 512 x 512.
+_MAX_GRID_POINTS = 512 * 512
 
 
 @dataclass(frozen=True)
 class GridSpec:
     """Polar sampling grid: n_radial circles, geometrically clustered
     toward r_max (which is included; 0 is not), times n_angular equally
-    spaced angles starting on the positive real axis."""
+    spaced angles starting on the positive real axis; at most 512 x 512
+    points in all."""
 
     n_radial: int = 200
     n_angular: int = 64
@@ -54,6 +57,9 @@ class GridSpec:
     def __post_init__(self):
         if self.n_radial < 2 or self.n_angular < 1:
             raise ValueError("grid needs n_radial >= 2, n_angular >= 1")
+        if self.n_radial * self.n_angular > _MAX_GRID_POINTS:
+            raise ValueError(f"grid of {self.n_radial}x{self.n_angular} points exceeds "
+                             f"the {_MAX_GRID_POINTS} points a grid may sample")
         if not 0.0 < self.r_max < 1.0:
             raise ValueError("r_max must lie in (0, 1)")
 
@@ -129,11 +135,8 @@ def coeff_condition(seq, beta: float = 0.0) -> MembershipReport:
     witness = None
     if margin < -BOUNDARY_TOL:
         # no single index breaks a sum condition; point at the heaviest term
-        idx = set(seq.a) | set(seq.b)
-        witness = max(
-            idx,
-            key=lambda n: n * (abs(seq.a.get(n, 0j)) + abs(seq.b.get(n, 0j))),
-        ) if idx else 1
+        moduli = _moduli(seq)
+        witness = max(moduli, key=lambda n: n * sum(moduli[n]), default=1)
     return _graded_verdict(margin, witness, spec)
 
 
@@ -155,27 +158,16 @@ def coefficient_growth_check(seq, beta: float = 0.0) -> MembershipReport:
         )
     one = 1.0 - beta
     # indices with a nonzero coefficient; a stored zero checks nothing
-    idx = sorted(n for n in set(seq.a) | set(seq.b)
-                 if n >= 2 and (seq.a.get(n, 0j) or seq.b.get(n, 0j)))
+    moduli = {n: ab for n, ab in _moduli(seq).items() if n >= 2 and any(ab)}
     per_margin, per_witness = one, None
-    for n in idx:
-        an, bn = abs(seq.a.get(n, 0j)), abs(seq.b.get(n, 0j))
+    for n, (an, bn) in moduli.items():
         slack = one / n - abs(an - bn)
         if slack < per_margin:
             per_margin, per_witness = slack, n
-    square_sum = math.fsum(
-        n * n * (abs(seq.a.get(n, 0j)) ** 2 + abs(seq.b.get(n, 0j)) ** 2)
-        for n in idx
-    )
-    agg_margin = one * one - abs(seq.b1) ** 2 - square_sum
-    if agg_margin <= per_margin and idx:
-        agg_witness = max(
-            idx,
-            key=lambda n: n * n * (abs(seq.a.get(n, 0j)) ** 2
-                                   + abs(seq.b.get(n, 0j)) ** 2),
-        )
-    else:
-        agg_witness = None
+    squares = {n: n * n * (an ** 2 + bn ** 2) for n, (an, bn) in moduli.items()}
+    agg_margin = one * one - abs(seq.b1) ** 2 - math.fsum(squares.values())
+    agg_witness = (max(squares, key=squares.get)
+                   if agg_margin <= per_margin and squares else None)
     note = f"per-index margin {per_margin:.6g}, sum-of-squares margin {agg_margin:.6g}"
     if per_margin <= agg_margin:
         return _graded_verdict(per_margin, per_witness, spec, note)

@@ -8,17 +8,18 @@ class is the unique crossing point of the increasing function S.
 Closed forms are provided for the three stock families (koebe, convex,
 uniform); bisection handles any BoundFamily or CoefficientSeq.  One
 bracketed solver (bisection closed by a secant step) serves the bisection
-radii, the convex-family cubic and the Jacobian root scan.  Sharpness of
-a radius is certified by locating the first zero of a witness Jacobian
-profile and checking its sign pattern.
+radii, the koebe and convex polynomials and the Jacobian root scan.
+Sharpness of a radius is certified by locating the first zero of a
+witness Jacobian profile and checking its sign pattern.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import check_beta, check_uniform
+from ._util import check_beta
 from .coefficients import (
     SERIES_EVAL_MAX,
     BoundFamily,
@@ -47,6 +48,9 @@ BISECTION_TOL = 1e-12
 _MAX_ITER = 200
 _SCAN_POINTS = 10000  # jacobian_roots scan density
 _INTERIOR_SAMPLES = 1000  # verify_sharpness samples of J on (0, r)
+# S(r) = 1 cleared of denominators (integer coefficients, highest degree
+# first); each has exactly one root in (0, 1), the family's radius.
+_FAMILY_POLYNOMIALS = {"koebe": (2, -8, 11, -10, 1), "convex": (2, -6, 7, -1)}
 
 
 class NoRadiusError(ValueError):
@@ -130,7 +134,9 @@ def radius_by_bisection(family, beta: float = 0.0) -> RadiusReport:
     hi = SERIES_EVAL_MAX if tailed else 1.0 - 1e-12
     ghi = weighted_sum(family, hi) - target
     if ghi <= 0.0:
-        if tailed and weighted_sum_limit(family) - target > 0.0:
+        # a tail of degree >= -2 has S(1^-) = inf: S crosses beyond hi
+        if tailed and (family.tail.degree >= -2.0 and family.tail.constant > 0.0
+                       or weighted_sum_limit(family) > target):
             raise ValueError(
                 f"crossing lies beyond r={SERIES_EVAL_MAX} where the tail "
                 "majorant is not evaluable; supply more explicit coefficients"
@@ -147,48 +153,35 @@ def radius_by_bisection(family, beta: float = 0.0) -> RadiusReport:
 
 
 def koebe_family_radius() -> RadiusReport:
-    """Root in (0,1) of sqrt(2) r^2 - (1+2 sqrt(2)) r + sqrt(2) - 1 = 0.
-
-    Solved with the cancellation-free quadratic formula: the linear
-    coefficient dominates, so the small root is computed as c/q.
-    """
-    a = math.sqrt(2.0)
-    b = -(1.0 + 2.0 * math.sqrt(2.0))
-    c = math.sqrt(2.0) - 1.0
-    disc = b * b - 4.0 * a * c  # = 1 + 8 sqrt(2) > 0
-    q = (math.sqrt(disc) - b) / 2.0
-    r = c / q
-    residual = abs((a * r + b) * r + c)
-    return RadiusReport(r, "closed_form", residual, 1e-9, label="koebe")
+    """The koebe family's closed-form radius, 0.1129029312079177."""
+    return closed_form_radius(BoundFamily.koebe())
 
 
 def convex_family_radius() -> RadiusReport:
-    """Unique real root of 2 r^3 - 6 r^2 + 7 r - 1 = 0.
-
-    The derivative 6 r^2 - 12 r + 7 has negative discriminant, so the
-    cubic is strictly increasing and has exactly one real root, which
-    p(0) = -1 and p(1) = 2 bracket in [0, 1].
-    """
-    p = lambda r: ((2.0 * r - 6.0) * r + 7.0) * r - 1.0
-    r, _, _ = _solve(p, 0.0, 1.0, p(0.0), p(1.0))
-    return RadiusReport(r, "closed_form", abs(p(r)), 1e-9, label="convex")
+    """The convex family's closed-form radius, 0.16487765151863348."""
+    return closed_form_radius(BoundFamily.convex())
 
 
 def uniform_family_radius(c: float, b1_abs: float = 0.0) -> RadiusReport:
-    """r = 1 - sqrt(c / (c + 1 - b1_abs)); decreasing in both arguments."""
-    c, b1 = check_uniform(c, b1_abs)
-    r = 1.0 - math.sqrt(c / (c + 1.0 - b1))
-    residual = abs(weighted_sum(BoundFamily("uniform", c, b1), r) - 1.0)
-    return RadiusReport(r, "closed_form", residual, 1e-9, label="uniform")
+    """The closed-form radius of the uniform family with bound c and |b1|."""
+    return closed_form_radius(BoundFamily.uniform(c, b1_abs))
 
 
 def closed_form_radius(family: BoundFamily) -> RadiusReport:
-    """The closed-form radius (beta = 0) of a stock bound family."""
-    if family.kind == "koebe":
-        return koebe_family_radius()
-    if family.kind == "convex":
-        return convex_family_radius()
-    return uniform_family_radius(family.c, family.b1_abs)
+    """The closed-form radius (beta = 0) of a stock bound family.
+
+    koebe, convex: the (0, 1) root of the family polynomial, residual
+    |p(r)|.  uniform: r = 1 - sqrt(c/(c+1-|b1|)), residual |S(r) - 1|.
+    """
+    if family.kind == "uniform":
+        r = 1.0 - math.sqrt(family.c / (family.c + 1.0 - family.b1_abs))
+        residual = abs(weighted_sum(family, r) - 1.0)
+    else:
+        coeffs = _FAMILY_POLYNOMIALS[family.kind]
+        p = lambda x: functools.reduce(lambda acc, k: acc * x + k, coeffs, 0.0)
+        r = _solve(p, 0.0, 1.0, p(0.0), p(1.0))[0]
+        residual = abs(p(r))
+    return RadiusReport(r, "closed_form", residual, 1e-9, label=family.kind)
 
 
 def _as_profile(witness) -> JacobianProfile:

@@ -64,7 +64,7 @@ def test_criterion_01_koebe_family_radius():
         if abs(report.radius - 0.112903) > 1e-6:
             failures.append(f"{report.method} radius {report.radius!r} off 0.112903")
     if closed.residual > 1e-12:
-        failures.append(f"quadratic residual {closed.residual:.3e} > 1e-12")
+        failures.append(f"quartic residual {closed.residual:.3e} > 1e-12")
     finish(1, "close-to-convexity radius, harmonic Koebe bounds", t0, 0.1, failures)
 
 

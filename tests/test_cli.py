@@ -6,6 +6,8 @@ Every successful JSON output is validated against the schema shipped
 under docs/schemas/.
 """
 
+import contextlib
+import io
 import json
 import shutil
 import subprocess
@@ -13,6 +15,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from jsonschema import Draft202012Validator
 
 from harmradius.cli import main
@@ -221,6 +224,56 @@ def test_sampled_check_ignores_huge_truncation(capsys, tmp_path, check_name):
     assert code in (0, 2)
     check(json.loads(out), "membership_report.schema.json" if code == 0
           else "error.schema.json")
+
+
+# -- hostile inputs ------------------------------------------------------------
+
+DIVERGENT_TAIL = {"a": [[2, 0.01, 0]], "b": [], "truncation": 10 ** 12,
+                  "tail": {"degree": 1, "constant": 0.001}}
+STEEP_TAIL = {"a": [], "b": [], "truncation": 3,
+              "tail": {"degree": 1e6, "constant": 1e-300}}
+HUGE_INDEX = {"a": [[10 ** 13, 1e-15, 0]], "b": [], "truncation": 10 ** 13}
+HUGE_GRID = ["membership", "--check", "c-h2", "--map", "F0", "--grid-radial", str(10 ** 13)]
+
+
+def _domain(message):
+    return {"error": message, "kind": "domain"}
+
+
+@pytest.mark.parametrize("argv, doc, expected", [
+    (["radius"], DIVERGENT_TAIL, _domain(
+        "crossing lies beyond r=0.999 where the tail majorant is not evaluable; "
+        "supply more explicit coefficients")),
+    (["radius"], STEEP_TAIL, _domain("tail majorant of degree 1e+06 overflows at r=0.999")),
+    (HUGE_GRID, None, _domain(
+        "grid of 10000000000000x64 points exceeds the 262144 points a grid may sample")),
+    (["membership", "--check", "c-h2"], HUGE_INDEX, _domain(
+        "series maps are evaluated up to degree 10000; "
+        "the highest stored index is 10000000000000")),
+    (["bloch-table", "--M", "1e308"], None, _domain(
+        "sup-norm bound M = 1e+308 is too large: 8M/pi overflows")),
+], ids=["divergent-tail", "steep-tail", "huge-grid", "huge-index-c-h2", "huge-M"])
+def test_hostile_inputs_are_exit_2(capsys, tmp_path, argv, doc, expected):
+    if doc is not None:
+        check(doc, "coefficient_seq.schema.json")
+        path = tmp_path / "hostile.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        argv = [*argv, "--seq", str(path)]
+    code, out, _ = run_json(capsys, *argv)
+    assert (code, out) == (2, expected)
+    check(out, "error.schema.json")
+
+
+@pytest.mark.parametrize("check_name", ["coeff", "growth"])
+def test_coefficient_checks_compile_no_map(capsys, tmp_path, check_name):
+    # a dense polynomial of degree 10^13 would need 146 TiB; these checks
+    # read the stored coefficients only
+    path = tmp_path / "sparse.json"
+    path.write_text(json.dumps(HUGE_INDEX), encoding="utf-8")
+    code, doc, _ = run_json(capsys, "membership", "--check", check_name, "--seq", str(path))
+    assert code == 0
+    check(doc, "membership_report.schema.json")
+    assert (doc["subject"], doc["verdict"]) == ("seq-file", "satisfied")
 
 
 def test_radius_missing_seq_file_is_exit_3(capsys, tmp_path):
@@ -490,3 +543,100 @@ def test_console_script_smoke():
     assert proc.returncode == 0
     doc = json.loads(proc.stdout)
     assert doc["radius"] == pytest.approx(0.112902931208, abs=1e-11)
+
+
+# -- the CLI boundary under arbitrary flags ------------------------------------
+
+NUMBERS = st.sampled_from(["nan", "inf", "-inf", "0", "-0.5", "1e308", "5e-324",
+                           "0.05", "0.2", "0.5", "1.5"])
+# small counts, or counts far past every cap (rejected before allocation)
+COUNTS = st.integers(-2, 12) | st.integers(10 ** 7, 10 ** 20)
+MAPS = st.sampled_from(["koebe", "convex_L", "F0", "L0", "f0:1"])
+WITNESS_LABELS = st.sampled_from(["F0", "L0", "f0:1", "f0:2,0.3"])
+SCHEMA_OF = {"radius": "radius_report", "membership": "membership_report",
+             "sharpness": "sharpness_report", "bloch-table": "bloch_table",
+             "identities": "identities"}
+SEQ = "{seq}"  # replaced by the path of the drawn --seq document
+
+
+@st.composite
+def seq_docs(draw):
+    values = st.sampled_from([0.0, 0.01, -0.2, 0.45, 1e-300, 1e308])
+    indices = st.integers(2, 30) | st.sampled_from([10 ** 4 + 1, 10 ** 13])
+    entries = {"a": draw(st.dictionaries(indices, st.tuples(values, values), max_size=3)),
+               "b": draw(st.dictionaries(st.integers(1, 30), st.tuples(values, values),
+                                         max_size=2))}
+    doc = {k: [[n, re, im] for n, (re, im) in sorted(v.items())] for k, v in entries.items()}
+    top = max([1, *entries["a"], *entries["b"]])
+    doc["truncation"] = top + draw(st.sampled_from([0, 3, 10 ** 12]))
+    if draw(st.booleans()):
+        doc["tail"] = {"degree": draw(st.sampled_from([-4.0, -2.0, 0.0, 1.0, 1e6])),
+                       "constant": draw(st.sampled_from([0.0, 1e-300, 0.001, 1.0]))}
+    return doc
+
+
+def _flags(draw, **flags):
+    """--name value pairs, each flag drawn or left out."""
+    out = []
+    for name, values in flags.items():
+        if draw(st.booleans()):
+            out += [f"--{name.replace('_', '-')}", str(draw(values))]
+    return out
+
+
+@st.composite
+def cli_argv(draw):
+    cmd = draw(st.sampled_from(list(SCHEMA_OF) + ["jacobian-scan"]))
+    if cmd == "radius":
+        subject = draw(st.sampled_from(["koebe", "convex", "uniform:1", None]))
+        argv = ["--family", subject] if subject else ["--seq", SEQ]
+        return [cmd, *argv, *_flags(draw, beta=NUMBERS,
+                                    method=st.sampled_from(["auto", "bisect", "closed"]))]
+    if cmd == "membership":
+        check_name = draw(st.sampled_from(["coeff", "growth", "c-h2", "starlike",
+                                           "injectivity"]))
+        subject = draw(MAPS | st.none())
+        argv = ["--map", subject] if subject else ["--seq", SEQ]
+        # injectivity's default resolution is slow; draw a small or a rejected one
+        return [cmd, "--check", check_name, *argv, "--resolution", str(draw(COUNTS)),
+                "--grid-radial", str(draw(COUNTS)), "--grid-angular", str(draw(COUNTS)),
+                *_flags(draw, dilate=NUMBERS, beta=NUMBERS, r=NUMBERS, grid_rmax=NUMBERS)]
+    if cmd == "jacobian-scan":
+        return [cmd, "--witness", draw(WITNESS_LABELS),
+                *_flags(draw, lo=NUMBERS, hi=NUMBERS, steps=COUNTS)]
+    if cmd == "bloch-table":
+        return [cmd, *_flags(draw, M=NUMBERS), *draw(st.sampled_from([[], ["--csv"]]))]
+    if cmd == "sharpness":
+        return [cmd, "--witness", draw(WITNESS_LABELS), *_flags(draw, radius=NUMBERS)]
+    return [cmd, *_flags(draw, r=NUMBERS)]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy overflow notes on stderr
+@settings(max_examples=100, deadline=None)
+@given(argv=cli_argv(), doc=seq_docs())
+@example(argv=["radius", "--seq", SEQ], doc=DIVERGENT_TAIL)
+@example(argv=["radius", "--seq", SEQ], doc=STEEP_TAIL)
+@example(argv=HUGE_GRID, doc=HUGE_INDEX)
+@example(argv=["membership", "--check", "coeff", "--seq", SEQ], doc=HUGE_INDEX)
+@example(argv=["bloch-table", "--M", "1e308"], doc=HUGE_INDEX)
+def test_cli_boundary_answers_or_fails_structured(tmp_path_factory, argv, doc):
+    check(doc, "coefficient_seq.schema.json")
+    path = tmp_path_factory.getbasetemp() / "drawn_seq.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    argv = [str(path) if a == SEQ else a for a in argv]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse usage errors
+            code = exc.code
+    out = out.getvalue()
+    assert code in (0, 1, 2, 3)
+    if code in (1, 3):
+        assert out == ""
+    elif code == 2:
+        check(json.loads(out), "error.schema.json")
+    elif argv[0] == "jacobian-scan" or "--csv" in argv:
+        assert out.splitlines()[0] in ("r,J", "M,phi,psi,r_S,R_S")
+    else:
+        check(json.loads(out), f"{SCHEMA_OF[argv[0]]}.schema.json")

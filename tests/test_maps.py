@@ -62,6 +62,21 @@ def test_series_eval_vectorized(rng):
         assert w == pytest.approx(f(complex(z)), abs=1e-15)
 
 
+def test_series_map_is_compiled_on_first_evaluation_up_to_degree_cap():
+    # index 10^13: a dense polynomial would take 146 TiB, so the cap must
+    # refuse it before any allocation; the stored sequence stays readable
+    f = HarmonicMap.from_series(CoefficientSeq({10 ** 13: 1e-15}, {}, 10 ** 13))
+    assert f.as_sequence().a == {10 ** 13: 1e-15}
+    assert f.has_coefficients and f.dilate(0.5).is_series
+    message = "up to degree 10000; the highest stored index is 10000000000000"
+    for evaluate in (f, f.wirtinger, f.jacobian, f.dilate(0.5)):
+        with pytest.raises(ValueError, match=message):
+            evaluate(0.1)
+    # the cap itself compiles
+    g = HarmonicMap.from_series(CoefficientSeq({10 ** 4: 1e-9}, {}, 10 ** 4))
+    assert g(0.5) == pytest.approx(0.5, abs=1e-15)
+
+
 def test_wirtinger_matches_finite_differences(rng):
     f = HarmonicMap.from_series(_sample_seq())
     for _ in range(10):

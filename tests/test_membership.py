@@ -52,6 +52,14 @@ def test_grid_validation():
         GridSpec(10, 8, 1.0)
 
 
+def test_grid_point_cap():
+    assert len(GridSpec(512, 512).radii()) == 512  # the cap itself is allowed
+    # a 10^13-circle grid would allocate 80 TB; the cap refuses it first
+    for radial, angular in ((10 ** 13, 64), (513, 512), (2, 10 ** 13)):
+        with pytest.raises(ValueError, match="exceeds the 262144 points"):
+            GridSpec(radial, angular)
+
+
 def test_report_verdict_validation():
     with pytest.raises(ValueError):
         MembershipReport("maybe", 0.0)
@@ -92,6 +100,15 @@ def test_coeff_condition_precondition_on_b1():
 def test_coeff_condition_accepts_series_map():
     rep = coeff_condition(one_term_extremal(4, 1.0), 0.0)
     assert rep.verdict == "satisfied" and rep.boundary
+
+
+def test_coefficient_checks_read_a_series_map_without_compiling_it():
+    # past the series-map degree cap: only the sampled checks must refuse it
+    f = HarmonicMap.from_series(CoefficientSeq({10 ** 13: 1e-15}, {}, 10 ** 13))
+    assert coeff_condition(f).margin == pytest.approx(0.99, abs=1e-12)
+    assert coefficient_growth_check(f).witness == 10 ** 13
+    with pytest.raises(ValueError, match="up to degree 10000"):
+        c_h2_numeric(f, 0.0, GridSpec(4, 4))
 
 
 def test_coeff_condition_rejects_closed_form_map():

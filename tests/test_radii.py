@@ -1,6 +1,8 @@
 """Radius solvers, Jacobian root location, sharpness certification."""
 
 import math
+import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from harmradius import (
     CoefficientSeq,
     NoRadiusError,
     RadiusReport,
+    TailBound,
     convex_family_radius,
     convex_witness_profile,
     harmonic_koebe,
@@ -41,6 +44,33 @@ def test_koebe_radius_alternate_closed_forms():
     alt2 = (4.0 + math.sqrt(2.0) - math.sqrt(2.0 + 16.0 * math.sqrt(2.0))) / 4.0
     assert r == pytest.approx(alt1, abs=1e-12)
     assert r == pytest.approx(alt2, abs=1e-12)
+
+
+@pytest.mark.parametrize("closed_form, expected, coeffs", [
+    (koebe_family_radius, 0.1129029312079177, (2, -8, 11, -10, 1)),
+    (convex_family_radius, 0.16487765151863348, (2, -6, 7, -1)),
+], ids=["koebe", "convex"])
+def test_family_radius_is_nearest_double(closed_form, expected, coeffs):
+    # the S(r) = 1 polynomial, evaluated exactly, changes sign between the
+    # two half-ulp midpoints around the radius: no other double lies closer
+    r = closed_form().radius
+    assert r == expected
+    p = lambda x: sum(k * x ** e for e, k in enumerate(reversed(coeffs)))
+    lo = (Fraction(r) + Fraction(math.nextafter(r, 0.0))) / 2
+    hi = (Fraction(r) + Fraction(math.nextafter(r, 1.0))) / 2
+    assert p(lo) * p(hi) < 0
+
+
+def test_uniform_radius_validates_once(monkeypatch):
+    from harmradius._util import check_uniform
+
+    calls = []
+    counting = lambda *args: calls.append(args) or check_uniform(*args)
+    for name, module in list(sys.modules.items()):
+        if name.startswith("harmradius.") and hasattr(module, "check_uniform"):
+            monkeypatch.setattr(module, "check_uniform", counting)
+    assert uniform_family_radius(2.0, 0.3).radius == pytest.approx(0.139337034176)
+    assert calls == [(2.0, 0.3)]
 
 
 def test_convex_radius_value_and_residual():
@@ -133,6 +163,16 @@ def test_bisection_no_radius():
         radius_by_bisection(CoefficientSeq({}, {1: 0.5}, 1), beta=0.6)
     with pytest.raises(NoRadiusError):
         radius_by_bisection(BoundFamily.uniform(1.0, 0.7), beta=0.4)
+
+
+def test_bisection_divergent_tail_crossing_beyond_series_limit():
+    # S(0.999) < 1, but a tail of degree >= -2 sends S(1^-) to infinity
+    seq = CoefficientSeq({2: 0.01}, {}, 10 ** 12, TailBound(1.0, 1e-3))
+    with pytest.raises(ValueError, match="crossing lies beyond r=0.999"):
+        radius_by_bisection(seq)
+    # a zero tail constant adds nothing: the stored sum stays below 1
+    assert radius_by_bisection(CoefficientSeq({2: 0.01}, {}, 10 ** 12,
+                                              TailBound(1.0, 0.0))).saturated
 
 
 def test_bisection_rejects_other_types():
