@@ -80,14 +80,26 @@ def phi(x: float) -> float:
 def psi(x: float) -> float:
     """Comparison bound (1/sqrt(2))[1 + ((x^2-1)/x) ln((x^2-1)/(x^2+x-1))].
 
-    Natural logarithm; needs x > 1.
+    Natural logarithm; needs x > 1.  With t = x/(x^2+x-1), q = (x^2-1)/x
+    and u = -(ln(1-t) + t) = sum_{k>=2} t^k/k the bracket is t - q u,
+    which is evaluated without the cancellation of the form above.
     """
     x = float(x)
     if x <= 1.0:
         raise ValueError("psi requires x > 1")
-    num = x * x - 1.0
-    den = x * x + x - 1.0
-    return (1.0 + (num / x) * math.log(num / den)) / math.sqrt(2.0)
+    t = 1.0 / (x + 1.0 - 1.0 / x)
+    q = (x - 1.0) * (1.0 + 1.0 / x)  # 1 - t = q t
+    if t < 0.5:
+        # q u = (1-t) t^2 v with v = u/t^2 = sum_{k>=2} t^(k-2)/k
+        v, tk, k = 0.0, 1.0, 2
+        while tk > 1e-17:
+            v += tk / k
+            tk *= t
+            k += 1
+        bracket = t * (1.0 - (1.0 - t) * v)
+    else:
+        bracket = t + q * (math.log(q * t) + t)
+    return bracket / math.sqrt(2.0)
 
 
 @dataclass(frozen=True)

@@ -238,8 +238,9 @@ def _tail_sum(degree: float, start: int, r: float) -> float:
 
 
 def weighted_sum_tail(seq: CoefficientSeq, r: float) -> float:
-    """Rigorous majorant of the unstored part of S(r); zero when tail is None."""
-    if seq.tail is None:
+    """Rigorous majorant of the unstored part of S(r); zero when tail is None
+    or its constant is 0, which bounds nothing."""
+    if seq.tail is None or seq.tail.constant == 0.0:
         return 0.0
     if not (0.0 <= r < 1.0):
         raise ValueError(f"r must lie in [0, 1), got {r}")

@@ -14,10 +14,10 @@ boundary flag: the extremal examples sit exactly on the boundary.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from ._util import check_beta
 from .coefficients import CoefficientSeq, _moduli, weighted_sum_limit
@@ -41,6 +41,15 @@ BOUNDARY_TOL = 1e-12
 COLLISION_TOL = 1e-9
 # Most points a GridSpec samples: the injectivity oracle's largest grid, 512 x 512.
 _MAX_GRID_POINTS = 512 * 512
+
+
+def __getattr__(name):
+    # scipy.spatial loads on the first lookup of cKDTree, not with the package
+    if name == "cKDTree":
+        from scipy.spatial import cKDTree
+        globals()["cKDTree"] = cKDTree
+        return cKDTree
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass(frozen=True)
@@ -275,7 +284,9 @@ def injectivity_oracle(f: HarmonicMap, r: float,
     spec = (f"{resolution}x{resolution} cartesian grid on |z|<={r:g}, "
             f"pitch {pitch:.3g}, Newton-refined collision candidates")
 
-    tree = cKDTree(np.column_stack([images.real, images.imag]))
+    # a module attribute, not a bare global: the first lookup imports it
+    # (__getattr__ above), and a reassigned attribute is the one called
+    tree = sys.modules[__name__].cKDTree(np.column_stack([images.real, images.imag]))
     raw = tree.query_pairs(5.0 * pitch, output_type="ndarray")
     if raw.size:
         keep = np.abs(pts[raw[:, 0]] - pts[raw[:, 1]]) > sep

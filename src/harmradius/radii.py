@@ -130,12 +130,13 @@ def radius_by_bisection(family, beta: float = 0.0) -> RadiusReport:
             f"condition fails already at r=0: S(0) = {g0 + target:g} >= {target:g}"
         )
 
-    tailed = isinstance(family, CoefficientSeq) and family.tail is not None
+    tailed = (isinstance(family, CoefficientSeq) and family.tail is not None
+              and family.tail.constant > 0.0)
     hi = SERIES_EVAL_MAX if tailed else 1.0 - 1e-12
     ghi = weighted_sum(family, hi) - target
     if ghi <= 0.0:
         # a tail of degree >= -2 has S(1^-) = inf: S crosses beyond hi
-        if tailed and (family.tail.degree >= -2.0 and family.tail.constant > 0.0
+        if tailed and (family.tail.degree >= -2.0
                        or weighted_sum_limit(family) > target):
             raise ValueError(
                 f"crossing lies beyond r={SERIES_EVAL_MAX} where the tail "

@@ -1,6 +1,7 @@
 """Bloch-Landau radii for bounded harmonic maps and the summary table."""
 
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -84,6 +85,28 @@ def test_phi_psi_values():
         x = 8 * M / math.pi
         assert phi(x) == pytest.approx(p, abs=1e-4)
         assert psi(x) == pytest.approx(q, abs=1e-4)
+
+
+def _psi_reference(x: float) -> Decimal:
+    """psi(x) by its defining formula in decimal arithmetic, to 60 digits.
+
+    The formula cancels about three times the decimal exponent of x in
+    digits, so the working precision carries that many more."""
+    d = Decimal(x)
+    with localcontext() as ctx:
+        ctx.prec = 60 + 3 * max(d.adjusted(), 0)
+        num, den = d * d - 1, d * d + d - 1
+        return (1 + (num / d) * (num / den).ln()) / Decimal(2).sqrt()
+
+
+def test_psi_matches_decimal_reference():
+    xs = np.concatenate([[1.001, 1.5, (1 + math.sqrt(5)) / 2, 2.0, 8 / math.pi, 1e9, 1e15],
+                         np.geomspace(1.001, 1e100, 400)])
+    for x in xs:
+        ref = _psi_reference(float(x))
+        got = psi(float(x))
+        assert got > 0.0
+        assert abs((Decimal(got) - ref) / ref) <= Decimal("1e-13"), x
 
 
 def test_phi_psi_domains():

@@ -1,7 +1,8 @@
 """CLI behavior: exit codes, JSON schemas, CSV formats, determinism.
 
 Most tests call main(argv) in-process and capture stdout with capsys;
-one smoke test exercises the installed console script in a subprocess.
+two start a subprocess: a smoke test of the installed console script,
+and a fresh interpreter that checks which subcommands load scipy.
 Every successful JSON output is validated against the schema shipped
 under docs/schemas/.
 """
@@ -9,6 +10,7 @@ under docs/schemas/.
 import contextlib
 import io
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -276,6 +278,19 @@ def test_coefficient_checks_compile_no_map(capsys, tmp_path, check_name):
     assert (doc["subject"], doc["verdict"]) == ("seq-file", "satisfied")
 
 
+def test_radius_zero_tail_constant(capsys, tmp_path):
+    # a tail with constant 0 bounds nothing, however steep its degree
+    doc = {"a": [[2, 0.3, 0]], "b": [], "truncation": 3,
+           "tail": {"degree": 300, "constant": 0}}
+    check(doc, "coefficient_seq.schema.json")
+    path = tmp_path / "zero-tail.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, _ = run_json(capsys, "radius", "--seq", str(path))
+    assert code == 0
+    check(out, "radius_report.schema.json")
+    assert (out["radius"], out["saturated"]) == (0.999999999999, True)
+
+
 def test_radius_missing_seq_file_is_exit_3(capsys, tmp_path):
     code, out, err = run(capsys, "radius", "--seq", str(tmp_path / "absent.json"))
     assert code == 3
@@ -456,6 +471,14 @@ def test_bloch_table_non_finite_bound(capsys, M):
     check(doc, "error.schema.json")
 
 
+def test_bloch_table_large_bound_keeps_psi(capsys):
+    # psi ~ pi/(16 sqrt(2) M): the direct formula cancelled to -2.49e-08 here
+    code, doc, _ = run_json(capsys, "bloch-table", "--M", "1e9")
+    assert code == 0
+    check(doc, "bloch_table.schema.json")
+    assert doc[0]["psi"] == 1.38840091781e-10
+
+
 # -- sharpness -------------------------------------------------------------
 
 def test_sharpness_l0(capsys):
@@ -543,6 +566,41 @@ def test_console_script_smoke():
     assert proc.returncode == 0
     doc = json.loads(proc.stdout)
     assert doc["radius"] == pytest.approx(0.112902931208, abs=1e-11)
+
+
+# scipy.spatial serves only the injectivity oracle; the other subcommands
+# must not load scipy in a fresh process
+COLD_PROCESS = """
+import contextlib, io, json, sys
+import harmradius, harmradius.cli
+
+def run(*argv):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert harmradius.cli.main(list(argv)) == 0, argv
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+run("radius", "--family", "koebe")
+run("bloch-table")
+run("sharpness", "--witness", "F0")
+run("jacobian-scan", "--witness", "F0")
+run("membership", "--check", "c-h2", "--map", "F0", "--dilate", "0.1")
+before = scipy_modules()
+run("membership", "--check", "injectivity", "--map", "F0", "--r", "0.2",
+    "--resolution", "64")
+print(json.dumps({"before": before, "after": scipy_modules()}))
+"""
+
+
+def test_fresh_process_loads_scipy_only_for_injectivity():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run([sys.executable, "-c", COLD_PROCESS], capture_output=True,
+                          text=True, timeout=120, env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(proc.stdout)
+    assert doc["before"] == []
+    assert "scipy.spatial" in doc["after"]
 
 
 # -- the CLI boundary under arbitrary flags ------------------------------------

@@ -299,6 +299,17 @@ def test_injectivity_dilated_koebe_no_collision():
     assert rep.verdict == "inconclusive"
 
 
+def test_ckdtree_is_a_lazy_module_attribute():
+    import scipy.spatial
+
+    from harmradius import membership
+
+    assert membership.cKDTree is scipy.spatial.cKDTree
+    assert "cKDTree" in vars(membership)  # stored by the first lookup
+    with pytest.raises(AttributeError, match="no_such_name"):
+        membership.no_such_name
+
+
 def test_injectivity_validation():
     with pytest.raises(ValueError):
         injectivity_oracle(identity_map(), 0.5, 600)

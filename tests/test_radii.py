@@ -175,6 +175,17 @@ def test_bisection_divergent_tail_crossing_beyond_series_limit():
                                               TailBound(1.0, 0.0))).saturated
 
 
+def test_bisection_zero_tail_constant_is_no_tail():
+    # the majorant of a steep tail overflows to inf; a zero constant must
+    # not turn that into 0 * inf = nan
+    untailed = CoefficientSeq({2: 0.3}, {}, 3)
+    tailed = CoefficientSeq({2: 0.3}, {}, 3, TailBound(300.0, 0.0))
+    rep = radius_by_bisection(tailed)
+    assert rep == radius_by_bisection(untailed)
+    assert (rep.radius, rep.saturated) == (0.999999999999, True)
+    assert weighted_sum(tailed, 0.9999) == weighted_sum(untailed, 0.9999)
+
+
 def test_bisection_rejects_other_types():
     with pytest.raises(TypeError):
         radius_by_bisection(identity_map())
