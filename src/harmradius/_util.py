@@ -8,7 +8,7 @@ checks shared by several modules raise ValueError with one message each.
 import math
 import operator
 
-__all__ = ["fmt12", "round12", "check_index", "check_beta", "check_uniform"]
+__all__ = ["fmt12", "round12", "horner", "check_index", "check_beta", "check_uniform"]
 
 
 def fmt12(x: float) -> str:
@@ -18,6 +18,14 @@ def fmt12(x: float) -> str:
 def round12(x: float) -> float:
     """Round through the 12-digit representation, for deterministic JSON."""
     return float(fmt12(x))
+
+
+def horner(coeffs, x):
+    """The polynomial coeffs (highest degree first) at x, a float or a numpy array."""
+    acc = 0.0
+    for k in coeffs:
+        acc = acc * x + k
+    return acc
 
 
 def check_index(n, low: int, what: str) -> int:

@@ -69,12 +69,12 @@ def bloch_radius(M: float) -> tuple[float, float]:
 
 
 def phi(x: float) -> float:
-    """Comparison bound x/(sqrt(2)(x^2 + x - 1)); needs x^2 + x - 1 > 0."""
+    """Comparison bound x/(sqrt(2)(x^2 + x - 1)); needs x^2 + x - 1 > 0.
+    Evaluated as 1/(sqrt(2)(x + 1 - 1/x)), which cannot overflow."""
     x = float(x)
-    den = x * x + x - 1.0
-    if den <= 0.0:
+    if x * x + x - 1.0 <= 0.0:
         raise ValueError("phi requires x^2 + x - 1 > 0")
-    return x / (math.sqrt(2.0) * den)
+    return 1.0 / (math.sqrt(2.0) * (x + 1.0 - 1.0 / x))
 
 
 def psi(x: float) -> float:

@@ -28,6 +28,7 @@ __all__ = [
     "TailBound",
     "CoefficientSeq",
     "BoundFamily",
+    "FAMILY_POLYNOMIALS",
     "koebe_bounds",
     "convex_bounds",
     "power_sums",
@@ -178,6 +179,11 @@ class BoundFamily:
 # Closed-form power sums and the weighted sum S(r)
 # ---------------------------------------------------------------------------
 
+# S(r) = 1 cleared of denominators, highest degree first: the one root in
+# (0, 1) is the family's radius, and a factor of its witness's Jacobian.
+FAMILY_POLYNOMIALS = {"koebe": (2, -8, 11, -10, 1), "convex": (2, -6, 7, -1)}
+
+
 def power_sums(r: float) -> tuple[float, float, float]:
     """Closed forms of the three power sums driving the family radii.
 
@@ -206,8 +212,8 @@ def _family_sum(fam: BoundFamily, r: float) -> float:
     if fam.kind == "convex":
         # S(r) = sum_{n>=2} n^2 r^(n-1)
         return (1.0 + r) / (1.0 - r) ** 3 - 1.0
-    # uniform: S(r) = |b_1| + c (1/(1-r)^2 - 1)
-    return fam.b1_abs + fam.c * (1.0 / (1.0 - r) ** 2 - 1.0)
+    # uniform: S(r) = |b_1| + c (1/(1-r)^2 - 1), written without the cancellation
+    return fam.b1_abs + fam.c * r * (2.0 - r) / (1.0 - r) ** 2
 
 
 def _tail_sum(degree: float, start: int, r: float) -> float:

@@ -9,14 +9,15 @@ Five maps are exposed through a label registry for CLI use:
   r = sqrt(2) - 1.
 - ``F0``, ``L0``, ``f0``: sharpness witnesses built by coefficient
   negation, 2z - K-style; their Jacobians restricted to the real axis
-  have closed forms whose smallest positive roots realize the radii
-  computed in the radii module.
+  are rational functions whose smallest positive roots realize the
+  radii computed in the radii module.
 
 Only f0 takes parameters (PARAMETERS names them).  WITNESSES pairs
 each witness with the stock family it is sharp for.  Each map carries
 both a closed-form evaluator and an exact coefficient rule; tests
-reconcile the two.  JacobianProfile wraps the real-axis
-Jacobian closed forms for the root scanner.
+reconcile the two.  A JacobianProfile holds a witness's real-axis
+Jacobian as polynomial factors over a power of (r - 1); those of F0 and
+L0 include their family's S(r) = 1 polynomial (FAMILY_POLYNOMIALS).
 """
 
 import cmath
@@ -24,8 +25,10 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from ._util import check_uniform
-from .coefficients import CoefficientSeq, convex_bounds, koebe_bounds
+import numpy as np
+
+from ._util import check_uniform, horner
+from .coefficients import FAMILY_POLYNOMIALS, CoefficientSeq, convex_bounds, koebe_bounds
 from .maps import HarmonicMap
 
 __all__ = [
@@ -36,9 +39,6 @@ __all__ = [
     "koebe_witness",
     "convex_witness",
     "uniform_witness",
-    "koebe_witness_jacobian",
-    "convex_witness_jacobian",
-    "uniform_witness_jacobian",
     "koebe_witness_profile",
     "convex_witness_profile",
     "uniform_witness_profile",
@@ -168,59 +168,48 @@ def uniform_witness(c: float, b1_abs: float = 0.0) -> HarmonicMap:
 
 # -- closed-form Jacobians on the real axis --------------------------------
 
-def _check_radius(r: float) -> float:
-    r = float(r)
-    if not 0.0 <= r < 1.0:
-        raise ValueError("radius must lie in [0, 1)")
-    return r
-
-
-def koebe_witness_jacobian(r: float) -> float:
-    """J along the real axis for F0, as a ratio of real polynomials.
-
-    The denominator is written -(1-r)^7 to keep its sign explicit.
-    """
-    r = _check_radius(r)
-    p = -1 + 7 * r - 6 * r * r + 2 * r ** 3
-    q = 1 - 10 * r + 11 * r * r - 8 * r ** 3 + 2 * r ** 4
-    return p * q / -((1 - r) ** 7)
-
-
-def convex_witness_jacobian(r: float) -> float:
-    """J along the real axis for L0, in factored form."""
-    r = _check_radius(r)
-    return (2 - (1 + r) / (1 - r) ** 3) * (2 - 1 / (1 - r) ** 2)
-
-
-def uniform_witness_jacobian(r: float, c: float, b1_abs: float = 0.0) -> float:
-    """J along the real axis for f0(c, b1_abs)."""
-    r = _check_radius(r)
-    c, b1_abs = check_uniform(c, b1_abs)
-    return (1 + b1_abs) * (1 + c - b1_abs - c / (1 - r) ** 2)
-
-
 @dataclass(frozen=True)
 class JacobianProfile:
-    """A real-axis Jacobian r -> J(r) on [0, 1), finite away from r=1."""
+    """J(r) = prod(horner(factor, r) for factor in factors) / (r - 1)^pole
+    on the real axis, for a float r in [0, 1) or a numpy array of them.
+    The pole is applied by repeated multiplication, so an array gives bit
+    for bit the values of element-wise float calls."""
 
     label: str
-    evaluator: Callable[[float], float]
+    factors: tuple[tuple[float, ...], ...]
+    pole: int
 
-    def __call__(self, r: float) -> float:
-        return float(self.evaluator(_check_radius(r)))
+    def __call__(self, r):
+        lo, hi = (r.min(), r.max()) if isinstance(r, np.ndarray) else (r, r)
+        if not 0.0 <= lo <= hi < 1.0:
+            raise ValueError("radius must lie in [0, 1)")
+        num = den = 1.0
+        for factor in self.factors:
+            num *= horner(factor, r)
+        d = r - 1.0
+        for _ in range(self.pole):
+            den *= d
+        return num / den
 
 
 def koebe_witness_profile() -> JacobianProfile:
-    return JacobianProfile("F0", koebe_witness_jacobian)
+    """F0: J = convex(r) koebe(r) / (r-1)^7, the two family polynomials."""
+    return JacobianProfile("F0", (FAMILY_POLYNOMIALS["convex"],
+                                  FAMILY_POLYNOMIALS["koebe"]), 7)
 
 
 def convex_witness_profile() -> JacobianProfile:
-    return JacobianProfile("L0", convex_witness_jacobian)
+    """L0: J = convex(r) (2r^2 - 4r + 1) / (r-1)^5; the second root is 1 - 1/sqrt(2)."""
+    return JacobianProfile("L0", (FAMILY_POLYNOMIALS["convex"], (2, -4, 1)), 5)
 
 
 def uniform_witness_profile(c: float, b1_abs: float = 0.0) -> JacobianProfile:
-    c, b1_abs = check_uniform(c, b1_abs)  # validate parameters up front
-    return JacobianProfile("f0", lambda r: uniform_witness_jacobian(r, c, b1_abs))
+    """f0: J = (1 + b1)(k r^2 - 2k r + 1 - b1) / (r-1)^2, k = 1 + c - b1, held
+    halved and doubled (exact in binary) so that -2k cannot overflow."""
+    c, b1_abs = check_uniform(c, b1_abs)
+    k = c + (1.0 - b1_abs)
+    return JacobianProfile("f0", ((2.0 * (1.0 + b1_abs),),
+                                  (k / 2.0, -k, (1.0 - b1_abs) / 2.0)), 2)
 
 
 # -- one-term boundary maps ---------------------------------------------------

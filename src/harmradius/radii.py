@@ -8,26 +8,26 @@ class is the unique crossing point of the increasing function S.
 Closed forms are provided for the three stock families (koebe, convex,
 uniform); bisection handles any BoundFamily or CoefficientSeq.  One
 bracketed solver (bisection closed by a secant step) serves the bisection
-radii, the koebe and convex polynomials and the Jacobian root scan.
-Sharpness of a radius is certified by locating the first zero of a
-witness Jacobian profile and checking its sign pattern.
+radii, the koebe and convex polynomials (FAMILY_POLYNOMIALS, which the
+witness profiles share) and the Jacobian root scan.  Sharpness of a radius
+is certified by locating the first zero of a witness Jacobian and checking
+its sign pattern, each evaluating its whole grid in one call.
 """
 
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import check_beta
+from ._util import check_beta, horner
 from .coefficients import (
+    FAMILY_POLYNOMIALS,
     SERIES_EVAL_MAX,
     BoundFamily,
     CoefficientSeq,
     weighted_sum,
     weighted_sum_limit,
 )
-from .extremals import JacobianProfile
 from .maps import HarmonicMap
 
 __all__ = [
@@ -48,9 +48,6 @@ BISECTION_TOL = 1e-12
 _MAX_ITER = 200
 _SCAN_POINTS = 10000  # jacobian_roots scan density
 _INTERIOR_SAMPLES = 1000  # verify_sharpness samples of J on (0, r)
-# S(r) = 1 cleared of denominators (integer coefficients, highest degree
-# first); each has exactly one root in (0, 1), the family's radius.
-_FAMILY_POLYNOMIALS = {"koebe": (2, -8, 11, -10, 1), "convex": (2, -6, 7, -1)}
 
 
 class NoRadiusError(ValueError):
@@ -172,24 +169,24 @@ def closed_form_radius(family: BoundFamily) -> RadiusReport:
     """The closed-form radius (beta = 0) of a stock bound family.
 
     koebe, convex: the (0, 1) root of the family polynomial, residual
-    |p(r)|.  uniform: r = 1 - sqrt(c/(c+1-|b1|)), residual |S(r) - 1|.
+    |p(r)|.  uniform: r = 1 - sqrt(q) = (1-q)/(1+sqrt(q)), q = c/(c+1-|b1|),
+    residual |S(r) - 1|, saturated (as by bisection) from 1 - 1e-12 on.
     """
     if family.kind == "uniform":
-        r = 1.0 - math.sqrt(family.c / (family.c + 1.0 - family.b1_abs))
-        residual = abs(weighted_sum(family, r) - 1.0)
-    else:
-        coeffs = _FAMILY_POLYNOMIALS[family.kind]
-        p = lambda x: functools.reduce(lambda acc, k: acc * x + k, coeffs, 0.0)
-        r = _solve(p, 0.0, 1.0, p(0.0), p(1.0))[0]
-        residual = abs(p(r))
-    return RadiusReport(r, "closed_form", residual, 1e-9, label=family.kind)
+        gap = 1.0 - family.b1_abs
+        den = family.c + gap
+        r = gap / den / (1.0 + math.sqrt(family.c / den))
+        saturated, r = r >= 1.0 - 1e-12, min(r, 1.0 - 1e-12)
+        return RadiusReport(r, "closed_form", abs(weighted_sum(family, r) - 1.0),
+                            1e-9, saturated=saturated, label=family.kind)
+    p = lambda x: horner(FAMILY_POLYNOMIALS[family.kind], x)
+    r = _solve(p, 0.0, 1.0, p(0.0), p(1.0))[0]
+    return RadiusReport(r, "closed_form", abs(p(r)), 1e-9, label=family.kind)
 
 
-def _as_profile(witness) -> JacobianProfile:
-    """A HarmonicMap's Jacobian restricted to the real axis; profiles pass through."""
-    if isinstance(witness, HarmonicMap):
-        return JacobianProfile(witness.label, witness.jacobian)
-    return witness
+def _jacobian(witness):
+    """A HarmonicMap's Jacobian restricted to the real axis; a profile is one."""
+    return witness.jacobian if isinstance(witness, HarmonicMap) else witness
 
 
 def jacobian_roots(profile, lo: float = 0.0, hi: float = 0.999) -> list[float]:
@@ -201,14 +198,14 @@ def jacobian_roots(profile, lo: float = 0.0, hi: float = 0.999) -> list[float]:
     low-degree rational functions with well-separated roots, so the scan
     density cannot straddle two roots in one cell.
     """
-    profile = _as_profile(profile)
+    jac = _jacobian(profile)
     if not 0.0 <= lo < hi < 1.0:
         raise ValueError("scan interval must satisfy 0 <= lo < hi < 1")
     grid = np.linspace(lo, hi, _SCAN_POINTS)
-    vals = np.array([profile(r) for r in grid])
+    vals = jac(grid)
     cross = (vals[:-1] != 0.0) & ((vals[:-1] < 0.0) != (vals[1:] < 0.0))
     roots = [float(x) for x in grid[vals == 0.0]]
-    roots += [_solve(profile, float(grid[i]), float(grid[i + 1]),
+    roots += [_solve(jac, float(grid[i]), float(grid[i + 1]),
                      float(vals[i]), float(vals[i + 1]))[0]
               for i in np.flatnonzero(cross)]
     return sorted(roots)
@@ -235,15 +232,15 @@ def verify_sharpness(witness, r_claimed: float) -> SharpnessReport:
     axis).  Passes when min J on (0, r_claimed) is positive,
     |J(r_claimed)| <= 1e-9, and J(r_claimed + 1e-3) < 0.
     """
-    witness = _as_profile(witness)
+    jac = _jacobian(witness)
     r = float(r_claimed)
     if not 0.0 < r < 1.0 - 1e-3:
         raise ValueError("claimed radius must lie in (0, 0.999)")
     inner = np.linspace(0.0, r, _INTERIOR_SAMPLES + 2)[1:-1]
-    interior_min = min(witness(float(x)) for x in inner)
-    root_residual = abs(witness(r))
-    exterior_margin = -witness(r + 1e-3)
+    interior_min = float(jac(inner).min())
+    root_residual = abs(jac(r))
+    exterior_margin = -jac(r + 1e-3)
     passed = (interior_min > 0.0 and root_residual <= 1e-9
               and exterior_margin > 0.0)
-    return SharpnessReport(passed, witness.label, r, float(interior_min),
+    return SharpnessReport(passed, witness.label, r, interior_min,
                            float(root_residual), float(exterior_margin))

@@ -21,7 +21,7 @@ from harmradius.extremals import (
     get_extremal,
     koebe_witness_profile,
     one_term_extremal,
-    uniform_witness_jacobian,
+    uniform_witness_profile,
 )
 from harmradius.bloch import bloch_table
 from harmradius.membership import (
@@ -93,8 +93,7 @@ def test_criterion_03_koebe_witness_sign_pattern():
         for got, want in zip(sorted(roots), expected):
             if abs(got - want) > 1e-6:
                 failures.append(f"root {got!r} off {want!r}")
-    samples = np.linspace(0.1140, 0.1638, 100)
-    values = np.array([profile(r) for r in samples])
+    values = profile(np.linspace(0.1140, 0.1638, 100))
     if not np.all(values < 0):
         failures.append(f"Jacobian not negative between the roots: "
                         f"max {values.max():.3e}")
@@ -124,7 +123,7 @@ def test_criterion_05_uniform_family_lattice():
     for c in np.linspace(0.25, 4.0, 10):
         for b1 in np.linspace(0.0, 0.9, 10):
             r_star = uniform_family_radius(c, b1).radius
-            residual = abs(uniform_witness_jacobian(r_star, c, b1))
+            residual = abs(uniform_witness_profile(c, b1)(r_star))
             if residual > 1e-10:
                 failures.append(f"J(c={c:.3g}, b1={b1:.3g}) at radius = "
                                 f"{residual:.3e}")

@@ -118,6 +118,16 @@ def test_phi_psi_domains():
         psi(0.9)
 
 
+def test_table_huge_bounds():
+    # r_S ~ 1/(2c) and R_S ~ r_S/2 for c = 4M/pi; neither cancels nor overflows
+    for row in bloch_table([1e16, 1e200, 1e307]):
+        assert row.r_S == pytest.approx(math.pi / (8.0 * row.M), rel=1e-12)
+        assert row.R_S == pytest.approx(row.r_S / 2.0, rel=1e-12)
+        assert row.phi == pytest.approx(math.pi / (8.0 * math.sqrt(2.0) * row.M),
+                                        rel=1e-12)
+        assert 0.0 < row.psi < row.phi
+
+
 def test_table_rows():
     rows = bloch_table([1.0, 2.0, 3.0])
     assert len(rows) == 3

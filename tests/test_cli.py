@@ -10,6 +10,7 @@ under docs/schemas/.
 import contextlib
 import io
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -609,8 +610,14 @@ NUMBERS = st.sampled_from(["nan", "inf", "-inf", "0", "-0.5", "1e308", "5e-324",
                            "0.05", "0.2", "0.5", "1.5"])
 # small counts, or counts far past every cap (rejected before allocation)
 COUNTS = st.integers(-2, 12) | st.integers(10 ** 7, 10 ** 20)
-MAPS = st.sampled_from(["koebe", "convex_L", "F0", "L0", "f0:1"])
-WITNESS_LABELS = st.sampled_from(["F0", "L0", "f0:1", "f0:2,0.3"])
+# label parameters c or c,b1, drawn from the same hostile numbers
+PARAMS = st.lists(NUMBERS, min_size=1, max_size=2).map(",".join)
+MAPS = st.sampled_from(["koebe", "convex_L", "F0", "L0", "f0:1"]) | PARAMS.map("f0:{}".format)
+WITNESS_LABELS = (st.sampled_from(["F0", "L0", "f0:1", "f0:2,0.3"])
+                  | PARAMS.map("f0:{}".format))
+FAMILIES = st.sampled_from(["koebe", "convex", "uniform:1"]) | PARAMS.map("uniform:{}".format)
+BOUNDS = st.lists(NUMBERS | st.sampled_from(["1e16", "1e200"]), min_size=1,
+                  max_size=3).map(",".join)
 SCHEMA_OF = {"radius": "radius_report", "membership": "membership_report",
              "sharpness": "sharpness_report", "bloch-table": "bloch_table",
              "identities": "identities"}
@@ -646,7 +653,7 @@ def _flags(draw, **flags):
 def cli_argv(draw):
     cmd = draw(st.sampled_from(list(SCHEMA_OF) + ["jacobian-scan"]))
     if cmd == "radius":
-        subject = draw(st.sampled_from(["koebe", "convex", "uniform:1", None]))
+        subject = draw(FAMILIES | st.none())
         argv = ["--family", subject] if subject else ["--seq", SEQ]
         return [cmd, *argv, *_flags(draw, beta=NUMBERS,
                                     method=st.sampled_from(["auto", "bisect", "closed"]))]
@@ -663,10 +670,23 @@ def cli_argv(draw):
         return [cmd, "--witness", draw(WITNESS_LABELS),
                 *_flags(draw, lo=NUMBERS, hi=NUMBERS, steps=COUNTS)]
     if cmd == "bloch-table":
-        return [cmd, *_flags(draw, M=NUMBERS), *draw(st.sampled_from([[], ["--csv"]]))]
+        return [cmd, *_flags(draw, M=BOUNDS), *draw(st.sampled_from([[], ["--csv"]]))]
     if cmd == "sharpness":
         return [cmd, "--witness", draw(WITNESS_LABELS), *_flags(draw, radius=NUMBERS)]
     return [cmd, *_flags(draw, r=NUMBERS)]
+
+
+def _must_answer(argv) -> bool:
+    """Whether a parsed argv has an answer by the mathematics: a stock family
+    at beta 0 always has a radius in (0, 1), and bloch-table has a row for
+    every bound M >= pi/4 whose 8M/pi is finite."""
+    if argv[0] == "radius":
+        return "--family" in argv and "--beta" not in argv
+    if argv[0] == "bloch-table":
+        bounds = argv[argv.index("--M") + 1].split(",") if "--M" in argv else []
+        return all(float(m) >= math.pi / 4 and math.isfinite(8 * float(m) / math.pi)
+                   for m in bounds)
+    return False
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy overflow notes on stderr
@@ -677,6 +697,9 @@ def cli_argv(draw):
 @example(argv=HUGE_GRID, doc=HUGE_INDEX)
 @example(argv=["membership", "--check", "coeff", "--seq", SEQ], doc=HUGE_INDEX)
 @example(argv=["bloch-table", "--M", "1e308"], doc=HUGE_INDEX)
+@example(argv=["bloch-table", "--M", "1e16"], doc=HUGE_INDEX)
+@example(argv=["radius", "--family", "uniform:1e308"], doc=HUGE_INDEX)
+@example(argv=["radius", "--family", "uniform:5e-324"], doc=HUGE_INDEX)
 def test_cli_boundary_answers_or_fails_structured(tmp_path_factory, argv, doc):
     check(doc, "coefficient_seq.schema.json")
     path = tmp_path_factory.getbasetemp() / "drawn_seq.json"
@@ -690,6 +713,8 @@ def test_cli_boundary_answers_or_fails_structured(tmp_path_factory, argv, doc):
             code = exc.code
     out = out.getvalue()
     assert code in (0, 1, 2, 3)
+    if code != 1 and _must_answer(argv):
+        assert code == 0, out
     if code in (1, 3):
         assert out == ""
     elif code == 2:

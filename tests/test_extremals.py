@@ -9,6 +9,7 @@ import pytest
 from harmradius import (
     CONVEX_EXTREMAL_CONVEXITY_RADIUS,
     EXTREMALS,
+    FAMILY_POLYNOMIALS,
     PARAMETERS,
     WITNESSES,
     BoundFamily,
@@ -16,18 +17,16 @@ from harmradius import (
     convex_extremal,
     convex_family_radius,
     convex_witness,
-    convex_witness_jacobian,
     convex_witness_profile,
     get_extremal,
     harmonic_koebe,
+    jacobian_roots,
     koebe_witness,
-    koebe_witness_jacobian,
     koebe_witness_profile,
     one_term_extremal,
     power_sums,
     uniform_family_radius,
     uniform_witness,
-    uniform_witness_jacobian,
     uniform_witness_profile,
     verify_sharpness,
 )
@@ -128,75 +127,86 @@ def test_convexity_radius_constant():
                                                              abs=1e-16)
 
 
-# -- witness Jacobian closed forms ----------------------------------------------
+# -- witness Jacobians (profiles) -------------------------------------------------
 
 def test_koebe_witness_jacobian_normalization():
-    assert koebe_witness_jacobian(0.0) == pytest.approx(1.0, abs=1e-15)
+    assert koebe_witness_profile()(0.0) == pytest.approx(1.0, abs=1e-15)
 
 
 def test_koebe_witness_jacobian_matches_map():
-    F0 = koebe_witness()
+    F0, profile = koebe_witness(), koebe_witness_profile()
     for r in (0.05, 0.14, 0.2, 0.4):
-        assert koebe_witness_jacobian(r) == pytest.approx(F0.jacobian(r), abs=1e-9)
-    assert koebe_witness_jacobian(0.14) < 0
+        assert profile(r) == pytest.approx(F0.jacobian(r), abs=1e-9)
+    assert profile(0.14) < 0
 
 
 def test_koebe_witness_jacobian_factored_identity():
     # the polynomial-quotient form equals (1 - S(r)) (2 - (1+r)/(1-r)^3)
     # where S is the koebe-family weighted sum
+    profile = koebe_witness_profile()
     for r in np.linspace(0.01, 0.9, 50):
         t1 = 1.0 / (1 - r) ** 2
         t3 = (1 + 4 * r + r * r) / (1 - r) ** 4
         s = (2 * (t3 - 1) + (t1 - 1)) / 3
         expected = (1 - s) * (2 - (1 + r) / (1 - r) ** 3)
-        assert koebe_witness_jacobian(r) == pytest.approx(expected, rel=1e-12,
-                                                          abs=1e-12)
+        assert profile(r) == pytest.approx(expected, rel=1e-12, abs=1e-12)
 
 
 def test_koebe_witness_sign_pattern():
+    profile = koebe_witness_profile()
     lo, hi = 0.112903, 0.164878
-    for r in np.linspace(0.01, lo - 1e-3, 100):
-        assert koebe_witness_jacobian(r) > 0
-    for r in np.linspace(lo + 1e-3, hi - 1e-3, 100):
-        assert koebe_witness_jacobian(r) < 0
+    assert np.all(profile(np.linspace(0.01, lo - 1e-3, 100)) > 0)
+    assert np.all(profile(np.linspace(lo + 1e-3, hi - 1e-3, 100)) < 0)
 
 
 def test_convex_witness_jacobian_roots_exact():
+    profile = convex_witness_profile()
     r1 = convex_family_radius().radius
-    assert abs(convex_witness_jacobian(r1)) < 1e-12
+    assert abs(profile(r1)) < 1e-12
     r2 = (2 - math.sqrt(2)) / 2
-    assert abs(convex_witness_jacobian(r2)) < 1e-12
+    assert abs(profile(r2)) < 1e-12
+
+
+def test_convex_witness_jacobian_factored_form():
+    # (2 - (1+r)/(1-r)^3)(2 - 1/(1-r)^2), the product of the two
+    # dilated-derivative brackets of L0
+    profile = convex_witness_profile()
+    for r in np.linspace(0.001, 0.9, 80):
+        expected = (2 - (1 + r) / (1 - r) ** 3) * (2 - 1 / (1 - r) ** 2)
+        assert profile(r) == pytest.approx(expected, rel=1e-12, abs=1e-12)
 
 
 def test_convex_witness_jacobian_expanded_form():
     # factored vs expanded: (2(1-r)^3-(1+r)) * 2(r-1-s)(r-1+s) / (1-r)^5,
     # s = sqrt(2)/2
+    profile = convex_witness_profile()
     s = math.sqrt(2) / 2
     for r in np.linspace(0.001, 0.9, 80):
         num = (2 * (1 - r) ** 3 - (1 + r)) * 2 * (r - 1 - s) * (r - 1 + s)
         expected = num / (1 - r) ** 5
-        assert convex_witness_jacobian(r) == pytest.approx(expected, rel=1e-12,
-                                                           abs=1e-12)
+        assert profile(r) == pytest.approx(expected, rel=1e-12, abs=1e-12)
 
 
 def test_convex_witness_jacobian_matches_map():
-    L0 = convex_witness()
+    L0, profile = convex_witness(), convex_witness_profile()
     for r in (0.05, 0.2, 0.31):
-        assert convex_witness_jacobian(r) == pytest.approx(L0.jacobian(r), abs=1e-9)
+        assert profile(r) == pytest.approx(L0.jacobian(r), abs=1e-9)
 
 
 def test_uniform_witness_jacobian_vanishes_at_radius():
     for c in (0.25, 1.0, 2.5, 4.0):
         for b1 in (0.0, 0.3, 0.9):
             r = uniform_family_radius(c, b1).radius
-            assert abs(uniform_witness_jacobian(r, c, b1)) < 1e-10
+            assert abs(uniform_witness_profile(c, b1)(r)) < 1e-10
 
 
 def test_uniform_witness_jacobian_matches_map():
-    f0 = uniform_witness(1.5, 0.25)
+    f0, profile = uniform_witness(1.5, 0.25), uniform_witness_profile(1.5, 0.25)
     for r in (0.1, 0.3, 0.6):
-        assert uniform_witness_jacobian(r, 1.5, 0.25) == pytest.approx(
-            f0.jacobian(r), abs=1e-9)
+        assert profile(r) == pytest.approx(f0.jacobian(r), abs=1e-9)
+        # the unexpanded form (1 + b1)(1 + c - b1 - c/(1-r)^2)
+        assert profile(r) == pytest.approx(
+            1.25 * (2.25 - 1.5 / (1 - r) ** 2), rel=1e-12, abs=1e-12)
 
 
 def test_profiles_normalize_at_zero():
@@ -207,10 +217,42 @@ def test_profiles_normalize_at_zero():
 
 
 def test_profile_domain_check():
+    profile = koebe_witness_profile()
+    for bad in (1.0, -0.1, math.nan, np.array([0.5, 1.0]), np.array([-0.1, 0.5])):
+        with pytest.raises(ValueError, match=r"\[0, 1\)"):
+            profile(bad)
     with pytest.raises(ValueError):
-        koebe_witness_profile()(1.0)
-    with pytest.raises(ValueError):
-        uniform_witness_jacobian(0.5, -1.0)
+        uniform_witness_profile(-1.0)
+
+
+ALL_PROFILES = [koebe_witness_profile(), convex_witness_profile(),
+                uniform_witness_profile(2.0, 0.3)]
+
+
+@pytest.mark.parametrize("profile", ALL_PROFILES, ids=lambda p: p.label)
+def test_profile_array_call_is_bitwise_elementwise(profile):
+    # the grid jacobian_roots scans by default, and the witness radii
+    for grid in (np.linspace(0.0, 0.999, 10000), np.linspace(0.0, 0.3, 1002)):
+        values = profile(grid)
+        assert values.dtype == np.float64 and values.shape == grid.shape
+        scalar = np.array([profile(float(r)) for r in grid])
+        assert np.array_equal(values, scalar)
+
+
+def test_profiles_carry_their_family_polynomial():
+    for label, (kind, factory) in WITNESSES.items():
+        profile = factory() if label not in PARAMETERS else factory(1.0)
+        if kind in FAMILY_POLYNOMIALS:
+            assert FAMILY_POLYNOMIALS[kind] in profile.factors
+        assert profile.label == label
+
+
+@pytest.mark.parametrize("label", ["F0", "L0"])
+def test_profile_vanishes_exactly_at_family_radius(label):
+    kind, factory = WITNESSES[label]
+    radius = closed_form_radius(BoundFamily(kind)).radius
+    assert verify_sharpness(factory(), radius).root_residual == 0.0
+    assert jacobian_roots(factory(), 0.0, 0.25)[0] == pytest.approx(radius, abs=1e-12)
 
 
 # -- power-sum closed forms ---------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import math
 import sys
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
@@ -106,6 +107,34 @@ def test_uniform_radius_monotone():
 def test_uniform_radius_limit_b1_to_one():
     assert uniform_family_radius(2.0, 1 - 1e-12).radius == pytest.approx(0.0,
                                                                          abs=1e-6)
+
+
+@pytest.mark.parametrize("b1", [0.0, 0.3, 0.999])
+def test_uniform_radius_has_no_cancellation(b1):
+    # 1 - sqrt(c/(c+1-b1)) in 700-digit decimal arithmetic, from c where the
+    # radius nears 1 to c where it is still a normal double, near 1e-304
+    for c in np.geomspace(1e-15, 1e300, 200):
+        rep = uniform_family_radius(c, b1)
+        with localcontext() as ctx:
+            ctx.prec = 700
+            C, B = Decimal(float(c)), Decimal(b1)
+            ref = 1 - (C / (C + 1 - B)).sqrt()
+            assert abs(Decimal(rep.radius) / ref - 1) <= Decimal("1e-15"), c
+        assert 0.0 < rep.radius < 1.0 and not rep.saturated
+        if c >= 1e-6:
+            assert rep.residual <= rep.tolerance, c
+
+
+def test_uniform_radius_saturates_like_bisection():
+    # the radius of a tiny c rounds to 1 (or prints as 1 at 12 digits)
+    for c in (5e-324, 1e-30):
+        closed = uniform_family_radius(c)
+        bisected = radius_by_bisection(BoundFamily.uniform(c))
+        assert closed.saturated and bisected.saturated
+        assert closed.radius == bisected.radius == 1.0 - 1e-12
+    huge = uniform_family_radius(1e308)
+    assert huge.radius == pytest.approx(5e-309, rel=1e-12)
+    assert huge.residual <= huge.tolerance
 
 
 def test_uniform_radius_validation():
