@@ -8,7 +8,15 @@ checks shared by several modules raise ValueError with one message each.
 import math
 import operator
 
-__all__ = ["fmt12", "round12", "horner", "check_index", "check_beta", "check_uniform"]
+__all__ = ["UnsupportedOperation", "fmt12", "round12", "horner", "check_index", "check_beta",
+           "check_uniform"]
+
+
+class UnsupportedOperation(RuntimeError):
+    """Raised when an operation needs a backing the map does not have.
+
+    Defined here, and re-exported by maps, so the CLI can catch it without
+    importing numpy."""
 
 
 def fmt12(x: float) -> str:

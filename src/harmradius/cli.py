@@ -7,7 +7,12 @@ switch to CSV with --csv (bloch-table) or are CSV-only (jacobian-scan).
 All floats are printed with 12 significant digits and identical
 invocations produce identical bytes.
 
-Exit codes: 0 success, 1 usage, 2 no-radius or domain failure, 3 I/O.
+Exit codes: 0 success, 1 usage, 2 no-radius, domain or out-of-memory
+failure, 3 I/O.
+
+Only membership (through maps and membership) and sharpness (through
+radii.verify_sharpness) import numpy; the other subcommands run on the
+standard library alone.
 """
 
 import argparse
@@ -15,18 +20,9 @@ import json
 import sys
 from dataclasses import asdict, is_dataclass
 
-from ._util import round12, fmt12
+from ._util import UnsupportedOperation, round12, fmt12
 from .coefficients import BoundFamily, load_sequence, power_sums
-from .maps import HarmonicMap, UnsupportedOperation
 from .extremals import EXTREMALS, PARAMETERS, WITNESSES, get_extremal
-from .membership import (
-    GridSpec,
-    coeff_condition,
-    coefficient_growth_check,
-    c_h2_numeric,
-    starlike_scan,
-    injectivity_oracle,
-)
 from .radii import (
     NoRadiusError,
     closed_form_radius,
@@ -123,6 +119,10 @@ def _cmd_radius(args) -> int:
 
 
 def _cmd_membership(args) -> int:
+    from .maps import HarmonicMap
+    from .membership import (GridSpec, c_h2_numeric, coeff_condition,
+                             coefficient_growth_check, injectivity_oracle, starlike_scan)
+
     if (args.map is None) == (args.seq is None):
         raise UsageError("exactly one of --map/--seq is required")
     if args.seq is not None:
@@ -292,6 +292,9 @@ def main(argv=None) -> int:
         return 2
     except (ValueError, ArithmeticError, UnsupportedOperation) as exc:
         _emit({"error": str(exc), "kind": "domain"})
+        return 2
+    except MemoryError as exc:
+        _emit({"error": str(exc) or "out of memory", "kind": "memory"})
         return 2
     except OSError as exc:
         sys.stderr.write(f"{parser.prog}: i/o error: {exc}\n")

@@ -18,18 +18,23 @@ both a closed-form evaluator and an exact coefficient rule; tests
 reconcile the two.  A JacobianProfile holds a witness's real-axis
 Jacobian as polynomial factors over a power of (r - 1); those of F0 and
 L0 include their family's S(r) = 1 polynomial (FAMILY_POLYNOMIALS).
+
+The map factories import maps (and with it numpy) when called; the label
+tables and the profiles need neither.
 """
+
+from __future__ import annotations
 
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Callable
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable
 
 from ._util import check_uniform, horner
 from .coefficients import FAMILY_POLYNOMIALS, CoefficientSeq, convex_bounds, koebe_bounds
-from .maps import HarmonicMap
+
+if TYPE_CHECKING:
+    from .maps import HarmonicMap
 
 __all__ = [
     "CONVEX_EXTREMAL_CONVEXITY_RADIUS",
@@ -73,6 +78,8 @@ def _koebe_dg(z):
 
 def harmonic_koebe() -> HarmonicMap:
     """The harmonic Koebe function; dilatation g'/h' = z."""
+    from .maps import HarmonicMap
+
     return HarmonicMap.from_closed_form(
         "koebe", _koebe_h, _koebe_g, _koebe_dh, _koebe_dg, koebe_bounds
     )
@@ -101,6 +108,8 @@ def _convex_coeff(n: int):
 
 def convex_extremal() -> HarmonicMap:
     """The convex extremal map L; h + g = z/(1-z), h - g = z/(1-z)^2."""
+    from .maps import HarmonicMap
+
     return HarmonicMap.from_closed_form(
         "convex_L", _convex_h, _convex_g, _convex_dh, _convex_dg, _convex_coeff
     )
@@ -111,6 +120,7 @@ def convex_extremal() -> HarmonicMap:
 def _negated_witness(label: str, h, g, dh, dg, coeff) -> HarmonicMap:
     """(2z - h) - conj(g): the base map h + conj(g) with every coefficient
     past a_1 = 1 negated (and b_1 = 0)."""
+    from .maps import HarmonicMap
 
     def witness_coeff(n: int):
         if n == 1:
@@ -146,6 +156,8 @@ def uniform_witness(c: float, b1_abs: float = 0.0) -> HarmonicMap:
     h(z) = z - (c/2) z^2/(1-z), g(z) = -b1_abs z - (c/2) z^2/(1-z), so
     a_n = b_n = -c/2 for n >= 2 and g'(0) = -b1_abs.
     """
+    from .maps import HarmonicMap
+
     c, b1 = check_uniform(c, b1_abs)
     tail = lambda z: (c / 2) * z * z / (1 - z)
     # d/dz [z^2/(1-z)] = 1/(1-z)^2 - 1
@@ -180,7 +192,7 @@ class JacobianProfile:
     pole: int
 
     def __call__(self, r):
-        lo, hi = (r.min(), r.max()) if isinstance(r, np.ndarray) else (r, r)
+        lo, hi = (r.min(), r.max()) if hasattr(r, "min") else (r, r)
         if not 0.0 <= lo <= hi < 1.0:
             raise ValueError("radius must lie in [0, 1)")
         num = den = 1.0
@@ -220,6 +232,8 @@ def one_term_extremal(n: int, theta: float = 0.0, anti: bool = False) -> Harmoni
     These sit exactly on the boundary of the coefficient conditions:
     the weight n cancels the modulus 1/n.
     """
+    from .maps import HarmonicMap
+
     n = int(n)
     if n < 2:
         raise ValueError("one-term index must be >= 2")

@@ -19,7 +19,7 @@ from typing import Callable
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from ._util import check_index
+from ._util import UnsupportedOperation, check_index
 from .coefficients import SERIES_EVAL_MAX, CoefficientSeq
 
 __all__ = [
@@ -36,10 +36,6 @@ _MAX_SERIES_DEGREE = 10_000  # highest stored index a series map is compiled to
 
 class EvaluationDomainError(ValueError):
     """Raised when an evaluation point falls outside the trusted domain."""
-
-
-class UnsupportedOperation(RuntimeError):
-    """Raised when an operation needs a backing the map does not have."""
 
 
 @dataclass(frozen=True)

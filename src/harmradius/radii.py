@@ -11,13 +11,12 @@ bracketed solver (bisection closed by a secant step) serves the bisection
 radii, the koebe and convex polynomials (FAMILY_POLYNOMIALS, which the
 witness profiles share) and the Jacobian root scan.  Sharpness of a radius
 is certified by locating the first zero of a witness Jacobian and checking
-its sign pattern, each evaluating its whole grid in one call.
+its sign pattern, each evaluating its whole grid in one call; those two
+import numpy when called, so the radii themselves need no numpy.
 """
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from ._util import check_beta, horner
 from .coefficients import (
@@ -28,7 +27,6 @@ from .coefficients import (
     weighted_sum,
     weighted_sum_limit,
 )
-from .maps import HarmonicMap
 
 __all__ = [
     "BISECTION_TOL",
@@ -171,22 +169,28 @@ def closed_form_radius(family: BoundFamily) -> RadiusReport:
     koebe, convex: the (0, 1) root of the family polynomial, residual
     |p(r)|.  uniform: r = 1 - sqrt(q) = (1-q)/(1+sqrt(q)), q = c/(c+1-|b1|),
     residual |S(r) - 1|, saturated (as by bisection) from 1 - 1e-12 on.
+    The tolerance is 1e-9, or for uniform the change of S over one ulp of
+    r, S'(r) ulp(r) with S'(r) = 2c/(1-r)^3, where that is larger (small c).
     """
     if family.kind == "uniform":
         gap = 1.0 - family.b1_abs
         den = family.c + gap
-        r = gap / den / (1.0 + math.sqrt(family.c / den))
+        s = math.sqrt(family.c / den)
+        # 1 - s has one rounding but cancels as s nears 1; (1-q)/(1+s) does not
+        r = 1.0 - s if s < 0.5 else gap / den / (1.0 + s)
         saturated, r = r >= 1.0 - 1e-12, min(r, 1.0 - 1e-12)
+        tolerance = max(1e-9, 2.0 * (family.c * math.ulp(r)) / (1.0 - r) ** 3)
         return RadiusReport(r, "closed_form", abs(weighted_sum(family, r) - 1.0),
-                            1e-9, saturated=saturated, label=family.kind)
+                            tolerance, saturated=saturated, label=family.kind)
     p = lambda x: horner(FAMILY_POLYNOMIALS[family.kind], x)
     r = _solve(p, 0.0, 1.0, p(0.0), p(1.0))[0]
     return RadiusReport(r, "closed_form", abs(p(r)), 1e-9, label=family.kind)
 
 
 def _jacobian(witness):
-    """A HarmonicMap's Jacobian restricted to the real axis; a profile is one."""
-    return witness.jacobian if isinstance(witness, HarmonicMap) else witness
+    """A HarmonicMap's Jacobian (its jacobian method) restricted to the real
+    axis; a profile, which has no such method, is one."""
+    return getattr(witness, "jacobian", witness)
 
 
 def jacobian_roots(profile, lo: float = 0.0, hi: float = 0.999) -> list[float]:
@@ -198,6 +202,8 @@ def jacobian_roots(profile, lo: float = 0.0, hi: float = 0.999) -> list[float]:
     low-degree rational functions with well-separated roots, so the scan
     density cannot straddle two roots in one cell.
     """
+    import numpy as np
+
     jac = _jacobian(profile)
     if not 0.0 <= lo < hi < 1.0:
         raise ValueError("scan interval must satisfy 0 <= lo < hi < 1")
@@ -232,6 +238,8 @@ def verify_sharpness(witness, r_claimed: float) -> SharpnessReport:
     axis).  Passes when min J on (0, r_claimed) is positive,
     |J(r_claimed)| <= 1e-9, and J(r_claimed + 1e-3) < 0.
     """
+    import numpy as np
+
     jac = _jacobian(witness)
     r = float(r_claimed)
     if not 0.0 < r < 1.0 - 1e-3:

@@ -112,6 +112,19 @@ def test_radius_from_sequence_file(capsys, tmp_path):
     assert doc["beta"] == 0.5
 
 
+def test_out_of_memory_is_exit_2(capsys, monkeypatch):
+    import harmradius.cli as cli
+
+    def exhausted(args):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "_cmd_identities", exhausted)
+    code, doc, _ = run_json(capsys, "identities")
+    assert code == 2
+    assert doc == {"error": "out of memory", "kind": "memory"}
+    check(doc, "error.schema.json")
+
+
 def test_radius_no_radius_is_exit_2(capsys, tmp_path):
     path = seq_file(tmp_path, CoefficientSeq({}, {1: 0.9}, 1))
     code, doc, _ = run_json(capsys, "radius", "--seq", path, "--beta", "0.5")
@@ -602,6 +615,40 @@ def test_fresh_process_loads_scipy_only_for_injectivity():
     doc = json.loads(proc.stdout)
     assert doc["before"] == []
     assert "scipy.spatial" in doc["after"]
+
+
+# the scalar subcommands, and jacobian-scan's float profile calls, run on the
+# standard library: a fresh process loads numpy only for the grids of
+# sharpness and membership
+SCALAR_PROCESS = """
+import contextlib, io, sys
+import harmradius, harmradius.cli
+
+def run(*argv):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert harmradius.cli.main(list(argv)) == 0, argv
+
+assert "numpy" not in sys.modules, "import harmradius loaded numpy"
+run("radius", "--family", "uniform:2,0.3")
+run("radius", "--family", "koebe", "--method", "bisect", "--beta", "0.2")
+run("radius", "--seq", sys.argv[1])
+run("bloch-table")
+run("identities")
+run("list-extremals")
+run("jacobian-scan", "--witness", "f0:2,0.3", "--steps", "5")
+assert "numpy" not in sys.modules, "a scalar subcommand loaded numpy"
+run("sharpness", "--witness", "F0")
+assert "numpy" in sys.modules
+"""
+
+
+def test_fresh_process_loads_numpy_only_for_numeric_subcommands():
+    root = Path(__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, "-c", SCALAR_PROCESS,
+                           str(root / "tests" / "golden" / "tailed_seq.json")],
+                          capture_output=True, text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": str(root / "src")})
+    assert proc.returncode == 0, proc.stderr
 
 
 # -- the CLI boundary under arbitrary flags ------------------------------------

@@ -125,6 +125,20 @@ def test_uniform_radius_has_no_cancellation(b1):
             assert rep.residual <= rep.tolerance, c
 
 
+@pytest.mark.parametrize("b1", [0.0, 0.3, 0.999])
+def test_uniform_tolerance_covers_one_ulp_of_the_radius(b1):
+    # for small c, S'(r) = 2c/(1-r)^3 is so steep that one ulp of r moves S
+    # past 1e-9; a saturated report has S <= 1 up to r = 1 - 1e-12 instead
+    for c in np.geomspace(1e-320, 1e308, 400):
+        rep = uniform_family_radius(c, b1)
+        if rep.saturated:
+            assert weighted_sum(BoundFamily.uniform(c, b1), rep.radius) <= 1.0, c
+        else:
+            assert rep.residual <= rep.tolerance, c
+    assert uniform_family_radius(1e-20).tolerance > 1e-9
+    assert uniform_family_radius(1.0).tolerance == 1e-9
+
+
 def test_uniform_radius_saturates_like_bisection():
     # the radius of a tiny c rounds to 1 (or prints as 1 at 12 digits)
     for c in (5e-324, 1e-30):
