@@ -3,13 +3,15 @@
 Output formatting: all user-facing floats use 12 significant digits,
 below the tolerance floors and above printed-table precision.  Parameter
 checks shared by several modules raise ValueError with one message each.
+The package's records (specs and reports) are immutable namedtuples.
 """
 
 import math
 import operator
+from collections import namedtuple
 
-__all__ = ["UnsupportedOperation", "fmt12", "round12", "horner", "check_index", "check_beta",
-           "check_uniform"]
+__all__ = ["UnsupportedOperation", "record", "fmt12", "round12", "horner", "check_index",
+           "check_beta", "check_uniform"]
 
 
 class UnsupportedOperation(RuntimeError):
@@ -17,6 +19,15 @@ class UnsupportedOperation(RuntimeError):
 
     Defined here, and re-exported by maps, so the CLI can catch it without
     importing numpy."""
+
+
+def record(name: str, fields: str, defaults=()):
+    """The namedtuple base of an immutable record.  A record class subclasses
+    it with __slots__ = () and checks its fields in __new__; _make, and so
+    _replace, build through that __new__ too."""
+    base = namedtuple(name, fields, defaults=defaults)
+    base._make = classmethod(lambda cls, values: cls(*values))
+    return base
 
 
 def fmt12(x: float) -> str:

@@ -12,9 +12,8 @@ norms impossible.
 """
 
 import math
-from dataclasses import asdict, dataclass
 
-from ._util import fmt12
+from ._util import fmt12, record
 from .radii import uniform_family_radius
 
 __all__ = [
@@ -102,28 +101,24 @@ def psi(x: float) -> float:
     return bracket / math.sqrt(2.0)
 
 
-@dataclass(frozen=True)
-class BlochRow:
+class BlochRow(record("BlochRow", "M c r_S R_S phi psi")):
     """One table row: sup-norm bound M, coefficient bound c = 4M/pi, the
     two radii of this work, and the comparison values phi, psi at 8M/pi."""
 
-    M: float
-    c: float
-    r_S: float
-    R_S: float
-    phi: float
-    psi: float
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.c < 1.0:
             raise ValueError("coefficient bound c must be >= 1")
         if not 0.0 < self.r_S < 1.0:
             raise ValueError("r_S must lie in (0, 1)")
         if not 0.0 < self.R_S < self.r_S:
             raise ValueError("R_S must lie in (0, r_S)")
+        return self
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return self._asdict()
 
 
 def bloch_table(Ms) -> list[BlochRow]:

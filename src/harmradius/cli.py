@@ -18,7 +18,6 @@ standard library alone.
 import argparse
 import json
 import sys
-from dataclasses import asdict, is_dataclass
 
 from ._util import UnsupportedOperation, round12, fmt12
 from .coefficients import BoundFamily, load_sequence, power_sums
@@ -44,10 +43,10 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _round_tree(x):
-    """JSON-ready data: a report dataclass becomes the dict of its fields,
-    a complex number [re, im], a tuple a list, a float 12 digits."""
-    if is_dataclass(x):
-        return _round_tree(asdict(x))
+    """JSON-ready data: a report record becomes the dict of its fields,
+    a complex number [re, im], another tuple a list, a float 12 digits."""
+    if hasattr(x, "_asdict"):  # before the tuple branch: records are tuples
+        return _round_tree(x._asdict())
     if isinstance(x, complex):
         return [round12(x.real), round12(x.imag)]
     if isinstance(x, float):
@@ -148,7 +147,7 @@ def _cmd_membership(args) -> int:
         report = starlike_scan(subject, args.r, grid)
     else:
         report = injectivity_oracle(subject, args.r, args.resolution)
-    _emit({"check": check, "subject": subject.label} | asdict(report))
+    _emit({"check": check, "subject": subject.label} | report._asdict())
     return 0
 
 

@@ -19,9 +19,8 @@ Bound families are always summed in closed form, never by truncation.
 
 import json
 import math
-from dataclasses import dataclass, field
 
-from ._util import check_index, check_uniform
+from ._util import check_index, check_uniform, record
 
 __all__ = [
     "SERIES_EVAL_MAX",
@@ -48,22 +47,21 @@ __all__ = [
 SERIES_EVAL_MAX = 0.999
 
 
-@dataclass(frozen=True)
-class TailBound:
+class TailBound(record("TailBound", "degree constant")):
     """Bound |a_n| + |b_n| <= constant * n**degree for all n past the truncation."""
 
-    degree: float
-    constant: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not math.isfinite(self.degree):
             raise ValueError("tail degree must be finite")
         if not (math.isfinite(self.constant) and self.constant >= 0.0):
             raise ValueError("tail constant must be finite and nonnegative")
+        return self
 
 
-@dataclass(frozen=True)
-class CoefficientSeq:
+class CoefficientSeq(record("CoefficientSeq", "a b truncation tail")):
     """Explicit coefficients of a harmonic map, sparse by index.
 
     Args:
@@ -73,33 +71,33 @@ class CoefficientSeq:
             exactly zero (tail is None) or bounded by the attached TailBound.
         tail: optional polynomial tail bound for the unstored indices.
 
-    The sequence is immutable after construction.  |b_1| < 1 is enforced
+    The sequence is immutable after construction: a and b are stored as
+    fresh dicts of int -> complex, sorted by index.  |b_1| < 1 is enforced
     here because every downstream class check requires it.
     """
 
-    a: dict[int, complex] = field(default_factory=dict)
-    b: dict[int, complex] = field(default_factory=dict)
-    truncation: int = 1
-    tail: TailBound | None = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.truncation < 1:
+    def __new__(cls, a=None, b=None, truncation=1, tail=None):
+        if truncation < 1:
             raise ValueError("truncation must be >= 1")
-        for what, low in (("a", 2), ("b", 1)):
+        stored = []
+        for what, low, given in (("a", 2, a), ("b", 1, b)):
             checked = {}
-            for n, v in getattr(self, what).items():
+            for n, v in (given or {}).items():
                 n = check_index(n, low, what)
-                if n > self.truncation:
-                    raise ValueError(
-                        f"{what} index {n} exceeds truncation {self.truncation}")
+                if n > truncation:
+                    raise ValueError(f"{what} index {n} exceeds truncation {truncation}")
                 v = complex(v)
                 # S(r) weighs v by n, so n*|v| must be finite as well as v
                 if not math.isfinite(n * abs(v)):
                     raise ValueError(f"{what}[{n}]: n*|{what}_n| is not finite")
                 checked[n] = v
-            object.__setattr__(self, what, dict(sorted(checked.items())))
+            stored.append(dict(sorted(checked.items())))
+        self = super().__new__(cls, *stored, truncation, tail)
         if abs(self.b1) >= 1.0:
             raise ValueError("|b_1| must be < 1 (sense-preserving normalization)")
+        return self
 
     @property
     def b1(self) -> complex:
@@ -139,8 +137,7 @@ def convex_bounds(n: int) -> tuple[float, float]:
     return (n + 1) / 2.0, (n - 1) / 2.0
 
 
-@dataclass(frozen=True)
-class BoundFamily:
+class BoundFamily(record("BoundFamily", "kind c b1_abs", (None, 0.0))):
     """A family of harmonic maps defined by per-index coefficient bounds.
 
     kind is one of "koebe", "convex", "uniform".  Only the uniform family
@@ -148,11 +145,10 @@ class BoundFamily:
     and b1_abs = |b_1| (default 0).  Koebe and convex take none (b_1 = 0).
     """
 
-    kind: str
-    c: float | None = None
-    b1_abs: float = 0.0
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.kind not in ("koebe", "convex", "uniform"):
             raise ValueError(f"unknown family kind {self.kind!r}")
         if self.kind == "uniform":
@@ -161,6 +157,7 @@ class BoundFamily:
             check_uniform(self.c, self.b1_abs)
         elif self.c is not None or self.b1_abs != 0.0:
             raise ValueError(f"family {self.kind!r} takes no parameters")
+        return self
 
     @classmethod
     def koebe(cls) -> "BoundFamily":

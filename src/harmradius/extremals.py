@@ -27,13 +27,14 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable
 
-from ._util import check_uniform, horner
+from ._util import check_uniform, horner, record
 from .coefficients import FAMILY_POLYNOMIALS, CoefficientSeq, convex_bounds, koebe_bounds
 
+TYPE_CHECKING = False  # typing.TYPE_CHECKING, without importing typing
 if TYPE_CHECKING:
+    from collections.abc import Callable
+
     from .maps import HarmonicMap
 
 __all__ = [
@@ -180,16 +181,14 @@ def uniform_witness(c: float, b1_abs: float = 0.0) -> HarmonicMap:
 
 # -- closed-form Jacobians on the real axis --------------------------------
 
-@dataclass(frozen=True)
-class JacobianProfile:
+class JacobianProfile(record("JacobianProfile", "label factors pole")):
     """J(r) = prod(horner(factor, r) for factor in factors) / (r - 1)^pole
     on the real axis, for a float r in [0, 1) or a numpy array of them.
-    The pole is applied by repeated multiplication, so an array gives bit
-    for bit the values of element-wise float calls."""
+    factors is a tuple of coefficient tuples, highest degree first.  The
+    pole is applied by repeated multiplication, so an array gives bit for
+    bit the values of element-wise float calls."""
 
-    label: str
-    factors: tuple[tuple[float, ...], ...]
-    pole: int
+    __slots__ = ()
 
     def __call__(self, r):
         lo, hi = (r.min(), r.max()) if hasattr(r, "min") else (r, r)

@@ -13,13 +13,11 @@ immutable once constructed.
 
 import functools
 import math
-from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from ._util import UnsupportedOperation, check_index
+from ._util import UnsupportedOperation, check_index, record
 from .coefficients import SERIES_EVAL_MAX, CoefficientSeq
 
 __all__ = [
@@ -38,20 +36,15 @@ class EvaluationDomainError(ValueError):
     """Raised when an evaluation point falls outside the trusted domain."""
 
 
-@dataclass(frozen=True)
-class ClosedForm:
-    """Evaluators for h, g and their derivatives, hand-coded or compiled
-    from a coefficient sequence.
+class ClosedForm(record("ClosedForm", "h g dh dg coeff", (None,))):
+    """Evaluators (callables) for h, g and their derivatives, hand-coded or
+    compiled from a coefficient sequence.
 
     coeff, when present, returns the exact series coefficients (a_n, b_n)
     for n >= 1 and makes the map sectionable.
     """
 
-    h: Callable
-    g: Callable
-    dh: Callable
-    dg: Callable
-    coeff: Callable | None = None
+    __slots__ = ()
 
 
 def _split_scalar(z):

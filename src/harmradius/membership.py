@@ -15,11 +15,10 @@ boundary flag: the extremal examples sit exactly on the boundary.
 
 import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import check_beta
+from ._util import check_beta, record
 from .coefficients import CoefficientSeq, _moduli, weighted_sum_limit
 from .maps import HarmonicMap
 
@@ -52,18 +51,16 @@ def __getattr__(name):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-@dataclass(frozen=True)
-class GridSpec:
+class GridSpec(record("GridSpec", "n_radial n_angular r_max", (200, 64, 0.999))):
     """Polar sampling grid: n_radial circles, geometrically clustered
     toward r_max (which is included; 0 is not), times n_angular equally
     spaced angles starting on the positive real axis; at most 512 x 512
     points in all."""
 
-    n_radial: int = 200
-    n_angular: int = 64
-    r_max: float = 0.999
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.n_radial < 2 or self.n_angular < 1:
             raise ValueError("grid needs n_radial >= 2, n_angular >= 1")
         if self.n_radial * self.n_angular > _MAX_GRID_POINTS:
@@ -71,6 +68,7 @@ class GridSpec:
                              f"the {_MAX_GRID_POINTS} points a grid may sample")
         if not 0.0 < self.r_max < 1.0:
             raise ValueError("r_max must lie in (0, 1)")
+        return self
 
     def radii(self) -> np.ndarray:
         rem = np.geomspace(0.99, 1e-6, self.n_radial - 1)
@@ -85,8 +83,8 @@ class GridSpec:
                 f"clustering toward r_max={self.r_max:g}")
 
 
-@dataclass(frozen=True)
-class MembershipReport:
+class MembershipReport(record("MembershipReport", "verdict margin witness grid_spec boundary "
+                              "note", (None, "", False, ""))):
     """Outcome of one membership check.
 
     margin: minimum slack of the defining inequality over the test set.
@@ -95,16 +93,13 @@ class MembershipReport:
     boundary: margin was zero to within BOUNDARY_TOL.
     """
 
-    verdict: str
-    margin: float
-    witness: object = None
-    grid_spec: str = ""
-    boundary: bool = False
-    note: str = ""
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.verdict not in ("satisfied", "violated", "inconclusive"):
             raise ValueError(f"unknown verdict {self.verdict!r}")
+        return self
 
 
 def _graded_verdict(margin: float, witness, grid_spec: str, note: str = "") -> MembershipReport:

@@ -16,9 +16,8 @@ import numpy when called, so the radii themselves need no numpy.
 """
 
 import math
-from dataclasses import dataclass
 
-from ._util import check_beta, horner
+from ._util import check_beta, horner, record
 from .coefficients import (
     FAMILY_POLYNOMIALS,
     SERIES_EVAL_MAX,
@@ -52,8 +51,8 @@ class NoRadiusError(ValueError):
     """The membership condition already fails at r = 0."""
 
 
-@dataclass(frozen=True)
-class RadiusReport:
+class RadiusReport(record("RadiusReport", "radius method residual tolerance bracket "
+                          "saturated label beta", (None, False, "", 0.0))):
     """A computed radius with provenance.
 
     residual is the defining equation evaluated back at the radius:
@@ -63,18 +62,13 @@ class RadiusReport:
     of [0, 1) and the radius is the conventional 1 - 1e-12.
     """
 
-    radius: float
-    method: str
-    residual: float
-    tolerance: float
-    bracket: tuple | None = None
-    saturated: bool = False
-    label: str = ""
-    beta: float = 0.0
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.method not in ("closed_form", "bisection"):
             raise ValueError(f"unknown method {self.method!r}")
+        return self
 
 
 def _solve(fn, lo: float, hi: float, flo: float, fhi: float) -> tuple[float, float, float]:
@@ -217,18 +211,13 @@ def jacobian_roots(profile, lo: float = 0.0, hi: float = 0.999) -> list[float]:
     return sorted(roots)
 
 
-@dataclass(frozen=True)
-class SharpnessReport:
+class SharpnessReport(record("SharpnessReport", "passed label r_claimed interior_min "
+                             "root_residual exterior_margin")):
     """Certificate that a claimed radius is exactly where a witness
     Jacobian first vanishes: J > 0 before it, J ~ 0 at it, J < 0 just
     after (so the witness stops being locally injective there)."""
 
-    passed: bool
-    label: str
-    r_claimed: float
-    interior_min: float
-    root_residual: float
-    exterior_margin: float
+    __slots__ = ()
 
 
 def verify_sharpness(witness, r_claimed: float) -> SharpnessReport:

@@ -1,8 +1,8 @@
 """CLI behavior: exit codes, JSON schemas, CSV formats, determinism.
 
 Most tests call main(argv) in-process and capture stdout with capsys;
-two start a subprocess: a smoke test of the installed console script,
-and a fresh interpreter that checks which subcommands load scipy.
+a few start a subprocess: a smoke test of the installed console script,
+and fresh interpreters that check which modules each subcommand loads.
 Every successful JSON output is validated against the schema shipped
 under docs/schemas/.
 """
@@ -620,7 +620,7 @@ def test_fresh_process_loads_scipy_only_for_injectivity():
 # the scalar subcommands, and jacobian-scan's float profile calls, run on the
 # standard library: a fresh process loads numpy only for the grids of
 # sharpness and membership
-SCALAR_PROCESS = """
+SCALAR_RUNS = """
 import contextlib, io, sys
 import harmradius, harmradius.cli
 
@@ -636,19 +636,35 @@ run("bloch-table")
 run("identities")
 run("list-extremals")
 run("jacobian-scan", "--witness", "f0:2,0.3", "--steps", "5")
+"""
+SCALAR_PROCESS = SCALAR_RUNS + """
 assert "numpy" not in sys.modules, "a scalar subcommand loaded numpy"
 run("sharpness", "--witness", "F0")
 assert "numpy" in sys.modules
 """
+# nor the stdlib's introspection modules; the child runs without site (-S),
+# whose .pth files may import typing before the package does
+LEAN_PROCESS = SCALAR_RUNS + """
+loaded = sorted({"dataclasses", "inspect", "typing"} & set(sys.modules))
+assert not loaded, f"a scalar subcommand loaded {loaded}"
+"""
 
 
-def test_fresh_process_loads_numpy_only_for_numeric_subcommands():
+def run_scalar_child(script, *flags):
     root = Path(__file__).resolve().parents[1]
-    proc = subprocess.run([sys.executable, "-c", SCALAR_PROCESS,
+    proc = subprocess.run([sys.executable, *flags, "-c", script,
                            str(root / "tests" / "golden" / "tailed_seq.json")],
                           capture_output=True, text=True, timeout=120,
                           env={**os.environ, "PYTHONPATH": str(root / "src")})
     assert proc.returncode == 0, proc.stderr
+
+
+def test_fresh_process_loads_numpy_only_for_numeric_subcommands():
+    run_scalar_child(SCALAR_PROCESS)
+
+
+def test_fresh_scalar_process_loads_no_dataclasses_inspect_or_typing():
+    run_scalar_child(LEAN_PROCESS, "-S")
 
 
 # -- the CLI boundary under arbitrary flags ------------------------------------

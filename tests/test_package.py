@@ -1,11 +1,20 @@
-"""The package namespace: exports resolved lazily from the submodules."""
+"""The package namespace: exports resolved lazily from the submodules,
+and the immutable records they define."""
 
 import importlib
+import math
+import re
 import sys
 
 import pytest
 
 import harmradius
+from harmradius.bloch import BlochRow
+from harmradius.coefficients import BoundFamily, CoefficientSeq, TailBound
+from harmradius.extremals import JacobianProfile
+from harmradius.maps import ClosedForm
+from harmradius.membership import GridSpec, MembershipReport
+from harmradius.radii import RadiusReport, SharpnessReport
 
 SUBMODULES = ("coefficients", "maps", "extremals", "membership", "radii", "bloch")
 
@@ -40,3 +49,39 @@ def test_every_export_is_a_lazy_package_attribute(monkeypatch):
     assert harmradius.maps is sys.modules["harmradius.maps"]
     with pytest.raises(AttributeError, match="no_such_name"):
         harmradius.no_such_name
+
+
+# one valid record of each type; for a validated type, a field value its
+# checks refuse and their message
+RECORDS = [
+    (TailBound(1.0, 2.0), {"degree": math.nan}, "tail degree must be finite"),
+    (CoefficientSeq({2: 0.1}, {1: 0.2}, 3), {"b": {1: 1.5}},
+     "|b_1| must be < 1 (sense-preserving normalization)"),
+    (BoundFamily("uniform", 2.0, 0.3), {"kind": "disk"}, "unknown family kind 'disk'"),
+    (RadiusReport(0.1, "closed_form", 0.0, 1e-12), {"method": "guess"},
+     "unknown method 'guess'"),
+    (SharpnessReport(True, "F0", 0.1, 1.0, 0.0, 1.0), None, None),
+    (JacobianProfile("f0", ((1.0,), (1.0, -2.0, 0.5)), 2), None, None),
+    (BlochRow(1.0, 4 / math.pi, 0.2, 0.1, 0.3, 0.4), {"R_S": 0.5},
+     "R_S must lie in (0, r_S)"),
+    (ClosedForm(abs, abs, abs, abs), None, None),
+    (GridSpec(), {"n_radial": 1}, "grid needs n_radial >= 2, n_angular >= 1"),
+    (MembershipReport("satisfied", 0.5), {"verdict": "maybe"}, "unknown verdict 'maybe'"),
+]
+
+
+@pytest.mark.parametrize("record, bad, message", RECORDS,
+                         ids=[type(r).__name__ for r, _, _ in RECORDS])
+def test_records_are_immutable_and_always_checked(record, bad, message):
+    with pytest.raises(AttributeError):
+        setattr(record, record._fields[0], record[0])
+    with pytest.raises(AttributeError):
+        record.extra = 1
+    assert record._replace() == record
+    if bad is None:
+        return
+    fields = {**record._asdict(), **bad}
+    for build in (lambda: type(record)(**fields), lambda: record._replace(**bad),
+                  lambda: type(record)._make(fields.values())):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            build()
