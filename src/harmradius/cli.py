@@ -12,7 +12,8 @@ failure, 3 I/O.
 
 Only membership (through maps and membership) and sharpness (through
 radii.verify_sharpness) import numpy; the other subcommands run on the
-standard library alone.
+standard library alone, radius on every input.  Beyond numpy, only
+membership --check injectivity loads a dependency: its k-d tree pair search.
 """
 
 import argparse

@@ -582,8 +582,9 @@ def test_console_script_smoke():
     assert doc["radius"] == pytest.approx(0.112902931208, abs=1e-11)
 
 
-# scipy.spatial serves only the injectivity oracle; the other subcommands
-# must not load scipy in a fresh process
+# scipy.spatial serves only the injectivity oracle; the other subcommands,
+# the coefficient check on a tailed sequence among them, must not load scipy
+# in a fresh process
 COLD_PROCESS = """
 import contextlib, io, json, sys
 import harmradius, harmradius.cli
@@ -600,6 +601,7 @@ run("bloch-table")
 run("sharpness", "--witness", "F0")
 run("jacobian-scan", "--witness", "F0")
 run("membership", "--check", "c-h2", "--map", "F0", "--dilate", "0.1")
+run("membership", "--check", "coeff", "--seq", sys.argv[1])
 before = scipy_modules()
 run("membership", "--check", "injectivity", "--map", "F0", "--r", "0.2",
     "--resolution", "64")
@@ -608,9 +610,11 @@ print(json.dumps({"before": before, "after": scipy_modules()}))
 
 
 def test_fresh_process_loads_scipy_only_for_injectivity():
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    proc = subprocess.run([sys.executable, "-c", COLD_PROCESS], capture_output=True,
-                          text=True, timeout=120, env={**os.environ, "PYTHONPATH": src})
+    root = Path(__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, "-c", COLD_PROCESS,
+                           str(root / "tests" / "golden" / "tailed_seq.json")],
+                          capture_output=True, text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": str(root / "src")})
     assert proc.returncode == 0, proc.stderr
     doc = json.loads(proc.stdout)
     assert doc["before"] == []
@@ -619,7 +623,8 @@ def test_fresh_process_loads_scipy_only_for_injectivity():
 
 # the scalar subcommands, and jacobian-scan's float profile calls, run on the
 # standard library: a fresh process loads numpy only for the grids of
-# sharpness and membership
+# sharpness and membership.  The second sequence saturates: its radius is
+# decided by the tail's S(1^-)
 SCALAR_RUNS = """
 import contextlib, io, sys
 import harmradius, harmradius.cli
@@ -632,6 +637,7 @@ assert "numpy" not in sys.modules, "import harmradius loaded numpy"
 run("radius", "--family", "uniform:2,0.3")
 run("radius", "--family", "koebe", "--method", "bisect", "--beta", "0.2")
 run("radius", "--seq", sys.argv[1])
+run("radius", "--seq", sys.argv[2])
 run("bloch-table")
 run("identities")
 run("list-extremals")
@@ -653,7 +659,8 @@ assert not loaded, f"a scalar subcommand loaded {loaded}"
 def run_scalar_child(script, *flags):
     root = Path(__file__).resolve().parents[1]
     proc = subprocess.run([sys.executable, *flags, "-c", script,
-                           str(root / "tests" / "golden" / "tailed_seq.json")],
+                           str(root / "tests" / "golden" / "tailed_seq.json"),
+                           str(root / "tests" / "golden" / "tailed_seq_saturated.json")],
                           capture_output=True, text=True, timeout=120,
                           env={**os.environ, "PYTHONPATH": str(root / "src")})
     assert proc.returncode == 0, proc.stderr

@@ -2,6 +2,8 @@
 
 import json
 import math
+from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -21,7 +23,12 @@ from harmradius import (
     weighted_sum,
     weighted_sum_limit,
 )
-from harmradius.coefficients import SERIES_EVAL_MAX, weighted_sum_tail
+from harmradius.coefficients import (
+    _ZETA_CORRECTIONS,
+    SERIES_EVAL_MAX,
+    _hurwitz_zeta_majorant,
+    weighted_sum_tail,
+)
 
 from conftest import brute_weighted_sum
 
@@ -259,12 +266,57 @@ def test_weighted_sum_limit_exact_series():
 
 
 def test_weighted_sum_limit_with_zeta_tail():
-    # tail |.| <= c n^-4 summed with weight n: sum c n^-3 over n > N
-    c, N = 0.02, 12
-    seq = CoefficientSeq({2: 0.3}, {}, N, tail=TailBound(-4.0, c))
-    n = np.arange(N + 1, 400000, dtype=float)
-    brute = math.fsum(c * n ** -3.0)
-    assert weighted_sum_limit(seq) == pytest.approx(0.6 + brute, abs=1e-9)
+    # tail |.| <= c n^-4 summed with weight n: c zeta(3, N+1), bracketed exactly
+    # by the partial sum to M-1 plus the integrals of x^-3 from M and from M-1
+    c, N, M = 0.02, 12, 400
+    seq = CoefficientSeq({}, {}, N, tail=TailBound(-4.0, c))
+    head = sum(Fraction(1, n ** 3) for n in range(N + 1, M))
+    lo = Fraction(c) * (head + Fraction(1, 2 * M ** 2))
+    hi = Fraction(c) * (head + Fraction(1, 2 * (M - 1) ** 2))
+    assert lo <= Fraction(weighted_sum_limit(seq)) <= hi
+
+
+ZETA_ORDERS = [1.0001, 1.01, 1.5, 2.0, 2.5, 3.0, 4.75, 10.0, 20.0, 50.0, 150.0]
+ZETA_STARTS = [1, 2, 7, 13, 100, 10 ** 4, 10 ** 8, 10 ** 12]
+
+
+def test_zeta_corrections_are_bernoulli_quotients():
+    # B_2j/(2j)! for j = 1..9 from the recurrence sum_k C(m+1, k) B_k = 0
+    bern = [Fraction(1)]
+    for m in range(1, 19):
+        bern.append(-sum(math.comb(m + 1, k) * bern[k] for k in range(m)) / (m + 1))
+    assert _ZETA_CORRECTIONS == tuple(
+        float(bern[2 * j] / math.factorial(2 * j)) for j in range(1, 10))
+
+
+@pytest.mark.parametrize("s", ZETA_ORDERS)
+def test_zeta_majorant_within_integral_bracket(s):
+    # zeta(s, a) lies between the partial sum to M-1 plus the integral of
+    # x^-s from M, and the same plus the integral from M-1; both ends are
+    # computed in 40-digit decimal arithmetic, far below float rounding
+    with localcontext() as ctx:
+        ctx.prec = 40
+        d = Decimal(s)
+        for a in ZETA_STARTS:
+            m = a + 64
+            head = sum(Decimal(n) ** -d for n in range(a, m))
+            lo = head + Decimal(m) ** (1 - d) / (d - 1)
+            hi = head + Decimal(m - 1) ** (1 - d) / (d - 1)
+            bound = Decimal(_hurwitz_zeta_majorant(s, a))
+            assert bound >= lo, a
+            if lo >= Decimal(1e-290):  # below, the bound is a few subnormal steps
+                assert bound <= hi * Decimal("1.000000000001"), a
+
+
+@pytest.mark.parametrize("s", ZETA_ORDERS)
+def test_zeta_majorant_matches_scipy(s):
+    special = pytest.importorskip("scipy.special")
+    for a in ZETA_STARTS:
+        ref = float(special.zeta(s, a))
+        # near underflow scipy's own terms lose digits: at s=150, a=110 it
+        # lies 1.8e-11 below the decimal bracket
+        if ref >= 1e-290:
+            assert _hurwitz_zeta_majorant(s, a) == pytest.approx(ref, rel=1e-12, abs=0.0), a
 
 
 def test_weighted_sum_limit_divergent_tail_rejected():
