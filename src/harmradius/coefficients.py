@@ -217,7 +217,8 @@ def _tail_sum(degree: float, start: int, r: float) -> float:
     """Upper bound for sum_{n>=start} n^(degree+1) r^(n-1), 0 <= r <= SERIES_EVAL_MAX.
 
     Sums terms directly and closes with a geometric remainder bound once the
-    term ratio has dropped below 1, so the result is a true majorant.
+    term ratio has dropped below 1; the result is then raised past the
+    rounding error of the loop, so it is a majorant in floating point too.
     """
     if r == 0.0:
         return 0.0 if start > 1 else 1.0
@@ -234,8 +235,15 @@ def _tail_sum(degree: float, start: int, r: float) -> float:
         ratio = (n / (n - 1)) ** p * r
         term *= ratio
         if ratio < 1.0 and term <= 1e-18 * total:
-            total += term / (1.0 - ratio)  # geometric remainder majorant
-            return total
+            # later ratios fall towards r when p > 0 and rise towards it
+            # when p < 0, so max(ratio, r) bounds all of them
+            total += term / (1.0 - max(ratio, r))
+            # The k-th term carries at most (k + 1)(|p| + 5) u of relative
+            # rounding error, u = 2^-53: per step, n/(n-1) (amplified |p|-fold
+            # by the power), the power, *r and *ratio.  Each addition adds u.
+            # Twice that first-order bound covers the higher orders and the
+            # remainder's own error.
+            return total * (1.0 + (abs(p) + 6.0) * 2.0**-52 * (n - start + 1))
         if n - start > 10_000_000:  # pragma: no cover - defensive cap
             raise RuntimeError("tail majorant failed to converge")
 
@@ -274,8 +282,9 @@ def weighted_sum(x: CoefficientSeq | BoundFamily, r: float) -> float:
 
     Bound families are evaluated by their closed forms.  Explicit sequences
     are summed term by term with compensated accumulation; when a tail bound
-    is attached the returned value includes its majorant and is therefore a
-    rigorous upper bound (the majorant alone is weighted_sum_tail).
+    is attached the returned value includes its majorant (weighted_sum_tail
+    alone), which is rounded up past its float error, so the unstored part
+    of S(r) is bounded from above in floating point too.
 
     Raises:
         ValueError: if r lies outside [0, 1).

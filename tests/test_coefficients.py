@@ -27,6 +27,7 @@ from harmradius.coefficients import (
     _ZETA_CORRECTIONS,
     SERIES_EVAL_MAX,
     _hurwitz_zeta_majorant,
+    _tail_sum,
     weighted_sum_tail,
 )
 
@@ -251,6 +252,26 @@ def test_tail_sum_majorizes_truncated_series():
         assert bound <= true_tail + 0.01  # not wildly loose
         assert weighted_sum(seq, r) == pytest.approx(
             weighted_sum(CoefficientSeq({2: 0.1}, {}, 10), r) + bound, abs=1e-15)
+
+
+# sum_{n>=1} n^p r^(n-1) in closed form, for p = degree + 1 = 0, 1, 2
+TAIL_CLOSED_FORMS = {
+    -1: lambda r: 1 / (1 - r),
+    0: lambda r: 1 / (1 - r) ** 2,
+    1: lambda r: (1 + r) / (1 - r) ** 3,
+}
+
+
+@pytest.mark.parametrize("degree", sorted(TAIL_CLOSED_FORMS))
+def test_tail_sum_majorizes_exact_closed_form(degree):
+    # the float loop must stay above the exact sum, not only near it
+    for r in (0.3, 0.9, 0.999):
+        q = Fraction(r)
+        for start in range(2, 12):
+            exact = TAIL_CLOSED_FORMS[degree](q) - sum(
+                Fraction(n) ** (degree + 1) * q ** (n - 1) for n in range(1, start))
+            bound = Fraction(_tail_sum(degree, start, r))
+            assert exact <= bound <= exact * (1 + Fraction(1, 10 ** 9)), (start, r)
 
 
 def test_tail_refuses_near_boundary():
