@@ -11,8 +11,9 @@ and evaluates the Bloch-Landau consequence for bounded harmonic maps.
 The submodules load on first use (PEP 562): ``import harmradius`` imports
 none of them, and the first lookup of an exported name imports the
 submodule that defines it and binds all that submodule's exports here.
-Only maps and membership import numpy, so the radii, the coefficient
-sums, the Bloch table and the extremal labels are usable without it.
+Only maps imports numpy on import; membership imports it for a sampled
+grid.  So the radii, the coefficient sums and checks, the sharpness check
+of a profile, the Bloch table and the extremal labels are usable without it.
 """
 
 import importlib

@@ -10,10 +10,11 @@ invocations produce identical bytes.
 Exit codes: 0 success, 1 usage, 2 no-radius, domain or out-of-memory
 failure, 3 I/O.
 
-Only membership (through maps and membership) and sharpness (through
-radii.verify_sharpness) import numpy; the other subcommands run on the
-standard library alone, radius on every input.  Beyond numpy, only
-membership --check injectivity loads a dependency: its k-d tree pair search.
+Only membership's sampled checks (c-h2, starlike, injectivity) and a
+--map, which builds a map, import numpy; the other subcommands, and
+membership --check coeff|growth --seq, run on the standard library
+alone, radius on every input.  Beyond numpy, only membership --check
+injectivity loads a dependency: its k-d tree pair search.
 """
 
 import argparse
@@ -119,21 +120,30 @@ def _cmd_radius(args) -> int:
 
 
 def _cmd_membership(args) -> int:
-    from .maps import HarmonicMap
     from .membership import (GridSpec, c_h2_numeric, coeff_condition,
                              coefficient_growth_check, injectivity_oracle, starlike_scan)
 
     if (args.map is None) == (args.seq is None):
         raise UsageError("exactly one of --map/--seq is required")
-    if args.seq is not None:
-        seq = load_sequence(args.seq)
-        subject = HarmonicMap.from_series(seq, label="seq-file")
-    else:
-        subject = args.map
-    if args.dilate is not None:
-        subject = subject.dilate(args.dilate)
-
     check = args.check
+    if args.seq is not None and check in ("coeff", "growth"):
+        # the exact checks read the stored coefficients: no map, no numpy
+        subject, label = load_sequence(args.seq), "seq-file"
+        if args.dilate is not None:
+            subject = subject.scaled(args.dilate)
+            if args.dilate != 1.0:  # the label HarmonicMap.dilate gives
+                label = f"dilate({label},{args.dilate:g})"
+    else:
+        if args.seq is not None:
+            from .maps import HarmonicMap
+
+            subject = HarmonicMap.from_series(load_sequence(args.seq), label="seq-file")
+        else:
+            subject = args.map
+        if args.dilate is not None:
+            subject = subject.dilate(args.dilate)
+        label = subject.label
+
     if check == "coeff":
         report = coeff_condition(subject, args.beta)
     elif check == "growth":
@@ -148,7 +158,7 @@ def _cmd_membership(args) -> int:
         report = starlike_scan(subject, args.r, grid)
     else:
         report = injectivity_oracle(subject, args.r, args.resolution)
-    _emit({"check": check, "subject": subject.label} | report._asdict())
+    _emit({"check": check, "subject": label} | report._asdict())
     return 0
 
 

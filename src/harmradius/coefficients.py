@@ -19,6 +19,7 @@ Bound families are always summed in closed form, never by truncation.
 
 import json
 import math
+import sys
 
 from ._util import check_index, check_uniform, record
 
@@ -248,6 +249,15 @@ def _tail_sum(degree: float, start: int, r: float) -> float:
             raise RuntimeError("tail majorant failed to converge")
 
 
+def _tail_start(seq: CoefficientSeq) -> int:
+    """N + 1, the first index the tail majorant bounds; past the float range
+    no term of the majorant can be evaluated, so it is refused there."""
+    if seq.truncation + 1 > sys.float_info.max:
+        raise ValueError("truncation exceeds the float range: "
+                         "the tail majorant cannot be evaluated")
+    return seq.truncation + 1
+
+
 def weighted_sum_tail(seq: CoefficientSeq, r: float) -> float:
     """Rigorous majorant of the unstored part of S(r); zero when tail is None
     or its constant is 0, which bounds nothing."""
@@ -259,8 +269,9 @@ def weighted_sum_tail(seq: CoefficientSeq, r: float) -> float:
         raise ValueError(
             f"tail majorant is evaluated only for r <= {SERIES_EVAL_MAX}"
         )
+    start = _tail_start(seq)
     try:
-        return seq.tail.constant * _tail_sum(seq.tail.degree, seq.truncation + 1, r)
+        return seq.tail.constant * _tail_sum(seq.tail.degree, start, r)
     except OverflowError:
         raise ValueError(f"tail majorant of degree {seq.tail.degree:g} overflows "
                          f"at r={r:g}") from None
@@ -337,7 +348,8 @@ def weighted_sum_limit(seq: CoefficientSeq) -> float:
     (s + 64) 2^-52 relative for s = -degree-1 (5e-14 at s = 150).
 
     Raises:
-        ValueError: if a tail bound is attached whose limit diverges.
+        ValueError: if a tail bound is attached whose limit diverges, or
+            whose first index N + 1 exceeds the float range.
     """
     if not isinstance(seq, CoefficientSeq):
         raise TypeError(f"expected CoefficientSeq, got {type(seq).__name__}")
@@ -348,7 +360,7 @@ def weighted_sum_limit(seq: CoefficientSeq) -> float:
             raise ValueError(
                 "polynomial tail with degree >= -2 has no finite S(1^-)"
             )
-        total += seq.tail.constant * _hurwitz_zeta_majorant(s, seq.truncation + 1)
+        total += seq.tail.constant * _hurwitz_zeta_majorant(s, _tail_start(seq))
     return total
 
 

@@ -11,16 +11,23 @@ carry the grid description and, for the injectivity oracle, the verdict
 Margins are minimum slacks of the defining inequality over the test set.
 A margin within BOUNDARY_TOL of zero is reported as satisfied with a
 boundary flag: the extremal examples sit exactly on the boundary.
+
+The coefficient checks run on the standard library.  numpy (the module
+attribute np) and scipy.spatial (cKDTree) load on first lookup, made by
+a sampled check or a grid; a reassigned attribute is the one used.
 """
+
+from __future__ import annotations
 
 import math
 import sys
 
-import numpy as np
-
 from ._util import check_beta, record
 from .coefficients import CoefficientSeq, _moduli, weighted_sum_limit
-from .maps import HarmonicMap
+
+TYPE_CHECKING = False  # typing.TYPE_CHECKING, without importing typing
+if TYPE_CHECKING:
+    from .maps import HarmonicMap
 
 __all__ = [
     "BOUNDARY_TOL",
@@ -43,12 +50,20 @@ _MAX_GRID_POINTS = 512 * 512
 
 
 def __getattr__(name):
-    # scipy.spatial loads on the first lookup of cKDTree, not with the package
-    if name == "cKDTree":
-        from scipy.spatial import cKDTree
-        globals()["cKDTree"] = cKDTree
-        return cKDTree
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    # numpy loads on the first lookup of np, scipy.spatial on that of cKDTree
+    if name == "np":
+        import numpy as value
+    elif name == "cKDTree":
+        from scipy.spatial import cKDTree as value
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
+
+
+def _np():
+    """numpy, as the module attribute np (see __getattr__)."""
+    return sys.modules[__name__].np
 
 
 class GridSpec(record("GridSpec", "n_radial n_angular r_max", (200, 64, 0.999))):
@@ -71,10 +86,12 @@ class GridSpec(record("GridSpec", "n_radial n_angular r_max", (200, 64, 0.999)))
         return self
 
     def radii(self) -> np.ndarray:
+        np = _np()
         rem = np.geomspace(0.99, 1e-6, self.n_radial - 1)
         return np.append(self.r_max * (1.0 - rem), self.r_max)
 
     def points(self) -> np.ndarray:
+        np = _np()
         ang = np.exp(2j * np.pi * np.arange(self.n_angular) / self.n_angular)
         return np.outer(self.radii(), ang).ravel()
 
@@ -113,7 +130,7 @@ def _graded_verdict(margin: float, witness, grid_spec: str, note: str = "") -> M
 def _as_sequence(x) -> CoefficientSeq:
     if isinstance(x, CoefficientSeq):
         return x
-    if isinstance(x, HarmonicMap):
+    if hasattr(x, "as_sequence"):  # a series-backed HarmonicMap
         return x.as_sequence()
     raise TypeError("expected a CoefficientSeq or a series-backed HarmonicMap")
 
@@ -182,6 +199,7 @@ def coefficient_growth_check(seq, beta: float = 0.0) -> MembershipReport:
 
 def _sampled_verdict(vals: np.ndarray, pts: np.ndarray, grid: GridSpec) -> MembershipReport:
     """The graded verdict at the smallest slack vals[i], sampled at pts[i]."""
+    np = _np()
     if not np.all(np.isfinite(vals)):
         raise ValueError("map evaluation is not finite on the grid")
     i = int(np.argmin(vals))
@@ -195,6 +213,7 @@ def c_h2_numeric(f: HarmonicMap, beta: float = 0.0,
 
     margin = min over the grid of (1-beta) - |f_zbar| - |f_z - 1|.
     """
+    np = _np()
     beta = check_beta(beta)
     grid = grid or GridSpec()
     pts = grid.points()
@@ -210,6 +229,7 @@ def starlike_scan(f: HarmonicMap, r: float,
     the rate of change of arg f along the circle through z.  A sample with
     |f(z)| < 1e-12 yields an inconclusive singularity report.
     """
+    np = _np()
     r = float(r)
     if not 0.0 < r < 1.0:
         raise ValueError("scan radius must lie in (0, 1)")
@@ -263,6 +283,7 @@ def injectivity_oracle(f: HarmonicMap, r: float,
     (verdict violated); otherwise the verdict is inconclusive, since
     sampling cannot prove injectivity.
     """
+    np = _np()
     r = float(r)
     if not 0.0 < r < 1.0:
         raise ValueError("radius must lie in (0, 1)")
@@ -280,7 +301,6 @@ def injectivity_oracle(f: HarmonicMap, r: float,
             f"pitch {pitch:.3g}, Newton-refined collision candidates")
 
     # a module attribute, not a bare global: the first lookup imports it
-    # (__getattr__ above), and a reassigned attribute is the one called
     tree = sys.modules[__name__].cKDTree(np.column_stack([images.real, images.imag]))
     raw = tree.query_pairs(5.0 * pitch, output_type="ndarray")
     if raw.size:

@@ -18,13 +18,15 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from jsonschema import Draft202012Validator
 
 from harmradius.cli import main
-from harmradius.coefficients import CoefficientSeq, save_sequence, sequence_to_dict
+from harmradius.coefficients import (CoefficientSeq, save_sequence, sequence_from_dict,
+                                     sequence_to_dict)
 from harmradius.bloch import bloch_table, bloch_table_csv
 from harmradius.extremals import koebe_witness_profile
+from harmradius.maps import HarmonicMap
 from harmradius.radii import (
     convex_family_radius,
     koebe_family_radius,
@@ -250,10 +252,17 @@ STEEP_TAIL = {"a": [], "b": [], "truncation": 3,
               "tail": {"degree": 1e6, "constant": 1e-300}}
 HUGE_INDEX = {"a": [[10 ** 13, 1e-15, 0]], "b": [], "truncation": 10 ** 13}
 HUGE_GRID = ["membership", "--check", "c-h2", "--map", "F0", "--grid-radial", str(10 ** 13)]
+# the tail majorant would start at index 10^400 + 1, past the float range
+HUGE_TRUNCATION = {"a": [], "b": [], "truncation": 10 ** 400,
+                   "tail": {"degree": -3, "constant": 0.01}}
 
 
 def _domain(message):
     return {"error": message, "kind": "domain"}
+
+
+HUGE_TRUNCATION_ERROR = _domain("truncation exceeds the float range: "
+                                "the tail majorant cannot be evaluated")
 
 
 @pytest.mark.parametrize("argv, doc, expected", [
@@ -268,7 +277,10 @@ def _domain(message):
         "the highest stored index is 10000000000000")),
     (["bloch-table", "--M", "1e308"], None, _domain(
         "sup-norm bound M = 1e+308 is too large: 8M/pi overflows")),
-], ids=["divergent-tail", "steep-tail", "huge-grid", "huge-index-c-h2", "huge-M"])
+    (["radius"], HUGE_TRUNCATION, HUGE_TRUNCATION_ERROR),
+    (["membership", "--check", "coeff"], HUGE_TRUNCATION, HUGE_TRUNCATION_ERROR),
+], ids=["divergent-tail", "steep-tail", "huge-grid", "huge-index-c-h2", "huge-M",
+        "huge-truncation-radius", "huge-truncation-coeff"])
 def test_hostile_inputs_are_exit_2(capsys, tmp_path, argv, doc, expected):
     if doc is not None:
         check(doc, "coefficient_seq.schema.json")
@@ -621,10 +633,10 @@ def test_fresh_process_loads_scipy_only_for_injectivity():
     assert "scipy.spatial" in doc["after"]
 
 
-# the scalar subcommands, and jacobian-scan's float profile calls, run on the
-# standard library: a fresh process loads numpy only for the grids of
-# sharpness and membership.  The second sequence saturates: its radius is
-# decided by the tail's S(1^-)
+# the scalar subcommands, the float profile calls of jacobian-scan and
+# sharpness, and the coefficient checks on a sequence file run on the
+# standard library: a fresh process loads numpy only for a sampled grid.
+# The second sequence saturates: its radius is decided by the tail's S(1^-)
 SCALAR_RUNS = """
 import contextlib, io, sys
 import harmradius, harmradius.cli
@@ -642,11 +654,18 @@ run("bloch-table")
 run("identities")
 run("list-extremals")
 run("jacobian-scan", "--witness", "f0:2,0.3", "--steps", "5")
+run("sharpness", "--witness", "F0")
+run("sharpness", "--witness", "L0")
+run("sharpness", "--witness", "f0:2,0.3")
+for check in ("coeff", "growth"):
+    run("membership", "--check", check, "--seq", sys.argv[1])
+    run("membership", "--check", check, "--seq", sys.argv[1], "--dilate", "0.5")
 """
 SCALAR_PROCESS = SCALAR_RUNS + """
 assert "numpy" not in sys.modules, "a scalar subcommand loaded numpy"
-run("sharpness", "--witness", "F0")
-assert "numpy" in sys.modules
+run("membership", "--check", "c-h2", "--seq", sys.argv[1], "--dilate", "0.5",
+    "--grid-radial", "40", "--grid-angular", "16")
+assert "numpy" in sys.modules, "a sampled check ran without numpy"
 """
 # nor the stdlib's introspection modules; the child runs without site (-S),
 # whose .pth files may import typing before the package does
@@ -793,3 +812,26 @@ def test_cli_boundary_answers_or_fails_structured(tmp_path_factory, argv, doc):
         assert out.splitlines()[0] in ("r,J", "M,phi,psi,r_S,R_S")
     else:
         check(json.loads(out), f"{SCHEMA_OF[argv[0]]}.schema.json")
+
+
+@settings(max_examples=100, deadline=None)
+@given(doc=seq_docs(), rho=st.sampled_from([1.0, 0.5, 0.3, 1e-3, 5e-324]))
+def test_coefficient_checks_read_the_dilated_sequence_of_the_map(tmp_path_factory, doc, rho):
+    # coeff and growth on --seq take seq.scaled(rho), no map: the same
+    # coefficients, to the bit, and the same subject label as the dilated
+    # series map they used to read
+    try:
+        seq = sequence_from_dict(doc)
+    except ValueError:  # a drawn coefficient too large for its index
+        assume(False)
+    dilated = HarmonicMap.from_series(seq, label="seq-file").dilate(rho)
+    assert repr(seq.scaled(rho)) == repr(dilated.as_sequence())
+    path = tmp_path_factory.getbasetemp() / "dilated_seq.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    for check_name in ("coeff", "growth"):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(["membership", "--check", check_name, "--seq", str(path),
+                         "--dilate", repr(rho)])
+        if code == 0:
+            assert json.loads(out.getvalue())["subject"] == dilated.label

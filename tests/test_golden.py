@@ -6,7 +6,8 @@ must return; tests/golden/<name>.out holds the exact stdout.  The string
 can read the checked-in sequence file.  Each script demos/<name>.py is
 run in-process as __main__; tests/golden/demos/<name>.out holds its
 exact stdout.  Every JSON output validates against its schema in
-docs/schemas/ (a failure, exit 2, against error.schema.json).
+docs/schemas/ (a failure, exit 2, against error.schema.json).  The
+sharpness cases run once more in a fresh process, which has no numpy.
 
 Re-record (only when a change of output is intended and explained):
 
@@ -16,7 +17,9 @@ Re-record (only when a change of output is intended and explained):
 import contextlib
 import io
 import json
+import os
 import runpy
+import subprocess
 import sys
 from pathlib import Path
 
@@ -71,6 +74,36 @@ def test_golden_json_matches_schema(case):
     schema = json.loads((SCHEMAS / f"{name}.schema.json").read_text(encoding="utf-8"))
     doc = json.loads((GOLDEN / f"{case['name']}.out").read_text(encoding="utf-8"))
     Draft202012Validator(schema).validate(doc)
+
+
+# verify_sharpness samples by float calls where numpy is not loaded, and by
+# one array call in this process; a fresh process takes the float path
+SHARPNESS_CHILD = """
+import contextlib, io, json, sys
+import harmradius.cli
+
+outs = {}
+for case in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        outs[case["name"]] = [harmradius.cli.main(case["argv"]), out.getvalue()]
+assert "numpy" not in sys.modules, "sharpness loaded numpy"
+print(json.dumps(outs))
+"""
+
+
+def test_sharpness_golden_output_without_numpy():
+    cases = [c for c in CASES if c["argv"][0] == "sharpness"]
+    assert len(cases) == 4
+    proc = subprocess.run([sys.executable, "-c", SHARPNESS_CHILD, json.dumps(cases)],
+                          capture_output=True, text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": str(GOLDEN.parents[1] / "src")})
+    assert proc.returncode == 0, proc.stderr
+    outs = json.loads(proc.stdout)
+    for case in cases:
+        code, out = outs[case["name"]]
+        assert code == case["exit"], case["name"]
+        assert out.encode("utf-8") == (GOLDEN / f"{case['name']}.out").read_bytes()
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.stem for d in DEMOS])

@@ -7,13 +7,17 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from harmradius import (
+    WITNESSES,
     BoundFamily,
     CoefficientSeq,
+    JacobianProfile,
     NoRadiusError,
     RadiusReport,
     TailBound,
+    closed_form_radius,
     convex_family_radius,
     convex_witness_profile,
     harmonic_koebe,
@@ -319,6 +323,77 @@ def test_sharpness_rejects_wrong_radius():
     rep = verify_sharpness(koebe_witness_profile(), 0.15)
     assert not rep.passed
     assert rep.interior_min < 0
+
+
+def _sharpness_both_paths(profile, claimed):
+    """verify_sharpness by float profile calls, as in a process without
+    numpy, and by one array call, as in a process that has it."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.delitem(sys.modules, "numpy")
+        cold = verify_sharpness(profile, claimed)
+        assert "numpy" not in sys.modules
+    return cold, verify_sharpness(profile, claimed)
+
+
+def _witness(label, *params):
+    """(profile, radius) of a sharpness witness, as the CLI pairs them."""
+    kind, profile = WITNESSES[label]
+    return profile(*params), closed_form_radius(BoundFamily(kind, *params)).radius
+
+
+WITNESS_ARGS = (st.sampled_from([("F0",), ("L0",)])
+                | st.tuples(st.just("f0"), st.floats(1e-6, 1e6),
+                            st.floats(0.0, 0.999)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(args=WITNESS_ARGS, scale=st.floats(0.5, 1.5))
+def test_sharpness_float_and_array_paths_agree(args, scale):
+    profile, root = _witness(*args)
+    claimed = min(root * scale, 0.998)
+    cold, warm = _sharpness_both_paths(profile, claimed)
+    assert cold == warm
+    assert math.copysign(1.0, cold.interior_min) == math.copysign(1.0, warm.interior_min)
+    if claimed * 1000 / 1001 > root * (1 + 1e-9):  # the last sample lies past the root
+        assert cold.interior_min < 0.0
+
+
+def _last_sample_at(x):
+    """A claimed radius r whose last interior sample, 1000 (r/1001), is x."""
+    r = x * 1001 / 1000
+    for _ in range(64):
+        r = math.nextafter(r, 0.0)
+    for _ in range(128):
+        if 1000 * (r / 1001) == x:
+            return r
+        r = math.nextafter(r, 1.0)
+    raise AssertionError(f"no claimed radius has its last sample at {x!r}")
+
+
+@pytest.mark.parametrize("args, zero, sign", [
+    (("F0",), 0.1129029312079177, 1.0),
+    (("L0",), 0.16487765151863348, -1.0),
+    (("f0", 0.25, 0.25), 0.5, 1.0),
+], ids=["F0", "L0", "f0"])
+def test_sharpness_paths_agree_on_a_signed_zero_sample(args, zero, sign):
+    # J is exactly +0.0 or -0.0 at these floats; placed as the last interior
+    # sample, that zero is the interior minimum on both paths, sign included
+    profile, _ = _witness(*args)
+    assert profile(zero) == 0.0 and math.copysign(1.0, profile(zero)) == sign
+    cold, warm = _sharpness_both_paths(profile, _last_sample_at(zero))
+    assert cold == warm
+    for rep in (cold, warm):
+        assert rep.interior_min == 0.0 and not rep.passed
+        assert math.copysign(1.0, rep.interior_min) == sign
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_sharpness_paths_agree_on_a_nan_sample():
+    # inf * 0 at the last sample, 0.5: numpy's min propagates the NaN
+    profile = JacobianProfile("inf", ((math.inf,), (1.0, -0.5)), 0)
+    cold, warm = _sharpness_both_paths(profile, _last_sample_at(0.5))
+    assert math.isnan(cold.interior_min) and math.isnan(warm.interior_min)
+    assert cold[:3] == warm[:3] and cold[4:] == warm[4:]
 
 
 def test_sharpness_radius_domain():
