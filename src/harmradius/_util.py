@@ -40,7 +40,7 @@ def round12(x: float) -> float:
 
 
 def horner(coeffs, x):
-    """The polynomial coeffs (highest degree first) at x, a float or a numpy array."""
+    """The polynomial coeffs (highest degree first) at x, a number or a numpy array."""
     acc = 0.0
     for k in coeffs:
         acc = acc * x + k

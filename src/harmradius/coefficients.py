@@ -249,6 +249,11 @@ def _tail_sum(degree: float, start: int, r: float) -> float:
             raise RuntimeError("tail majorant failed to converge")
 
 
+def _has_tail(seq: CoefficientSeq) -> bool:
+    """Whether seq's tail bounds anything: present, with a constant > 0."""
+    return seq.tail is not None and seq.tail.constant > 0.0
+
+
 def _tail_start(seq: CoefficientSeq) -> int:
     """N + 1, the first index the tail majorant bounds; past the float range
     no term of the majorant can be evaluated, so it is refused there."""
@@ -261,7 +266,7 @@ def _tail_start(seq: CoefficientSeq) -> int:
 def weighted_sum_tail(seq: CoefficientSeq, r: float) -> float:
     """Rigorous majorant of the unstored part of S(r); zero when tail is None
     or its constant is 0, which bounds nothing."""
-    if seq.tail is None or seq.tail.constant == 0.0:
+    if not _has_tail(seq):
         return 0.0
     if not (0.0 <= r < 1.0):
         raise ValueError(f"r must lie in [0, 1), got {r}")
@@ -354,7 +359,7 @@ def weighted_sum_limit(seq: CoefficientSeq) -> float:
     if not isinstance(seq, CoefficientSeq):
         raise TypeError(f"expected CoefficientSeq, got {type(seq).__name__}")
     total = _stored_sum(seq, 1.0)
-    if seq.tail is not None and seq.tail.constant > 0.0:
+    if _has_tail(seq):
         s = -(seq.tail.degree + 1.0)
         if s <= 1.0:
             raise ValueError(

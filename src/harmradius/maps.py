@@ -15,9 +15,8 @@ import functools
 import math
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
-from ._util import UnsupportedOperation, check_index, record
+from ._util import UnsupportedOperation, check_index, horner, record
 from .coefficients import SERIES_EVAL_MAX, CoefficientSeq
 
 __all__ = [
@@ -40,8 +39,8 @@ class ClosedForm(record("ClosedForm", "h g dh dg coeff", (None,))):
     """Evaluators (callables) for h, g and their derivatives, hand-coded or
     compiled from a coefficient sequence.
 
-    coeff, when present, returns the exact series coefficients (a_n, b_n)
-    for n >= 1 and makes the map sectionable.
+    coeff, when present on hand-coded forms, returns the exact series
+    coefficients (a_n, b_n) for n >= 1 and makes the map sectionable.
     """
 
     __slots__ = ()
@@ -53,7 +52,7 @@ def _split_scalar(z):
 
 
 def _compile(seq: CoefficientSeq) -> ClosedForm:
-    """Polynomial evaluators for a stored sequence, with its coefficient rule."""
+    """Polynomial evaluators for a stored sequence."""
     # degree: the highest stored index (not seq.truncation); past it all are zero
     degree = max([1, *seq.a, *seq.b])
     if degree > _MAX_SERIES_DEGREE:
@@ -66,14 +65,11 @@ def _compile(seq: CoefficientSeq) -> ClosedForm:
         ch[k] = v
     for k, v in seq.b.items():
         cg[k] = v
-    dch, dcg = npoly.polyder(ch), npoly.polyder(cg)
-    return ClosedForm(
-        lambda w: npoly.polyval(w, ch),
-        lambda w: npoly.polyval(w, cg),
-        lambda w: npoly.polyval(w, dch),
-        lambda w: npoly.polyval(w, dcg),
-        lambda n: (1.0 + 0j if n == 1 else seq.a.get(n, 0j), seq.b.get(n, 0j)),
-    )
+    # horner takes the highest degree first
+    n = np.arange(1, degree + 1)
+    h, g, dh, dg = ch[::-1], cg[::-1], (ch[1:] * n)[::-1], (cg[1:] * n)[::-1]
+    return ClosedForm(lambda w: horner(h, w), lambda w: horner(g, w),
+                      lambda w: horner(dh, w), lambda w: horner(dg, w))
 
 
 # Evaluation domain per backing: the largest accepted |z| and the refusal
@@ -88,8 +84,9 @@ class HarmonicMap:
 
     Every evaluation goes through closed-form evaluators.  A coefficient
     sequence given as series is kept for as_sequence and compiled into
-    polynomial evaluators on first use, so the coefficient checks, which
-    read only the sequence, never build the polynomial.
+    polynomial evaluators on first use, so the coefficient checks,
+    coefficient and section, which read only the sequence, never build
+    the polynomial.
     """
 
     def __init__(self, label: str, *, series: CoefficientSeq | None = None,
@@ -204,11 +201,14 @@ class HarmonicMap:
             UnsupportedOperation: closed-form backing without a coefficient rule.
         """
         n = check_index(n, 1, "coefficient")
-        if not self.has_coefficients:
+        if self.is_series:
+            a, b = (1.0 if n == 1 else self._series.a.get(n, 0j)), self._series.b.get(n, 0j)
+        elif self._forms.coeff is not None:
+            a, b = self._forms.coeff(n)
+        else:
             raise UnsupportedOperation(
                 f"{self.label}: closed-form map without stored coefficients"
             )
-        a, b = self._forms.coeff(n)
         s = self._scale ** (n - 1)
         return complex(a) * s, complex(b) * s
 

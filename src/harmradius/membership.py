@@ -23,7 +23,7 @@ import math
 import sys
 
 from ._util import check_beta, record
-from .coefficients import CoefficientSeq, _moduli, weighted_sum_limit
+from .coefficients import CoefficientSeq, _has_tail, _moduli, weighted_sum_limit
 
 TYPE_CHECKING = False  # typing.TYPE_CHECKING, without importing typing
 if TYPE_CHECKING:
@@ -172,7 +172,7 @@ def coefficient_growth_check(seq, beta: float = 0.0) -> MembershipReport:
     beta = check_beta(beta)
     seq = _as_sequence(seq)
     spec = "coefficient series, exact"
-    if seq.tail is not None and seq.tail.constant > 0.0:
+    if _has_tail(seq):
         return MembershipReport(
             "inconclusive", 0.0, None, spec,
             note="tail bound present: per-index growth cannot be checked",

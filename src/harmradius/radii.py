@@ -25,6 +25,7 @@ from .coefficients import (
     SERIES_EVAL_MAX,
     BoundFamily,
     CoefficientSeq,
+    _has_tail,
     weighted_sum,
     weighted_sum_limit,
 )
@@ -121,8 +122,7 @@ def radius_by_bisection(family, beta: float = 0.0) -> RadiusReport:
             f"condition fails already at r=0: S(0) = {g0 + target:g} >= {target:g}"
         )
 
-    tailed = (isinstance(family, CoefficientSeq) and family.tail is not None
-              and family.tail.constant > 0.0)
+    tailed = isinstance(family, CoefficientSeq) and _has_tail(family)
     hi = SERIES_EVAL_MAX if tailed else 1.0 - 1e-12
     ghi = weighted_sum(family, hi) - target
     if ghi <= 0.0:

@@ -657,9 +657,12 @@ run("jacobian-scan", "--witness", "f0:2,0.3", "--steps", "5")
 run("sharpness", "--witness", "F0")
 run("sharpness", "--witness", "L0")
 run("sharpness", "--witness", "f0:2,0.3")
+loaded = sorted({"harmradius.maps", "harmradius.membership"} & set(sys.modules))
+assert not loaded, f"a subcommand other than membership loaded {loaded}"
 for check in ("coeff", "growth"):
     run("membership", "--check", check, "--seq", sys.argv[1])
     run("membership", "--check", check, "--seq", sys.argv[1], "--dilate", "0.5")
+assert "harmradius.maps" not in sys.modules, "a coefficient check loaded maps"
 """
 SCALAR_PROCESS = SCALAR_RUNS + """
 assert "numpy" not in sys.modules, "a scalar subcommand loaded numpy"

@@ -17,7 +17,7 @@ from harmradius import (
     harmonic_koebe,
     identity_map,
 )
-from harmradius.maps import SERIES_EVAL_MAX
+from harmradius.maps import SERIES_EVAL_MAX, _compile
 
 from conftest import fd_wirtinger, fd_jacobian
 
@@ -72,9 +72,38 @@ def test_series_map_is_compiled_on_first_evaluation_up_to_degree_cap():
     for evaluate in (f, f.wirtinger, f.jacobian, f.dilate(0.5)):
         with pytest.raises(ValueError, match=message):
             evaluate(0.1)
+    # coefficients and sections read the sequence and build no polynomial
+    assert f.coefficient(1) == (1.0 + 0j, 0j) and f.coefficient(2) == (0j, 0j)
+    assert f.coefficient(10 ** 13) == (1e-15 + 0j, 0j)
+    assert f.dilate(0.5).coefficient(2) == (0j, 0j)
+    assert f.section(3, 1).as_sequence() == CoefficientSeq({}, {}, 3)
     # the cap itself compiles
     g = HarmonicMap.from_series(CoefficientSeq({10 ** 4: 1e-9}, {}, 10 ** 4))
     assert g(0.5) == pytest.approx(0.5, abs=1e-15)
+
+
+def test_compiled_evaluators_match_numpy_polynomial_bit_for_bit(rng):
+    from numpy.polynomial import polynomial as npoly
+
+    def rand(size):
+        return rng.uniform(-1, 1, size) + 1j * rng.uniform(-1, 1, size)
+
+    for degree in range(1, 60):
+        for zero_top in (False, True):
+            a, b = rand(degree + 1), 0.1 * rand(degree + 1)
+            if zero_top:
+                a[degree] = b[degree] = 0.0
+            seq = CoefficientSeq(dict(enumerate(a[2:], 2)), dict(enumerate(b[1:], 1)), degree)
+            ch = np.array([0, 1, *a[2:]], dtype=complex)
+            cg = np.array([0, *b[1:]], dtype=complex)
+            forms = _compile(seq)
+            pairs = [(forms.h, ch), (forms.g, cg), (forms.dh, npoly.polyder(ch)),
+                     (forms.dg, npoly.polyder(cg))]
+            for w in (0.5 * rand((3, 4)), np.asarray(0.5 * rand(1)[0]), np.asarray(0j)):
+                for evaluate, c in pairs:
+                    got, want = np.asarray(evaluate(w)), np.asarray(npoly.polyval(w, c))
+                    assert got.dtype == want.dtype and got.shape == want.shape
+                    assert got.tobytes() == want.tobytes(), (degree, zero_top)
 
 
 def test_wirtinger_matches_finite_differences(rng):

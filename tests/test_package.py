@@ -1,5 +1,6 @@
-"""The package namespace: exports resolved lazily from the submodules,
-and the immutable records they define."""
+"""The package namespace: exports of the numpy-free submodules bound on
+import, those of maps and membership resolved lazily, and the immutable
+records they define."""
 
 import importlib
 import math
@@ -17,6 +18,7 @@ from harmradius.membership import GridSpec, MembershipReport
 from harmradius.radii import RadiusReport, SharpnessReport
 
 SUBMODULES = ("coefficients", "maps", "extremals", "membership", "radii", "bloch")
+LAZY = ("maps", "membership")
 
 
 def owner(name):
@@ -32,12 +34,17 @@ def test_exports_are_the_submodules_all():
     assert harmradius.__all__ == ["__version__", *names]
 
 
-def test_every_export_is_a_lazy_package_attribute(monkeypatch):
+def test_eager_exports_are_bound_and_lazy_ones_bind_on_first_lookup(monkeypatch):
     exported = harmradius.__all__[1:]
-    for name in exported:  # as before the first lookup; restored afterwards
+    lazy = [n for m in LAZY for n in importlib.import_module(f"harmradius.{m}").__all__]
+    assert len(lazy) == 14
+    for name in exported:
+        if name not in lazy:  # bound by import harmradius itself
+            assert vars(harmradius)[name] is getattr(owner(name), name)
+    for name in lazy:  # as before the first lookup; restored afterwards
         monkeypatch.delitem(vars(harmradius), name, raising=False)
     assert set(exported) <= set(dir(harmradius))
-    for name in exported:
+    for name in lazy:
         value = getattr(harmradius, name)
         assert value is getattr(owner(name), name)
         assert vars(harmradius)[name] is value  # stored by the lookup
@@ -45,8 +52,9 @@ def test_every_export_is_a_lazy_package_attribute(monkeypatch):
     exec("from harmradius import *", star)
     assert all(star[name] is getattr(harmradius, name) for name in harmradius.__all__)
     assert harmradius.UnsupportedOperation is harmradius.maps.UnsupportedOperation
-    monkeypatch.delattr(harmradius, "maps")  # as before the submodule's import
-    assert harmradius.maps is sys.modules["harmradius.maps"]
+    for module in LAZY:  # as before the submodule's import
+        monkeypatch.delattr(harmradius, module)
+        assert getattr(harmradius, module) is sys.modules[f"harmradius.{module}"]
     with pytest.raises(AttributeError, match="no_such_name"):
         harmradius.no_such_name
 
