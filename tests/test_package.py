@@ -34,7 +34,9 @@ def test_exports_are_the_submodules_all():
     assert harmradius.__all__ == ["__version__", *names]
 
 
-def test_eager_exports_are_bound_and_lazy_ones_bind_on_first_lookup(monkeypatch):
+def test_every_export_is_a_lazy_package_attribute(monkeypatch):
+    # every export is a package attribute: the core modules' names bound by
+    # import harmradius, those of maps and membership on first lookup
     exported = harmradius.__all__[1:]
     lazy = [n for m in LAZY for n in importlib.import_module(f"harmradius.{m}").__all__]
     assert len(lazy) == 14
