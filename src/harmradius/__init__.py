@@ -11,9 +11,10 @@ and evaluates the Bloch-Landau consequence for bounded harmonic maps.
 ``import harmradius`` imports coefficients, extremals, radii and bloch,
 none of which imports numpy, and re-exports their names: the radii, the
 coefficient sums, the sharpness check of a profile, the Bloch table and
-the extremal labels are usable without numpy.  maps (which imports numpy)
-and membership load on first use (PEP 562): the first lookup of one of
-their exported names imports the submodule and binds all its exports here.
+the extremal labels are usable without numpy.  maps (numpy on its first
+array input) and membership load on first use (PEP 562): the first lookup
+of one of their exported names imports the submodule and binds all its
+exports here.
 """
 
 import importlib

@@ -10,11 +10,11 @@ invocations produce identical bytes.
 Exit codes: 0 success, 1 usage, 2 no-radius, domain or out-of-memory
 failure, 3 I/O.
 
-Only membership's sampled checks (c-h2, starlike, injectivity) and a
---map, which builds a map, import numpy; the other subcommands, and
-membership --check coeff|growth --seq, run on the standard library
-alone, radius on every input.  Beyond numpy, only membership --check
-injectivity loads a dependency: its k-d tree pair search.
+Only membership's sampled checks (c-h2, starlike, injectivity) import
+numpy; the other subcommands, and membership --check coeff|growth on a
+--seq or a --map, run on the standard library alone, radius on every
+input.  Beyond numpy, only membership --check injectivity loads a
+dependency: its k-d tree pair search.
 """
 
 import argparse

@@ -19,8 +19,8 @@ reconcile the two.  A JacobianProfile holds a witness's real-axis
 Jacobian as polynomial factors over a power of (r - 1); those of F0 and
 L0 include their family's S(r) = 1 polynomial (FAMILY_POLYNOMIALS).
 
-The map factories import maps (and with it numpy) when called; the label
-tables and the profiles need neither.
+The map factories import maps when called; the label tables and the
+profiles need no map.  None of them imports numpy.
 """
 
 from __future__ import annotations
@@ -61,20 +61,27 @@ CONVEX_EXTREMAL_CONVEXITY_RADIUS = math.sqrt(2.0) - 1.0
 
 # -- the two base extremals ------------------------------------------------
 
+# Powers are written as products: numpy raises a complex array to an integer
+# power one element at a time, some 20 times slower than a product.
+
 def _koebe_h(z):
-    return (z - z * z / 2 + z ** 3 / 6) / (1 - z) ** 3
+    q, zz = 1 - z, z * z
+    return (z - zz / 2 + z * zz / 6) / (q * (q * q))
 
 
 def _koebe_g(z):
-    return (z * z / 2 + z ** 3 / 6) / (1 - z) ** 3
+    q, zz = 1 - z, z * z
+    return (zz / 2 + z * zz / 6) / (q * (q * q))
 
 
 def _koebe_dh(z):
-    return (1 + z) / (1 - z) ** 4
+    qq = (1 - z) * (1 - z)
+    return (1 + z) / (qq * qq)
 
 
 def _koebe_dg(z):
-    return z * (1 + z) / (1 - z) ** 4
+    qq = (1 - z) * (1 - z)
+    return z * (1 + z) / (qq * qq)
 
 
 def harmonic_koebe() -> HarmonicMap:
@@ -95,11 +102,13 @@ def _convex_g(z):
 
 
 def _convex_dh(z):
-    return (1 / (1 - z) ** 2 + (1 + z) / (1 - z) ** 3) / 2
+    q = 1 - z
+    return (1 / (q * q) + (1 + z) / (q * (q * q))) / 2
 
 
 def _convex_dg(z):
-    return (1 / (1 - z) ** 2 - (1 + z) / (1 - z) ** 3) / 2
+    q = 1 - z
+    return (1 / (q * q) - (1 + z) / (q * (q * q))) / 2
 
 
 def _convex_coeff(n: int):

@@ -7,14 +7,15 @@ derivatives f_z = h' and f_zbar = conj(g'), the Jacobian |h'|^2 - |g'|^2,
 the second complex dilatation g'/h', dilation f_r(z) = f(rz)/r, and
 (where coefficients are available) truncation to partial sums.
 
-All evaluators accept scalars or numpy arrays and are pure; maps are
-immutable once constructed.
+All evaluators are pure and accept a number or a numpy array.  A number
+(a Python or numpy scalar, or a 0-d array) is evaluated in plain complex
+arithmetic and gives a complex (the Jacobian a float); an array is
+evaluated by numpy, which this module imports on the first array call.
+Maps are immutable once constructed.
 """
 
 import functools
 import math
-
-import numpy as np
 
 from ._util import UnsupportedOperation, check_index, horner, record
 from .coefficients import SERIES_EVAL_MAX, CoefficientSeq
@@ -46,11 +47,6 @@ class ClosedForm(record("ClosedForm", "h g dh dg coeff", (None,))):
     __slots__ = ()
 
 
-def _split_scalar(z):
-    arr = np.asarray(z, dtype=complex)
-    return arr, arr.ndim == 0
-
-
 def _compile(seq: CoefficientSeq) -> ClosedForm:
     """Polynomial evaluators for a stored sequence."""
     # degree: the highest stored index (not seq.truncation); past it all are zero
@@ -58,16 +54,17 @@ def _compile(seq: CoefficientSeq) -> ClosedForm:
     if degree > _MAX_SERIES_DEGREE:
         raise ValueError(f"series maps are evaluated up to degree {_MAX_SERIES_DEGREE}; "
                          f"the highest stored index is {degree}")
-    ch = np.zeros(degree + 1, dtype=complex)
-    cg = np.zeros_like(ch)
-    ch[1] = 1.0
+    ch, cg = [0j] * (degree + 1), [0j] * (degree + 1)
+    ch[1] = 1 + 0j
     for k, v in seq.a.items():
-        ch[k] = v
+        ch[k] = complex(v)
     for k, v in seq.b.items():
-        cg[k] = v
-    # horner takes the highest degree first
-    n = np.arange(1, degree + 1)
-    h, g, dh, dg = ch[::-1], cg[::-1], (ch[1:] * n)[::-1], (cg[1:] * n)[::-1]
+        cg[k] = complex(v)
+    # horner takes the highest degree first; a tuple of complex serves a
+    # number and an array alike
+    h, g = tuple(reversed(ch)), tuple(reversed(cg))
+    dh = tuple(reversed([c * n for n, c in enumerate(ch) if n]))
+    dg = tuple(reversed([c * n for n, c in enumerate(cg) if n]))
     return ClosedForm(lambda w: horner(h, w), lambda w: horner(g, w),
                       lambda w: horner(dh, w), lambda w: horner(dg, w))
 
@@ -128,7 +125,7 @@ class HarmonicMap:
     # -- internals ---------------------------------------------------------
 
     def _check_normalization(self) -> None:
-        w = np.asarray(0j)
+        w = 0j
         h0, g0 = self._forms.h(w), self._forms.g(w)
         dh0, dg0 = self._forms.dh(w), self._forms.dg(w)
         if abs(h0) > _NORM_TOL or abs(g0) > _NORM_TOL:
@@ -138,35 +135,43 @@ class HarmonicMap:
         if abs(dg0) >= 1.0:
             raise ValueError(f"{self.label}: |g'(0)| must be < 1")
 
-    def _guard(self, arr: np.ndarray) -> np.ndarray:
+    def _point(self, z):
+        """(w, scalar): z checked against the domain, times the dilation;
+        a complex for a number or a 0-d array, a complex array otherwise."""
         limit, message = self._domain
-        if np.any(np.abs(arr) > limit):
+        scalar = not (getattr(z, "ndim", 0) or isinstance(z, (list, tuple)))
+        if scalar:
+            w = complex(z)
+            outside = abs(w) > limit
+        else:
+            import numpy as np
+
+            w = np.asarray(z, dtype=complex)
+            outside = (abs(w) > limit).any()
+        if outside:
             raise EvaluationDomainError(message)
-        return arr * self._scale
+        return w * self._scale, scalar
 
     # -- evaluation --------------------------------------------------------
 
     def __call__(self, z):
         """f(z) = h(z) + conj(g(z)), broadcasting over array input."""
-        arr, scalar = _split_scalar(z)
-        w = self._guard(arr)
-        val = (self._forms.h(w) + np.conj(self._forms.g(w))) / self._scale
+        w, scalar = self._point(z)
+        val = (self._forms.h(w) + self._forms.g(w).conjugate()) / self._scale
         return complex(val) if scalar else val
 
     def wirtinger(self, z):
         """The Wirtinger derivatives (f_z, f_zbar) = (h'(z), conj(g'(z)))."""
-        arr, scalar = _split_scalar(z)
-        w = self._guard(arr)
-        dh, dg = self._forms.dh(w), self._forms.dg(w)
-        fzbar = np.conj(dg)
+        w, scalar = self._point(z)
+        dh, fzbar = self._forms.dh(w), self._forms.dg(w).conjugate()
         return (complex(dh), complex(fzbar)) if scalar else (dh, fzbar)
 
     def jacobian(self, z):
         """J_f(z) = |h'(z)|^2 - |g'(z)|^2.  Positive iff sense-preserving at z."""
-        arr, scalar = _split_scalar(z)
-        w = self._guard(arr)
-        dh, dg = self._forms.dh(w), self._forms.dg(w)
-        val = np.abs(dh) ** 2 - np.abs(dg) ** 2
+        w, scalar = self._point(z)
+        # products: numpy squares an array by one, where float ** 2 calls pow()
+        dh, dg = abs(self._forms.dh(w)), abs(self._forms.dg(w))
+        val = dh * dh - dg * dg
         return float(val) if scalar else val
 
     def dilatation(self, z):
@@ -175,10 +180,10 @@ class HarmonicMap:
         Raises:
             ZeroDivisionError: if |h'(z)| <= 1e-14 at any requested point.
         """
-        arr, scalar = _split_scalar(z)
-        w = self._guard(arr)
+        w, scalar = self._point(z)
         dh, dg = self._forms.dh(w), self._forms.dg(w)
-        if np.any(np.abs(dh) <= 1e-14):
+        small = abs(dh) <= 1e-14
+        if small if scalar else small.any():
             raise ZeroDivisionError(f"{self.label}: h' vanishes at a requested point")
         val = dg / dh
         return complex(val) if scalar else val

@@ -47,6 +47,8 @@ BOUNDARY_TOL = 1e-12
 COLLISION_TOL = 1e-9
 # Most points a GridSpec samples: the injectivity oracle's largest grid, 512 x 512.
 _MAX_GRID_POINTS = 512 * 512
+# Most candidate pairs the injectivity oracle Newton-refines, closest images first.
+_MAX_REFINED = 2000
 
 
 def __getattr__(name):
@@ -272,13 +274,28 @@ def _newton_collide(f: HarmonicMap, target: complex, z: complex, r: float):
     return z, abs(f(z) - target)
 
 
+def _closest_first(dist: np.ndarray) -> np.ndarray:
+    """Indices of the _MAX_REFINED smallest entries of dist, smallest first;
+    equal entries keep their order, as in a stable sort of all of dist."""
+    np = _np()
+    if dist.size <= _MAX_REFINED:
+        return np.argsort(dist, kind="stable")
+    cut = np.partition(dist, _MAX_REFINED - 1)[_MAX_REFINED - 1]
+    below = np.flatnonzero(dist < cut)
+    at_cut = np.flatnonzero(dist == cut)[:_MAX_REFINED - below.size]
+    keep = np.union1d(below, at_cut)
+    return keep[np.argsort(dist[keep], kind="stable")]
+
+
 def injectivity_oracle(f: HarmonicMap, r: float,
                        resolution: int = 256) -> MembershipReport:
     """Search for two well-separated points with the same image.
 
     Samples f on a resolution x resolution Cartesian grid over |z| <= r,
     collects image near-coincidences between domain points more than two
-    grid pitches apart, and Newton-refines each candidate.  A refined pair
+    grid pitches apart, and Newton-refines the _MAX_REFINED (2000)
+    candidates with the closest images, closest first; only those are
+    ordered, equal image distances in candidate order.  A refined pair
     with image distance <= COLLISION_TOL certifies non-injectivity
     (verdict violated); otherwise the verdict is inconclusive, since
     sampling cannot prove injectivity.
@@ -302,22 +319,21 @@ def injectivity_oracle(f: HarmonicMap, r: float,
 
     # a module attribute, not a bare global: the first lookup imports it
     tree = sys.modules[__name__].cKDTree(np.column_stack([images.real, images.imag]))
-    raw = tree.query_pairs(5.0 * pitch, output_type="ndarray")
-    if raw.size:
-        keep = np.abs(pts[raw[:, 0]] - pts[raw[:, 1]]) > sep
-        raw = raw[keep]
-    if raw.size == 0:
+    # the pairs' two index columns, each contiguous: numpy gathers and
+    # compresses through them faster than through columns of the (n, 2) array
+    first, second = np.ascontiguousarray(
+        tree.query_pairs(5.0 * pitch, output_type="ndarray").T)
+    far = np.abs(pts[first] - pts[second]) > sep
+    first, second = first[far], second[far]
+    if first.size == 0:
         return MembershipReport(
             "inconclusive", 5.0 * pitch - COLLISION_TOL, None, spec,
             note="no image near-coincidence between separated samples",
         )
 
-    # closest image pairs first; cap the refinement work
-    order = np.argsort(np.abs(images[raw[:, 0]] - images[raw[:, 1]]))
-    raw = raw[order[:2000]]
+    order = _closest_first(np.abs(images[first] - images[second]))
     best = None
-    for i, j in raw:
-        z1, z2 = complex(pts[i]), complex(pts[j])
+    for z1, z2 in zip(pts[first[order]].tolist(), pts[second[order]].tolist()):
         refined = _newton_collide(f, f(z1), z2, r)
         if refined is None:
             continue

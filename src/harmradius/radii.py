@@ -234,10 +234,11 @@ def verify_sharpness(witness, r_claimed: float) -> SharpnessReport:
     r = float(r_claimed)
     if not 0.0 < r < 1.0 - 1e-3:
         raise ValueError("claimed radius must lie in (0, 0.999)")
-    # A profile gives the same floats called on an array or element-wise.
-    # One array call is some 30x faster, but importing numpy for it costs a
-    # cold process far more than the float calls, so only a process that
-    # has numpy already (a map witness among them) takes the array path.
+    # A profile gives the same floats called on an array or element-wise (a
+    # map the same to within rounding).  One array call is some 30x faster,
+    # but importing numpy for it costs a cold process far more than the
+    # float calls, so only a process that has numpy already takes the array
+    # path.
     if "numpy" in sys.modules:
         import numpy as np
 

@@ -641,9 +641,9 @@ SCALAR_RUNS = """
 import contextlib, io, sys
 import harmradius, harmradius.cli
 
-def run(*argv):
+def run(*argv, code=0):
     with contextlib.redirect_stdout(io.StringIO()):
-        assert harmradius.cli.main(list(argv)) == 0, argv
+        assert harmradius.cli.main(list(argv)) == code, argv
 
 assert "numpy" not in sys.modules, "import harmradius loaded numpy"
 run("radius", "--family", "uniform:2,0.3")
@@ -663,6 +663,9 @@ for check in ("coeff", "growth"):
     run("membership", "--check", check, "--seq", sys.argv[1])
     run("membership", "--check", check, "--seq", sys.argv[1], "--dilate", "0.5")
 assert "harmradius.maps" not in sys.modules, "a coefficient check loaded maps"
+# a closed-form map builds and exits 2 (no coefficient sequence) without numpy
+run("membership", "--check", "coeff", "--map", "F0", code=2)
+run("membership", "--check", "growth", "--map", "f0:2,0.3", code=2)
 """
 SCALAR_PROCESS = SCALAR_RUNS + """
 assert "numpy" not in sys.modules, "a scalar subcommand loaded numpy"

@@ -1,6 +1,10 @@
 """HarmonicMap evaluation, derivatives, dilation, sections."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -155,6 +159,93 @@ def test_closed_form_domain_guard():
         f(1.0)
     with pytest.raises(EvaluationDomainError):
         f(-1.2)
+
+
+# -- scalar and array paths ------------------------------------------------------
+
+# A number is evaluated in plain complex arithmetic and an array by numpy;
+# the two round differently (numpy divides by multiplying by a reciprocal),
+# so they agree to a float64 tolerance fixed here, relative to the size of
+# the value, or to 1 where a small value is a cancellation of terms of
+# order 1 (J to |h'|^2 + |g'|^2, the terms it is the difference of).
+PATH_RTOL = 1e-14
+
+
+def _path_maps():
+    seq = CoefficientSeq({n: (-0.3 + 0.2j) / n ** 3 for n in range(2, 31)},
+                         {n: (0.1 - 0.15j) / n ** 3 for n in range(1, 31)}, 30)
+    closed = [get_extremal(label, 2.0, 0.3) if label in PARAMETERS else get_extremal(label)
+              for label in sorted(EXTREMALS)]
+    series = [HarmonicMap.from_series(_sample_seq()), HarmonicMap.from_series(seq)]
+    return [*closed, *series, harmonic_koebe().dilate(0.3), series[1].dilate(0.5)]
+
+
+@pytest.mark.parametrize("f", _path_maps(), ids=lambda f: f.label)
+def test_scalar_and_array_paths_agree(f, rng):
+    rho = 0.99 * np.sqrt(rng.uniform(0.0, 1.0, 200))
+    zs = rho * np.exp(2j * np.pi * rng.uniform(0.0, 1.0, 200))
+    values, (fz, fzbar) = f(zs), f.wirtinger(zs)
+    jac, mu = f.jacobian(zs), f.dilatation(zs)
+    for k, z in enumerate(zs.tolist()):
+        got = [f(z), *f.wirtinger(z), f.dilatation(z)]
+        for g, want in zip(got, (values[k], fz[k], fzbar[k], mu[k])):
+            assert abs(g - want) <= PATH_RTOL * max(1.0, abs(want)), (f.label, z)
+        scale = abs(fz[k]) ** 2 + abs(fzbar[k]) ** 2
+        assert abs(f.jacobian(z) - jac[k]) <= PATH_RTOL * max(1.0, scale), (f.label, z)
+
+
+@pytest.mark.parametrize("f", [harmonic_koebe(), HarmonicMap.from_series(_sample_seq())],
+                         ids=lambda f: f.label)
+def test_scalar_path_refuses_at_the_array_boundary(f):
+    limit = SERIES_EVAL_MAX * (1.0 + 1e-12) if f.is_series else math.nextafter(1.0, 0.0)
+    beyond = math.nextafter(limit, 2.0)
+    for evaluate in (f, f.wirtinger, f.jacobian, f.dilatation):
+        for direction in (1.0, -1j):
+            evaluate(limit * direction)
+            evaluate(np.array([limit * direction]))
+            messages = []
+            for z in (beyond * direction, np.float64(beyond) * direction,
+                      np.asarray(beyond * direction), np.array([0.0, beyond * direction])):
+                with pytest.raises(EvaluationDomainError) as info:
+                    evaluate(z)
+                messages.append(str(info.value))
+            assert len(set(messages)) == 1, messages
+
+
+def test_numbers_and_zero_d_arrays_take_the_scalar_path():
+    f = get_extremal("F0").dilate(0.9)
+    z = 0.07 + 0.02j
+    for w in (np.complex128(z), np.asarray(z)):
+        assert f(w) == f(z) and f.wirtinger(w) == f.wirtinger(z)
+        assert f.jacobian(w) == f.jacobian(z) and f.dilatation(w) == f.dilatation(z)
+    for w in (0.05, np.float64(0.05), np.float32(0.05), np.asarray(0.05), 0, np.int64(0)):
+        assert type(f(w)) is complex and type(f.dilatation(w)) is complex
+        assert type(f.jacobian(w)) is float
+        assert [type(v) for v in f.wirtinger(w)] == [complex, complex]
+    assert f(np.float32(0.05)) == f(float(np.float32(0.05)))
+    # closed forms on numpy functions give numpy scalars; the types stay
+    e = HarmonicMap.from_closed_form("expm1", np.expm1, lambda z: 0 * z, np.exp, lambda z: 0 * z)
+    assert type(e(0.1)) is complex and type(e.dilatation(0.1)) is complex
+    assert type(e.jacobian(0.1)) is float and e.jacobian(0.1) == pytest.approx(math.exp(0.2))
+    assert [type(v) for v in e.wirtinger(0.1)] == [complex, complex]
+    for w in (np.array([z]), np.full((2, 3), z), [z, 0.0]):
+        assert isinstance(f(w), np.ndarray) and f(w).shape == np.shape(w)
+        assert f.jacobian(w).dtype == float and f.dilatation(w).shape == np.shape(w)
+
+
+def test_scalar_evaluation_imports_no_numpy():
+    code = """
+import sys
+import harmradius as hr
+for f in (hr.get_extremal("F0"), hr.get_extremal("f0", 2.0, 0.3).dilate(0.5),
+          hr.HarmonicMap.from_series(hr.CoefficientSeq({2: 0.1j}, {3: 0.01}, 3))):
+    f(0.05), f.wirtinger(0.05j), f.jacobian(0.05), f.dilatation(0.05)
+assert "numpy" not in sys.modules, "scalar evaluation loaded numpy"
+"""
+    root = Path(__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=60, env={**os.environ, "PYTHONPATH": str(root / "src")})
+    assert proc.returncode == 0, proc.stderr
 
 
 # -- normalization ------------------------------------------------------------

@@ -14,6 +14,7 @@ from harmradius import (
     c_h2_numeric,
     coeff_condition,
     coefficient_growth_check,
+    get_extremal,
     harmonic_koebe,
     identity_map,
     injectivity_oracle,
@@ -297,6 +298,47 @@ def test_injectivity_dilated_koebe_no_collision():
     K = harmonic_koebe().dilate(0.112903)
     rep = injectivity_oracle(K, 0.999, 256)
     assert rep.verdict == "inconclusive"
+
+
+def _full_sort_selection(dist):
+    """The oracle's former selection: an argsort of every separated
+    candidate, of which the first 2000 were refined."""
+    return np.argsort(dist)[:2000]
+
+
+# F0 and L0 past their radii, the identity, and Koebe just inside its radius
+ORACLE_CASES = [("F0", 0.2, 64), ("F0", 0.2, 256), ("F0", 0.15, 256), ("F0", 0.21, 512),
+                ("F0", 0.18, 128), ("L0", 0.18, 128), ("identity", 0.9, 128),
+                ("koebe", 0.999, 256)]
+
+
+def _oracle_map(label):
+    if label == "identity":
+        return identity_map()
+    if label == "koebe":
+        return harmonic_koebe().dilate(0.112903)
+    return get_extremal(label)
+
+
+@pytest.mark.parametrize("label, r, resolution", ORACLE_CASES)
+def test_injectivity_report_matches_full_sort_selection(monkeypatch, label, r, resolution):
+    from harmradius import membership
+
+    got = injectivity_oracle(_oracle_map(label), r, resolution)
+    monkeypatch.setattr(membership, "_closest_first", _full_sort_selection)
+    want = injectivity_oracle(_oracle_map(label), r, resolution)
+    assert got == want
+    assert got.verdict == ("inconclusive" if label in ("identity", "koebe") else "violated")
+
+
+def test_closest_first_is_the_head_of_a_stable_sort(rng):
+    from harmradius.membership import _MAX_REFINED, _closest_first
+
+    for size in (0, 1, 5, _MAX_REFINED, _MAX_REFINED + 1, 3 * _MAX_REFINED):
+        # few distinct values, so ties fall on the cut
+        for dist in (rng.uniform(0.0, 1.0, size), rng.integers(0, 7, size).astype(float)):
+            want = np.argsort(dist, kind="stable")[:_MAX_REFINED]
+            assert np.array_equal(_closest_first(dist), want), size
 
 
 def test_ckdtree_is_a_lazy_module_attribute():
