@@ -10,8 +10,8 @@ import math
 import operator
 from collections import namedtuple
 
-__all__ = ["UnsupportedOperation", "record", "fmt12", "round12", "horner", "check_index",
-           "check_beta", "check_uniform"]
+__all__ = ["UnsupportedOperation", "record", "fmt12", "round12", "horner", "horner_array",
+           "check_index", "check_beta", "check_uniform"]
 
 
 class UnsupportedOperation(RuntimeError):
@@ -44,6 +44,26 @@ def horner(coeffs, x):
     acc = 0.0
     for k in coeffs:
         acc = acc * x + k
+    return acc
+
+
+def horner_array(coeffs, x):
+    """horner(coeffs, x), bit for bit, for a complex numpy array x and at
+    least one coefficient, computed in place.
+
+    A zero coefficient other than the last is not added.  Adding a zero
+    changes at most the sign of a zero, on which no nonzero value depends,
+    and adding a last coefficient with no -0.0 part gives every zero the
+    sign it has when all are added; before a last coefficient with a -0.0
+    part every coefficient is added."""
+    *head, last = coeffs
+    skip_zeros = math.copysign(1.0, last.real) > 0.0 < math.copysign(1.0, last.imag)
+    acc = 0.0 * x
+    for k in head:
+        if k or not skip_zeros:
+            acc += k
+        acc *= x
+    acc += last
     return acc
 
 

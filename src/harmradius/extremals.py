@@ -62,16 +62,17 @@ CONVEX_EXTREMAL_CONVEXITY_RADIUS = math.sqrt(2.0) - 1.0
 # -- the two base extremals ------------------------------------------------
 
 # Powers are written as products: numpy raises a complex array to an integer
-# power one element at a time, some 20 times slower than a product.
+# power one element at a time, some 20 times slower than a product.  Halving
+# is a product by 0.5: numpy divides complex arrays by the complex 2 + 0j.
 
 def _koebe_h(z):
     q, zz = 1 - z, z * z
-    return (z - zz / 2 + z * zz / 6) / (q * (q * q))
+    return (z - zz * 0.5 + z * zz / 6) / (q * (q * q))
 
 
 def _koebe_g(z):
     q, zz = 1 - z, z * z
-    return (zz / 2 + z * zz / 6) / (q * (q * q))
+    return (zz * 0.5 + z * zz / 6) / (q * (q * q))
 
 
 def _koebe_dh(z):
@@ -94,21 +95,21 @@ def harmonic_koebe() -> HarmonicMap:
 
 
 def _convex_h(z):
-    return (z / (1 - z) + z / (1 - z) ** 2) / 2
+    return (z / (1 - z) + z / (1 - z) ** 2) * 0.5
 
 
 def _convex_g(z):
-    return (z / (1 - z) - z / (1 - z) ** 2) / 2
+    return (z / (1 - z) - z / (1 - z) ** 2) * 0.5
 
 
 def _convex_dh(z):
     q = 1 - z
-    return (1 / (q * q) + (1 + z) / (q * (q * q))) / 2
+    return (1 / (q * q) + (1 + z) / (q * (q * q))) * 0.5
 
 
 def _convex_dg(z):
     q = 1 - z
-    return (1 / (q * q) - (1 + z) / (q * (q * q))) / 2
+    return (1 / (q * q) - (1 + z) / (q * (q * q))) * 0.5
 
 
 def _convex_coeff(n: int):

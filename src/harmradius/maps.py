@@ -17,7 +17,7 @@ Maps are immutable once constructed.
 import functools
 import math
 
-from ._util import UnsupportedOperation, check_index, horner, record
+from ._util import UnsupportedOperation, check_index, horner, horner_array, record
 from .coefficients import SERIES_EVAL_MAX, CoefficientSeq
 
 __all__ = [
@@ -60,13 +60,16 @@ def _compile(seq: CoefficientSeq) -> ClosedForm:
         ch[k] = complex(v)
     for k, v in seq.b.items():
         cg[k] = complex(v)
-    # horner takes the highest degree first; a tuple of complex serves a
-    # number and an array alike
+    # highest degree first, as horner and horner_array take them
     h, g = tuple(reversed(ch)), tuple(reversed(cg))
     dh = tuple(reversed([c * n for n, c in enumerate(ch) if n]))
     dg = tuple(reversed([c * n for n, c in enumerate(cg) if n]))
-    return ClosedForm(lambda w: horner(h, w), lambda w: horner(g, w),
-                      lambda w: horner(dh, w), lambda w: horner(dg, w))
+    return ClosedForm(*map(_polynomial, (h, g, dh, dg)))
+
+
+def _polynomial(coeffs):
+    # a point is a complex, or a complex array, evaluated in place (see HarmonicMap._point)
+    return lambda w: horner(coeffs, w) if isinstance(w, complex) else horner_array(coeffs, w)
 
 
 # Evaluation domain per backing: the largest accepted |z| and the refusal

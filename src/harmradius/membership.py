@@ -19,6 +19,7 @@ a sampled check or a grid; a reassigned attribute is the one used.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 
@@ -42,8 +43,9 @@ __all__ = [
 ]
 
 BOUNDARY_TOL = 1e-12
-# Two grid samples whose images land within COLLISION_TOL (after Newton
-# refinement) count as one image point.
+# Two grid samples whose images land closer than COLLISION_TOL (after Newton
+# refinement) count as one image point; injectivity_oracle scales it down on
+# grids with a pitch below 1e-4.
 COLLISION_TOL = 1e-9
 # Most points a GridSpec samples: the injectivity oracle's largest grid, 512 x 512.
 _MAX_GRID_POINTS = 512 * 512
@@ -93,13 +95,23 @@ class GridSpec(record("GridSpec", "n_radial n_angular r_max", (200, 64, 0.999)))
         return np.append(self.r_max * (1.0 - rem), self.r_max)
 
     def points(self) -> np.ndarray:
-        np = _np()
-        ang = np.exp(2j * np.pi * np.arange(self.n_angular) / self.n_angular)
-        return np.outer(self.radii(), ang).ravel()
+        """The n_radial * n_angular points, circle by circle.  They are
+        computed once per spec and shared, so the array is read-only."""
+        return _grid_points(*self)
 
     def describe(self) -> str:
         return (f"{self.n_radial}x{self.n_angular} polar grid, geometric "
                 f"clustering toward r_max={self.r_max:g}")
+
+
+# typed: equal specs whose fields differ in type (200 and 200.0) are kept apart
+@functools.lru_cache(maxsize=8, typed=True)
+def _grid_points(n_radial, n_angular, r_max) -> np.ndarray:
+    np = _np()
+    ang = np.exp(2j * np.pi * np.arange(n_angular) / n_angular)
+    pts = np.outer(GridSpec(n_radial, n_angular, r_max).radii(), ang).ravel()
+    pts.flags.writeable = False
+    return pts
 
 
 class MembershipReport(record("MembershipReport", "verdict margin witness grid_spec boundary "
@@ -251,11 +263,13 @@ def starlike_scan(f: HarmonicMap, r: float,
     return _sampled_verdict(np.real((pts * fz - np.conj(pts) * fzbar) / fval), pts, grid)
 
 
-def _newton_collide(f: HarmonicMap, target: complex, z: complex, r: float):
-    """Refine z so that f(z) = target; returns (z, residual) or None."""
+def _newton_collide(f: HarmonicMap, target: complex, z: complex, r: float, scale: float):
+    """Refine z so that f(z) = target; returns (z, residual) or None.  The
+    stopping tests on the residual and the step are 1e-13 and 1e-14 times
+    scale, the grid's image scale (see injectivity_oracle)."""
     for _ in range(25):
         val = f(z) - target
-        if abs(val) <= 1e-13:
+        if abs(val) <= 1e-13 * scale:
             break
         fz, fzbar = f.wirtinger(z)
         fx = fz + fzbar
@@ -269,22 +283,21 @@ def _newton_collide(f: HarmonicMap, target: complex, z: complex, r: float):
         z = z + step
         if abs(z) > r:
             return None
-        if abs(step) < 1e-14:
+        if abs(step) < 1e-14 * scale:
             break
     return z, abs(f(z) - target)
 
 
-def _closest_first(dist: np.ndarray) -> np.ndarray:
+def _closest_first(dist: np.ndarray, key: np.ndarray) -> np.ndarray:
     """Indices of the _MAX_REFINED smallest entries of dist, smallest first;
-    equal entries keep their order, as in a stable sort of all of dist."""
+    equal entries in increasing order of key (distinct keys)."""
     np = _np()
-    if dist.size <= _MAX_REFINED:
-        return np.argsort(dist, kind="stable")
-    cut = np.partition(dist, _MAX_REFINED - 1)[_MAX_REFINED - 1]
-    below = np.flatnonzero(dist < cut)
-    at_cut = np.flatnonzero(dist == cut)[:_MAX_REFINED - below.size]
-    keep = np.union1d(below, at_cut)
-    return keep[np.argsort(dist[keep], kind="stable")]
+    if dist.size > _MAX_REFINED:
+        cut = np.partition(dist, _MAX_REFINED - 1)[_MAX_REFINED - 1]
+        keep = np.flatnonzero(dist <= cut)
+    else:
+        keep = np.arange(dist.size)
+    return keep[np.lexsort((key[keep], dist[keep]))][:_MAX_REFINED]
 
 
 def injectivity_oracle(f: HarmonicMap, r: float,
@@ -292,13 +305,26 @@ def injectivity_oracle(f: HarmonicMap, r: float,
     """Search for two well-separated points with the same image.
 
     Samples f on a resolution x resolution Cartesian grid over |z| <= r,
-    collects image near-coincidences between domain points more than two
-    grid pitches apart, and Newton-refines the _MAX_REFINED (2000)
-    candidates with the closest images, closest first; only those are
-    ordered, equal image distances in candidate order.  A refined pair
-    with image distance <= COLLISION_TOL certifies non-injectivity
-    (verdict violated); otherwise the verdict is inconclusive, since
-    sampling cannot prove injectivity.
+    collects image near-coincidences, within 5 grid pitches, between
+    domain points more than two pitches apart, and Newton-refines the
+    _MAX_REFINED (2000) candidates with the closest images, closest first;
+    equal image distances are refined in the order of the domain indices
+    (i, j) of the pair.  A refined pair with image distance below the
+    collision tolerance certifies non-injectivity (verdict violated);
+    otherwise the verdict is inconclusive, since sampling cannot prove
+    injectivity.
+
+    The pair search reaches out only as far as those candidates need: its
+    radius, the reach, doubles from 5/16 of a pitch to 5 pitches and stops
+    at the first reach that holds _MAX_REFINED candidates with image
+    distance <= reach * (1 - 1e-9).  Every candidate of the 5-pitch search
+    up to the _MAX_REFINED-th closest image, ties included, is then among
+    them, so the refined pairs are the same.
+
+    The collision tolerance is COLLISION_TOL and Newton stops at a residual
+    of 1e-13, both times the grid's image scale, min(1, pitch / 1e-4): on
+    a grid with a pitch below 1e-4 (a tiny radius) a collision must lie
+    far below the grid's own resolution.
     """
     np = _np()
     r = float(r)
@@ -313,28 +339,40 @@ def injectivity_oracle(f: HarmonicMap, r: float,
     pts = pts[np.abs(pts) <= r]
     pitch = 2.0 * r / (resolution - 1)
     sep = 2.0 * pitch
+    scale = min(1.0, pitch / 1e-4)
+    tol = COLLISION_TOL * scale
     images = f(pts)
     spec = (f"{resolution}x{resolution} cartesian grid on |z|<={r:g}, "
             f"pitch {pitch:.3g}, Newton-refined collision candidates")
 
+    # The tree compares squared distances, which underflow at tiny radii;
+    # it works on the images times a power of two near 1 / pitch, which
+    # scales every distance it compares exactly.
+    unit = math.ldexp(1.0, min(1022, -math.frexp(pitch)[1]))
     # a module attribute, not a bare global: the first lookup imports it
-    tree = sys.modules[__name__].cKDTree(np.column_stack([images.real, images.imag]))
-    # the pairs' two index columns, each contiguous: numpy gathers and
-    # compresses through them faster than through columns of the (n, 2) array
-    first, second = np.ascontiguousarray(
-        tree.query_pairs(5.0 * pitch, output_type="ndarray").T)
-    far = np.abs(pts[first] - pts[second]) > sep
-    first, second = first[far], second[far]
+    tree = sys.modules[__name__].cKDTree(np.column_stack([images.real, images.imag]) * unit)
+    # ascending; the set drops repeats, as where the pitch underflows to 0
+    for reach in sorted({5.0 * pitch / 2 ** k for k in range(5)}):
+        # the pairs' two index columns, each contiguous: numpy gathers and
+        # compresses through them faster than through columns of the (n, 2) array
+        first, second = np.ascontiguousarray(
+            tree.query_pairs(reach * unit, output_type="ndarray").T)
+        far = np.abs(pts[first] - pts[second]) > sep
+        first, second = first[far], second[far]
+        dist = np.abs(images[first] - images[second])
+        # the guard covers the tree's rounding of a distance against np.abs's
+        if np.count_nonzero(dist <= reach * (1.0 - 1e-9)) >= _MAX_REFINED:
+            break
     if first.size == 0:
         return MembershipReport(
-            "inconclusive", 5.0 * pitch - COLLISION_TOL, None, spec,
+            "inconclusive", 5.0 * pitch - tol, None, spec,
             note="no image near-coincidence between separated samples",
         )
 
-    order = _closest_first(np.abs(images[first] - images[second]))
+    order = _closest_first(dist, first * pts.size + second)
     best = None
     for z1, z2 in zip(pts[first[order]].tolist(), pts[second[order]].tolist()):
-        refined = _newton_collide(f, f(z1), z2, r)
+        refined = _newton_collide(f, f(z1), z2, r, scale)
         if refined is None:
             continue
         z2r, resid = refined
@@ -342,12 +380,12 @@ def injectivity_oracle(f: HarmonicMap, r: float,
             continue
         if best is None or resid < best[0]:
             best = (resid, z1, z2r)
-        if resid <= COLLISION_TOL:
+        if resid < tol:
             return MembershipReport(
-                "violated", resid - COLLISION_TOL, (z1, z2r), spec,
+                "violated", resid - tol, (z1, z2r), spec,
                 note=f"images coincide to {resid:.3g} at separated points",
             )
-    margin = (best[0] if best else 5.0 * pitch) - COLLISION_TOL
+    margin = (best[0] if best else 5.0 * pitch) - tol
     return MembershipReport(
         "inconclusive", margin, None, spec,
         note="near-coincidences did not refine to a collision",

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -94,6 +95,38 @@ def test_closed_form_agrees_with_series(factory, rng):
         fz, fzb = f.wirtinger(z)
         assert sz == pytest.approx(fz, abs=1e-8)
         assert szb == pytest.approx(fzb, abs=1e-8)
+
+
+# The base extremals' closed forms as they read before halving became a
+# product by 0.5: the reference for the bits of the current ones.
+def _halved_by_division(z):
+    q, zz = 1 - z, z * z
+    return {
+        "_koebe_h": (z - zz / 2 + z * zz / 6) / (q * (q * q)),
+        "_koebe_g": (zz / 2 + z * zz / 6) / (q * (q * q)),
+        "_convex_h": (z / (1 - z) + z / (1 - z) ** 2) / 2,
+        "_convex_g": (z / (1 - z) - z / (1 - z) ** 2) / 2,
+        "_convex_dh": (1 / (q * q) + (1 + z) / (q * (q * q))) / 2,
+        "_convex_dg": (1 / (q * q) - (1 + z) / (q * (q * q))) / 2,
+    }
+
+
+def test_halving_by_product_keeps_the_bits(rng):
+    from harmradius import extremals
+
+    # real-axis, imaginary-axis and random points, and 0; zero parts are +0.0,
+    # as in every grid the package samples (a -0.0 part can flip a zero's sign)
+    axis = list(rng.uniform(-0.95, 0.95, 40)) + [0.5, -0.5, 1e-3, -1e-3]
+    points = ([complex(x, 0.0) for x in axis] + [complex(0.0, y) for y in axis] + [0j]
+              + list(rng.uniform(-0.6, 0.6, 40) + 1j * rng.uniform(-0.6, 0.6, 40)))
+    arr = np.array(points)
+    want = _halved_by_division(arr)
+    for name, values in want.items():
+        form = getattr(extremals, name)
+        assert form(arr).tobytes() == values.tobytes(), name
+        for z in points:
+            got, ref = form(z), _halved_by_division(z)[name]
+            assert struct.pack("2d", got.real, got.imag) == struct.pack("2d", ref.real, ref.imag)
 
 
 def test_koebe_dilatation_is_z(rng):

@@ -93,21 +93,28 @@ def test_compiled_evaluators_match_numpy_polynomial_bit_for_bit(rng):
         return rng.uniform(-1, 1, size) + 1j * rng.uniform(-1, 1, size)
 
     for degree in range(1, 60):
-        for zero_top in (False, True):
+        for zeros in ("none", "top", "sparse"):
             a, b = rand(degree + 1), 0.1 * rand(degree + 1)
-            if zero_top:
+            if zeros == "top":
                 a[degree] = b[degree] = 0.0
+            if zeros == "sparse":
+                # interior zeros, which the array path does not add, and a
+                # b1 that may be 0, -0.0 or nonzero: the last coefficient of g'
+                a[rng.random(degree + 1) < 0.6] = 0.0
+                b[rng.random(degree + 1) < 0.6] = 0.0
+                b[1] = (0.0, complex(-0.0, 0.0), b[1])[degree % 3]
             seq = CoefficientSeq(dict(enumerate(a[2:], 2)), dict(enumerate(b[1:], 1)), degree)
             ch = np.array([0, 1, *a[2:]], dtype=complex)
             cg = np.array([0, *b[1:]], dtype=complex)
             forms = _compile(seq)
             pairs = [(forms.h, ch), (forms.g, cg), (forms.dh, npoly.polyder(ch)),
                      (forms.dg, npoly.polyder(cg))]
-            for w in (0.5 * rand((3, 4)), np.asarray(0.5 * rand(1)[0]), np.asarray(0j)):
+            for w in (0.5 * rand((3, 4)), np.asarray(0.5 * rand(1)[0]), np.asarray(0j),
+                      np.array([0j, 0.3, -0.4, 0.25j, -0.5j])):
                 for evaluate, c in pairs:
                     got, want = np.asarray(evaluate(w)), np.asarray(npoly.polyval(w, c))
                     assert got.dtype == want.dtype and got.shape == want.shape
-                    assert got.tobytes() == want.tobytes(), (degree, zero_top)
+                    assert got.tobytes() == want.tobytes(), (degree, zeros)
 
 
 def test_wirtinger_matches_finite_differences(rng):

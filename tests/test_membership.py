@@ -46,6 +46,20 @@ def test_grid_contains_positive_real_axis():
     assert len(pts) == 80
 
 
+def test_grid_points_are_shared_read_only_and_unchanged():
+    for grid in (GridSpec(), GridSpec(10, 8, 0.5), GridSpec(r_max=0.3)):
+        pts = grid.points()
+        ang = np.exp(2j * np.pi * np.arange(grid.n_angular) / grid.n_angular)
+        assert pts.tobytes() == np.outer(grid.radii(), ang).ravel().tobytes()
+        assert grid.points() is pts
+        assert GridSpec(*grid).points() is pts
+        with pytest.raises(ValueError, match="read-only"):
+            pts[0] = 0.0
+    # equal specs with fields of another type are computed apart, as before
+    with pytest.raises(TypeError):
+        GridSpec(10.0, 8, 0.5).points()
+
+
 def test_grid_validation():
     with pytest.raises(ValueError):
         GridSpec(1, 8, 0.5)
@@ -300,10 +314,71 @@ def test_injectivity_dilated_koebe_no_collision():
     assert rep.verdict == "inconclusive"
 
 
-def _full_sort_selection(dist):
-    """The oracle's former selection: an argsort of every separated
-    candidate, of which the first 2000 were refined."""
-    return np.argsort(dist)[:2000]
+def _full_search_reference(monkeypatch, f, r, resolution):
+    """The oracle's report from one pair search out to 5 pitches on the
+    images as they are, with every separated candidate sorted on (image
+    distance, i, j), of which the first 2000 are refined."""
+    from harmradius import membership
+
+    pitch = 2.0 * r / (resolution - 1)
+    axis = np.linspace(-r, r, resolution)
+    xs, ys = np.meshgrid(axis, axis)
+    pts = (xs + 1j * ys).ravel()
+    pts = pts[np.abs(pts) <= r]
+    images = f(pts)
+    full = membership.cKDTree(np.column_stack([images.real, images.imag])).query_pairs(
+        5.0 * pitch, output_type="ndarray")
+    i, j = full.T
+    far = np.abs(pts[i] - pts[j]) > 2.0 * pitch
+    i, j = i[far], j[far]  # the candidates, in the order the oracle keeps them
+    queries = []
+
+    class OneSearch:
+        # the four shorter reaches find nothing, so the oracle takes the fifth
+        def __init__(self, data):
+            pass
+
+        def query_pairs(self, reach, output_type):
+            queries.append(reach)
+            return full if len(queries) == 5 else np.empty((0, 2), dtype=np.intp)
+
+    with monkeypatch.context() as m:
+        m.setattr(membership, "cKDTree", OneSearch)
+        m.setattr(membership, "_closest_first",
+                  lambda dist, key: np.lexsort((j, i, dist))[:2000])
+        return injectivity_oracle(f, r, resolution)
+
+
+def _record_queries(monkeypatch):
+    """Give the oracle a tree that logs (reach, pairs found) per query."""
+    from harmradius import membership
+
+    log = []
+
+    class RecordingTree(membership.cKDTree):
+        def query_pairs(self, reach, **kwargs):
+            out = super().query_pairs(reach, **kwargs)
+            log.append((reach, len(out)))
+            return out
+
+    monkeypatch.setattr(membership, "cKDTree", RecordingTree)
+    return log
+
+
+def _with_refined(monkeypatch, run):
+    """run()'s report and the (target, start) of every Newton refinement it made."""
+    from harmradius import membership
+
+    starts = []
+    newton = membership._newton_collide
+
+    def recording(f, target, z, r, scale):
+        starts.append((target, z))
+        return newton(f, target, z, r, scale)
+
+    with monkeypatch.context() as m:
+        m.setattr(membership, "_newton_collide", recording)
+        return run(), starts
 
 
 # F0 and L0 past their radii, the identity, and Koebe just inside its radius
@@ -317,28 +392,91 @@ def _oracle_map(label):
         return identity_map()
     if label == "koebe":
         return harmonic_koebe().dilate(0.112903)
+    if label == "f0":
+        return get_extremal("f0", 2.0, 0.3)
     return get_extremal(label)
 
 
 @pytest.mark.parametrize("label, r, resolution", ORACLE_CASES)
 def test_injectivity_report_matches_full_sort_selection(monkeypatch, label, r, resolution):
-    from harmradius import membership
+    f = _oracle_map(label)
+    got = _with_refined(monkeypatch, lambda: injectivity_oracle(f, r, resolution))
+    want = _with_refined(monkeypatch,
+                         lambda: _full_search_reference(monkeypatch, f, r, resolution))
+    assert got == want  # the same report from the same refinements
+    assert got[0].verdict == ("inconclusive" if label in ("identity", "koebe") else "violated")
 
-    got = injectivity_oracle(_oracle_map(label), r, resolution)
-    monkeypatch.setattr(membership, "_closest_first", _full_sort_selection)
-    want = injectivity_oracle(_oracle_map(label), r, resolution)
-    assert got == want
-    assert got.verdict == ("inconclusive" if label in ("identity", "koebe") else "violated")
+
+def _sweep(seed=15, size=10):
+    """Seeded (map, r, resolution) draws: maps that fold (F0, L0, f0 past
+    their radii) and maps that do not, resolutions log-uniform in [8, 512)
+    (ORACLE_CASES holds the 512 case)."""
+    rng = np.random.default_rng(seed)
+    labels = ["F0", "L0", "f0", "identity", "koebe", "convex_L"]
+    cases = [("F0", 0.2, 8)]  # about 50 samples: fewer than 2000 candidates in all
+    for _ in range(size - 1):
+        label = labels[rng.integers(len(labels))]
+        r = 0.999 if label == "koebe" else float(rng.uniform(0.05, 0.6))
+        cases.append((label, round(r, 3), int(2 ** rng.uniform(3, 9))))
+    return cases
+
+
+@pytest.mark.parametrize("label, r, resolution", _sweep())
+def test_injectivity_report_matches_full_search_on_a_seeded_sweep(monkeypatch, label,
+                                                                   r, resolution):
+    f = _oracle_map(label)
+    log = _record_queries(monkeypatch)
+    got = _with_refined(monkeypatch, lambda: injectivity_oracle(f, r, resolution))
+    reaches = [reach for reach, _ in log]
+    assert 1 <= len(reaches) <= 5
+    assert all(longer == 2 * shorter for shorter, longer in zip(reaches, reaches[1:]))
+    if resolution == 8:
+        assert len(reaches) == 5  # too few candidates: the search goes out to 5 pitches
+    assert got == _with_refined(monkeypatch,
+                                lambda: _full_search_reference(monkeypatch, f, r, resolution))
 
 
 def test_closest_first_is_the_head_of_a_stable_sort(rng):
     from harmradius.membership import _MAX_REFINED, _closest_first
 
     for size in (0, 1, 5, _MAX_REFINED, _MAX_REFINED + 1, 3 * _MAX_REFINED):
+        key = rng.permutation(10 * size)[:size]  # distinct, in no order
+        by_key = np.argsort(key)
         # few distinct values, so ties fall on the cut
         for dist in (rng.uniform(0.0, 1.0, size), rng.integers(0, 7, size).astype(float)):
-            want = np.argsort(dist, kind="stable")[:_MAX_REFINED]
-            assert np.array_equal(_closest_first(dist), want), size
+            # equal distances in key order: a stable sort of the entries in key order
+            want = by_key[np.argsort(dist[by_key], kind="stable")][:_MAX_REFINED]
+            assert np.array_equal(_closest_first(dist, key), want), size
+
+
+@pytest.mark.parametrize("r", [1e-11, 1e-12, 1e-14, 1e-200, 5e-324])
+def test_injectivity_tiny_radius_is_not_violated(monkeypatch, r):
+    # F0 is univalent near 0: a grid far finer than 1e-9 must not report the
+    # images of neighbouring samples as a collision
+    log = _record_queries(monkeypatch)
+    rep = injectivity_oracle(get_extremal("F0"), r, 64)
+    assert rep.verdict == "inconclusive"
+    assert rep.margin >= 0.0
+    if r > 1e-300:
+        # squared image distances must not underflow in the tree: then every
+        # query would return most of the grid's 5 million pairs
+        assert max(found for _, found in log) < 100_000
+    rep = injectivity_oracle(harmonic_koebe().dilate(0.1), min(r, 1e-14), 16)
+    assert rep.verdict == "inconclusive"
+
+
+def test_injectivity_oracle_memory():
+    import tracemalloc
+
+    f = get_extremal("F0")
+    injectivity_oracle(f, 0.2, 64)  # imports and first-call set-up outside the count
+    tracemalloc.start()
+    try:
+        assert injectivity_oracle(f, 0.18, 512).verdict == "violated"
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2 ** 20, f"{peak / 2 ** 20:.0f} MB"
 
 
 def test_ckdtree_is_a_lazy_module_attribute():
