@@ -48,22 +48,13 @@ def horner(coeffs, x):
 
 
 def horner_array(coeffs, x):
-    """horner(coeffs, x), bit for bit, for a complex numpy array x and at
-    least one coefficient, computed in place.
-
-    A zero coefficient other than the last is not added.  Adding a zero
-    changes at most the sign of a zero, on which no nonzero value depends,
-    and adding a last coefficient with no -0.0 part gives every zero the
-    sign it has when all are added; before a last coefficient with a -0.0
-    part every coefficient is added."""
-    *head, last = coeffs
-    skip_zeros = math.copysign(1.0, last.real) > 0.0 < math.copysign(1.0, last.imag)
+    """horner(coeffs, x), bit for bit, for a numpy array x and at least one
+    coefficient, computed in place in one accumulator array."""
     acc = 0.0 * x
-    for k in head:
-        if k or not skip_zeros:
-            acc += k
+    for k in coeffs[:-1]:
+        acc += k
         acc *= x
-    acc += last
+    acc += coeffs[-1]
     return acc
 
 

@@ -19,7 +19,6 @@ a sampled check or a grid; a reassigned attribute is the one used.
 
 from __future__ import annotations
 
-import functools
 import math
 import sys
 
@@ -43,7 +42,7 @@ __all__ = [
 ]
 
 BOUNDARY_TOL = 1e-12
-# Two grid samples whose images land closer than COLLISION_TOL (after Newton
+# Two grid samples whose images land within COLLISION_TOL (after Newton
 # refinement) count as one image point; injectivity_oracle scales it down on
 # grids with a pitch below 1e-4.
 COLLISION_TOL = 1e-9
@@ -51,6 +50,8 @@ COLLISION_TOL = 1e-9
 _MAX_GRID_POINTS = 512 * 512
 # Most candidate pairs the injectivity oracle Newton-refines, closest images first.
 _MAX_REFINED = 2000
+# Shortest pair-search reach: its square is the smallest normal float.
+_MIN_REACH = math.sqrt(sys.float_info.min)
 
 
 def __getattr__(name):
@@ -95,23 +96,13 @@ class GridSpec(record("GridSpec", "n_radial n_angular r_max", (200, 64, 0.999)))
         return np.append(self.r_max * (1.0 - rem), self.r_max)
 
     def points(self) -> np.ndarray:
-        """The n_radial * n_angular points, circle by circle.  They are
-        computed once per spec and shared, so the array is read-only."""
-        return _grid_points(*self)
+        np = _np()
+        ang = np.exp(2j * np.pi * np.arange(self.n_angular) / self.n_angular)
+        return np.outer(self.radii(), ang).ravel()
 
     def describe(self) -> str:
         return (f"{self.n_radial}x{self.n_angular} polar grid, geometric "
                 f"clustering toward r_max={self.r_max:g}")
-
-
-# typed: equal specs whose fields differ in type (200 and 200.0) are kept apart
-@functools.lru_cache(maxsize=8, typed=True)
-def _grid_points(n_radial, n_angular, r_max) -> np.ndarray:
-    np = _np()
-    ang = np.exp(2j * np.pi * np.arange(n_angular) / n_angular)
-    pts = np.outer(GridSpec(n_radial, n_angular, r_max).radii(), ang).ravel()
-    pts.flags.writeable = False
-    return pts
 
 
 class MembershipReport(record("MembershipReport", "verdict margin witness grid_spec boundary "
@@ -309,7 +300,7 @@ def injectivity_oracle(f: HarmonicMap, r: float,
     domain points more than two pitches apart, and Newton-refines the
     _MAX_REFINED (2000) candidates with the closest images, closest first;
     equal image distances are refined in the order of the domain indices
-    (i, j) of the pair.  A refined pair with image distance below the
+    (i, j) of the pair.  A refined pair with image distance at most the
     collision tolerance certifies non-injectivity (verdict violated);
     otherwise the verdict is inconclusive, since sampling cannot prove
     injectivity.
@@ -324,7 +315,9 @@ def injectivity_oracle(f: HarmonicMap, r: float,
     The collision tolerance is COLLISION_TOL and Newton stops at a residual
     of 1e-13, both times the grid's image scale, min(1, pitch / 1e-4): on
     a grid with a pitch below 1e-4 (a tiny radius) a collision must lie
-    far below the grid's own resolution.
+    far below the grid's own resolution.  A radius whose shortest reach is
+    below _MIN_REACH, where the tree's squared distances would underflow
+    (r below about 1e-151 at resolution 512), raises ValueError.
     """
     np = _np()
     r = float(r)
@@ -338,6 +331,9 @@ def injectivity_oracle(f: HarmonicMap, r: float,
     pts = (xs + 1j * ys).ravel()
     pts = pts[np.abs(pts) <= r]
     pitch = 2.0 * r / (resolution - 1)
+    if 5.0 * pitch / 16 < _MIN_REACH:
+        raise ValueError(f"radius {r:g} is too small for a {resolution}x{resolution} grid: "
+                         f"the pair search's squared distances would underflow")
     sep = 2.0 * pitch
     scale = min(1.0, pitch / 1e-4)
     tol = COLLISION_TOL * scale
@@ -345,18 +341,14 @@ def injectivity_oracle(f: HarmonicMap, r: float,
     spec = (f"{resolution}x{resolution} cartesian grid on |z|<={r:g}, "
             f"pitch {pitch:.3g}, Newton-refined collision candidates")
 
-    # The tree compares squared distances, which underflow at tiny radii;
-    # it works on the images times a power of two near 1 / pitch, which
-    # scales every distance it compares exactly.
-    unit = math.ldexp(1.0, min(1022, -math.frexp(pitch)[1]))
     # a module attribute, not a bare global: the first lookup imports it
-    tree = sys.modules[__name__].cKDTree(np.column_stack([images.real, images.imag]) * unit)
-    # ascending; the set drops repeats, as where the pitch underflows to 0
-    for reach in sorted({5.0 * pitch / 2 ** k for k in range(5)}):
+    tree = sys.modules[__name__].cKDTree(np.column_stack([images.real, images.imag]))
+    for k in range(4, -1, -1):
+        reach = 5.0 * pitch / 2 ** k
         # the pairs' two index columns, each contiguous: numpy gathers and
         # compresses through them faster than through columns of the (n, 2) array
         first, second = np.ascontiguousarray(
-            tree.query_pairs(reach * unit, output_type="ndarray").T)
+            tree.query_pairs(reach, output_type="ndarray").T)
         far = np.abs(pts[first] - pts[second]) > sep
         first, second = first[far], second[far]
         dist = np.abs(images[first] - images[second])
@@ -380,7 +372,7 @@ def injectivity_oracle(f: HarmonicMap, r: float,
             continue
         if best is None or resid < best[0]:
             best = (resid, z1, z2r)
-        if resid < tol:
+        if resid <= tol:
             return MembershipReport(
                 "violated", resid - tol, (z1, z2r), spec,
                 note=f"images coincide to {resid:.3g} at separated points",
