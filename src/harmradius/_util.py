@@ -49,12 +49,22 @@ def horner(coeffs, x):
 
 def horner_array(coeffs, x):
     """horner(coeffs, x), bit for bit, for a numpy array x and at least one
-    coefficient, computed in place in one accumulator array."""
+    coefficient, computed in place in one accumulator array.
+
+    A zero coefficient before the last is not added.  Adding a zero changes
+    at most the sign of a zero part of the accumulator, and so of the
+    result; adding a last coefficient with no -0.0 part gives every zero
+    part of the result the sign horner gives it.  Before a last coefficient
+    with a -0.0 part every coefficient is added."""
+    last = coeffs[-1]
+    skip_zeros = not any(p == 0.0 and math.copysign(1.0, p) < 0.0
+                         for p in (last.real, last.imag))
     acc = 0.0 * x
     for k in coeffs[:-1]:
-        acc += k
+        if k or not skip_zeros:
+            acc += k
         acc *= x
-    acc += coeffs[-1]
+    acc += last
     return acc
 
 

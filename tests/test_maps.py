@@ -98,8 +98,8 @@ def test_compiled_evaluators_match_numpy_polynomial_bit_for_bit(rng):
             if zeros == "top":
                 a[degree] = b[degree] = 0.0
             if zeros == "sparse":
-                # interior zeros, and a b1 that may be 0, -0.0 or nonzero:
-                # the last coefficient of g'
+                # interior zeros, which the array path does not add, and a
+                # b1 that may be 0, -0.0 or nonzero: the last coefficient of g'
                 a[rng.random(degree + 1) < 0.6] = 0.0
                 b[rng.random(degree + 1) < 0.6] = 0.0
                 b[1] = (0.0, complex(-0.0, 0.0), b[1])[degree % 3]
