@@ -14,7 +14,8 @@ norms impossible.
 import math
 
 from ._util import fmt12, record
-from .radii import uniform_family_radius
+from .coefficients import BoundFamily
+from .radii import closed_form_radius
 
 __all__ = [
     "MIN_BOUND",
@@ -62,7 +63,7 @@ def bloch_radius(M: float) -> tuple[float, float]:
     R_S = r_S - (4M/pi) r_S^2/(1 - r_S).
     """
     c = coefficient_bound(M)
-    r_s = uniform_family_radius(c).radius
+    r_s = closed_form_radius(BoundFamily.uniform(c)).radius
     big_r = r_s - c * r_s * r_s / (1.0 - r_s)
     return r_s, big_r
 

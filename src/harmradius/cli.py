@@ -94,26 +94,20 @@ def _witness(label: str, *params):
     return profile(*params), closed_form_radius(family).radius
 
 
+def _bounds(text: str) -> list[float]:
+    bounds = [float(m) for m in text.split(",") if m]
+    if not bounds:
+        raise argparse.ArgumentTypeError(f"no bound in {text!r}")
+    return bounds
+
+
 # -- subcommands -----------------------------------------------------------
 
 def _cmd_radius(args) -> int:
-    if (args.family is None) == (args.seq is None):
-        raise UsageError("exactly one of --family/--seq is required")
-    if args.seq is not None:
-        subject = load_sequence(args.seq)
-    else:
-        subject = args.family
-    method = args.method
-    if method == "closed" and args.seq is not None:
-        raise UsageError("--method closed needs a named family")
-    if method == "closed" and args.beta != 0.0:
-        raise UsageError("closed forms are derived for beta=0; use --method bisect")
-    if method == "auto":
-        named = args.family is not None
-        method = "closed" if named and args.beta == 0.0 else "bisect"
-    if method == "closed":
+    if args.method == "auto" and args.family is not None and args.beta == 0.0:
         report = closed_form_radius(args.family)
     else:
+        subject = args.family if args.seq is None else load_sequence(args.seq)
         report = radius_by_bisection(subject, args.beta)
     _emit(report)
     return 0
@@ -123,8 +117,6 @@ def _cmd_membership(args) -> int:
     from .membership import (GridSpec, c_h2_numeric, coeff_condition,
                              coefficient_growth_check, injectivity_oracle, starlike_scan)
 
-    if (args.map is None) == (args.seq is None):
-        raise UsageError("exactly one of --map/--seq is required")
     check = args.check
     if args.seq is not None and check in ("coeff", "growth"):
         # the exact checks read the stored coefficients: no map, no numpy
@@ -164,21 +156,16 @@ def _cmd_membership(args) -> int:
 
 def _cmd_jacobian_scan(args) -> int:
     if not 0.0 < args.lo < args.hi < 1.0:
-        raise UsageError("need 0 < lo < hi < 1")
+        raise argparse.ArgumentTypeError("need 0 < lo < hi < 1")
     if not 2 <= args.steps <= 10 ** 6:
-        raise UsageError("steps must lie in [2, 1e6]")
+        raise argparse.ArgumentTypeError("steps must lie in [2, 1e6]")
     profile, _ = args.witness
     lines = ["r,J"]
     span = args.hi - args.lo
     for i in range(args.steps):
         r = args.lo + span * i / (args.steps - 1)
         lines.append(f"{fmt12(r)},{fmt12(profile(r))}")
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    sys.stdout.write("\n".join(lines) + "\n")
     return 0
 
 
@@ -222,30 +209,29 @@ def _cmd_list_extremals(args) -> int:
     return 0
 
 
-class UsageError(Exception):
-    pass
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="harmradius",
                      description="Radii of close-to-convexity and starlikeness "
                                  "for coefficient-bounded harmonic mappings.")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    p = sub.add_parser("radius", parents=[], help="radius of a coefficient family")
-    p.add_argument("--family", type=_label(BoundFamily),
-                   help="koebe | convex | uniform:c[,b1]")
-    p.add_argument("--seq", help="path to a coefficient sequence JSON file")
+    p = sub.add_parser("radius", help="radius of a coefficient family")
+    subject = p.add_mutually_exclusive_group(required=True)
+    subject.add_argument("--family", type=_label(BoundFamily),
+                         help="koebe | convex | uniform:c[,b1]")
+    subject.add_argument("--seq", help="path to a coefficient sequence JSON file")
     p.add_argument("--beta", type=float, default=0.0)
-    p.add_argument("--method", choices=["auto", "bisect", "closed"], default="auto")
+    p.add_argument("--method", choices=["auto", "bisect"], default="auto",
+                   help="auto: the closed form of a named family at beta 0, else bisection")
     p.set_defaults(func=_cmd_radius)
 
     p = sub.add_parser("membership", help="class membership checks")
     p.add_argument("--check", required=True,
                    choices=["coeff", "growth", "c-h2", "starlike", "injectivity"])
-    p.add_argument("--map", type=_label(get_extremal),
-                   help="extremal label, e.g. koebe, convex_L, F0, L0, f0:c[,b1]")
-    p.add_argument("--seq", help="path to a coefficient sequence JSON file")
+    subject = p.add_mutually_exclusive_group(required=True)
+    subject.add_argument("--map", type=_label(get_extremal),
+                         help="extremal label, e.g. koebe, convex_L, F0, L0, f0:c[,b1]")
+    subject.add_argument("--seq", help="path to a coefficient sequence JSON file")
     p.add_argument("--dilate", type=float,
                    help="replace f by f(rz)/r before checking")
     p.add_argument("--beta", type=float, default=0.0)
@@ -263,11 +249,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lo", type=float, default=0.001)
     p.add_argument("--hi", type=float, default=0.25)
     p.add_argument("--steps", type=int, default=1000)
-    p.add_argument("--out", help="write CSV here instead of stdout")
     p.set_defaults(func=_cmd_jacobian_scan)
 
     p = sub.add_parser("bloch-table", help="univalent-disk radii for bounded maps")
-    p.add_argument("--M", type=lambda s: [float(x) for x in s.split(",") if x],
+    p.add_argument("--M", type=_bounds,
                    default=[1.0, 2.0, 3.0], help="comma-separated sup-norm bounds")
     p.add_argument("--csv", action="store_true")
     p.set_defaults(func=_cmd_bloch_table)
@@ -294,7 +279,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as exc:
+    except argparse.ArgumentTypeError as exc:  # a rule across options, as in jacobian-scan
         sys.stderr.write(f"{parser.prog}: error: {exc}\n")
         return 1
     except NoRadiusError as exc:

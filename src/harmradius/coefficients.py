@@ -390,6 +390,8 @@ def _json_number(x, what: str) -> float:
 
 
 def _entries_to_map(entries, low: int, what: str) -> dict[int, complex]:
+    if not isinstance(entries, (list, tuple)):
+        raise ValueError(f"{what} must be a list of [n, re, im] triples")
     out: dict[int, complex] = {}
     last = low - 1
     for item in entries:
