@@ -6,15 +6,18 @@ Sampling checks (c_h2_numeric, starlike_scan, injectivity_oracle) evaluate
 a map on a finite grid; they can certify violation with a witness point
 but can only report satisfied-on-grid, never a proof, so their verdicts
 carry the grid description and, for the injectivity oracle, the verdict
-"inconclusive" when no collision is found.
+"inconclusive" when no collision is found.  The oracle first tries the
+argument principle on its samples (J > 0 everywhere and a simple
+boundary image) and searches for a collision only when that fails.
 
 Margins are minimum slacks of the defining inequality over the test set.
 A margin within BOUNDARY_TOL of zero is reported as satisfied with a
 boundary flag: the extremal examples sit exactly on the boundary.
 
 The coefficient checks run on the standard library.  numpy (the module
-attribute np) and scipy.spatial (cKDTree) load on first lookup, made by
-a sampled check or a grid; a reassigned attribute is the one used.
+attribute np) loads on first lookup, made by a sampled check or a grid,
+and scipy.spatial (cKDTree) on the oracle's first pair search; a
+reassigned attribute is the one used.
 """
 
 from __future__ import annotations
@@ -52,6 +55,11 @@ _MAX_GRID_POINTS = 512 * 512
 _MAX_REFINED = 2000
 # Shortest pair-search reach: its square is the smallest normal float.
 _MIN_REACH = math.sqrt(sys.float_info.min)
+# Widest image span the pair search takes: its square is the largest finite float.
+_MAX_SPAN = math.sqrt(sys.float_info.max)
+# Cell offsets: the cell itself and the forward neighbours that pair each two
+# touching cells once.
+_NEIGHBOURS = ((0, 0), (1, -1), (1, 0), (1, 1), (0, 1))
 
 
 def __getattr__(name):
@@ -202,11 +210,15 @@ def coefficient_growth_check(seq, beta: float = 0.0) -> MembershipReport:
 
 # -- sampled checks ----------------------------------------------------------
 
+def _require_finite(vals: np.ndarray) -> None:
+    if not _np().isfinite(vals).all():
+        raise ValueError("map evaluation is not finite on the grid")
+
+
 def _sampled_verdict(vals: np.ndarray, pts: np.ndarray, grid: GridSpec) -> MembershipReport:
     """The graded verdict at the smallest slack vals[i], sampled at pts[i]."""
     np = _np()
-    if not np.all(np.isfinite(vals)):
-        raise ValueError("map evaluation is not finite on the grid")
+    _require_finite(vals)
     i = int(np.argmin(vals))
     return _graded_verdict(float(vals[i]), complex(pts[i]), grid.describe(),
                            note="sampled check: satisfied means satisfied on the grid")
@@ -291,12 +303,90 @@ def _closest_first(dist: np.ndarray, key: np.ndarray) -> np.ndarray:
     return keep[np.lexsort((key[keep], dist[keep]))][:_MAX_REFINED]
 
 
+def _sense_preserving(f: HarmonicMap, pts: np.ndarray) -> bool:
+    """Whether J > 0, and finite, at every point of pts."""
+    jac = f.jacobian(pts)
+    return bool(((jac > 0.0) & (jac < math.inf)).all())
+
+
+def _simple_polygon(p: np.ndarray) -> bool:
+    """Whether the closed polygon through the points p, in order, is simple:
+    no two non-adjacent edges meet, touching included.
+
+    Each edge is bucketed by its midpoint into square cells whose side is
+    the longest edge.  Two edges that meet have midpoints at most that side
+    apart, so they lie in one cell or in touching cells, and only those
+    pairs are tested.  A non-finite point, edge or cross product counts
+    as a meeting."""
+    np = _np()
+    m = p.size
+    a, b = p, np.roll(p, -1)
+    d = b - a
+    # padded, so that rounding cannot part two meeting edges by two cells
+    side = float(np.abs(d).max()) * (1.0 + 1e-9)
+    if not (np.isfinite(p).all() and 0.0 < side < math.inf):
+        return False
+    mid = a + d / 2
+    cx = np.floor(mid.real / side).astype(np.int64)
+    cy = np.floor(mid.imag / side).astype(np.int64)
+    cx -= cx.min()
+    cy -= cy.min()
+    width = int(cy.max()) + 2  # so that no row's cell y +- 1 lands in another row
+    key = cx * width + cy
+    order = key.argsort(kind="stable")
+    start = np.flatnonzero(np.r_[True, np.diff(key[order]) != 0])
+    cells = key[order[start]]
+    count = np.diff(np.r_[start, m])
+
+    edge_i, edge_j = [], []
+    for dx, dy in _NEIGHBOURS:
+        target = cells + dx * width + dy
+        at = np.minimum(np.searchsorted(cells, target), cells.size - 1)
+        src = np.flatnonzero(cells[at] == target)
+        dst = at[src]
+        # every (edge of src, edge of dst) combination, one per row
+        n_src, n_dst = count[src], count[dst]
+        size = n_src * n_dst
+        group = np.repeat(np.arange(src.size), size)
+        local = np.arange(int(size.sum())) - np.repeat(np.cumsum(size) - size, size)
+        i = order[start[src][group] + local // n_dst[group]]
+        j = order[start[dst][group] + local % n_dst[group]]
+        if dx == dy == 0:
+            i, j = i[i < j], j[i < j]
+        gap = np.abs(i - j)
+        keep = (gap > 1) & (gap < m - 1)  # adjacent edges share a vertex by design
+        edge_i.append(i[keep])
+        edge_j.append(j[keep])
+    i, j = np.concatenate(edge_i), np.concatenate(edge_j)
+
+    def side_of(e, q):  # the sign of the cross product e x q; nan stays nan
+        return np.sign(e.real * q.imag - e.imag * q.real)
+
+    lo_x, hi_x = np.minimum(a.real, b.real), np.maximum(a.real, b.real)
+    lo_y, hi_y = np.minimum(a.imag, b.imag), np.maximum(a.imag, b.imag)
+    apart = ((side_of(d[i], a[j] - a[i]) * side_of(d[i], b[j] - a[i]) > 0.0)
+             | (side_of(d[j], a[i] - a[j]) * side_of(d[j], b[i] - a[j]) > 0.0)
+             | (hi_x[i] < lo_x[j]) | (hi_x[j] < lo_x[i])
+             | (hi_y[i] < lo_y[j]) | (hi_y[j] < lo_y[i]))
+    return bool(apart.all())
+
+
 def injectivity_oracle(f: HarmonicMap, r: float,
                        resolution: int = 256) -> MembershipReport:
     """Search for two well-separated points with the same image.
 
-    Samples f on a resolution x resolution Cartesian grid over |z| <= r,
-    collects image near-coincidences, within 5 grid pitches, between
+    First, the argument principle (Duren, Hengartner & Laugesen, Amer.
+    Math. Monthly 103 (1996) 411-415): a map with J > 0 on |z| <= r whose
+    image of |z| = r is a Jordan curve is univalent there.  The oracle
+    samples f and J at 4 * resolution points of |z| = r and J on the grid
+    below; when J > 0 at every sample and the closed polygon through the
+    ring's images is simple (see _simple_polygon), it reports inconclusive,
+    with the margin 5 pitches - tol that the search reports when it finds
+    no collision, without searching.  Any other map, one with a
+    non-finite sample included, goes to the pair search.
+
+    The search samples f on a resolution x resolution Cartesian grid over
+    |z| <= r, collects image near-coincidences, within 5 grid pitches, between
     domain points more than two pitches apart, and Newton-refines the
     _MAX_REFINED (2000) candidates with the closest images, closest first;
     equal image distances are refined in the order of the domain indices
@@ -317,7 +407,9 @@ def injectivity_oracle(f: HarmonicMap, r: float,
     a grid with a pitch below 1e-4 (a tiny radius) a collision must lie
     far below the grid's own resolution.  A radius whose shortest reach is
     below _MIN_REACH, where the tree's squared distances would underflow
-    (r below about 1e-151 at resolution 512), raises ValueError.
+    (r below about 1e-151 at resolution 512), raises ValueError; so do grid
+    images that are not finite, or that span more than _MAX_SPAN, where
+    they would overflow.
     """
     np = _np()
     r = float(r)
@@ -337,9 +429,29 @@ def injectivity_oracle(f: HarmonicMap, r: float,
     sep = 2.0 * pitch
     scale = min(1.0, pitch / 1e-4)
     tol = COLLISION_TOL * scale
-    images = f(pts)
     spec = (f"{resolution}x{resolution} cartesian grid on |z|<={r:g}, "
             f"pitch {pitch:.3g}, Newton-refined collision candidates")
+
+    m = 4 * resolution
+    # pulled in by a few ulps, so that no rounded ring sample lies beyond r
+    ring = r * (1.0 - 2.0 ** -50) * np.exp(2j * np.pi * np.arange(m) / m)
+    # a non-finite sample fails the stage below and is refused before the tree
+    with np.errstate(over="ignore", invalid="ignore"):
+        if (_sense_preserving(f, ring) and _simple_polygon(f(ring))
+                and _sense_preserving(f, pts)):
+            return MembershipReport(
+                "inconclusive", 5.0 * pitch - tol, None, spec,
+                note="argument principle: J > 0 at every sample and the image "
+                     "of |z|=r is a simple polygon",
+            )
+        images = f(pts)
+        _require_finite(images)
+        span = math.hypot(images.real.max() - images.real.min(),
+                          images.imag.max() - images.imag.min())
+    if span > _MAX_SPAN:
+        raise ValueError(f"the images of a {resolution}x{resolution} grid on |z|<={r:g} "
+                         f"span {span:.3g}: the pair search's squared distances would "
+                         f"overflow")
 
     # a module attribute, not a bare global: the first lookup imports it
     tree = sys.modules[__name__].cKDTree(np.column_stack([images.real, images.imag]))

@@ -271,6 +271,11 @@ STEEP_TAIL = {"a": [], "b": [], "truncation": 3,
               "tail": {"degree": 1e6, "constant": 1e-300}}
 HUGE_INDEX = {"a": [[10 ** 13, 1e-15, 0]], "b": [], "truncation": 10 ** 13}
 HUGE_GRID = ["membership", "--check", "c-h2", "--map", "F0", "--grid-radial", str(10 ** 13)]
+# injectivity grids whose images overflow, and whose image span squared overflows
+OVERFLOWING_IMAGES = ["membership", "--check", "injectivity", "--map", "F0", "--dilate", "1e-310",
+                      "--r", "0.2", "--resolution", "32"]
+HUGE_SPAN = ["membership", "--check", "injectivity", "--map", "f0:1e300,0", "--r", "0.5",
+             "--resolution", "16"]
 # the tail majorant would start at index 10^400 + 1, past the float range
 HUGE_TRUNCATION = {"a": [], "b": [], "truncation": 10 ** 400,
                    "tail": {"degree": -3, "constant": 0.01}}
@@ -298,8 +303,11 @@ HUGE_TRUNCATION_ERROR = _domain("truncation exceeds the float range: "
         "sup-norm bound M = 1e+308 is too large: 8M/pi overflows")),
     (["radius"], HUGE_TRUNCATION, HUGE_TRUNCATION_ERROR),
     (["membership", "--check", "coeff"], HUGE_TRUNCATION, HUGE_TRUNCATION_ERROR),
+    (OVERFLOWING_IMAGES, None, _domain("map evaluation is not finite on the grid")),
+    (HUGE_SPAN, None, _domain("the images of a 16x16 grid on |z|<=0.5 span 5.7e+299: "
+                              "the pair search's squared distances would overflow")),
 ], ids=["divergent-tail", "steep-tail", "huge-grid", "huge-index-c-h2", "huge-M",
-        "huge-truncation-radius", "huge-truncation-coeff"])
+        "huge-truncation-radius", "huge-truncation-coeff", "overflowing-images", "huge-span"])
 def test_hostile_inputs_are_exit_2(capsys, tmp_path, argv, doc, expected):
     if doc is not None:
         check(doc, "coefficient_seq.schema.json")
@@ -640,6 +648,29 @@ def test_fresh_process_loads_scipy_only_for_injectivity():
     assert "scipy.spatial" in doc["after"]
 
 
+# a map the argument-principle stage settles needs no pair search
+CLEAN_INJECTIVITY = """
+import contextlib, io, sys
+import harmradius.cli
+
+with contextlib.redirect_stdout(io.StringIO()):
+    assert harmradius.cli.main(["membership", "--check", "injectivity", "--map", "koebe",
+                                "--dilate", "0.112903", "--r", "0.999",
+                                "--resolution", "64"]) == 0
+assert "numpy" in sys.modules
+scipy = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+assert not scipy, scipy
+"""
+
+
+def test_fresh_clean_injectivity_check_loads_no_scipy():
+    root = Path(__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, "-c", CLEAN_INJECTIVITY],
+                          capture_output=True, text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": str(root / "src")})
+    assert proc.returncode == 0, proc.stderr
+
+
 # the scalar subcommands, the float profile calls of jacobian-scan and
 # sharpness, and the coefficient checks on a sequence file run on the
 # standard library: a fresh process loads numpy only for a sampled grid.
@@ -806,6 +837,8 @@ def _must_answer(argv) -> bool:
 @example(argv=["bloch-table", "--M", ",,"], doc=HUGE_INDEX)
 @example(argv=["radius", "--family", "uniform:1e308"], doc=HUGE_INDEX)
 @example(argv=["radius", "--family", "uniform:5e-324"], doc=HUGE_INDEX)
+@example(argv=OVERFLOWING_IMAGES, doc=HUGE_INDEX)
+@example(argv=HUGE_SPAN, doc=HUGE_INDEX)
 def test_cli_boundary_answers_or_fails_structured(tmp_path_factory, argv, doc):
     check(doc, "coefficient_seq.schema.json")
     path = tmp_path_factory.getbasetemp() / "drawn_seq.json"

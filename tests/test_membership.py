@@ -14,6 +14,7 @@ from harmradius import (
     c_h2_numeric,
     coeff_condition,
     coefficient_growth_check,
+    convex_family_radius,
     get_extremal,
     harmonic_koebe,
     identity_map,
@@ -309,6 +310,17 @@ def test_injectivity_dilated_koebe_no_collision():
     assert rep.verdict == "inconclusive"
 
 
+# the note of a report the argument-principle stage settled
+STAGE_NOTE = "argument principle: J > 0 at every sample and the image of |z|=r is a simple polygon"
+
+
+def _search_only(monkeypatch):
+    """Turn the argument-principle stage off: every call runs the pair search."""
+    from harmradius import membership
+
+    monkeypatch.setattr(membership, "_simple_polygon", lambda p: False)
+
+
 def _full_search_reference(monkeypatch, f, r, resolution):
     """The oracle's report from one pair search out to 5 pitches on the
     images as they are, with every separated candidate sorted on (image
@@ -395,6 +407,10 @@ def _oracle_map(label):
 @pytest.mark.parametrize("label, r, resolution", ORACLE_CASES)
 def test_injectivity_report_matches_full_sort_selection(monkeypatch, label, r, resolution):
     f = _oracle_map(label)
+    if label in ("identity", "koebe"):
+        # the stage settles these without a search; compare the search itself
+        assert injectivity_oracle(f, r, resolution).note == STAGE_NOTE
+        _search_only(monkeypatch)
     got = _with_refined(monkeypatch, lambda: injectivity_oracle(f, r, resolution))
     want = _with_refined(monkeypatch,
                          lambda: _full_search_reference(monkeypatch, f, r, resolution))
@@ -421,6 +437,10 @@ def test_injectivity_report_matches_full_search_on_a_seeded_sweep(monkeypatch, l
                                                                    r, resolution):
     f = _oracle_map(label)
     log = _record_queries(monkeypatch)
+    # a map the stage settles makes no query; the search below runs on every map
+    assert (injectivity_oracle(f, r, resolution).note == STAGE_NOTE) == (not log)
+    _search_only(monkeypatch)
+    log.clear()
     got = _with_refined(monkeypatch, lambda: injectivity_oracle(f, r, resolution))
     reaches = [reach for reach, _ in log]
     assert 1 <= len(reaches) <= 5
@@ -429,6 +449,140 @@ def test_injectivity_report_matches_full_search_on_a_seeded_sweep(monkeypatch, l
         assert len(reaches) == 5  # too few candidates: the search goes out to 5 pitches
     assert got == _with_refined(monkeypatch,
                                 lambda: _full_search_reference(monkeypatch, f, r, resolution))
+
+
+def _stage_sweep(seed=17, size=16):
+    """Seeded (label, parameters, r, resolution) draws for the stage: F0 and
+    L0 at 1.0-1.8 times their radii, f0 with random parameters, and the
+    one-term maps z + (a/n) z^n and z + (a/n) conj(z^n) with a in [0.5, 3];
+    resolutions log-uniform in [8, 256)."""
+    rng = np.random.default_rng(seed)
+
+    def resolution():
+        return int(2 ** rng.uniform(3, 8))
+
+    cases = []
+    for label, radius in (("F0", koebe_family_radius().radius),
+                          ("L0", convex_family_radius().radius)):
+        cases += [(label, (), round(radius * rng.uniform(1.0, 1.8), 4), resolution())
+                  for _ in range(size)]
+    cases += [("f0", (round(rng.uniform(0.5, 4.0), 3), round(rng.uniform(0.0, 0.9), 3)),
+               round(rng.uniform(0.05, 0.9), 3), resolution()) for _ in range(size)]
+    cases += [("one-term", (int(rng.integers(2, 8)), round(rng.uniform(0.5, 3.0), 3),
+                            bool(rng.integers(2))),
+               round(rng.uniform(0.3, 0.99), 3), resolution()) for _ in range(2 * size)]
+    return cases
+
+
+def _stage_map(label, params):
+    if label == "one-term":
+        n, a, anti = params
+        term = {n: a / n}
+        return HarmonicMap.from_series(CoefficientSeq({} if anti else term,
+                                                      term if anti else {}, n))
+    return get_extremal(label, *params) if params else _oracle_map(label)
+
+
+@pytest.mark.parametrize("label, params, r, resolution",
+                         [(label, (), r, res) for label, r, res in ORACLE_CASES + _sweep()]
+                         + _stage_sweep())
+def test_injectivity_stage_changes_only_the_note(monkeypatch, label, params, r, resolution):
+    f = _stage_map(label, params)
+    got = injectivity_oracle(f, r, resolution)
+    with monkeypatch.context() as m:
+        _search_only(m)
+        want = injectivity_oracle(f, r, resolution)
+    if got.note == STAGE_NOTE:
+        assert got._replace(note=want.note) == want
+    else:
+        assert got == want
+
+
+@pytest.mark.parametrize("resolution", [64, 256])
+def test_injectivity_boundary_loop_goes_to_the_search(resolution):
+    # z + 0.6 z^2 is sense-preserving off z = -1/1.2, which no sample hits,
+    # and its image of |z| = 0.99 loops round the image of that point
+    from harmradius import membership
+
+    f = HarmonicMap.from_series(CoefficientSeq({2: 0.6}, {}, 2))
+    r, m = 0.99, 4 * resolution
+    ring = r * np.exp(2j * np.pi * np.arange(m) / m)
+    axis = np.linspace(-r, r, resolution)
+    grid = (axis[None, :] + 1j * axis[:, None]).ravel()
+    grid = grid[np.abs(grid) <= r]
+    assert membership._sense_preserving(f, ring) and membership._sense_preserving(f, grid)
+    assert not membership._simple_polygon(f(ring))
+    rep = injectivity_oracle(f, r, resolution)
+    assert rep.verdict == "violated"
+    assert rep.note != STAGE_NOTE
+
+
+def _segments_meet(p1, p2, q1, q2):
+    """Whether the closed segments p1p2 and q1q2 meet, in exact integer
+    arithmetic (Cormen et al., Introduction to Algorithms, section 33.1)."""
+    def cross(o, a, b):
+        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+    def on_segment(a, b, c):  # c, collinear with ab, lies within ab's box
+        return (min(a[0], b[0]) <= c[0] <= max(a[0], b[0])
+                and min(a[1], b[1]) <= c[1] <= max(a[1], b[1]))
+
+    d1, d2 = cross(q1, q2, p1), cross(q1, q2, p2)
+    d3, d4 = cross(p1, p2, q1), cross(p1, p2, q2)
+    if ((d1 > 0 > d2) or (d1 < 0 < d2)) and ((d3 > 0 > d4) or (d3 < 0 < d4)):
+        return True
+    return ((d1 == 0 and on_segment(q1, q2, p1)) or (d2 == 0 and on_segment(q1, q2, p2))
+            or (d3 == 0 and on_segment(p1, p2, q1)) or (d4 == 0 and on_segment(p1, p2, q2)))
+
+
+def _simple_by_all_pairs(vertices):
+    m = len(vertices)
+    edges = [(vertices[k], vertices[(k + 1) % m]) for k in range(m)]
+    return not any(_segments_meet(*edges[i], *edges[j])
+                   for i in range(m) for j in range(i + 2, m) if (i, j) != (0, m - 1))
+
+
+def test_simple_polygon_matches_all_pairs_test(rng):
+    from harmradius.membership import _simple_polygon
+
+    seen = set()
+    for _ in range(400):
+        # star-shaped polygons on a small integer lattice: the lattice brings
+        # repeated vertices, collinear overlaps and vertices on edges
+        m = int(rng.integers(4, 40))
+        angles = np.sort(rng.uniform(0.0, 2 * np.pi, m))
+        radii = rng.uniform(0.2, 1.0, m) * (1.0 if rng.integers(3) else rng.uniform(0, 3, m))
+        scale = int(rng.choice([3, 8, 40]))
+        pts = np.round(scale * radii * np.exp(1j * angles))
+        if rng.integers(4) == 0:  # a few swapped vertices fold the polygon
+            k = rng.integers(m, size=2)
+            pts[k] = pts[k[::-1]]
+        want = _simple_by_all_pairs([(int(p.real), int(p.imag)) for p in pts])
+        assert _simple_polygon(pts) == want, pts.tolist()
+        seen.add(want)
+    assert seen == {True, False}
+
+
+def test_stage_refuses_non_finite_samples():
+    from harmradius.membership import _sense_preserving, _simple_polygon
+
+    square = np.array([0, 1, 1 + 1j, 1j])
+    assert _simple_polygon(square) and _simple_polygon(1e150 * square)
+    for bad in (np.nan, np.inf, complex(np.nan, 0.5)):
+        assert not _simple_polygon(np.append(square, bad))
+    with np.errstate(over="ignore", invalid="ignore"):  # as the oracle calls it
+        assert not _simple_polygon(1e308 * (2 * square - 1 - 1j))  # edges overflow
+
+    class Jacobian:
+        def __init__(self, values):
+            self.values = np.array(values)
+
+        def jacobian(self, z):
+            return self.values
+
+    assert _sense_preserving(Jacobian([1.0, 2.0]), None)
+    for bad in (0.0, -1.0, np.inf, np.nan):
+        assert not _sense_preserving(Jacobian([1.0, bad]), None)
 
 
 def test_closest_first_is_the_head_of_a_stable_sort(rng):
@@ -452,8 +606,8 @@ def test_injectivity_tiny_radius_is_not_violated(monkeypatch, r):
     rep = injectivity_oracle(get_extremal("F0"), r, 64)
     assert rep.verdict == "inconclusive"
     assert rep.margin >= 0.0
-    # each query finds pairs of neighbours only, not most of the grid's 5 million
-    assert max(found for _, found in log) < 100_000
+    # each query, if any, finds pairs of neighbours only, not most of the grid's 5 million
+    assert max((found for _, found in log), default=0) < 100_000
     rep = injectivity_oracle(harmonic_koebe().dilate(0.1), min(r, 1e-14), 16)
     assert rep.verdict == "inconclusive"
 
