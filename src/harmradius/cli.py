@@ -11,10 +11,9 @@ Exit codes: 0 success, 1 usage, 2 no-radius, domain or out-of-memory
 failure, 3 I/O.
 
 Only membership's sampled checks (c-h2, starlike, injectivity) import
-numpy; the other subcommands, and membership --check coeff|growth on a
---seq or a --map, run on the standard library alone, radius on every
-input.  Beyond numpy, only membership --check injectivity loads a
-dependency: its k-d tree pair search.
+numpy, the one dependency; the other subcommands, and membership --check
+coeff|growth on a --seq or a --map, run on the standard library alone,
+radius on every input.
 """
 
 import argparse
@@ -187,8 +186,6 @@ def _cmd_sharpness(args) -> int:
 
 
 def _cmd_identities(args) -> int:
-    if not 0.0 < args.r < 1.0:
-        raise ValueError("r must lie in (0, 1)")
     s1, s2, s3 = power_sums(args.r)
     _emit({
         "r": args.r,

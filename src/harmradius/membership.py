@@ -15,9 +15,9 @@ A margin within BOUNDARY_TOL of zero is reported as satisfied with a
 boundary flag: the extremal examples sit exactly on the boundary.
 
 The coefficient checks run on the standard library.  numpy (the module
-attribute np) loads on first lookup, made by a sampled check or a grid,
-and scipy.spatial (cKDTree) on the oracle's first pair search; a
-reassigned attribute is the one used.
+attribute np) loads on first lookup, made by a sampled check or a grid; a
+reassigned attribute is the one used.  The attribute cKDTree loads
+scipy.spatial likewise; no check calls it, but perfbench's tracer wraps it.
 """
 
 from __future__ import annotations
@@ -309,42 +309,45 @@ def _sense_preserving(f: HarmonicMap, pts: np.ndarray) -> bool:
     return bool(((jac > 0.0) & (jac < math.inf)).all())
 
 
-def _simple_polygon(p: np.ndarray) -> bool:
-    """Whether the closed polygon through the points p, in order, is simple:
-    no two non-adjacent edges meet, touching included.
-
-    Each edge is bucketed by its midpoint into square cells whose side is
-    the longest edge.  Two edges that meet have midpoints at most that side
-    apart, so they lie in one cell or in touching cells, and only those
-    pairs are tested.  A non-finite point, edge or cross product counts
-    as a meeting."""
+def _cell_rows(c: np.ndarray) -> np.ndarray:
+    """The occupied cell rows c renumbered from 0, every gap between two
+    neighbouring ones capped at 2: touching rows stay touching, the others
+    stay apart, and the numbers stay below 2 * c.size."""
     np = _np()
-    m = p.size
-    a, b = p, np.roll(p, -1)
-    d = b - a
-    # padded, so that rounding cannot part two meeting edges by two cells
-    side = float(np.abs(d).max()) * (1.0 + 1e-9)
-    if not (np.isfinite(p).all() and 0.0 < side < math.inf):
-        return False
-    mid = a + d / 2
-    cx = np.floor(mid.real / side).astype(np.int64)
-    cy = np.floor(mid.imag / side).astype(np.int64)
-    cx -= cx.min()
-    cy -= cy.min()
+    rows, index = np.unique(c, return_inverse=True)
+    number = np.r_[0.0, np.minimum(np.diff(rows), 2.0).cumsum()].astype(np.int64)
+    return number[index]
+
+
+def _cell_pairs(x: np.ndarray, y: np.ndarray, reach: float):
+    """Every index pair i < j of the points (x, y) at most reach apart, by
+    the squared test (x[i]-x[j])^2 + (y[i]-y[j])^2 <= reach^2: the pairs
+    scipy's cKDTree.query_pairs(reach) returns, as two index arrays.
+
+    The points are bucketed into square cells at least reach wide, and
+    each cell is compared with itself and its four forward neighbours
+    (Bentley, Stanat & Williams, Inf. Process. Lett. 6 (1977) 209-212)."""
+    np = _np()
+    frac, exp = math.frexp(reach)
+    # a power of two, so that x / side is exact: cells of side reach could
+    # part two points one ulp apart by two cells where |x| > 2^53 reach
+    side = reach if frac == 0.5 else math.ldexp(1.0, exp)
+    # renumbered, so that the keys below cannot overflow
+    cx, cy = _cell_rows(np.floor(x / side)), _cell_rows(np.floor(y / side))
     width = int(cy.max()) + 2  # so that no row's cell y +- 1 lands in another row
     key = cx * width + cy
     order = key.argsort(kind="stable")
     start = np.flatnonzero(np.r_[True, np.diff(key[order]) != 0])
     cells = key[order[start]]
-    count = np.diff(np.r_[start, m])
+    count = np.diff(np.r_[start, key.size])
 
-    edge_i, edge_j = [], []
+    pairs = []
     for dx, dy in _NEIGHBOURS:
         target = cells + dx * width + dy
         at = np.minimum(np.searchsorted(cells, target), cells.size - 1)
         src = np.flatnonzero(cells[at] == target)
         dst = at[src]
-        # every (edge of src, edge of dst) combination, one per row
+        # every (point of src, point of dst) combination, one per row
         n_src, n_dst = count[src], count[dst]
         size = n_src * n_dst
         group = np.repeat(np.arange(src.size), size)
@@ -353,11 +356,33 @@ def _simple_polygon(p: np.ndarray) -> bool:
         j = order[start[dst][group] + local % n_dst[group]]
         if dx == dy == 0:
             i, j = i[i < j], j[i < j]
-        gap = np.abs(i - j)
-        keep = (gap > 1) & (gap < m - 1)  # adjacent edges share a vertex by design
-        edge_i.append(i[keep])
-        edge_j.append(j[keep])
-    i, j = np.concatenate(edge_i), np.concatenate(edge_j)
+        near = (x[i] - x[j]) ** 2 + (y[i] - y[j]) ** 2 <= reach * reach
+        pairs.append((i[near], j[near]))
+    i, j = (np.concatenate(column) for column in zip(*pairs))
+    return np.minimum(i, j), np.maximum(i, j)
+
+
+def _simple_polygon(p: np.ndarray) -> bool:
+    """Whether the closed polygon through the points p, in order, is simple:
+    no two non-adjacent edges meet, touching included.
+
+    Two edges that meet have midpoints at most the longest edge apart, so
+    only the pairs of edges whose midpoints are that near (see _cell_pairs)
+    are tested.  A non-finite point, edge or cross product counts as a
+    meeting."""
+    np = _np()
+    m = p.size
+    a, b = p, np.roll(p, -1)
+    d = b - a
+    # padded, so that rounding cannot put two meeting edges' midpoints out of reach
+    reach = float(np.abs(d).max()) * (1.0 + 1e-9)
+    if not (np.isfinite(p).all() and 0.0 < reach < math.inf):
+        return False
+    mid = a + d / 2
+    i, j = _cell_pairs(mid.real, mid.imag, reach)
+    gap = j - i
+    keep = (gap > 1) & (gap < m - 1)  # adjacent edges share a vertex by design
+    i, j = i[keep], j[keep]
 
     def side_of(e, q):  # the sign of the cross product e x q; nan stays nan
         return np.sign(e.real * q.imag - e.imag * q.real)
@@ -406,7 +431,7 @@ def injectivity_oracle(f: HarmonicMap, r: float,
     of 1e-13, both times the grid's image scale, min(1, pitch / 1e-4): on
     a grid with a pitch below 1e-4 (a tiny radius) a collision must lie
     far below the grid's own resolution.  A radius whose shortest reach is
-    below _MIN_REACH, where the tree's squared distances would underflow
+    below _MIN_REACH, where the search's squared distances would underflow
     (r below about 1e-151 at resolution 512), raises ValueError; so do grid
     images that are not finite, or that span more than _MAX_SPAN, where
     they would overflow.
@@ -435,7 +460,7 @@ def injectivity_oracle(f: HarmonicMap, r: float,
     m = 4 * resolution
     # pulled in by a few ulps, so that no rounded ring sample lies beyond r
     ring = r * (1.0 - 2.0 ** -50) * np.exp(2j * np.pi * np.arange(m) / m)
-    # a non-finite sample fails the stage below and is refused before the tree
+    # a non-finite sample fails the stage below and is refused before the search
     with np.errstate(over="ignore", invalid="ignore"):
         if (_sense_preserving(f, ring) and _simple_polygon(f(ring))
                 and _sense_preserving(f, pts)):
@@ -453,18 +478,13 @@ def injectivity_oracle(f: HarmonicMap, r: float,
                          f"span {span:.3g}: the pair search's squared distances would "
                          f"overflow")
 
-    # a module attribute, not a bare global: the first lookup imports it
-    tree = sys.modules[__name__].cKDTree(np.column_stack([images.real, images.imag]))
     for k in range(4, -1, -1):
         reach = 5.0 * pitch / 2 ** k
-        # the pairs' two index columns, each contiguous: numpy gathers and
-        # compresses through them faster than through columns of the (n, 2) array
-        first, second = np.ascontiguousarray(
-            tree.query_pairs(reach, output_type="ndarray").T)
+        first, second = _cell_pairs(images.real, images.imag, reach)
         far = np.abs(pts[first] - pts[second]) > sep
         first, second = first[far], second[far]
         dist = np.abs(images[first] - images[second])
-        # the guard covers the tree's rounding of a distance against np.abs's
+        # the guard covers the squared test's rounding of a distance against np.abs's
         if np.count_nonzero(dist <= reach * (1.0 - 1e-9)) >= _MAX_REFINED:
             break
     if first.size == 0:

@@ -554,10 +554,15 @@ def test_identities_defaults(capsys):
 
 
 def test_identities_domain_error(capsys):
-    for r in ("1.5", "0", "1"):
+    # power_sums' rule, r in [0, 1): r = 0 has the sums (0, 0, 1)
+    for r in ("1.5", "1", "-0.5", "nan"):
         code, doc, _ = run_json(capsys, "identities", "--r", r)
         assert code == 2
-        assert doc == {"error": "r must lie in (0, 1)", "kind": "domain"}
+        assert doc == {"error": f"r must lie in [0, 1), got {float(r)}", "kind": "domain"}
+    code, doc, _ = run_json(capsys, "identities", "--r", "0")
+    assert code == 0
+    check(doc, "identities.schema.json")
+    assert (doc["sum_n_rn"], doc["sum_n2_rn"], doc["sum_n3_rn_minus1"]) == (0.0, 0.0, 1.0)
 
 
 def test_list_extremals(capsys):
@@ -605,19 +610,35 @@ def test_console_script_smoke():
     assert doc["radius"] == pytest.approx(0.112902931208, abs=1e-11)
 
 
-# scipy.spatial serves only the injectivity oracle; the other subcommands,
-# the coefficient and sampled grid checks on a tailed sequence among them,
-# must not load scipy in a fresh process
+# numpy is the one runtime dependency: in a fresh process that refuses to
+# import scipy, every subcommand runs, the coefficient and sampled grid
+# checks on a tailed sequence and a clean and a folding injectivity check
+# among them, and none of them tries to import scipy
 COLD_PROCESS = """
 import contextlib, io, json, sys
+
+refused = []
+
+class NoScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            refused.append(name)
+            raise ModuleNotFoundError(f"scipy is refused: {name}", name=name)
+        return None
+
+sys.meta_path.insert(0, NoScipy())
+try:
+    import scipy.spatial
+except ModuleNotFoundError:
+    refused.clear()
+else:
+    raise AssertionError("scipy was not refused")
+
 import harmradius, harmradius.cli
 
 def run(*argv):
     with contextlib.redirect_stdout(io.StringIO()):
         assert harmradius.cli.main(list(argv)) == 0, argv
-
-def scipy_modules():
-    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 
 run("radius", "--family", "koebe")
 run("bloch-table")
@@ -629,46 +650,23 @@ run("membership", "--check", "c-h2", "--seq", sys.argv[1], "--dilate", "0.5",
     "--grid-radial", "40", "--grid-angular", "16")
 run("membership", "--check", "starlike", "--seq", sys.argv[1], "--r", "0.5",
     "--grid-radial", "40", "--grid-angular", "16")
-before = scipy_modules()
+run("membership", "--check", "injectivity", "--map", "koebe", "--dilate", "0.112903",
+    "--r", "0.999", "--resolution", "64")
 run("membership", "--check", "injectivity", "--map", "F0", "--r", "0.2",
     "--resolution", "64")
-print(json.dumps({"before": before, "after": scipy_modules()}))
+assert "numpy" in sys.modules
+print(json.dumps(refused))
 """
 
 
-def test_fresh_process_loads_scipy_only_for_injectivity():
+def test_fresh_process_runs_without_scipy():
     root = Path(__file__).resolve().parents[1]
     proc = subprocess.run([sys.executable, "-c", COLD_PROCESS,
                            str(root / "tests" / "golden" / "tailed_seq.json")],
                           capture_output=True, text=True, timeout=120,
                           env={**os.environ, "PYTHONPATH": str(root / "src")})
     assert proc.returncode == 0, proc.stderr
-    doc = json.loads(proc.stdout)
-    assert doc["before"] == []
-    assert "scipy.spatial" in doc["after"]
-
-
-# a map the argument-principle stage settles needs no pair search
-CLEAN_INJECTIVITY = """
-import contextlib, io, sys
-import harmradius.cli
-
-with contextlib.redirect_stdout(io.StringIO()):
-    assert harmradius.cli.main(["membership", "--check", "injectivity", "--map", "koebe",
-                                "--dilate", "0.112903", "--r", "0.999",
-                                "--resolution", "64"]) == 0
-assert "numpy" in sys.modules
-scipy = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
-assert not scipy, scipy
-"""
-
-
-def test_fresh_clean_injectivity_check_loads_no_scipy():
-    root = Path(__file__).resolve().parents[1]
-    proc = subprocess.run([sys.executable, "-c", CLEAN_INJECTIVITY],
-                          capture_output=True, text=True, timeout=120,
-                          env={**os.environ, "PYTHONPATH": str(root / "src")})
-    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == []
 
 
 # the scalar subcommands, the float profile calls of jacobian-scan and

@@ -319,8 +319,8 @@ def test_power_sum_identities_small_r():
 
 
 def test_power_sum_identities_domain():
-    # power_sums is defined on [0, 1); the identities subcommand keeps
-    # its own (0, 1) check (test_cli.py::test_identities_domain_error)
+    # power_sums is defined on [0, 1), and so is the identities subcommand
+    # (test_cli.py::test_identities_domain_error)
     assert power_sums(0.0) == (0.0, 0.0, 1.0)
     with pytest.raises(ValueError):
         power_sums(1.0)

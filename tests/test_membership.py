@@ -321,54 +321,60 @@ def _search_only(monkeypatch):
     monkeypatch.setattr(membership, "_simple_polygon", lambda p: False)
 
 
-def _full_search_reference(monkeypatch, f, r, resolution):
-    """The oracle's report from one pair search out to 5 pitches on the
-    images as they are, with every separated candidate sorted on (image
-    distance, i, j), of which the first 2000 are refined."""
-    from harmradius import membership
-
-    pitch = 2.0 * r / (resolution - 1)
+def _grid_images(f, r, resolution):
+    """The oracle's samples of |z| <= r, in its order, and their images."""
     axis = np.linspace(-r, r, resolution)
     xs, ys = np.meshgrid(axis, axis)
     pts = (xs + 1j * ys).ravel()
     pts = pts[np.abs(pts) <= r]
-    images = f(pts)
-    full = membership.cKDTree(np.column_stack([images.real, images.imag])).query_pairs(
+    return pts, f(pts)
+
+
+def _full_search_reference(monkeypatch, f, r, resolution):
+    """The oracle's report from one pair search out to 5 pitches on the
+    images as they are, made by scipy's k-d tree, with every separated
+    candidate sorted on (image distance, i, j), of which the first 2000 are
+    refined.  The stage is forced off: it would call _cell_pairs too."""
+    from scipy.spatial import cKDTree
+
+    from harmradius import membership
+
+    pitch = 2.0 * r / (resolution - 1)
+    pts, images = _grid_images(f, r, resolution)
+    full = cKDTree(np.column_stack([images.real, images.imag])).query_pairs(
         5.0 * pitch, output_type="ndarray")
     i, j = full.T
     far = np.abs(pts[i] - pts[j]) > 2.0 * pitch
     i, j = i[far], j[far]  # the candidates, in the order the oracle keeps them
     queries = []
 
-    class OneSearch:
+    def one_search(x, y, reach):
         # the four shorter reaches find nothing, so the oracle takes the fifth
-        def __init__(self, data):
-            pass
-
-        def query_pairs(self, reach, output_type):
-            queries.append(reach)
-            return full if len(queries) == 5 else np.empty((0, 2), dtype=np.intp)
+        queries.append(reach)
+        return full.T if len(queries) == 5 else (np.empty(0, np.intp), np.empty(0, np.intp))
 
     with monkeypatch.context() as m:
-        m.setattr(membership, "cKDTree", OneSearch)
+        _search_only(m)
+        m.setattr(membership, "_cell_pairs", one_search)
         m.setattr(membership, "_closest_first",
                   lambda dist, key: np.lexsort((j, i, dist))[:2000])
         return injectivity_oracle(f, r, resolution)
 
 
 def _record_queries(monkeypatch):
-    """Give the oracle a tree that logs (reach, pairs found) per query."""
+    """Log (reach, pairs found) of every _cell_pairs call the oracle makes,
+    the stage's own call on the ring's edge midpoints included."""
     from harmradius import membership
 
     log = []
+    cell_pairs = membership._cell_pairs
 
-    class RecordingTree(membership.cKDTree):
-        def query_pairs(self, reach, **kwargs):
-            out = super().query_pairs(reach, **kwargs)
-            log.append((reach, len(out)))
-            return out
+    def recording(x, y, reach):
+        out = cell_pairs(x, y, reach)
+        log.append((reach, out[0].size))
+        return out
 
-    monkeypatch.setattr(membership, "cKDTree", RecordingTree)
+    monkeypatch.setattr(membership, "_cell_pairs", recording)
     return log
 
 
@@ -437,8 +443,11 @@ def test_injectivity_report_matches_full_search_on_a_seeded_sweep(monkeypatch, l
                                                                    r, resolution):
     f = _oracle_map(label)
     log = _record_queries(monkeypatch)
-    # a map the stage settles makes no query; the search below runs on every map
-    assert (injectivity_oracle(f, r, resolution).note == STAGE_NOTE) == (not log)
+    # a map the stage settles makes no search, whose first reach is 5/16 of a
+    # pitch; the search below runs on every map
+    first_reach = 5.0 * (2.0 * r / (resolution - 1)) / 2 ** 4
+    settled = injectivity_oracle(f, r, resolution).note == STAGE_NOTE
+    assert settled == (first_reach not in [reach for reach, _ in log])
     _search_only(monkeypatch)
     log.clear()
     got = _with_refined(monkeypatch, lambda: injectivity_oracle(f, r, resolution))
@@ -585,6 +594,85 @@ def test_stage_refuses_non_finite_samples():
         assert not _sense_preserving(Jacobian([1.0, bad]), None)
 
 
+def _pairs_by_all_pairs(x, y, reach):
+    """Every pair i < j of the points (x, y) at most reach apart, by the
+    squared test on all pairs."""
+    i, j = np.triu_indices(x.size, 1)
+    near = (x[i] - x[j]) ** 2 + (y[i] - y[j]) ** 2 <= reach * reach
+    return sorted(zip(i[near].tolist(), j[near].tolist()))
+
+
+def test_cell_pairs_matches_all_pairs(rng):
+    from harmradius.membership import _cell_pairs
+
+    seen = 0
+    for _ in range(3000):
+        # a power-of-two step and reach = 5 steps: lattice points 3 and 4 steps
+        # apart along the axes are exactly reach apart
+        step = math.ldexp(1.0, int(rng.integers(-500, 31)))  # reach in [1e-150, 1e10]
+        reach = 5.0 * step
+        n = int(rng.integers(1, 60))
+        if rng.integers(2):
+            x, y = step * rng.integers(-8, 9, (2, n)).astype(float)
+        else:
+            x, y = rng.normal(0.0, 2.0 * reach, (2, n))
+        # offsets up to 1e150, and near 2^53 reaches, where one ulp is a reach
+        # and cells of side reach can part two points one reach apart by two cells
+        offset = (rng.choice([0.0, reach * 2.0 ** rng.uniform(48, 56),
+                              10.0 ** rng.uniform(-150, 150)], 2)
+                  * rng.choice([-1.0, 1.0], 2))
+        x, y = x + offset[0], y + offset[1]
+        i, j = _cell_pairs(x, y, reach)
+        got = sorted(zip(i.tolist(), j.tolist()))
+        assert got == _pairs_by_all_pairs(x, y, reach), (reach, x.tolist(), y.tolist())
+        seen += len(got)
+    assert seen > 10_000
+
+
+def _assert_query_pairs(images, reaches):
+    """_cell_pairs finds the pairs of scipy's k-d tree at every reach."""
+    from scipy.spatial import cKDTree
+
+    from harmradius.membership import _cell_pairs
+
+    tree = cKDTree(np.column_stack([images.real, images.imag]))
+    for reach in reaches:
+        i, j = _cell_pairs(images.real, images.imag, reach)
+        want = tree.query_pairs(reach, output_type="ndarray")
+        assert np.array_equal(np.sort(i * images.size + j),
+                              np.sort(want[:, 0] * images.size + want[:, 1])), reach
+
+
+@pytest.mark.parametrize("label, r, resolution",
+                         [case for case in ORACLE_CASES + _sweep() if case[2] <= 128])
+def test_cell_pairs_are_the_query_pairs_of_the_oracle_reaches(label, r, resolution):
+    pitch = 2.0 * r / (resolution - 1)
+    _, images = _grid_images(_oracle_map(label), r, resolution)
+    _assert_query_pairs(images, [5.0 * pitch / 2 ** k for k in range(4, -1, -1)])
+
+
+def test_cell_pairs_of_a_clustered_map(monkeypatch):
+    # z + 1e13 z^40 sends the grid of |z| <= 0.9 to a cluster of width 1 and a
+    # spray out to 1.5e11, 4e13 cell widths apart: the cell keys are renumbered
+    # rows, not coordinates, which would overflow int64, and the cells keep
+    # their width
+    import tracemalloc
+
+    f = HarmonicMap.from_series(CoefficientSeq({40: 1e13}, {}, 40))
+    injectivity_oracle(f, 0.9, 64)  # imports and first-call set-up outside the count
+    tracemalloc.start()
+    try:
+        rep = injectivity_oracle(f, 0.9, 512)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2 ** 20, f"{peak / 2 ** 20:.0f} MB"
+    assert rep.verdict == "violated"
+    assert rep == _full_search_reference(monkeypatch, f, 0.9, 512)
+    _, images = _grid_images(f, 0.9, 512)
+    _assert_query_pairs(images, [5.0 * (1.8 / 511) / 16])  # the first reach
+
+
 def test_closest_first_is_the_head_of_a_stable_sort(rng):
     from harmradius.membership import _MAX_REFINED, _closest_first
 
@@ -639,6 +727,7 @@ def test_injectivity_oracle_memory():
 
 
 def test_ckdtree_is_a_lazy_module_attribute():
+    # no check calls cKDTree; it stays as the hook perfbench's tracer wraps
     import scipy.spatial
 
     from harmradius import membership
