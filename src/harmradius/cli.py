@@ -140,13 +140,11 @@ def _cmd_membership(args) -> int:
     elif check == "growth":
         report = coefficient_growth_check(subject, args.beta)
     elif check == "c-h2":
-        grid = GridSpec(args.grid_radial, args.grid_angular,
-                        args.grid_rmax if args.grid_rmax is not None else 0.999)
-        report = c_h2_numeric(subject, args.beta, grid)
+        report = c_h2_numeric(subject, args.beta,
+                              GridSpec(args.grid_radial, args.grid_angular, args.r))
     elif check == "starlike":
-        grid = GridSpec(args.grid_radial, args.grid_angular,
-                        args.grid_rmax if args.grid_rmax is not None else args.r)
-        report = starlike_scan(subject, args.r, grid)
+        report = starlike_scan(subject, args.r,
+                               GridSpec(args.grid_radial, args.grid_angular, args.r))
     else:
         report = injectivity_oracle(subject, args.r, args.resolution)
     _emit({"check": check, "subject": label} | report._asdict())
@@ -233,11 +231,11 @@ def build_parser() -> argparse.ArgumentParser:
                    help="replace f by f(rz)/r before checking")
     p.add_argument("--beta", type=float, default=0.0)
     p.add_argument("--r", type=float, default=0.999,
-                   help="outer radius for starlike/injectivity checks")
+                   help="radius of the disk |z| <= r that the sampled checks "
+                        "(c-h2, starlike, injectivity) cover")
     p.add_argument("--resolution", type=int, default=256)
     p.add_argument("--grid-radial", type=int, default=200)
     p.add_argument("--grid-angular", type=int, default=64)
-    p.add_argument("--grid-rmax", type=float, default=None)
     p.set_defaults(func=_cmd_membership)
 
     p = sub.add_parser("jacobian-scan", help="CSV of a witness Jacobian on [lo, hi]")

@@ -9,6 +9,9 @@ carry the grid description and, for the injectivity oracle, the verdict
 "inconclusive" when no collision is found.  The oracle first tries the
 argument principle on its samples (J > 0 everywhere and a simple
 boundary image) and searches for a collision only when that fails.
+Each covers a disk |z| <= r (a GridSpec's r_max, or the oracle's r) and
+evaluates it with numpy's overflow warnings off: the inf or NaN of an
+overflow is refused as "map evaluation is not finite on the grid".
 
 Margins are minimum slacks of the defining inequality over the test set.
 A margin within BOUNDARY_TOL of zero is reported as satisfied with a
@@ -234,8 +237,9 @@ def c_h2_numeric(f: HarmonicMap, beta: float = 0.0,
     beta = check_beta(beta)
     grid = grid or GridSpec()
     pts = grid.points()
-    fz, fzbar = f.wirtinger(pts)
-    return _sampled_verdict((1.0 - beta) - np.abs(fzbar) - np.abs(fz - 1.0), pts, grid)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused by _sampled_verdict
+        fz, fzbar = f.wirtinger(pts)
+        return _sampled_verdict((1.0 - beta) - np.abs(fzbar) - np.abs(fz - 1.0), pts, grid)
 
 
 def starlike_scan(f: HarmonicMap, r: float,
@@ -244,7 +248,8 @@ def starlike_scan(f: HarmonicMap, r: float,
 
     margin = min over sampled z of Re[(z f_z(z) - conj(z) f_zbar(z)) / f(z)],
     the rate of change of arg f along the circle through z.  A sample with
-    |f(z)| < 1e-12 yields an inconclusive singularity report.
+    |f(z)| < 1e-12 r_max yields an inconclusive singularity report; scaled
+    by the grid's r_max, the test reads f and its dilation f(rz)/r alike.
     """
     np = _np()
     r = float(r)
@@ -254,16 +259,17 @@ def starlike_scan(f: HarmonicMap, r: float,
     if grid.r_max > r:
         raise ValueError("grid r_max exceeds the scan radius")
     pts = grid.points()
-    fval = f(pts)
-    small = np.abs(fval) < 1e-12
-    if np.any(small):
-        z0 = complex(pts[int(np.argmax(small))])
-        return MembershipReport(
-            "inconclusive", 0.0, z0, grid.describe(),
-            note="singularity: |f(z)| < 1e-12 at a sample point",
-        )
-    fz, fzbar = f.wirtinger(pts)
-    return _sampled_verdict(np.real((pts * fz - np.conj(pts) * fzbar) / fval), pts, grid)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused by _sampled_verdict
+        fval = f(pts)
+        small = np.abs(fval) < 1e-12 * grid.r_max
+        if np.any(small):
+            z0 = complex(pts[int(np.argmax(small))])
+            return MembershipReport(
+                "inconclusive", 0.0, z0, grid.describe(),
+                note="singularity: |f(z)| < 1e-12 r_max at a sample point",
+            )
+        fz, fzbar = f.wirtinger(pts)
+        return _sampled_verdict(np.real((pts * fz - np.conj(pts) * fzbar) / fval), pts, grid)
 
 
 def _newton_collide(f: HarmonicMap, target: complex, z: complex, r: float, scale: float):

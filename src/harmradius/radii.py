@@ -77,7 +77,7 @@ class RadiusReport(record("RadiusReport", "radius method residual tolerance brac
 def _solve(fn, lo: float, hi: float, flo: float, fhi: float) -> tuple[float, float, float]:
     """(root, lo, hi): a zero of fn bracketed in the final [lo, hi].
 
-    flo = fn(lo) and fhi = fn(hi) must have opposite signs.  Bisects to
+    flo = fn(lo) and fhi = fn(hi) must be nonzero, of opposite signs.  Bisects to
     width BISECTION_TOL, then one secant step inside the final bracket
     sharpens the root well below the bracket width.  A midpoint where fn
     is exactly zero is returned at once with the bracket collapsed onto it.
@@ -93,12 +93,8 @@ def _solve(fn, lo: float, hi: float, flo: float, fhi: float) -> tuple[float, flo
             lo, flo = mid, fm
         else:
             hi, fhi = mid, fm
-    if fhi != flo:
-        root = lo - flo * (hi - lo) / (fhi - flo)
-        root = min(max(root, lo), hi)
-    else:
-        root = 0.5 * (lo + hi)
-    return root, lo, hi
+    root = lo - flo * (hi - lo) / (fhi - flo)
+    return min(max(root, lo), hi), lo, hi
 
 
 def radius_by_bisection(family, beta: float = 0.0) -> RadiusReport:
@@ -205,8 +201,9 @@ def jacobian_roots(profile, lo: float = 0.0, hi: float = 0.999) -> list[float]:
         raise ValueError("scan interval must satisfy 0 <= lo < hi < 1")
     grid = np.linspace(lo, hi, _SCAN_POINTS)
     vals = jac(grid)
-    cross = (vals[:-1] != 0.0) & ((vals[:-1] < 0.0) != (vals[1:] < 0.0))
-    roots = [float(x) for x in grid[vals == 0.0]]
+    nonzero = vals != 0.0
+    cross = nonzero[:-1] & nonzero[1:] & ((vals[:-1] < 0.0) != (vals[1:] < 0.0))
+    roots = [float(x) for x in grid[~nonzero]]
     roots += [_solve(jac, float(grid[i]), float(grid[i + 1]),
                      float(vals[i]), float(vals[i + 1]))[0]
               for i in np.flatnonzero(cross)]
@@ -243,7 +240,9 @@ def verify_sharpness(witness, r_claimed: float) -> SharpnessReport:
         import numpy as np
 
         inner = np.linspace(0.0, r, _INTERIOR_SAMPLES + 2)[1:-1]
-        interior_min = float(jac(inner).min())
+        # an overflow gives the float path's inf or NaN, refused on output
+        with np.errstate(over="ignore", invalid="ignore"):
+            interior_min = float(jac(inner).min())
     else:
         # linspace's samples: i * (r/n), or (i/n) * r where r/n underflows;
         # the key ranks a NaN first, as numpy's min propagates it

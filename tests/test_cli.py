@@ -237,8 +237,6 @@ SAMPLED_OVERFLOW = {"a": [[n, 3e306, 0] for n in range(2, 12)], "b": [], "trunca
     (["membership", "--check", "starlike"], SAMPLED_OVERFLOW,
      "map evaluation is not finite on the grid"),
 ], ids=["radius-overflow", "coeff-overflow", "c-h2-nan-margin", "starlike-nan-margin"])
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
-                            "ignore:invalid value:RuntimeWarning")
 def test_non_finite_results_are_exit_2(capsys, tmp_path, argv, doc, message):
     path = tmp_path / "huge.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
@@ -276,6 +274,12 @@ OVERFLOWING_IMAGES = ["membership", "--check", "injectivity", "--map", "F0", "--
                       "--r", "0.2", "--resolution", "32"]
 HUGE_SPAN = ["membership", "--check", "injectivity", "--map", "f0:1e300,0", "--r", "0.5",
              "--resolution", "16"]
+# sampled checks and a warm sharpness whose numpy evaluation overflows
+C_H2_OVERFLOW = ["membership", "--check", "c-h2", "--map", "f0:1e308"]
+STARLIKE_OVERFLOW = ["membership", "--check", "starlike", "--map", "f0:1e308,0.9", "--r", "0.9"]
+STARLIKE_SUBNORMAL_DILATION = ["membership", "--check", "starlike", "--map", "F0",
+                               "--dilate", "1e-320", "--r", "0.5"]
+SHARPNESS_OVERFLOW = ["sharpness", "--witness", "f0:1e308", "--radius", "0.5"]
 # the tail majorant would start at index 10^400 + 1, past the float range
 HUGE_TRUNCATION = {"a": [], "b": [], "truncation": 10 ** 400,
                    "tail": {"degree": -3, "constant": 0.01}}
@@ -306,8 +310,15 @@ HUGE_TRUNCATION_ERROR = _domain("truncation exceeds the float range: "
     (OVERFLOWING_IMAGES, None, _domain("map evaluation is not finite on the grid")),
     (HUGE_SPAN, None, _domain("the images of a 16x16 grid on |z|<=0.5 span 5.7e+299: "
                               "the pair search's squared distances would overflow")),
+    (C_H2_OVERFLOW, None, _domain("map evaluation is not finite on the grid")),
+    (STARLIKE_OVERFLOW, None, _domain("map evaluation is not finite on the grid")),
+    (STARLIKE_SUBNORMAL_DILATION, None, _domain("map evaluation is not finite on the grid")),
+    # the object a cold process, which samples by float calls, prints too
+    (SHARPNESS_OVERFLOW, None, _domain("Out of range float values are not JSON compliant: inf")),
 ], ids=["divergent-tail", "steep-tail", "huge-grid", "huge-index-c-h2", "huge-M",
-        "huge-truncation-radius", "huge-truncation-coeff", "overflowing-images", "huge-span"])
+        "huge-truncation-radius", "huge-truncation-coeff", "overflowing-images", "huge-span",
+        "c-h2-overflow", "starlike-overflow", "starlike-subnormal-dilation",
+        "sharpness-overflow"])
 def test_hostile_inputs_are_exit_2(capsys, tmp_path, argv, doc, expected):
     if doc is not None:
         check(doc, "coefficient_seq.schema.json")
@@ -413,11 +424,22 @@ def test_membership_injectivity_f0(capsys):
 def test_membership_grid_options_reach_the_grid(capsys):
     code, doc, _ = run_json(capsys, "membership", "--check", "c-h2",
                             "--map", "koebe", "--dilate", "0.2",
-                            "--grid-radial", "50", "--grid-angular", "16",
-                            "--grid-rmax", "0.3")
+                            "--grid-radial", "50", "--grid-angular", "16", "--r", "0.3")
     assert code == 0
     assert doc["verdict"] == "satisfied"          # 0.2 * 0.3 stays inside
-    assert "50x16" in doc["grid_spec"] or "50" in doc["grid_spec"]
+    assert doc["grid_spec"] == "50x16 polar grid, geometric clustering toward r_max=0.3"
+
+
+@pytest.mark.parametrize("check_name", ["c-h2", "starlike"])
+def test_membership_r_is_the_disk_of_every_grid_check(capsys, check_name):
+    # --r is the grid's outer radius; there is no separate grid radius
+    code, doc, _ = run_json(capsys, "membership", "--check", check_name, "--map", "koebe",
+                            "--grid-radial", "20", "--grid-angular", "8", "--r", "0.05")
+    assert code == 0
+    assert doc["grid_spec"].endswith("r_max=0.05")
+    assert usage_error(capsys, "membership", "--check", check_name, "--map", "koebe",
+                       "--grid-rmax", "0.05").endswith(
+        "unrecognized arguments: --grid-rmax 0.05")
 
 
 def test_membership_map_and_seq_conflict(capsys, tmp_path):
@@ -533,6 +555,20 @@ def test_sharpness_f0_and_parametrized_witness(capsys):
     code, doc, _ = run_json(capsys, "sharpness", "--witness", "f0:1")
     assert doc["passed"] is True
     assert doc["r_claimed"] == round12(uniform_family_radius(1.0).radius)
+
+
+def test_sharpness_overflow_answers_alike_cold_and_warm(capsys):
+    # a process without numpy samples by float calls, one with numpy by one
+    # array call; both overflow to inf, which the JSON output refuses
+    root = Path(__file__).resolve().parents[1]
+    script = ("import sys; from harmradius.cli import main; code = main(sys.argv[1:]); "
+              "assert 'numpy' not in sys.modules; sys.exit(code)")
+    cold = subprocess.run([sys.executable, "-W", "error", "-c", script, *SHARPNESS_OVERFLOW],
+                          capture_output=True, text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": str(root / "src")})
+    code, out, _ = run(capsys, *SHARPNESS_OVERFLOW)
+    assert (cold.returncode, cold.stdout, cold.stderr) == (code, out, "")
+    assert json.loads(out) == _domain("Out of range float values are not JSON compliant: inf")
 
 
 def test_sharpness_wrong_radius_fails_but_exits_0(capsys):
@@ -798,7 +834,7 @@ def cli_argv(draw):
         # injectivity's default resolution is slow; draw a small or a rejected one
         return [cmd, "--check", check_name, *argv, "--resolution", str(draw(COUNTS)),
                 "--grid-radial", str(draw(COUNTS)), "--grid-angular", str(draw(COUNTS)),
-                *_flags(draw, dilate=NUMBERS, beta=NUMBERS, r=NUMBERS, grid_rmax=NUMBERS)]
+                *_flags(draw, dilate=NUMBERS, beta=NUMBERS, r=NUMBERS)]
     if cmd == "jacobian-scan":
         return [cmd, "--witness", draw(WITNESS_LABELS),
                 *_flags(draw, lo=NUMBERS, hi=NUMBERS, steps=COUNTS)]
@@ -822,7 +858,6 @@ def _must_answer(argv) -> bool:
     return False
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy overflow notes on stderr
 @settings(max_examples=100, deadline=None)
 @given(argv=cli_argv(), doc=seq_docs())
 @example(argv=["radius", "--seq", SEQ], doc=DIVERGENT_TAIL)
@@ -837,6 +872,10 @@ def _must_answer(argv) -> bool:
 @example(argv=["radius", "--family", "uniform:5e-324"], doc=HUGE_INDEX)
 @example(argv=OVERFLOWING_IMAGES, doc=HUGE_INDEX)
 @example(argv=HUGE_SPAN, doc=HUGE_INDEX)
+@example(argv=C_H2_OVERFLOW, doc=HUGE_INDEX)
+@example(argv=STARLIKE_OVERFLOW, doc=HUGE_INDEX)
+@example(argv=STARLIKE_SUBNORMAL_DILATION, doc=HUGE_INDEX)
+@example(argv=SHARPNESS_OVERFLOW, doc=HUGE_INDEX)
 def test_cli_boundary_answers_or_fails_structured(tmp_path_factory, argv, doc):
     check(doc, "coefficient_seq.schema.json")
     path = tmp_path_factory.getbasetemp() / "drawn_seq.json"

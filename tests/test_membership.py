@@ -236,8 +236,6 @@ def test_c_h2_respects_supplied_grid():
     assert c_h2_numeric(K, 0.0).verdict == "violated"  # 0.2 * 0.999 is not
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
-                            "ignore:invalid value:RuntimeWarning")
 @pytest.mark.parametrize("check", [
     lambda f: c_h2_numeric(f, 0.0),
     lambda f: starlike_scan(f, 0.999),
@@ -276,6 +274,18 @@ def test_starlike_singularity_report():
     assert rep.verdict == "inconclusive"
     assert "singularity" in rep.note
     assert rep.witness == 0.5 + 0j
+
+
+@pytest.mark.parametrize("r", [1e-9, 1e-11, 1e-13, 1e-100])
+def test_starlike_tiny_radius_agrees_with_the_dilated_map(r):
+    # f(z) = z + O(z^2) has no zero on the grid: the singularity test scales
+    # with the disk, so a tiny disk reads as the dilated map's disk does
+    K = harmonic_koebe()
+    small = starlike_scan(K, r, GridSpec(20, 8, r))
+    dilated = starlike_scan(K.dilate(r), 0.5, GridSpec(20, 8, 0.5))
+    for rep in (small, dilated):
+        assert rep.verdict == "satisfied"
+        assert rep.margin == pytest.approx(1.0, abs=1e-8)
 
 
 def test_starlike_grid_must_fit_radius():

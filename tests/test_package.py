@@ -1,11 +1,13 @@
 """The package namespace: exports of the numpy-free submodules bound on
 import, those of maps and membership resolved lazily, and the immutable
-records they define."""
+records they define, and the README's quick start run as a doctest."""
 
+import doctest
 import importlib
 import math
 import re
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -95,3 +97,9 @@ def test_records_are_immutable_and_always_checked(record, bad, message):
                   lambda: type(record)._make(fields.values())):
         with pytest.raises(ValueError, match=re.escape(message)):
             build()
+
+
+def test_readme_quick_start_runs_as_documented():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    failed, attempted = doctest.testfile(str(readme), module_relative=False)
+    assert (failed, attempted > 0) == (0, True)

@@ -32,6 +32,7 @@ from harmradius import (
     verify_sharpness,
     weighted_sum,
 )
+from harmradius.radii import _solve
 
 
 # -- closed forms -------------------------------------------------------------
@@ -285,6 +286,18 @@ def test_jacobian_roots_accepts_map():
     assert roots[0] == pytest.approx(koebe_family_radius().radius, abs=1e-9)
 
 
+@pytest.mark.parametrize("sign", [1.0, -1.0], ids=["increasing", "decreasing"])
+def test_jacobian_roots_exact_zero_sample_is_one_root(sign):
+    # J = +-(r - c) vanishes exactly at the scan's 5001st sample, whichever
+    # sign its left neighbour has
+    c = float(np.linspace(0.0, 0.999, 10000)[5000])
+    assert jacobian_roots(JacobianProfile("t", ((sign, -sign * c),), 0)) == [c]
+
+
+def test_solve_returns_an_exact_zero_midpoint():
+    assert _solve(lambda x: x - 0.5, 0.0, 1.0, -0.5, 0.5) == (0.5, 0.5, 0.5)
+
+
 def test_jacobian_roots_interval_validation():
     with pytest.raises(ValueError):
         jacobian_roots(koebe_witness_profile(), 0.5, 0.2)
@@ -387,7 +400,6 @@ def test_sharpness_paths_agree_on_a_signed_zero_sample(args, zero, sign):
         assert math.copysign(1.0, rep.interior_min) == sign
 
 
-@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 def test_sharpness_paths_agree_on_a_nan_sample():
     # inf * 0 at the last sample, 0.5: numpy's min propagates the NaN
     profile = JacobianProfile("inf", ((math.inf,), (1.0, -0.5)), 0)
