@@ -60,9 +60,6 @@ _MAX_REFINED = 2000
 _MIN_REACH = math.sqrt(sys.float_info.min)
 # Widest image span the pair search takes: its square is the largest finite float.
 _MAX_SPAN = math.sqrt(sys.float_info.max)
-# Cell offsets: the cell itself and the forward neighbours that pair each two
-# touching cells once.
-_NEIGHBOURS = ((0, 0), (1, -1), (1, 0), (1, 1), (0, 1))
 
 
 def __getattr__(name):
@@ -250,6 +247,8 @@ def starlike_scan(f: HarmonicMap, r: float,
     the rate of change of arg f along the circle through z.  A sample with
     |f(z)| < 1e-12 r_max yields an inconclusive singularity report; scaled
     by the grid's r_max, the test reads f and its dilation f(rz)/r alike.
+    A grid whose innermost circle is subnormal (r_max below about 2.2e-306)
+    raises ValueError: numpy's complex division of subnormals is not finite.
     """
     np = _np()
     r = float(r)
@@ -259,6 +258,8 @@ def starlike_scan(f: HarmonicMap, r: float,
     if grid.r_max > r:
         raise ValueError("grid r_max exceeds the scan radius")
     pts = grid.points()
+    if pts[0].real < sys.float_info.min:  # pts[0] lies on the innermost circle
+        raise ValueError(f"scan radius {grid.r_max:g} is too small: its inner circle is subnormal")
     with np.errstate(over="ignore", invalid="ignore"):  # refused by _sampled_verdict
         fval = f(pts)
         small = np.abs(fval) < 1e-12 * grid.r_max
@@ -332,7 +333,10 @@ def _cell_pairs(x: np.ndarray, y: np.ndarray, reach: float):
 
     The points are bucketed into square cells at least reach wide, and
     each cell is compared with itself and its four forward neighbours
-    (Bentley, Stanat & Williams, Inf. Process. Lett. 6 (1977) 209-212)."""
+    (Bentley, Stanat & Williams, Inf. Process. Lett. 6 (1977) 209-212):
+    the next cell of a row is the next key, and one search over the keys
+    finds the first of the three in the row above.  Two cells of one point
+    each give their pair directly; only the others are expanded."""
     np = _np()
     frac, exp = math.frexp(reach)
     # a power of two, so that x / side is exact: cells of side reach could
@@ -347,25 +351,36 @@ def _cell_pairs(x: np.ndarray, y: np.ndarray, reach: float):
     cells = key[order[start]]
     count = np.diff(np.r_[start, key.size])
 
-    pairs = []
-    for dx, dy in _NEIGHBOURS:
-        target = cells + dx * width + dy
-        at = np.minimum(np.searchsorted(cells, target), cells.size - 1)
-        src = np.flatnonzero(cells[at] == target)
-        dst = at[src]
-        # every (point of src, point of dst) combination, one per row
-        n_src, n_dst = count[src], count[dst]
-        size = n_src * n_dst
+    # links (src, dst): a cell of several points to itself, and to each neighbour
+    same, step = np.flatnonzero(count > 1), np.flatnonzero(np.diff(cells) == 1)
+    links = [(same, same), (step, step + 1)]
+    at = np.searchsorted(cells, cells + width - 1)
+    for dy in (-1, 0, 1):  # the keys are sorted and distinct: step past each hit
+        hit = cells[np.minimum(at, cells.size - 1)] == cells + width + dy
+        links.append((np.flatnonzero(hit), at[hit]))
+        at = at + hit
+
+    def close(i, j):  # the pairs (i, j) within reach, each as (min, max)
+        near = (x[i] - x[j]) ** 2 + (y[i] - y[j]) ** 2 <= reach * reach
+        i, j = i[near], j[near]
+        return np.minimum(i, j), np.maximum(i, j)
+
+    def combinations(src, dst):  # every (point of src, point of dst), one per row
+        n_dst = count[dst]
+        size = count[src] * n_dst
         group = np.repeat(np.arange(src.size), size)
         local = np.arange(int(size.sum())) - np.repeat(np.cumsum(size) - size, size)
-        i = order[start[src][group] + local // n_dst[group]]
-        j = order[start[dst][group] + local % n_dst[group]]
-        if dx == dy == 0:
-            i, j = i[i < j], j[i < j]
-        near = (x[i] - x[j]) ** 2 + (y[i] - y[j]) ** 2 <= reach * reach
-        pairs.append((i[near], j[near]))
-    i, j = (np.concatenate(column) for column in zip(*pairs))
-    return np.minimum(i, j), np.maximum(i, j)
+        # positions in order: p < q keeps a cell's pairs with itself once, all of two cells
+        p = start[src][group] + local // n_dst[group]
+        q = start[dst][group] + local % n_dst[group]
+        return order[p[p < q]], order[q[p < q]]
+
+    pairs = []
+    for src, dst in links:
+        one = (count[src] == 1) & (count[dst] == 1)  # one point each: the pair itself
+        pairs.append(close(order[start[src[one]]], order[start[dst[one]]]))
+        pairs.append(close(*combinations(src[~one], dst[~one])))
+    return tuple(np.concatenate(column) for column in zip(*pairs))
 
 
 def _simple_polygon(p: np.ndarray) -> bool:

@@ -279,6 +279,9 @@ C_H2_OVERFLOW = ["membership", "--check", "c-h2", "--map", "f0:1e308"]
 STARLIKE_OVERFLOW = ["membership", "--check", "starlike", "--map", "f0:1e308,0.9", "--r", "0.9"]
 STARLIKE_SUBNORMAL_DILATION = ["membership", "--check", "starlike", "--map", "F0",
                                "--dilate", "1e-320", "--r", "0.5"]
+# a starlike grid whose innermost circle, 0.01 r_max, is subnormal
+STARLIKE_SUBNORMAL_CIRCLE = ["membership", "--check", "starlike", "--map", "koebe", "--r", "1e-307",
+                             "--grid-radial", "20", "--grid-angular", "8"]
 SHARPNESS_OVERFLOW = ["sharpness", "--witness", "f0:1e308", "--radius", "0.5"]
 # the tail majorant would start at index 10^400 + 1, past the float range
 HUGE_TRUNCATION = {"a": [], "b": [], "truncation": 10 ** 400,
@@ -313,12 +316,14 @@ HUGE_TRUNCATION_ERROR = _domain("truncation exceeds the float range: "
     (C_H2_OVERFLOW, None, _domain("map evaluation is not finite on the grid")),
     (STARLIKE_OVERFLOW, None, _domain("map evaluation is not finite on the grid")),
     (STARLIKE_SUBNORMAL_DILATION, None, _domain("map evaluation is not finite on the grid")),
+    (STARLIKE_SUBNORMAL_CIRCLE, None, _domain(
+        "scan radius 1e-307 is too small: its inner circle is subnormal")),
     # the object a cold process, which samples by float calls, prints too
     (SHARPNESS_OVERFLOW, None, _domain("Out of range float values are not JSON compliant: inf")),
 ], ids=["divergent-tail", "steep-tail", "huge-grid", "huge-index-c-h2", "huge-M",
         "huge-truncation-radius", "huge-truncation-coeff", "overflowing-images", "huge-span",
         "c-h2-overflow", "starlike-overflow", "starlike-subnormal-dilation",
-        "sharpness-overflow"])
+        "starlike-subnormal-circle", "sharpness-overflow"])
 def test_hostile_inputs_are_exit_2(capsys, tmp_path, argv, doc, expected):
     if doc is not None:
         check(doc, "coefficient_seq.schema.json")
