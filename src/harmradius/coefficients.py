@@ -29,8 +29,6 @@ __all__ = [
     "CoefficientSeq",
     "BoundFamily",
     "FAMILY_POLYNOMIALS",
-    "koebe_bounds",
-    "convex_bounds",
     "power_sums",
     "weighted_sum",
     "weighted_sum_tail",
@@ -122,22 +120,6 @@ class CoefficientSeq(record("CoefficientSeq", "a b truncation tail")):
 # Bound families
 # ---------------------------------------------------------------------------
 
-def koebe_bounds(n: int) -> tuple[float, float]:
-    """Per-index bounds ((2n+1)(n+1)/6, (2n-1)(n-1)/6) of the harmonic Koebe family.
-
-    Raises:
-        ValueError: if n < 1.
-    """
-    check_index(n, 1, "bound")
-    return (2 * n + 1) * (n + 1) / 6.0, (2 * n - 1) * (n - 1) / 6.0
-
-
-def convex_bounds(n: int) -> tuple[float, float]:
-    """Per-index bounds ((n+1)/2, (n-1)/2) of the convex-mapping family."""
-    check_index(n, 1, "bound")
-    return (n + 1) / 2.0, (n - 1) / 2.0
-
-
 class BoundFamily(record("BoundFamily", "kind c b1_abs", (None, 0.0))):
     """A family of harmonic maps defined by per-index coefficient bounds.
 
@@ -159,6 +141,17 @@ class BoundFamily(record("BoundFamily", "kind c b1_abs", (None, 0.0))):
         elif self.c is not None or self.b1_abs != 0.0:
             raise ValueError(f"family {self.kind!r} takes no parameters")
         return self
+
+    def bounds(self, n: int) -> tuple[float, float]:
+        """(A_n, B_n), the bounds on (|a_n|, |b_n|) at an integer index n >= 1:
+        koebe ((2n+1)(n+1)/6, (2n-1)(n-1)/6), convex ((n+1)/2, (n-1)/2), and
+        uniform (1, b1_abs) at n = 1 and (c/2, c/2) past it."""
+        n = check_index(n, 1, "bound")
+        if self.kind == "koebe":
+            return (2 * n + 1) * (n + 1) / 6.0, (2 * n - 1) * (n - 1) / 6.0
+        if self.kind == "convex":
+            return (n + 1) / 2.0, (n - 1) / 2.0
+        return (1.0, self.b1_abs) if n == 1 else (self.c / 2, self.c / 2)
 
     @classmethod
     def koebe(cls) -> "BoundFamily":

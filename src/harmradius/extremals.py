@@ -12,12 +12,14 @@ Five maps are exposed through a label registry for CLI use:
   are rational functions whose smallest positive roots realize the
   radii computed in the radii module.
 
-Only f0 takes parameters (PARAMETERS names them).  WITNESSES pairs
-each witness with the stock family it is sharp for.  Each map carries
-both a closed-form evaluator and an exact coefficient rule; tests
-reconcile the two.  A JacobianProfile holds a witness's real-axis
-Jacobian as polynomial factors over a power of (r - 1); those of F0 and
-L0 include their family's S(r) = 1 polynomial (FAMILY_POLYNOMIALS).
+Only f0 takes parameters (PARAMETERS names them); WITNESSES pairs each witness
+with the family it is sharp for.  Each map carries closed-form evaluators and,
+as data, a stock family and two signs: its coefficients past a_1 = 1 are the
+family's bounds, signed (koebe ++, convex_L +-, F0 --, L0 -+, f0 --), so the
+coefficient check answers on a dilated named map.  A JacobianProfile holds a
+witness's real-axis Jacobian as polynomial factors over a power of (r - 1);
+those of F0 and L0 include their family's S(r) = 1 polynomial
+(FAMILY_POLYNOMIALS).
 
 The map factories import maps when called; the label tables and the
 profiles need no map.  None of them imports numpy.
@@ -29,7 +31,7 @@ import cmath
 import math
 
 from ._util import check_uniform, horner, record
-from .coefficients import FAMILY_POLYNOMIALS, CoefficientSeq, convex_bounds, koebe_bounds
+from .coefficients import FAMILY_POLYNOMIALS, BoundFamily, CoefficientSeq
 
 TYPE_CHECKING = False  # typing.TYPE_CHECKING, without importing typing
 if TYPE_CHECKING:
@@ -85,13 +87,15 @@ def _koebe_dg(z):
     return z * (1 + z) / (qq * qq)
 
 
+# A base extremal's evaluators and bounds (family, sign_a, sign_b), built once.
+_KOEBE = (_koebe_h, _koebe_g, _koebe_dh, _koebe_dg, (BoundFamily("koebe"), 1, 1))
+
+
 def harmonic_koebe() -> HarmonicMap:
     """The harmonic Koebe function; dilatation g'/h' = z."""
     from .maps import HarmonicMap
 
-    return HarmonicMap.from_closed_form(
-        "koebe", _koebe_h, _koebe_g, _koebe_dh, _koebe_dg, koebe_bounds
-    )
+    return HarmonicMap.from_closed_form("koebe", *_KOEBE)
 
 
 def _convex_h(z):
@@ -112,32 +116,22 @@ def _convex_dg(z):
     return (1 / (q * q) - (1 + z) / (q * (q * q))) * 0.5
 
 
-def _convex_coeff(n: int):
-    a, b = convex_bounds(n)
-    return a, -b
+_CONVEX = (_convex_h, _convex_g, _convex_dh, _convex_dg, (BoundFamily("convex"), 1, -1))
 
 
 def convex_extremal() -> HarmonicMap:
     """The convex extremal map L; h + g = z/(1-z), h - g = z/(1-z)^2."""
     from .maps import HarmonicMap
 
-    return HarmonicMap.from_closed_form(
-        "convex_L", _convex_h, _convex_g, _convex_dh, _convex_dg, _convex_coeff
-    )
+    return HarmonicMap.from_closed_form("convex_L", *_CONVEX)
 
 
 # -- sharpness witnesses ---------------------------------------------------
 
-def _negated_witness(label: str, h, g, dh, dg, coeff) -> HarmonicMap:
+def _negated_witness(label: str, h, g, dh, dg, bounds) -> HarmonicMap:
     """(2z - h) - conj(g): the base map h + conj(g) with every coefficient
-    past a_1 = 1 negated (and b_1 = 0)."""
+    past a_1 = 1 negated (and b_1 = 0), so both its signs negated."""
     from .maps import HarmonicMap
-
-    def witness_coeff(n: int):
-        if n == 1:
-            return 1.0, 0.0
-        a, b = coeff(n)
-        return -a, -b
 
     return HarmonicMap.from_closed_form(
         label,
@@ -145,24 +139,23 @@ def _negated_witness(label: str, h, g, dh, dg, coeff) -> HarmonicMap:
         lambda z: -g(z),
         lambda z: 2 - dh(z),
         lambda z: -dg(z),
-        witness_coeff,
+        (bounds[0], -bounds[1], -bounds[2]),
     )
 
 
 def koebe_witness() -> HarmonicMap:
     """F0 = (2z - H) - conj(G): the Koebe-family map with negated tail."""
-    return _negated_witness("F0", _koebe_h, _koebe_g, _koebe_dh, _koebe_dg,
-                            koebe_bounds)
+    return _negated_witness("F0", *_KOEBE)
 
 
 def convex_witness() -> HarmonicMap:
     """L0 = (2z - M) - conj(N): the convex-family map with negated tail."""
-    return _negated_witness("L0", _convex_h, _convex_g, _convex_dh, _convex_dg,
-                            _convex_coeff)
+    return _negated_witness("L0", *_CONVEX)
 
 
 def uniform_witness(c: float, b1_abs: float = 0.0) -> HarmonicMap:
-    """f0: all tail coefficients at the uniform bound c/2, negated.
+    """f0: all tail coefficients at the uniform bound c/2, negated; its
+    bounds are the uniform family's with signs (-,-).
 
     h(z) = z - (c/2) z^2/(1-z), g(z) = -b1_abs z - (c/2) z^2/(1-z), so
     a_n = b_n = -c/2 for n >= 2 and g'(0) = -b1_abs.
@@ -173,19 +166,13 @@ def uniform_witness(c: float, b1_abs: float = 0.0) -> HarmonicMap:
     tail = lambda z: (c / 2) * z * z / (1 - z)
     # d/dz [z^2/(1-z)] = 1/(1-z)^2 - 1
     dtail = lambda z: (c / 2) * (1 / (1 - z) ** 2 - 1)
-
-    def coeff(n: int):
-        if n == 1:
-            return 1.0, -b1
-        return -c / 2, -c / 2
-
     return HarmonicMap.from_closed_form(
         "f0",
         lambda z: z - tail(z),
         lambda z: -b1 * z - tail(z),
         lambda z: 1 - dtail(z),
         lambda z: -b1 - dtail(z),
-        coeff,
+        (BoundFamily("uniform", c, b1), -1, -1),
     )
 
 

@@ -36,12 +36,13 @@ class EvaluationDomainError(ValueError):
     """Raised when an evaluation point falls outside the trusted domain."""
 
 
-class ClosedForm(record("ClosedForm", "h g dh dg coeff", (None,))):
+class ClosedForm(record("ClosedForm", "h g dh dg bounds", (None,))):
     """Evaluators (callables) for h, g and their derivatives, hand-coded or
     compiled from a coefficient sequence.
 
-    coeff, when present on hand-coded forms, returns the exact series
-    coefficients (a_n, b_n) for n >= 1 and makes the map sectionable.
+    bounds, on a named map, is (family, sign_a, sign_b): a BoundFamily and
+    two signs, +1 or -1, so that a_n = sign_a A_n past a_1 = 1 and b_n =
+    sign_b B_n, (A_n, B_n) = family.bounds(n).  It makes the map sectionable.
     """
 
     __slots__ = ()
@@ -54,12 +55,9 @@ def _compile(seq: CoefficientSeq) -> ClosedForm:
     if degree > _MAX_SERIES_DEGREE:
         raise ValueError(f"series maps are evaluated up to degree {_MAX_SERIES_DEGREE}; "
                          f"the highest stored index is {degree}")
-    ch, cg = [0j] * (degree + 1), [0j] * (degree + 1)
-    ch[1] = 1 + 0j
-    for k, v in seq.a.items():
-        ch[k] = complex(v)
-    for k, v in seq.b.items():
-        cg[k] = complex(v)
+    # the stored values are complex already
+    ch = [1 + 0j if k == 1 else seq.a.get(k, 0j) for k in range(degree + 1)]
+    cg = [seq.b.get(k, 0j) for k in range(degree + 1)]
     # highest degree first, as horner and horner_array take them
     h, g = tuple(reversed(ch)), tuple(reversed(cg))
     dh = tuple(reversed([c * n for n, c in enumerate(ch) if n]))
@@ -122,8 +120,8 @@ class HarmonicMap:
         return cls(label, series=seq)
 
     @classmethod
-    def from_closed_form(cls, label: str, h, g, dh, dg, coeff=None) -> "HarmonicMap":
-        return cls(label, forms=ClosedForm(h, g, dh, dg, coeff))
+    def from_closed_form(cls, label: str, h, g, dh, dg, bounds=None) -> "HarmonicMap":
+        return cls(label, forms=ClosedForm(h, g, dh, dg, bounds))
 
     # -- internals ---------------------------------------------------------
 
@@ -199,20 +197,29 @@ class HarmonicMap:
 
     @property
     def has_coefficients(self) -> bool:
-        return self.is_series or self._forms.coeff is not None
+        return self.is_series or self._forms.bounds is not None
+
+    @property
+    def family(self):
+        """(BoundFamily, rho) for a named map dilated by rho, whose coefficient
+        moduli are the family's bounds times rho^(n-1); None for other maps."""
+        bounds = None if self.is_series else self._forms.bounds
+        return bounds and (bounds[0], self._scale)
 
     def coefficient(self, n: int) -> tuple[complex, complex]:
         """The series coefficients (a_n, b_n); a_1 is 1 by normalization.
 
         Raises:
             TypeError: n is not an integer (numpy integers pass, bools do not).
-            UnsupportedOperation: closed-form backing without a coefficient rule.
+            UnsupportedOperation: closed-form backing without bounds.
         """
         n = check_index(n, 1, "coefficient")
         if self.is_series:
             a, b = (1.0 if n == 1 else self._series.a.get(n, 0j)), self._series.b.get(n, 0j)
-        elif self._forms.coeff is not None:
-            a, b = self._forms.coeff(n)
+        elif self._forms.bounds is not None:
+            family, sign_a, sign_b = self._forms.bounds
+            a, b = family.bounds(n)
+            a, b = (1.0 if n == 1 else sign_a * a), sign_b * b
         else:
             raise UnsupportedOperation(
                 f"{self.label}: closed-form map without stored coefficients"
@@ -240,18 +247,12 @@ class HarmonicMap:
             m: highest retained g index, m >= 0 (0 drops g entirely).
 
         Raises:
-            UnsupportedOperation: no coefficient backing to truncate.
+            UnsupportedOperation: no coefficient backing to read (section(1, 0) reads none).
         """
         if n < 1 or m < 0:
             raise ValueError("section degrees require n >= 1, m >= 0")
-        if not self.has_coefficients:
-            raise UnsupportedOperation(
-                f"{self.label}: closed-form map without stored coefficients"
-            )
-        a = {k: self.coefficient(k)[0] for k in range(2, n + 1)}
-        b = {k: self.coefficient(k)[1] for k in range(1, m + 1)}
-        a = {k: v for k, v in a.items() if v != 0}
-        b = {k: v for k, v in b.items() if v != 0}
+        a = {k: v for k in range(2, n + 1) if (v := self.coefficient(k)[0]) != 0}
+        b = {k: v for k in range(1, m + 1) if (v := self.coefficient(k)[1]) != 0}
         seq = CoefficientSeq(a, b, max(1, n, m))
         return HarmonicMap.from_series(seq, f"section({self.label},{n},{m})")
 

@@ -1,7 +1,8 @@
 """Membership checks for coefficient-bounded harmonic map classes.
 
 Two kinds of check live here.  Exact coefficient tests (coeff_condition,
-coefficient_growth_check) decide membership from a stored sequence.
+coefficient_growth_check) decide membership from a stored sequence, and
+coeff_condition also on a dilated named map, by its family's S(r) in closed form.
 Sampling checks (c_h2_numeric, starlike_scan, injectivity_oracle) evaluate
 a map on a finite grid; they can certify violation with a witness point
 but can only report satisfied-on-grid, never a proof, so their verdicts
@@ -29,7 +30,8 @@ import math
 import sys
 
 from ._util import check_beta, record
-from .coefficients import CoefficientSeq, _has_tail, _moduli, weighted_sum_limit
+from .coefficients import (CoefficientSeq, _has_tail, _moduli, weighted_sum,
+                           weighted_sum_limit)
 
 TYPE_CHECKING = False  # typing.TYPE_CHECKING, without importing typing
 if TYPE_CHECKING:
@@ -150,28 +152,45 @@ def _as_sequence(x) -> CoefficientSeq:
 
 # -- exact coefficient checks -----------------------------------------------
 
+def _family_terms(family, rho: float) -> dict[int, float]:
+    """{1: |b1|, n: the heaviest term n (A_n + B_n) rho^(n-1) of a family's S(rho), n >= 2}.
+    The terms rise, then fall: a bracket doubles past the top, then halves onto it."""
+    term = lambda n: n * sum(family.bounds(n)) * rho ** (n - 1)
+    lo, hi = 2, 2
+    while term(hi + 1) > term(hi):
+        lo, hi = hi + 1, 2 * hi
+    while lo < hi:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if term(mid + 1) <= term(mid) else (mid + 1, hi)
+    return {1: family.bounds(1)[1], lo: term(lo)}
+
+
 def coeff_condition(seq, beta: float = 0.0) -> MembershipReport:
     """Check |b1| + sum n(|a_n|+|b_n|) <= 1 - beta.
 
-    margin = (1-beta) - S(1-).  Requires |b1| < 1-beta up front; failing
-    that, a violation report is returned without summing the series.
+    margin = (1-beta) - S(1-).  A named map dilated by rho < 1 has moduli its
+    family's bounds times rho^(n-1): S(1-) is the family's S(rho), in closed
+    form.  An undilated one has no finite sum and is refused.  Requires |b1|
+    < 1-beta up front; failing that, returns a violation without summing.
     """
     beta = check_beta(beta)
-    seq = _as_sequence(seq)
-    b1a = abs(seq.b1)
+    family, rho = getattr(seq, "family", None) or (None, 1.0)
+    named = rho < 1.0  # a dilated named map; _as_sequence refuses an undilated one
+    seq = seq if named else _as_sequence(seq)
+    b1a = family.bounds(1)[1] if named else abs(seq.b1)
     spec = "coefficient series, exact limit at r=1"
     if b1a >= 1.0 - beta:
-        return MembershipReport(
-            "violated", (1.0 - beta) - b1a, 1, spec,
-            note="precondition |b1| < 1 - beta fails",
-        )
-    margin = (1.0 - beta) - weighted_sum_limit(seq)
+        return MembershipReport("violated", (1.0 - beta) - b1a, 1, spec,
+                                note="precondition |b1| < 1 - beta fails")
+    margin = (1.0 - beta) - (weighted_sum(family, rho) if named else weighted_sum_limit(seq))
     witness = None
     if margin < -BOUNDARY_TOL:
         # no single index breaks a sum condition; point at the heaviest term
-        moduli = _moduli(seq)
-        witness = max(moduli, key=lambda n: n * sum(moduli[n]), default=1)
-    return _graded_verdict(margin, witness, spec)
+        terms = (_family_terms(family, rho) if named
+                 else {n: n * (a + b) for n, (a, b) in _moduli(seq).items()})
+        witness = max(terms, key=terms.get, default=1)
+    note = f"the {family.kind} family's S(r) in closed form at r={rho:.12g}" if named else ""
+    return _graded_verdict(margin, witness, spec, note)
 
 
 def coefficient_growth_check(seq, beta: float = 0.0) -> MembershipReport:

@@ -283,6 +283,8 @@ STARLIKE_SUBNORMAL_DILATION = ["membership", "--check", "starlike", "--map", "F0
 STARLIKE_SUBNORMAL_CIRCLE = ["membership", "--check", "starlike", "--map", "koebe", "--r", "1e-307",
                              "--grid-radial", "20", "--grid-angular", "8"]
 SHARPNESS_OVERFLOW = ["sharpness", "--witness", "f0:1e308", "--radius", "0.5"]
+# the uniform family's S(r) at c = 1e308 overflows to inf
+COEFF_FAMILY_OVERFLOW = ["membership", "--check", "coeff", "--map", "f0:1e308", "--dilate", "0.5"]
 # the tail majorant would start at index 10^400 + 1, past the float range
 HUGE_TRUNCATION = {"a": [], "b": [], "truncation": 10 ** 400,
                    "tail": {"degree": -3, "constant": 0.01}}
@@ -320,10 +322,12 @@ HUGE_TRUNCATION_ERROR = _domain("truncation exceeds the float range: "
         "scan radius 1e-307 is too small: its inner circle is subnormal")),
     # the object a cold process, which samples by float calls, prints too
     (SHARPNESS_OVERFLOW, None, _domain("Out of range float values are not JSON compliant: inf")),
+    (COEFF_FAMILY_OVERFLOW, None,
+     _domain("Out of range float values are not JSON compliant: -inf")),
 ], ids=["divergent-tail", "steep-tail", "huge-grid", "huge-index-c-h2", "huge-M",
         "huge-truncation-radius", "huge-truncation-coeff", "overflowing-images", "huge-span",
         "c-h2-overflow", "starlike-overflow", "starlike-subnormal-dilation",
-        "starlike-subnormal-circle", "sharpness-overflow"])
+        "starlike-subnormal-circle", "sharpness-overflow", "coeff-family-overflow"])
 def test_hostile_inputs_are_exit_2(capsys, tmp_path, argv, doc, expected):
     if doc is not None:
         check(doc, "coefficient_seq.schema.json")
@@ -745,6 +749,8 @@ assert "harmradius.maps" not in sys.modules, "a coefficient check loaded maps"
 # a closed-form map builds and exits 2 (no coefficient sequence) without numpy
 run("membership", "--check", "coeff", "--map", "F0", code=2)
 run("membership", "--check", "growth", "--map", "f0:2,0.3", code=2)
+# dilated, a named map's coefficient check sums its family's S(r) in closed form
+run("membership", "--check", "coeff", "--map", "F0", "--dilate", "0.1")
 """
 SCALAR_PROCESS = SCALAR_RUNS + """
 assert "numpy" not in sys.modules, "a scalar subcommand loaded numpy"
@@ -881,6 +887,10 @@ def _must_answer(argv) -> bool:
 @example(argv=STARLIKE_OVERFLOW, doc=HUGE_INDEX)
 @example(argv=STARLIKE_SUBNORMAL_DILATION, doc=HUGE_INDEX)
 @example(argv=SHARPNESS_OVERFLOW, doc=HUGE_INDEX)
+@example(argv=["membership", "--check", "coeff", "--map", "koebe", "--dilate", "5e-324"],
+         doc=HUGE_INDEX)
+@example(argv=["membership", "--check", "coeff", "--map", "f0:2,0.3", "--dilate", "1"],
+         doc=HUGE_INDEX)
 def test_cli_boundary_answers_or_fails_structured(tmp_path_factory, argv, doc):
     check(doc, "coefficient_seq.schema.json")
     path = tmp_path_factory.getbasetemp() / "drawn_seq.json"

@@ -13,8 +13,6 @@ from harmradius import (
     BoundFamily,
     CoefficientSeq,
     TailBound,
-    convex_bounds,
-    koebe_bounds,
     load_sequence,
     power_sums,
     save_sequence,
@@ -109,24 +107,41 @@ def test_scaled_rejects_bad_rho():
 # -- stock bounds ------------------------------------------------------------
 
 def test_koebe_bounds_values():
-    assert koebe_bounds(1) == (1.0, 0.0)
-    assert koebe_bounds(2) == (2.5, 0.5)
-    a3, b3 = koebe_bounds(3)
+    koebe = BoundFamily("koebe")
+    assert koebe.bounds(1) == (1.0, 0.0)
+    assert koebe.bounds(2) == (2.5, 0.5)
+    a3, b3 = koebe.bounds(3)
     assert a3 == pytest.approx(14.0 / 3.0, abs=1e-15)
     assert b3 == pytest.approx(10.0 / 6.0, abs=1e-15)
 
 
 def test_convex_bounds_values():
-    assert convex_bounds(1) == (1.0, 0.0)
-    assert convex_bounds(2) == (1.5, 0.5)
-    assert convex_bounds(3) == (2.0, 1.0)
+    convex = BoundFamily("convex")
+    assert convex.bounds(1) == (1.0, 0.0)
+    assert convex.bounds(2) == (1.5, 0.5)
+    assert convex.bounds(3) == (2.0, 1.0)
+
+
+def test_uniform_bounds_values():
+    uniform = BoundFamily.uniform(2.0, 0.3)
+    assert uniform.bounds(1) == (1.0, 0.3)
+    assert uniform.bounds(2) == uniform.bounds(40) == (1.0, 1.0)
+    # A_n + B_n is the bound c on |a_n| + |b_n|, so the terms sum to S(r)
+    r = 0.2
+    terms = [n * sum(uniform.bounds(n)) * r ** (n - 1) for n in range(2, 200)]
+    assert 0.3 + math.fsum(terms) == pytest.approx(weighted_sum(uniform, r), rel=1e-15)
 
 
 def test_bounds_reject_bad_index():
-    with pytest.raises(ValueError):
-        koebe_bounds(0)
-    with pytest.raises(ValueError):
-        convex_bounds(-1)
+    for family in (BoundFamily("koebe"), BoundFamily("convex"), BoundFamily.uniform(1.0, 0.5)):
+        # a numpy integer passes; a bool or a float is not an index; n < 1 is refused
+        assert family.bounds(np.int64(3)) == family.bounds(3)
+        for bad in (True, np.bool_(False), 3.0, np.float64(2.0)):
+            with pytest.raises(TypeError, match="bound index must be an integer"):
+                family.bounds(bad)
+        for bad in (0, -1, np.int32(0)):
+            with pytest.raises(ValueError, match="bound index must be >= 1"):
+                family.bounds(bad)
 
 
 def test_family_constructors():

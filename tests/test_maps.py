@@ -347,6 +347,8 @@ def test_closed_form_without_rule_cannot_section():
         lambda z: 1.0 + 0 * z, lambda z: 0 * z)
     with pytest.raises(UnsupportedOperation):
         f.section(3, 3)
+    # a_1 = 1 by normalization: the one section that reads no coefficient
+    assert f.section(1, 0).as_sequence() == CoefficientSeq({}, {}, 1)
     with pytest.raises(UnsupportedOperation):
         f.coefficient(2)
     assert not f.has_coefficients

@@ -7,12 +7,14 @@ import numpy as np
 import pytest
 
 from harmradius import (
+    BoundFamily,
     CoefficientSeq,
     GridSpec,
     HarmonicMap,
     MembershipReport,
     UnsupportedOperation,
     c_h2_numeric,
+    closed_form_radius,
     coeff_condition,
     coefficient_growth_check,
     convex_family_radius,
@@ -126,6 +128,58 @@ def test_coefficient_checks_read_a_series_map_without_compiling_it():
 def test_coeff_condition_rejects_closed_form_map():
     with pytest.raises(UnsupportedOperation):
         coeff_condition(harmonic_koebe(), 0.0)
+
+
+# label, f0's (c, b1), the family, and the signs of a_n (n >= 2) and b_n
+NAMED_MAPS = [
+    ("koebe", (), BoundFamily("koebe"), 1, 1),
+    ("F0", (), BoundFamily("koebe"), -1, -1),
+    ("convex_L", (), BoundFamily("convex"), 1, -1),
+    ("L0", (), BoundFamily("convex"), -1, 1),
+    ("f0", (1.0, 0.0), BoundFamily.uniform(1.0, 0.0), -1, -1),
+    ("f0", (2.0, 0.3), BoundFamily.uniform(2.0, 0.3), -1, -1),
+    ("f0", (0.1, 0.5), BoundFamily.uniform(0.1, 0.5), -1, -1),
+]
+
+
+NAMED_IDS = [m[0] + (":%g,%g" % m[1] if m[1] else "") for m in NAMED_MAPS]
+
+
+@pytest.mark.parametrize("label, params, family, sign_a, sign_b", NAMED_MAPS, ids=NAMED_IDS)
+def test_coeff_condition_flips_at_the_radius_of_each_named_map(label, params, family,
+                                                               sign_a, sign_b):
+    f = get_extremal(label, *params)
+    for n in range(1, 61):
+        a, b = family.bounds(n)
+        assert f.coefficient(n) == (1.0 if n == 1 else sign_a * a, sign_b * b)
+    radius = closed_form_radius(family).radius
+    expected = [("satisfied", False), ("satisfied", True), ("violated", False)]
+    for k, (verdict, boundary) in zip((0.99, 1.0, 1.01), expected):
+        g = f.dilate(k * radius)
+        rep, summed = coeff_condition(g), coeff_condition(g.section(3000, 3000))
+        assert (rep.verdict, rep.boundary) == (verdict, boundary)
+        assert (rep.verdict, rep.witness) == (summed.verdict, summed.witness)
+        assert rep.margin == pytest.approx(summed.margin, abs=1e-12)
+        assert abs(rep.margin) > 1e-3 if k != 1.0 else abs(rep.margin) <= 4.5e-16
+        # the growth check has no closed form on a named map
+        with pytest.raises(UnsupportedOperation):
+            coefficient_growth_check(g)
+
+
+@pytest.mark.parametrize("label, params, family, sign_a, sign_b", NAMED_MAPS[::2],
+                         ids=NAMED_IDS[::2])
+def test_coeff_condition_witness_is_the_heaviest_term_of_a_named_map(label, params, family,
+                                                                     sign_a, sign_b):
+    f = get_extremal(label, *params)
+    for rho in (0.6, 0.9, 0.99, 0.999):  # past every radius
+        terms = {1: family.bounds(1)[1]}
+        terms.update((n, n * sum(family.bounds(n)) * rho ** (n - 1)) for n in range(2, 20000))
+        rep = coeff_condition(f.dilate(rho))
+        assert (rep.verdict, rep.witness) == ("violated", max(terms, key=terms.get))
+    # a dilation next to 1 puts the heaviest term near n = 3e16 (koebe): the
+    # bracket reaches it in some 100 steps, with no walk over the indices
+    rep = coeff_condition(f.dilate(math.nextafter(1.0, 0.0)))
+    assert rep.verdict == "violated" and rep.witness >= 2
 
 
 def test_coeff_condition_beta_shifts_margin():
