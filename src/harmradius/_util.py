@@ -15,7 +15,8 @@ __all__ = ["UnsupportedOperation", "record", "fmt12", "round12", "horner", "horn
 
 
 class UnsupportedOperation(RuntimeError):
-    """Raised when an operation needs a backing the map does not have.
+    """Raised when an operation needs a finite coefficient sequence, which a
+    named map does not have.
 
     Defined here, and re-exported by maps, so the CLI can catch it without
     importing numpy."""

@@ -13,7 +13,7 @@ Five maps are exposed through a label registry for CLI use:
   radii computed in the radii module.
 
 Only f0 takes parameters (PARAMETERS names them); WITNESSES pairs each witness
-with the family it is sharp for.  Each map carries closed-form evaluators and,
+with the family it is sharp for.  Each map carries hand-coded evaluators and,
 as data, a stock family and two signs: its coefficients past a_1 = 1 are the
 family's bounds, signed (koebe ++, convex_L +-, F0 --, L0 -+, f0 --), so the
 coefficient check answers on a dilated named map.  A JacobianProfile holds a
@@ -30,7 +30,7 @@ from __future__ import annotations
 import cmath
 import math
 
-from ._util import check_uniform, horner, record
+from ._util import horner, record
 from .coefficients import FAMILY_POLYNOMIALS, BoundFamily, CoefficientSeq
 
 TYPE_CHECKING = False  # typing.TYPE_CHECKING, without importing typing
@@ -91,11 +91,16 @@ def _koebe_dg(z):
 _KOEBE = (_koebe_h, _koebe_g, _koebe_dh, _koebe_dg, (BoundFamily("koebe"), 1, 1))
 
 
+def _named(label: str, h, g, dh, dg, bounds) -> HarmonicMap:
+    """The named map with evaluators h, g, dh, dg and bounds (family, sign_a, sign_b)."""
+    from .maps import ClosedForm, HarmonicMap
+
+    return HarmonicMap(label, forms=ClosedForm(h, g, dh, dg, bounds))
+
+
 def harmonic_koebe() -> HarmonicMap:
     """The harmonic Koebe function; dilatation g'/h' = z."""
-    from .maps import HarmonicMap
-
-    return HarmonicMap.from_closed_form("koebe", *_KOEBE)
+    return _named("koebe", *_KOEBE)
 
 
 def _convex_h(z):
@@ -121,9 +126,7 @@ _CONVEX = (_convex_h, _convex_g, _convex_dh, _convex_dg, (BoundFamily("convex"),
 
 def convex_extremal() -> HarmonicMap:
     """The convex extremal map L; h + g = z/(1-z), h - g = z/(1-z)^2."""
-    from .maps import HarmonicMap
-
-    return HarmonicMap.from_closed_form("convex_L", *_CONVEX)
+    return _named("convex_L", *_CONVEX)
 
 
 # -- sharpness witnesses ---------------------------------------------------
@@ -131,9 +134,7 @@ def convex_extremal() -> HarmonicMap:
 def _negated_witness(label: str, h, g, dh, dg, bounds) -> HarmonicMap:
     """(2z - h) - conj(g): the base map h + conj(g) with every coefficient
     past a_1 = 1 negated (and b_1 = 0), so both its signs negated."""
-    from .maps import HarmonicMap
-
-    return HarmonicMap.from_closed_form(
+    return _named(
         label,
         lambda z: 2 * z - h(z),
         lambda z: -g(z),
@@ -160,19 +161,18 @@ def uniform_witness(c: float, b1_abs: float = 0.0) -> HarmonicMap:
     h(z) = z - (c/2) z^2/(1-z), g(z) = -b1_abs z - (c/2) z^2/(1-z), so
     a_n = b_n = -c/2 for n >= 2 and g'(0) = -b1_abs.
     """
-    from .maps import HarmonicMap
-
-    c, b1 = check_uniform(c, b1_abs)
+    family = BoundFamily.uniform(c, b1_abs)
+    c, b1 = family.c, family.b1_abs
     tail = lambda z: (c / 2) * z * z / (1 - z)
     # d/dz [z^2/(1-z)] = 1/(1-z)^2 - 1
     dtail = lambda z: (c / 2) * (1 / (1 - z) ** 2 - 1)
-    return HarmonicMap.from_closed_form(
+    return _named(
         "f0",
         lambda z: z - tail(z),
         lambda z: -b1 * z - tail(z),
         lambda z: 1 - dtail(z),
         lambda z: -b1 - dtail(z),
-        (BoundFamily("uniform", c, b1), -1, -1),
+        (family, -1, -1),
     )
 
 
@@ -214,7 +214,8 @@ def convex_witness_profile() -> JacobianProfile:
 def uniform_witness_profile(c: float, b1_abs: float = 0.0) -> JacobianProfile:
     """f0: J = (1 + b1)(k r^2 - 2k r + 1 - b1) / (r-1)^2, k = 1 + c - b1, held
     halved and doubled (exact in binary) so that -2k cannot overflow."""
-    c, b1_abs = check_uniform(c, b1_abs)
+    family = BoundFamily.uniform(c, b1_abs)
+    c, b1_abs = family.c, family.b1_abs
     k = c + (1.0 - b1_abs)
     return JacobianProfile("f0", ((2.0 * (1.0 + b1_abs),),
                                   (k / 2.0, -k, (1.0 - b1_abs) / 2.0)), 2)

@@ -1,11 +1,12 @@
 """Harmonic mappings of the unit disk, f = h + conj(g).
 
-A HarmonicMap evaluates closed-form expressions for h, g and their
-derivatives; an explicit coefficient sequence is compiled into
-polynomial ones.  Maps support evaluation, the two Wirtinger
-derivatives f_z = h' and f_zbar = conj(g'), the Jacobian |h'|^2 - |g'|^2,
-the second complex dilatation g'/h', dilation f_r(z) = f(rz)/r, and
-(where coefficients are available) truncation to partial sums.
+A HarmonicMap is a coefficient sequence or a named map.  A sequence is
+compiled into polynomial evaluators for h, g and their derivatives; a
+named map (built by extremals) has hand-coded ones and, as data, the
+bound family and signs that give its coefficients.  Maps support
+evaluation, the two Wirtinger derivatives f_z = h' and f_zbar =
+conj(g'), the Jacobian |h'|^2 - |g'|^2, the second complex dilatation
+g'/h', dilation f_r(z) = f(rz)/r, and truncation to partial sums.
 
 All evaluators are pure and accept a number or a numpy array.  A number
 (a Python or numpy scalar, or a 0-d array) is evaluated in plain complex
@@ -23,12 +24,10 @@ from .coefficients import SERIES_EVAL_MAX, CoefficientSeq
 __all__ = [
     "EvaluationDomainError",
     "UnsupportedOperation",
-    "ClosedForm",
     "HarmonicMap",
     "identity_map",
 ]
 
-_NORM_TOL = 1e-14
 _MAX_SERIES_DEGREE = 10_000  # highest stored index a series map is compiled to
 
 
@@ -37,12 +36,12 @@ class EvaluationDomainError(ValueError):
 
 
 class ClosedForm(record("ClosedForm", "h g dh dg bounds", (None,))):
-    """Evaluators (callables) for h, g and their derivatives, hand-coded or
-    compiled from a coefficient sequence.
+    """Evaluators (callables) for h, g and their derivatives, hand-coded for
+    a named map or compiled from a coefficient sequence.
 
-    bounds, on a named map, is (family, sign_a, sign_b): a BoundFamily and
-    two signs, +1 or -1, so that a_n = sign_a A_n past a_1 = 1 and b_n =
-    sign_b B_n, (A_n, B_n) = family.bounds(n).  It makes the map sectionable.
+    bounds, which a named map's forms carry, is (family, sign_a, sign_b): a
+    BoundFamily and two signs, +1 or -1, with a_n = sign_a A_n past a_1 = 1
+    and b_n = sign_b B_n, (A_n, B_n) = family.bounds(n).
     """
 
     __slots__ = ()
@@ -71,26 +70,27 @@ def _polynomial(coeffs):
 
 
 # Evaluation domain per backing: the largest accepted |z| and the refusal
-# message.  Closed forms refuse |z| >= 1, i.e. |z| above the float below 1.
+# message.  Named maps refuse |z| >= 1, i.e. |z| above the float below 1.
 _SERIES_DOMAIN = (SERIES_EVAL_MAX * (1.0 + 1e-12),
                   f"series evaluation requires |z| <= {SERIES_EVAL_MAX}")
 _CLOSED_DOMAIN = (math.nextafter(1.0, 0.0), "evaluation requires |z| < 1")
 
 
 class HarmonicMap:
-    """A normalized harmonic mapping f = h + conj(g) on the unit disk.
+    """A normalized harmonic mapping f = h + conj(g) on the unit disk: a
+    coefficient sequence (series) or a named map (forms with bounds).
 
-    Every evaluation goes through closed-form evaluators.  A coefficient
-    sequence given as series is kept for as_sequence and compiled into
-    polynomial evaluators on first use, so the coefficient checks,
-    coefficient and section, which read only the sequence, never build
-    the polynomial.
+    A series is kept for as_sequence and compiled into polynomial
+    evaluators on first use, so the coefficient checks, coefficient and
+    section, which read only the sequence, never build the polynomial.
+    A named map evaluates its hand-coded forms (normalized: a test checks
+    each) and reads its coefficients from their bounds.
     """
 
     def __init__(self, label: str, *, series: CoefficientSeq | None = None,
                  forms: ClosedForm | None = None, scale: float = 1.0):
-        if series is None and forms is None:
-            raise ValueError("a series or closed forms must be given")
+        if series is None and (forms is None or forms.bounds is None):
+            raise ValueError("a series, or closed forms with bounds, must be given")
         if not (0.0 < scale <= 1.0):
             raise ValueError("scale must lie in (0, 1]")
         self.label = str(label)
@@ -99,7 +99,6 @@ class HarmonicMap:
         self._scale = float(scale)
         if forms is not None:
             self._forms = forms
-            self._check_normalization()
 
     @functools.cached_property
     def _forms(self) -> ClosedForm:
@@ -119,61 +118,42 @@ class HarmonicMap:
         """
         return cls(label, series=seq)
 
-    @classmethod
-    def from_closed_form(cls, label: str, h, g, dh, dg, bounds=None) -> "HarmonicMap":
-        return cls(label, forms=ClosedForm(h, g, dh, dg, bounds))
-
     # -- internals ---------------------------------------------------------
 
-    def _check_normalization(self) -> None:
-        w = 0j
-        h0, g0 = self._forms.h(w), self._forms.g(w)
-        dh0, dg0 = self._forms.dh(w), self._forms.dg(w)
-        if abs(h0) > _NORM_TOL or abs(g0) > _NORM_TOL:
-            raise ValueError(f"{self.label}: normalization f(0)=0 fails")
-        if abs(dh0 - 1.0) > _NORM_TOL:
-            raise ValueError(f"{self.label}: normalization h'(0)=1 fails")
-        if abs(dg0) >= 1.0:
-            raise ValueError(f"{self.label}: |g'(0)| must be < 1")
-
     def _point(self, z):
-        """(w, scalar): z checked against the domain, times the dilation;
-        a complex for a number or a 0-d array, a complex array otherwise."""
+        """z checked against the domain, times the dilation: a complex for a
+        number or a 0-d array, a complex array otherwise."""
         limit, message = self._domain
-        scalar = not (getattr(z, "ndim", 0) or isinstance(z, (list, tuple)))
-        if scalar:
-            w = complex(z)
-            outside = abs(w) > limit
-        else:
+        if getattr(z, "ndim", 0) or isinstance(z, (list, tuple)):
             import numpy as np
 
             w = np.asarray(z, dtype=complex)
             outside = (abs(w) > limit).any()
+        else:
+            w = complex(z)
+            outside = abs(w) > limit
         if outside:
             raise EvaluationDomainError(message)
-        return w * self._scale, scalar
+        return w * self._scale
 
     # -- evaluation --------------------------------------------------------
 
     def __call__(self, z):
         """f(z) = h(z) + conj(g(z)), broadcasting over array input."""
-        w, scalar = self._point(z)
-        val = (self._forms.h(w) + self._forms.g(w).conjugate()) / self._scale
-        return complex(val) if scalar else val
+        w = self._point(z)
+        return (self._forms.h(w) + self._forms.g(w).conjugate()) / self._scale
 
     def wirtinger(self, z):
         """The Wirtinger derivatives (f_z, f_zbar) = (h'(z), conj(g'(z)))."""
-        w, scalar = self._point(z)
-        dh, fzbar = self._forms.dh(w), self._forms.dg(w).conjugate()
-        return (complex(dh), complex(fzbar)) if scalar else (dh, fzbar)
+        w = self._point(z)
+        return self._forms.dh(w), self._forms.dg(w).conjugate()
 
     def jacobian(self, z):
         """J_f(z) = |h'(z)|^2 - |g'(z)|^2.  Positive iff sense-preserving at z."""
-        w, scalar = self._point(z)
+        w = self._point(z)
         # products: numpy squares an array by one, where float ** 2 calls pow()
         dh, dg = abs(self._forms.dh(w)), abs(self._forms.dg(w))
-        val = dh * dh - dg * dg
-        return float(val) if scalar else val
+        return dh * dh - dg * dg
 
     def dilatation(self, z):
         """Second complex dilatation g'(z)/h'(z).
@@ -181,13 +161,12 @@ class HarmonicMap:
         Raises:
             ZeroDivisionError: if |h'(z)| <= 1e-14 at any requested point.
         """
-        w, scalar = self._point(z)
+        w = self._point(z)
         dh, dg = self._forms.dh(w), self._forms.dg(w)
         small = abs(dh) <= 1e-14
-        if small if scalar else small.any():
+        if small if isinstance(w, complex) else small.any():
             raise ZeroDivisionError(f"{self.label}: h' vanishes at a requested point")
-        val = dg / dh
-        return complex(val) if scalar else val
+        return dg / dh
 
     # -- structure ---------------------------------------------------------
 
@@ -196,34 +175,24 @@ class HarmonicMap:
         return self._series is not None
 
     @property
-    def has_coefficients(self) -> bool:
-        return self.is_series or self._forms.bounds is not None
-
-    @property
     def family(self):
         """(BoundFamily, rho) for a named map dilated by rho, whose coefficient
-        moduli are the family's bounds times rho^(n-1); None for other maps."""
-        bounds = None if self.is_series else self._forms.bounds
-        return bounds and (bounds[0], self._scale)
+        moduli are the family's bounds times rho^(n-1); None for a series."""
+        return None if self.is_series else (self._forms.bounds[0], self._scale)
 
     def coefficient(self, n: int) -> tuple[complex, complex]:
         """The series coefficients (a_n, b_n); a_1 is 1 by normalization.
 
         Raises:
             TypeError: n is not an integer (numpy integers pass, bools do not).
-            UnsupportedOperation: closed-form backing without bounds.
         """
         n = check_index(n, 1, "coefficient")
         if self.is_series:
             a, b = (1.0 if n == 1 else self._series.a.get(n, 0j)), self._series.b.get(n, 0j)
-        elif self._forms.bounds is not None:
+        else:
             family, sign_a, sign_b = self._forms.bounds
             a, b = family.bounds(n)
             a, b = (1.0 if n == 1 else sign_a * a), sign_b * b
-        else:
-            raise UnsupportedOperation(
-                f"{self.label}: closed-form map without stored coefficients"
-            )
         s = self._scale ** (n - 1)
         return complex(a) * s, complex(b) * s
 
@@ -240,27 +209,27 @@ class HarmonicMap:
     def section(self, n: int, m: int) -> "HarmonicMap":
         """Partial sums: h truncated at degree n, g at degree m.
 
-        Zero coefficients are not stored in the section's sequence.
+        Zero coefficients are not stored in the section's sequence.  Each
+        index up to max(n, m) is read once.
 
         Args:
             n: highest retained h index, n >= 1.
             m: highest retained g index, m >= 0 (0 drops g entirely).
-
-        Raises:
-            UnsupportedOperation: no coefficient backing to read (section(1, 0) reads none).
         """
         if n < 1 or m < 0:
             raise ValueError("section degrees require n >= 1, m >= 0")
-        a = {k: v for k in range(2, n + 1) if (v := self.coefficient(k)[0]) != 0}
-        b = {k: v for k in range(1, m + 1) if (v := self.coefficient(k)[1]) != 0}
-        seq = CoefficientSeq(a, b, max(1, n, m))
+        top = max(n, m)
+        coeffs = [self.coefficient(k) for k in range(1, top + 1)]
+        a = {k: v for k, (v, _) in enumerate(coeffs[1:n], 2) if v != 0}
+        b = {k: v for k, (_, v) in enumerate(coeffs[:m], 1) if v != 0}
+        seq = CoefficientSeq(a, b, top)
         return HarmonicMap.from_series(seq, f"section({self.label},{n},{m})")
 
     def as_sequence(self) -> CoefficientSeq:
         """The stored coefficient sequence (dilation folded in).
 
         Raises:
-            UnsupportedOperation: for closed-form backings; use section to
+            UnsupportedOperation: for a named map; use section to
                 materialize a finite prefix instead.
         """
         if self._series is None:
@@ -270,7 +239,7 @@ class HarmonicMap:
         return self._series.scaled(self._scale)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        kind = "series" if self.is_series else "closed_form"
+        kind = "series" if self.is_series else "named"
         return f"HarmonicMap({self.label!r}, {kind}, scale={self._scale:g})"
 
 

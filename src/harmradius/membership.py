@@ -170,8 +170,9 @@ def coeff_condition(seq, beta: float = 0.0) -> MembershipReport:
 
     margin = (1-beta) - S(1-).  A named map dilated by rho < 1 has moduli its
     family's bounds times rho^(n-1): S(1-) is the family's S(rho), in closed
-    form.  An undilated one has no finite sum and is refused.  Requires |b1|
-    < 1-beta up front; failing that, returns a violation without summing.
+    form.  An undilated one has no finite sum and is refused, and so is a
+    sum that overflows (ValueError).  Requires |b1| < 1-beta up front;
+    failing that, returns a violation without summing.
     """
     beta = check_beta(beta)
     family, rho = getattr(seq, "family", None) or (None, 1.0)
@@ -183,6 +184,8 @@ def coeff_condition(seq, beta: float = 0.0) -> MembershipReport:
         return MembershipReport("violated", (1.0 - beta) - b1a, 1, spec,
                                 note="precondition |b1| < 1 - beta fails")
     margin = (1.0 - beta) - (weighted_sum(family, rho) if named else weighted_sum_limit(seq))
+    if not math.isfinite(margin):
+        raise ValueError("coefficient sum S(1-) is not finite")
     witness = None
     if margin < -BOUNDARY_TOL:
         # no single index breaks a sum condition; point at the heaviest term

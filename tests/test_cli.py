@@ -322,8 +322,7 @@ HUGE_TRUNCATION_ERROR = _domain("truncation exceeds the float range: "
         "scan radius 1e-307 is too small: its inner circle is subnormal")),
     # the object a cold process, which samples by float calls, prints too
     (SHARPNESS_OVERFLOW, None, _domain("Out of range float values are not JSON compliant: inf")),
-    (COEFF_FAMILY_OVERFLOW, None,
-     _domain("Out of range float values are not JSON compliant: -inf")),
+    (COEFF_FAMILY_OVERFLOW, None, _domain("coefficient sum S(1-) is not finite")),
 ], ids=["divergent-tail", "steep-tail", "huge-grid", "huge-index-c-h2", "huge-M",
         "huge-truncation-radius", "huge-truncation-coeff", "overflowing-images", "huge-span",
         "c-h2-overflow", "starlike-overflow", "starlike-subnormal-dilation",

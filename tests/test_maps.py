@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 from harmradius import (
     EXTREMALS,
     PARAMETERS,
+    BoundFamily,
     CoefficientSeq,
     EvaluationDomainError,
     HarmonicMap,
@@ -21,7 +22,7 @@ from harmradius import (
     harmonic_koebe,
     identity_map,
 )
-from harmradius.maps import SERIES_EVAL_MAX, _compile
+from harmradius.maps import SERIES_EVAL_MAX, ClosedForm, _compile
 
 from conftest import fd_wirtinger, fd_jacobian
 
@@ -71,7 +72,7 @@ def test_series_map_is_compiled_on_first_evaluation_up_to_degree_cap():
     # refuse it before any allocation; the stored sequence stays readable
     f = HarmonicMap.from_series(CoefficientSeq({10 ** 13: 1e-15}, {}, 10 ** 13))
     assert f.as_sequence().a == {10 ** 13: 1e-15}
-    assert f.has_coefficients and f.dilate(0.5).is_series
+    assert f.dilate(0.5).is_series
     message = "up to degree 10000; the highest stored index is 10000000000000"
     for evaluate in (f, f.wirtinger, f.jacobian, f.dilate(0.5)):
         with pytest.raises(ValueError, match=message):
@@ -220,24 +221,20 @@ def test_scalar_path_refuses_at_the_array_boundary(f):
 
 
 def test_numbers_and_zero_d_arrays_take_the_scalar_path():
-    f = get_extremal("F0").dilate(0.9)
     z = 0.07 + 0.02j
-    for w in (np.complex128(z), np.asarray(z)):
-        assert f(w) == f(z) and f.wirtinger(w) == f.wirtinger(z)
-        assert f.jacobian(w) == f.jacobian(z) and f.dilatation(w) == f.dilatation(z)
-    for w in (0.05, np.float64(0.05), np.float32(0.05), np.asarray(0.05), 0, np.int64(0)):
-        assert type(f(w)) is complex and type(f.dilatation(w)) is complex
-        assert type(f.jacobian(w)) is float
-        assert [type(v) for v in f.wirtinger(w)] == [complex, complex]
-    assert f(np.float32(0.05)) == f(float(np.float32(0.05)))
-    # closed forms on numpy functions give numpy scalars; the types stay
-    e = HarmonicMap.from_closed_form("expm1", np.expm1, lambda z: 0 * z, np.exp, lambda z: 0 * z)
-    assert type(e(0.1)) is complex and type(e.dilatation(0.1)) is complex
-    assert type(e.jacobian(0.1)) is float and e.jacobian(0.1) == pytest.approx(math.exp(0.2))
-    assert [type(v) for v in e.wirtinger(0.1)] == [complex, complex]
-    for w in (np.array([z]), np.full((2, 3), z), [z, 0.0]):
-        assert isinstance(f(w), np.ndarray) and f(w).shape == np.shape(w)
-        assert f.jacobian(w).dtype == float and f.dilatation(w).shape == np.shape(w)
+    for f in (get_extremal("F0").dilate(0.9), identity_map(),
+              HarmonicMap.from_series(_sample_seq()).dilate(0.9)):
+        for w in (np.complex128(z), np.asarray(z)):
+            assert f(w) == f(z) and f.wirtinger(w) == f.wirtinger(z)
+            assert f.jacobian(w) == f.jacobian(z) and f.dilatation(w) == f.dilatation(z)
+        for w in (0.05, np.float64(0.05), np.float32(0.05), np.asarray(0.05), 0, np.int64(0)):
+            assert type(f(w)) is complex and type(f.dilatation(w)) is complex
+            assert type(f.jacobian(w)) is float
+            assert [type(v) for v in f.wirtinger(w)] == [complex, complex]
+        assert f(np.float32(0.05)) == f(float(np.float32(0.05)))
+        for w in (np.array([z]), np.full((2, 3), z), [z, 0.0]):
+            assert isinstance(f(w), np.ndarray) and f(w).shape == np.shape(w)
+            assert f.jacobian(w).dtype == float and f.dilatation(w).shape == np.shape(w)
 
 
 def test_scalar_evaluation_imports_no_numpy():
@@ -255,24 +252,45 @@ assert "numpy" not in sys.modules, "scalar evaluation loaded numpy"
     assert proc.returncode == 0, proc.stderr
 
 
-# -- normalization ------------------------------------------------------------
+# -- normalization and construction ---------------------------------------------
 
-def test_constructor_rejects_unnormalized_h():
-    with pytest.raises(ValueError):
-        HarmonicMap.from_closed_form(
-            "bad", lambda z: z + 0.1, lambda z: 0 * z,
-            lambda z: 1.0 + 0 * z, lambda z: 0 * z)
-    with pytest.raises(ValueError):
-        HarmonicMap.from_closed_form(
-            "bad", lambda z: 2 * z, lambda z: 0 * z,
-            lambda z: 2.0 + 0 * z, lambda z: 0 * z)
+NAMED = [("koebe", ()), ("convex_L", ()), ("F0", ()), ("L0", ()), ("f0", (1.0,)),
+         ("f0", (2.0, 0.3))]
 
 
-def test_constructor_rejects_expanding_g():
-    with pytest.raises(ValueError):
-        HarmonicMap.from_closed_form(
-            "bad", lambda z: z, lambda z: z,
-            lambda z: 1.0 + 0 * z, lambda z: 1.0 + 0 * z)
+@pytest.mark.parametrize("label, params", NAMED,
+                         ids=[label + (":%s" % ",".join(map(str, p)) if p else "")
+                              for label, p in NAMED])
+def test_named_maps_are_normalized(label, params):
+    # the hand-coded evaluators agree with the coefficients their bounds give
+    f = get_extremal(label, *params)
+    b1 = f.coefficient(1)[1]
+    assert f(0) == 0 and f(0j) == 0
+    assert f.wirtinger(0) == (1, b1.conjugate())
+    assert abs(b1) < 1
+
+
+def _counting_forms(calls):
+    def counted(name, fn):
+        return lambda z: calls.append(name) or fn(z)
+
+    return ClosedForm(counted("h", lambda z: z), counted("g", lambda z: 0 * z),
+                      counted("dh", lambda z: 1 + 0 * z), counted("dg", lambda z: 0 * z),
+                      (BoundFamily("uniform", 1e-300), 1, 1))
+
+
+def test_dilate_calls_no_evaluator():
+    calls = []
+    f = HarmonicMap("counted", forms=_counting_forms(calls))
+    g = f.dilate(0.5).dilate(0.5)
+    assert calls == [] and g.family == (BoundFamily("uniform", 1e-300), 0.25)
+    assert g(0.5) == 0.5 and calls == ["h", "g"]
+
+
+def test_constructor_takes_a_series_or_forms_with_bounds():
+    for kwargs in ({}, {"forms": _counting_forms([])._replace(bounds=None)}):
+        with pytest.raises(ValueError, match="a series, or closed forms with bounds"):
+            HarmonicMap("bad", **kwargs)
 
 
 # -- dilation -------------------------------------------------------------------
@@ -341,17 +359,19 @@ def test_section_degree_validation():
         identity_map().section(0, 0)
 
 
-def test_closed_form_without_rule_cannot_section():
-    f = HarmonicMap.from_closed_form(
-        "opaque", lambda z: z, lambda z: 0 * z,
-        lambda z: 1.0 + 0 * z, lambda z: 0 * z)
-    with pytest.raises(UnsupportedOperation):
-        f.section(3, 3)
-    # a_1 = 1 by normalization: the one section that reads no coefficient
-    assert f.section(1, 0).as_sequence() == CoefficientSeq({}, {}, 1)
-    with pytest.raises(UnsupportedOperation):
-        f.coefficient(2)
-    assert not f.has_coefficients
+@pytest.mark.parametrize("n, m", [(3000, 3000), (1, 0), (2, 7), (7, 2)])
+def test_section_reads_each_index_once(monkeypatch, n, m):
+    calls = []
+    coefficient = HarmonicMap.coefficient
+    monkeypatch.setattr(HarmonicMap, "coefficient",
+                        lambda self, k: calls.append(k) or coefficient(self, k))
+    f = get_extremal("F0").dilate(0.1)
+    s = f.section(n, m)
+    assert calls == list(range(1, max(n, m) + 1))
+    monkeypatch.undo()
+    for k in range(1, max(n, m) + 2):
+        a, b = f.coefficient(k)
+        assert s.coefficient(k) == (a if k <= n else 0j, b if k <= m else 0j)
 
 
 @pytest.mark.parametrize("label", [*sorted(EXTREMALS), "series"])

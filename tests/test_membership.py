@@ -1,6 +1,7 @@
 """Membership checks: coefficient tests and sampled scans."""
 
 import math
+import re
 import sys
 
 import numpy as np
@@ -25,7 +26,9 @@ from harmradius import (
     koebe_family_radius,
     koebe_witness,
     one_term_extremal,
+    radius_by_bisection,
     starlike_scan,
+    weighted_sum,
 )
 from harmradius.coefficients import TailBound
 
@@ -128,6 +131,16 @@ def test_coefficient_checks_read_a_series_map_without_compiling_it():
 def test_coeff_condition_rejects_closed_form_map():
     with pytest.raises(UnsupportedOperation):
         coeff_condition(harmonic_koebe(), 0.0)
+
+
+def test_coeff_condition_refuses_a_non_finite_sum():
+    # the uniform family's S(0.5) at c = 1e308 overflows to inf: the radius
+    # solver reads that inf as S > 1, while the check has no margin to report
+    family = BoundFamily.uniform(1e308)
+    assert weighted_sum(family, 0.5) == math.inf
+    assert radius_by_bisection(family).radius == pytest.approx(5e-309, rel=1e-12)
+    with pytest.raises(ValueError, match=re.escape("coefficient sum S(1-) is not finite")):
+        coeff_condition(get_extremal("f0", 1e308).dilate(0.5))
 
 
 # label, f0's (c, b1), the family, and the signs of a_n (n >= 2) and b_n

@@ -20,6 +20,7 @@ from harmradius import (
     closed_form_radius,
     convex_family_radius,
     convex_witness_profile,
+    get_extremal,
     harmonic_koebe,
     identity_map,
     jacobian_roots,
@@ -76,6 +77,12 @@ def test_uniform_radius_validates_once(monkeypatch):
         if name.startswith("harmradius.") and hasattr(module, "check_uniform"):
             monkeypatch.setattr(module, "check_uniform", counting)
     assert uniform_family_radius(2.0, 0.3).radius == pytest.approx(0.139337034176)
+    assert calls == [(2.0, 0.3)]
+    calls.clear()
+    assert get_extremal("f0", 2.0, 0.3).coefficient(1) == (1, -0.3)
+    assert calls == [(2.0, 0.3)]
+    calls.clear()
+    assert uniform_witness_profile(2.0, 0.3).label == "f0"
     assert calls == [(2.0, 0.3)]
 
 
