@@ -69,13 +69,14 @@ def horner_array(coeffs, x):
     return acc
 
 
-def check_index(n, low: int, what: str) -> int:
-    """An integer index n >= low (an operator.index integer, not a bool) as an int."""
+def check_index(n, low: int | None, what: str) -> int:
+    """An integer n >= low (an operator.index integer, not a bool) as an int;
+    low None leaves the range to the caller.  what names n in the errors."""
     if isinstance(n, bool) or not hasattr(type(n), "__index__"):
-        raise TypeError(f"{what} index must be an integer, got {n!r}")
+        raise TypeError(f"{what} must be an integer, got {n!r}")
     n = operator.index(n)
-    if n < low:
-        raise ValueError(f"{what} index must be >= {low}, got {n}")
+    if low is not None and n < low:
+        raise ValueError(f"{what} must be >= {low}, got {n}")
     return n
 
 

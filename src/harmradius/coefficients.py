@@ -82,9 +82,9 @@ class CoefficientSeq(record("CoefficientSeq", "a b truncation tail")):
             raise ValueError("truncation must be >= 1")
         stored = []
         for what, low, given in (("a", 2, a), ("b", 1, b)):
-            checked = {}
+            checked, index = {}, f"{what} index"
             for n, v in (given or {}).items():
-                n = check_index(n, low, what)
+                n = check_index(n, low, index)
                 if n > truncation:
                     raise ValueError(f"{what} index {n} exceeds truncation {truncation}")
                 v = complex(v)
@@ -146,7 +146,7 @@ class BoundFamily(record("BoundFamily", "kind c b1_abs", (None, 0.0))):
         """(A_n, B_n), the bounds on (|a_n|, |b_n|) at an integer index n >= 1:
         koebe ((2n+1)(n+1)/6, (2n-1)(n-1)/6), convex ((n+1)/2, (n-1)/2), and
         uniform (1, b1_abs) at n = 1 and (c/2, c/2) past it."""
-        n = check_index(n, 1, "bound")
+        n = check_index(n, 1, "bound index")
         if self.kind == "koebe":
             return (2 * n + 1) * (n + 1) / 6.0, (2 * n - 1) * (n - 1) / 6.0
         if self.kind == "convex":
@@ -391,7 +391,7 @@ def _entries_to_map(entries, low: int, what: str) -> dict[int, complex]:
         if not (isinstance(item, (list, tuple)) and len(item) == 3):
             raise ValueError(f"{what} entries must be [n, re, im] triples")
         n, re, im = item
-        n = check_index(_json_int(n, f"{what} index"), low, what)
+        n = check_index(_json_int(n, f"{what} index"), low, f"{what} index")
         if n in out:
             raise ValueError(f"duplicate {what} index {n}")
         if n <= last:

@@ -13,13 +13,12 @@ Five maps are exposed through a label registry for CLI use:
   radii computed in the radii module.
 
 Only f0 takes parameters (PARAMETERS names them); WITNESSES pairs each witness
-with the family it is sharp for.  Each map carries hand-coded evaluators and,
-as data, a stock family and two signs: its coefficients past a_1 = 1 are the
-family's bounds, signed (koebe ++, convex_L +-, F0 --, L0 -+, f0 --), so the
-coefficient check answers on a dilated named map.  A JacobianProfile holds a
-witness's real-axis Jacobian as polynomial factors over a power of (r - 1);
-those of F0 and L0 include their family's S(r) = 1 polynomial
-(FAMILY_POLYNOMIALS).
+with the family it is sharp for.  Each map is a stock family and two signs:
+its coefficients past a_1 = 1 are the family's bounds, signed (koebe ++,
+convex_L +-, F0 --, L0 -+, f0 --); named_forms derives its evaluators from
+them.  A JacobianProfile holds a witness's real-axis Jacobian as polynomial
+factors over a power of (r - 1); those of F0 and L0 include their family's
+S(r) = 1 polynomial (FAMILY_POLYNOMIALS).
 
 The map factories import maps when called; the label tables and the
 profiles need no map.  None of them imports numpy.
@@ -30,7 +29,7 @@ from __future__ import annotations
 import cmath
 import math
 
-from ._util import horner, record
+from ._util import check_index, horner, record
 from .coefficients import FAMILY_POLYNOMIALS, BoundFamily, CoefficientSeq
 
 TYPE_CHECKING = False  # typing.TYPE_CHECKING, without importing typing
@@ -61,7 +60,7 @@ __all__ = [
 CONVEX_EXTREMAL_CONVEXITY_RADIUS = math.sqrt(2.0) - 1.0
 
 
-# -- the two base extremals ------------------------------------------------
+# -- evaluators from a family and two signs ---------------------------------
 
 # Powers are written as products: numpy raises a complex array to an integer
 # power one element at a time, some 20 times slower than a product.  Halving
@@ -87,22 +86,6 @@ def _koebe_dg(z):
     return z * (1 + z) / (qq * qq)
 
 
-# A base extremal's evaluators and bounds (family, sign_a, sign_b), built once.
-_KOEBE = (_koebe_h, _koebe_g, _koebe_dh, _koebe_dg, (BoundFamily("koebe"), 1, 1))
-
-
-def _named(label: str, h, g, dh, dg, bounds) -> HarmonicMap:
-    """The named map with evaluators h, g, dh, dg and bounds (family, sign_a, sign_b)."""
-    from .maps import ClosedForm, HarmonicMap
-
-    return HarmonicMap(label, forms=ClosedForm(h, g, dh, dg, bounds))
-
-
-def harmonic_koebe() -> HarmonicMap:
-    """The harmonic Koebe function; dilatation g'/h' = z."""
-    return _named("koebe", *_KOEBE)
-
-
 def _convex_h(z):
     return (z / (1 - z) + z / (1 - z) ** 2) * 0.5
 
@@ -121,59 +104,69 @@ def _convex_dg(z):
     return (1 / (q * q) - (1 + z) / (q * (q * q))) * 0.5
 
 
-_CONVEX = (_convex_h, _convex_g, _convex_dh, _convex_dg, (BoundFamily("convex"), 1, -1))
-
-
-def convex_extremal() -> HarmonicMap:
-    """The convex extremal map L; h + g = z/(1-z), h - g = z/(1-z)^2."""
-    return _named("convex_L", *_CONVEX)
-
-
-# -- sharpness witnesses ---------------------------------------------------
-
-def _negated_witness(label: str, h, g, dh, dg, bounds) -> HarmonicMap:
-    """(2z - h) - conj(g): the base map h + conj(g) with every coefficient
-    past a_1 = 1 negated (and b_1 = 0), so both its signs negated."""
-    return _named(
-        label,
-        lambda z: 2 * z - h(z),
-        lambda z: -g(z),
-        lambda z: 2 - dh(z),
-        lambda z: -dg(z),
-        (bounds[0], -bounds[1], -bounds[2]),
-    )
-
-
-def koebe_witness() -> HarmonicMap:
-    """F0 = (2z - H) - conj(G): the Koebe-family map with negated tail."""
-    return _negated_witness("F0", *_KOEBE)
-
-
-def convex_witness() -> HarmonicMap:
-    """L0 = (2z - M) - conj(N): the convex-family map with negated tail."""
-    return _negated_witness("L0", *_CONVEX)
-
-
-def uniform_witness(c: float, b1_abs: float = 0.0) -> HarmonicMap:
-    """f0: all tail coefficients at the uniform bound c/2, negated; its
-    bounds are the uniform family's with signs (-,-).
-
-    h(z) = z - (c/2) z^2/(1-z), g(z) = -b1_abs z - (c/2) z^2/(1-z), so
-    a_n = b_n = -c/2 for n >= 2 and g'(0) = -b1_abs.
-    """
-    family = BoundFamily.uniform(c, b1_abs)
+def _uniform_base(family: BoundFamily):
+    """f0's h, g, h', g' and signs (-,-): h(z) = z - (c/2) z^2/(1-z) and
+    g(z) = -|b1| z - (c/2) z^2/(1-z), so a_n = b_n = -c/2 for n >= 2."""
     c, b1 = family.c, family.b1_abs
     tail = lambda z: (c / 2) * z * z / (1 - z)
     # d/dz [z^2/(1-z)] = 1/(1-z)^2 - 1
     dtail = lambda z: (c / 2) * (1 / (1 - z) ** 2 - 1)
-    return _named(
-        "f0",
-        lambda z: z - tail(z),
-        lambda z: -b1 * z - tail(z),
-        lambda z: 1 - dtail(z),
-        lambda z: -b1 - dtail(z),
-        (family, -1, -1),
-    )
+    return (lambda z: z - tail(z), lambda z: -b1 * z - tail(z),
+            lambda z: 1 - dtail(z), lambda z: -b1 - dtail(z)), -1, -1
+
+
+# The base maps of the koebe and convex families, with their signs: the
+# harmonic Koebe function K (+,+) and the convex extremal L (+,-).
+_BASES = {"koebe": ((_koebe_h, _koebe_g, _koebe_dh, _koebe_dg), 1, 1),
+          "convex": ((_convex_h, _convex_g, _convex_dh, _convex_dg), 1, -1)}
+
+
+def named_forms(family: BoundFamily, sign_a: int, sign_b: int) -> tuple:
+    """The evaluators (h, g, h', g') of the named map with bounds (family,
+    sign_a, sign_b): the family's base map, K, L or f0, with h -> 2z - h
+    (negating a_n, n >= 2) or g -> -g (negating b_n) for each sign that
+    differs from the base's."""
+    (h, g, dh, dg), base_a, base_b = (_uniform_base(family) if family.kind == "uniform"
+                                      else _BASES[family.kind])
+    if sign_a != base_a:
+        h, dh = (lambda z, h=h: 2 * z - h(z)), (lambda z, dh=dh: 2 - dh(z))
+    if sign_b != base_b:
+        g, dg = (lambda z, g=g: -g(z)), (lambda z, dg=dg: -dg(z))
+    return h, g, dh, dg
+
+
+# -- the named maps -----------------------------------------------------------
+
+def _named(label: str, family: BoundFamily, sign_a: int, sign_b: int) -> HarmonicMap:
+    from .maps import HarmonicMap
+
+    return HarmonicMap(label, bounds=(family, sign_a, sign_b))
+
+
+def harmonic_koebe() -> HarmonicMap:
+    """The harmonic Koebe function; dilatation g'/h' = z."""
+    return _named("koebe", BoundFamily("koebe"), 1, 1)
+
+
+def convex_extremal() -> HarmonicMap:
+    """The convex extremal map L; h + g = z/(1-z), h - g = z/(1-z)^2."""
+    return _named("convex_L", BoundFamily("convex"), 1, -1)
+
+
+def koebe_witness() -> HarmonicMap:
+    """F0 = (2z - H) - conj(G): the Koebe-family map with negated tail."""
+    return _named("F0", BoundFamily("koebe"), -1, -1)
+
+
+def convex_witness() -> HarmonicMap:
+    """L0 = (2z - M) - conj(N): the convex-family map with negated tail."""
+    return _named("L0", BoundFamily("convex"), -1, 1)
+
+
+def uniform_witness(c: float, b1_abs: float = 0.0) -> HarmonicMap:
+    """f0: the uniform family's bounds with signs (-,-), so a_n = b_n = -c/2
+    for n >= 2 and b_1 = -b1_abs; h(z) = z - (c/2) z^2/(1-z)."""
+    return _named("f0", BoundFamily.uniform(c, b1_abs), -1, -1)
 
 
 # -- closed-form Jacobians on the real axis --------------------------------
@@ -231,7 +224,7 @@ def one_term_extremal(n: int, theta: float = 0.0, anti: bool = False) -> Harmoni
     """
     from .maps import HarmonicMap
 
-    n = int(n)
+    n = check_index(n, None, "one-term index")
     if n < 2:
         raise ValueError("one-term index must be >= 2")
     value = cmath.exp(1j * theta) / n

@@ -2,8 +2,8 @@
 
 A HarmonicMap is a coefficient sequence or a named map.  A sequence is
 compiled into polynomial evaluators for h, g and their derivatives; a
-named map (built by extremals) has hand-coded ones and, as data, the
-bound family and signs that give its coefficients.  Maps support
+named map is a bound family and two signs, which give its coefficients,
+and extremals derives its evaluators from them.  Maps support
 evaluation, the two Wirtinger derivatives f_z = h' and f_zbar =
 conj(g'), the Jacobian |h'|^2 - |g'|^2, the second complex dilatation
 g'/h', dilation f_r(z) = f(rz)/r, and truncation to partial sums.
@@ -20,6 +20,7 @@ import math
 
 from ._util import UnsupportedOperation, check_index, horner, horner_array, record
 from .coefficients import SERIES_EVAL_MAX, CoefficientSeq
+from .extremals import named_forms
 
 __all__ = [
     "EvaluationDomainError",
@@ -35,14 +36,9 @@ class EvaluationDomainError(ValueError):
     """Raised when an evaluation point falls outside the trusted domain."""
 
 
-class ClosedForm(record("ClosedForm", "h g dh dg bounds", (None,))):
-    """Evaluators (callables) for h, g and their derivatives, hand-coded for
-    a named map or compiled from a coefficient sequence.
-
-    bounds, which a named map's forms carry, is (family, sign_a, sign_b): a
-    BoundFamily and two signs, +1 or -1, with a_n = sign_a A_n past a_1 = 1
-    and b_n = sign_b B_n, (A_n, B_n) = family.bounds(n).
-    """
+class ClosedForm(record("ClosedForm", "h g dh dg")):
+    """Evaluators (callables) for h, g and their derivatives: compiled from a
+    series, or extremals.named_forms of a named map's bounds."""
 
     __slots__ = ()
 
@@ -77,31 +73,31 @@ _CLOSED_DOMAIN = (math.nextafter(1.0, 0.0), "evaluation requires |z| < 1")
 
 
 class HarmonicMap:
-    """A normalized harmonic mapping f = h + conj(g) on the unit disk: a
-    coefficient sequence (series) or a named map (forms with bounds).
-
-    A series is kept for as_sequence and compiled into polynomial
-    evaluators on first use, so the coefficient checks, coefficient and
-    section, which read only the sequence, never build the polynomial.
-    A named map evaluates its hand-coded forms (normalized: a test checks
-    each) and reads its coefficients from their bounds.
+    """A normalized harmonic mapping f = h + conj(g) on the unit disk, given by
+    exactly one of a coefficient sequence (series) and a named map's bounds
+    (family, sign_a, sign_b): a BoundFamily and two signs, +1 or -1, with
+    a_n = sign_a A_n past a_1 = 1 and b_n = sign_b B_n.  Its evaluators are
+    built on first evaluation, so coefficient, section, dilate and the
+    coefficient checks, which read only that data, never build them.
     """
 
     def __init__(self, label: str, *, series: CoefficientSeq | None = None,
-                 forms: ClosedForm | None = None, scale: float = 1.0):
-        if series is None and (forms is None or forms.bounds is None):
-            raise ValueError("a series, or closed forms with bounds, must be given")
+                 bounds: tuple | None = None, scale: float = 1.0):
+        if (series is None) == (bounds is None):
+            raise ValueError("exactly one of a series and bounds must be given")
+        if bounds is not None and not {bounds[1], bounds[2]} <= {1, -1}:
+            raise ValueError("a named map's signs must be +1 or -1")
         if not (0.0 < scale <= 1.0):
             raise ValueError("scale must lie in (0, 1]")
         self.label = str(label)
-        self._series = series
+        self._series, self._bounds = series, bounds
         self._domain = _CLOSED_DOMAIN if series is None else _SERIES_DOMAIN
         self._scale = float(scale)
-        if forms is not None:
-            self._forms = forms
 
     @functools.cached_property
     def _forms(self) -> ClosedForm:
+        if self._series is None:
+            return ClosedForm(*named_forms(*self._bounds))
         # a CoefficientSeq is normalized by construction: a_1 = 1, |b_1| < 1
         return _compile(self._series)
 
@@ -178,7 +174,7 @@ class HarmonicMap:
     def family(self):
         """(BoundFamily, rho) for a named map dilated by rho, whose coefficient
         moduli are the family's bounds times rho^(n-1); None for a series."""
-        return None if self.is_series else (self._forms.bounds[0], self._scale)
+        return None if self.is_series else (self._bounds[0], self._scale)
 
     def coefficient(self, n: int) -> tuple[complex, complex]:
         """The series coefficients (a_n, b_n); a_1 is 1 by normalization.
@@ -186,11 +182,11 @@ class HarmonicMap:
         Raises:
             TypeError: n is not an integer (numpy integers pass, bools do not).
         """
-        n = check_index(n, 1, "coefficient")
+        n = check_index(n, 1, "coefficient index")
         if self.is_series:
             a, b = (1.0 if n == 1 else self._series.a.get(n, 0j)), self._series.b.get(n, 0j)
         else:
-            family, sign_a, sign_b = self._forms.bounds
+            family, sign_a, sign_b = self._bounds
             a, b = family.bounds(n)
             a, b = (1.0 if n == 1 else sign_a * a), sign_b * b
         s = self._scale ** (n - 1)
@@ -203,8 +199,7 @@ class HarmonicMap:
         if r == 1.0:
             return self
         return HarmonicMap(f"dilate({self.label},{r:g})", series=self._series,
-                           forms=None if self.is_series else self._forms,
-                           scale=self._scale * r)
+                           bounds=self._bounds, scale=self._scale * r)
 
     def section(self, n: int, m: int) -> "HarmonicMap":
         """Partial sums: h truncated at degree n, g at degree m.
@@ -216,6 +211,7 @@ class HarmonicMap:
             n: highest retained h index, n >= 1.
             m: highest retained g index, m >= 0 (0 drops g entirely).
         """
+        n, m = check_index(n, None, "section degree"), check_index(m, None, "section degree")
         if n < 1 or m < 0:
             raise ValueError("section degrees require n >= 1, m >= 0")
         top = max(n, m)

@@ -29,7 +29,7 @@ from __future__ import annotations
 import math
 import sys
 
-from ._util import check_beta, record
+from ._util import check_beta, check_index, record
 from .coefficients import (CoefficientSeq, _has_tail, _moduli, weighted_sum,
                            weighted_sum_limit)
 
@@ -91,10 +91,11 @@ class GridSpec(record("GridSpec", "n_radial n_angular r_max", (200, 64, 0.999)))
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
-        if self.n_radial < 2 or self.n_angular < 1:
+        n_radial, n_angular = (check_index(n, None, "grid size") for n in self[:2])
+        if n_radial < 2 or n_angular < 1:
             raise ValueError("grid needs n_radial >= 2, n_angular >= 1")
-        if self.n_radial * self.n_angular > _MAX_GRID_POINTS:
-            raise ValueError(f"grid of {self.n_radial}x{self.n_angular} points exceeds "
+        if n_radial * n_angular > _MAX_GRID_POINTS:
+            raise ValueError(f"grid of {n_radial}x{n_angular} points exceeds "
                              f"the {_MAX_GRID_POINTS} points a grid may sample")
         if not 0.0 < self.r_max < 1.0:
             raise ValueError("r_max must lie in (0, 1)")
@@ -483,7 +484,7 @@ def injectivity_oracle(f: HarmonicMap, r: float,
     r = float(r)
     if not 0.0 < r < 1.0:
         raise ValueError("radius must lie in (0, 1)")
-    resolution = int(resolution)
+    resolution = check_index(resolution, None, "resolution")
     if not 8 <= resolution <= 512:
         raise ValueError("resolution must lie in [8, 512]")
     axis = np.linspace(-r, r, resolution)

@@ -11,6 +11,7 @@ from harmradius import (
     CONVEX_EXTREMAL_CONVEXITY_RADIUS,
     EXTREMALS,
     FAMILY_POLYNOMIALS,
+    HarmonicMap,
     PARAMETERS,
     WITNESSES,
     BoundFamily,
@@ -81,9 +82,20 @@ def test_uniform_witness_validation():
 
 # -- closed form vs series ------------------------------------------------------
 
+def _signed(family, sign_a, sign_b):
+    return pytest.param(lambda: HarmonicMap("x", bounds=(family, sign_a, sign_b)),
+                        id=f"{family.kind}{'+-'[sign_a < 0]}{'+-'[sign_b < 0]}")
+
+
+# every family with every sign pair: the five registered pairs through their
+# factories, which build HarmonicMap(label, bounds=...), and the other seven
 @pytest.mark.parametrize("factory", [
     harmonic_koebe, convex_extremal, koebe_witness, convex_witness,
     lambda: uniform_witness(1.5, 0.25),
+    _signed(BoundFamily("koebe"), 1, -1), _signed(BoundFamily("koebe"), -1, 1),
+    _signed(BoundFamily("convex"), 1, 1), _signed(BoundFamily("convex"), -1, -1),
+    _signed(BoundFamily.uniform(1.5, 0.25), 1, 1), _signed(BoundFamily.uniform(1.5, 0.25), 1, -1),
+    _signed(BoundFamily.uniform(1.5, 0.25), -1, 1),
 ])
 def test_closed_form_agrees_with_series(factory, rng):
     f = factory()
@@ -111,22 +123,55 @@ def _halved_by_division(z):
     }
 
 
-def test_halving_by_product_keeps_the_bits(rng):
-    from harmradius import extremals
-
+def _bit_points(rng):
     # real-axis, imaginary-axis and random points, and 0; zero parts are +0.0,
     # as in every grid the package samples (a -0.0 part can flip a zero's sign)
     axis = list(rng.uniform(-0.95, 0.95, 40)) + [0.5, -0.5, 1e-3, -1e-3]
-    points = ([complex(x, 0.0) for x in axis] + [complex(0.0, y) for y in axis] + [0j]
-              + list(rng.uniform(-0.6, 0.6, 40) + 1j * rng.uniform(-0.6, 0.6, 40)))
+    return ([complex(x, 0.0) for x in axis] + [complex(0.0, y) for y in axis] + [0j]
+            + list(rng.uniform(-0.6, 0.6, 40) + 1j * rng.uniform(-0.6, 0.6, 40)))
+
+
+def _same_bits(form, ref, points, what):
+    """form and ref agree bit for bit on the array of points and on each point."""
     arr = np.array(points)
-    want = _halved_by_division(arr)
-    for name, values in want.items():
-        form = getattr(extremals, name)
-        assert form(arr).tobytes() == values.tobytes(), name
-        for z in points:
-            got, ref = form(z), _halved_by_division(z)[name]
-            assert struct.pack("2d", got.real, got.imag) == struct.pack("2d", ref.real, ref.imag)
+    assert form(arr).tobytes() == ref(arr).tobytes(), what
+    for z in points:
+        got, want = form(z), ref(z)
+        assert isinstance(got, complex), what
+        assert struct.pack("2d", got.real, got.imag) == struct.pack("2d", want.real, want.imag), what
+
+
+def test_halving_by_product_keeps_the_bits(rng):
+    from harmradius import extremals
+
+    points = _bit_points(rng)
+    for name in _halved_by_division(0j):
+        _same_bits(getattr(extremals, name), lambda z: _halved_by_division(z)[name],
+                   points, name)
+
+
+def test_signed_maps_keep_the_bits_of_their_hand_written_forms(rng):
+    # the flipped bases against the expressions F0, L0 and f0 were written as
+    # when each carried its own evaluators: the same operations in the same order
+    from harmradius.extremals import (_convex_dg, _convex_dh, _convex_g, _convex_h,
+                                      _koebe_dg, _koebe_dh, _koebe_g, _koebe_h)
+
+    c, b1 = 2.0, 0.3
+    tail = lambda z: (c / 2) * z * z / (1 - z)
+    dtail = lambda z: (c / 2) * (1 / (1 - z) ** 2 - 1)
+    written = {
+        "F0": (lambda z: 2 * z - _koebe_h(z), lambda z: -_koebe_g(z),
+               lambda z: 2 - _koebe_dh(z), lambda z: -_koebe_dg(z)),
+        "L0": (lambda z: 2 * z - _convex_h(z), lambda z: -_convex_g(z),
+               lambda z: 2 - _convex_dh(z), lambda z: -_convex_dg(z)),
+        "f0": (lambda z: z - tail(z), lambda z: -b1 * z - tail(z),
+               lambda z: 1 - dtail(z), lambda z: -b1 - dtail(z)),
+    }
+    points = _bit_points(rng)
+    for label, refs in written.items():
+        f = get_extremal(label, c, b1) if label in PARAMETERS else get_extremal(label)
+        for name, form, ref in zip(("h", "g", "dh", "dg"), f._forms, refs):
+            _same_bits(form, ref, points, f"{label}.{name}")
 
 
 def test_koebe_dilatation_is_z(rng):
@@ -343,8 +388,13 @@ def test_one_term_anti():
 
 
 def test_one_term_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="one-term index must be >= 2"):
         one_term_extremal(1)
+    # a count is an integer: 2.7 is not truncated to 2, and inf does not overflow
+    for bad in (2.7, 3.0, math.inf, np.float64(3.0), True):
+        with pytest.raises(TypeError, match="one-term index must be an integer"):
+            one_term_extremal(bad)
+    assert one_term_extremal(np.int64(3)).label == "one_term(3,0,analytic)"
 
 
 # -- registry ----------------------------------------------------------------------

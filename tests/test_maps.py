@@ -270,27 +270,34 @@ def test_named_maps_are_normalized(label, params):
     assert abs(b1) < 1
 
 
-def _counting_forms(calls):
-    def counted(name, fn):
-        return lambda z: calls.append(name) or fn(z)
+def test_dilate_calls_no_evaluator(monkeypatch):
+    from harmradius import maps
 
-    return ClosedForm(counted("h", lambda z: z), counted("g", lambda z: 0 * z),
-                      counted("dh", lambda z: 1 + 0 * z), counted("dg", lambda z: 0 * z),
-                      (BoundFamily("uniform", 1e-300), 1, 1))
-
-
-def test_dilate_calls_no_evaluator():
     calls = []
-    f = HarmonicMap("counted", forms=_counting_forms(calls))
+    named_forms = maps.named_forms
+    monkeypatch.setattr(maps, "named_forms", lambda *b: calls.append(b) or named_forms(*b))
+    f = HarmonicMap("x", bounds=(BoundFamily("uniform", 1e-300), 1, 1))
     g = f.dilate(0.5).dilate(0.5)
-    assert calls == [] and g.family == (BoundFamily("uniform", 1e-300), 0.25)
-    assert g(0.5) == 0.5 and calls == ["h", "g"]
+    # a named map builds its evaluators on its first evaluation, not on dilate
+    assert calls == [] and "_forms" not in vars(g)
+    assert g.family == (BoundFamily("uniform", 1e-300), 0.25)
+    assert g.coefficient(2) == (0.125e-300 + 0j, 0.125e-300 + 0j)
+    assert g(0.5) == 0.5 and calls == [(BoundFamily("uniform", 1e-300), 1, 1)]
+    assert "_forms" in vars(g) and "_forms" not in vars(f)
 
 
-def test_constructor_takes_a_series_or_forms_with_bounds():
-    for kwargs in ({}, {"forms": _counting_forms([])._replace(bounds=None)}):
-        with pytest.raises(ValueError, match="a series, or closed forms with bounds"):
+def test_constructor_takes_a_series_or_bounds():
+    koebe = BoundFamily("koebe")
+    for kwargs in ({}, {"series": _sample_seq(), "bounds": (koebe, 1, 1)}):
+        with pytest.raises(ValueError, match="exactly one of a series and bounds"):
             HarmonicMap("bad", **kwargs)
+    for signs in ((0, 1), (1, 2), (-1, 0.5)):
+        with pytest.raises(ValueError, match="signs must be [+]1 or -1"):
+            HarmonicMap("bad", bounds=(koebe, *signs))
+    with pytest.raises(TypeError, match="forms"):
+        HarmonicMap("bad", forms=ClosedForm(abs, abs, abs, abs))
+    assert ClosedForm._fields == ("h", "g", "dh", "dg")
+    assert HarmonicMap("K", bounds=(koebe, 1, 1)).coefficient(2) == (2.5 + 0j, 0.5 + 0j)
 
 
 # -- dilation -------------------------------------------------------------------
@@ -355,8 +362,15 @@ def test_section_of_closed_form_with_rule():
 
 
 def test_section_degree_validation():
-    with pytest.raises(ValueError):
-        identity_map().section(0, 0)
+    for n, m in ((0, 0), (1, -1)):
+        with pytest.raises(ValueError, match="section degrees require n >= 1, m >= 0"):
+            identity_map().section(n, m)
+    # a degree is an integer: no truncation of 2.5, and no failure inside range()
+    for n, m in ((2.5, 2), (2, 2.0), (True, 1), (2, np.float64(1.0))):
+        with pytest.raises(TypeError, match="section degree must be an integer"):
+            harmonic_koebe().section(n, m)
+    s = harmonic_koebe().section(np.int64(3), np.int32(2))
+    assert s.coefficient(3) == (harmonic_koebe().coefficient(3)[0], 0j)
 
 
 @pytest.mark.parametrize("n, m", [(3000, 3000), (1, 0), (2, 7), (7, 2)])

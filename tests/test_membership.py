@@ -63,10 +63,15 @@ def test_grid_points_are_fresh_and_unchanged():
 
 
 def test_grid_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="grid needs n_radial >= 2, n_angular >= 1"):
         GridSpec(1, 8, 0.5)
     with pytest.raises(ValueError):
         GridSpec(10, 8, 1.0)
+    # counts are integers: a float fails here, not inside np.geomspace
+    for radial, angular in ((10.5, 8.7), (10.0, 8), (10, 8.0), (True, 8)):
+        with pytest.raises(TypeError, match="grid size must be an integer"):
+            GridSpec(radial, angular, 0.5)
+    assert len(GridSpec(np.int64(10), np.int32(8), 0.5).points()) == 80
 
 
 def test_grid_point_cap():
@@ -857,10 +862,15 @@ def test_ckdtree_is_a_lazy_module_attribute():
 
 
 def test_injectivity_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=re.escape("resolution must lie in [8, 512]")):
         injectivity_oracle(identity_map(), 0.5, 600)
     with pytest.raises(ValueError):
         injectivity_oracle(identity_map(), 1.2, 64)
+    # 64.9 is refused, not run as a 64x64 grid
+    for bad in (64.9, 64.0, np.float64(64.0), True):
+        with pytest.raises(TypeError, match="resolution must be an integer"):
+            injectivity_oracle(identity_map(), 0.5, bad)
+    assert injectivity_oracle(identity_map(), 0.5, np.int64(16)).verdict == "inconclusive"
 
 
 # -- implication properties ------------------------------------------------------------
