@@ -78,6 +78,7 @@ class CoefficientSeq(record("CoefficientSeq", "a b truncation tail")):
     __slots__ = ()
 
     def __new__(cls, a=None, b=None, truncation=1, tail=None):
+        truncation = check_index(truncation, None, "truncation")
         if truncation < 1:
             raise ValueError("truncation must be >= 1")
         stored = []

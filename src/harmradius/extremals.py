@@ -62,77 +62,78 @@ CONVEX_EXTREMAL_CONVEXITY_RADIUS = math.sqrt(2.0) - 1.0
 
 # -- evaluators from a family and two signs ---------------------------------
 
-# Powers are written as products: numpy raises a complex array to an integer
-# power one element at a time, some 20 times slower than a product.  Halving
-# is a product by 0.5: numpy divides complex arrays by the complex 2 + 0j.
+# Each base map has two pair evaluators, (h, g) and (h', g'), which compute
+# their shared subexpressions once.  Powers are written as products: numpy
+# raises a complex array to an integer power one element at a time, some 20
+# times slower than a product.  Halving is a product by 0.5: numpy divides
+# complex arrays by the complex 2 + 0j.
 
-def _koebe_h(z):
+def _koebe_f(z):
     q, zz = 1 - z, z * z
-    return (z - zz * 0.5 + z * zz / 6) / (q * (q * q))
+    cube, qqq = z * zz / 6, q * (q * q)
+    return (z - zz * 0.5 + cube) / qqq, (zz * 0.5 + cube) / qqq
 
 
-def _koebe_g(z):
-    q, zz = 1 - z, z * z
-    return (zz * 0.5 + z * zz / 6) / (q * (q * q))
-
-
-def _koebe_dh(z):
+def _koebe_df(z):
     qq = (1 - z) * (1 - z)
-    return (1 + z) / (qq * qq)
+    p, qqqq = 1 + z, qq * qq
+    return p / qqqq, z * p / qqqq
 
 
-def _koebe_dg(z):
-    qq = (1 - z) * (1 - z)
-    return z * (1 + z) / (qq * qq)
-
-
-def _convex_h(z):
-    return (z / (1 - z) + z / (1 - z) ** 2) * 0.5
-
-
-def _convex_g(z):
-    return (z / (1 - z) - z / (1 - z) ** 2) * 0.5
-
-
-def _convex_dh(z):
+def _convex_f(z):
     q = 1 - z
-    return (1 / (q * q) + (1 + z) / (q * (q * q))) * 0.5
+    s, t = z / q, z / q ** 2
+    return (s + t) * 0.5, (s - t) * 0.5
 
 
-def _convex_dg(z):
+def _convex_df(z):
     q = 1 - z
-    return (1 / (q * q) - (1 + z) / (q * (q * q))) * 0.5
+    s, t = 1 / (q * q), (1 + z) / (q * (q * q))
+    return (s + t) * 0.5, (s - t) * 0.5
 
 
 def _uniform_base(family: BoundFamily):
-    """f0's h, g, h', g' and signs (-,-): h(z) = z - (c/2) z^2/(1-z) and
+    """f0's pair evaluators and signs (-,-): h(z) = z - (c/2) z^2/(1-z) and
     g(z) = -|b1| z - (c/2) z^2/(1-z), so a_n = b_n = -c/2 for n >= 2."""
     c, b1 = family.c, family.b1_abs
-    tail = lambda z: (c / 2) * z * z / (1 - z)
-    # d/dz [z^2/(1-z)] = 1/(1-z)^2 - 1
-    dtail = lambda z: (c / 2) * (1 / (1 - z) ** 2 - 1)
-    return (lambda z: z - tail(z), lambda z: -b1 * z - tail(z),
-            lambda z: 1 - dtail(z), lambda z: -b1 - dtail(z)), -1, -1
+
+    def f(z):
+        tail = (c / 2) * z * z / (1 - z)
+        return z - tail, -b1 * z - tail
+
+    def df(z):
+        # d/dz [z^2/(1-z)] = 1/(1-z)^2 - 1
+        dtail = (c / 2) * (1 / (1 - z) ** 2 - 1)
+        return 1 - dtail, -b1 - dtail
+
+    return (f, df), -1, -1
 
 
 # The base maps of the koebe and convex families, with their signs: the
 # harmonic Koebe function K (+,+) and the convex extremal L (+,-).
-_BASES = {"koebe": ((_koebe_h, _koebe_g, _koebe_dh, _koebe_dg), 1, 1),
-          "convex": ((_convex_h, _convex_g, _convex_dh, _convex_dg), 1, -1)}
+_BASES = {"koebe": ((_koebe_f, _koebe_df), 1, 1), "convex": ((_convex_f, _convex_df), 1, -1)}
 
 
 def named_forms(family: BoundFamily, sign_a: int, sign_b: int) -> tuple:
-    """The evaluators (h, g, h', g') of the named map with bounds (family,
-    sign_a, sign_b): the family's base map, K, L or f0, with h -> 2z - h
-    (negating a_n, n >= 2) or g -> -g (negating b_n) for each sign that
-    differs from the base's."""
-    (h, g, dh, dg), base_a, base_b = (_uniform_base(family) if family.kind == "uniform"
-                                      else _BASES[family.kind])
-    if sign_a != base_a:
-        h, dh = (lambda z, h=h: 2 * z - h(z)), (lambda z, dh=dh: 2 - dh(z))
-    if sign_b != base_b:
-        g, dg = (lambda z, g=g: -g(z)), (lambda z, dg=dg: -dg(z))
-    return h, g, dh, dg
+    """The pair evaluators f(z) = (h(z), g(z)) and df(z) = (h'(z), g'(z)) of
+    the named map with bounds (family, sign_a, sign_b): those of the family's
+    base map, K, L or f0, with h -> 2z - h, h' -> 2 - h' (negating a_n, n >= 2)
+    or g -> -g, g' -> -g' (negating b_n) for each sign unlike the base's."""
+    (f, df), base_a, base_b = (_uniform_base(family) if family.kind == "uniform"
+                               else _BASES[family.kind])
+    flip_a, flip_b = sign_a != base_a, sign_b != base_b
+    if not (flip_a or flip_b):
+        return f, df
+
+    def signed_f(z):
+        h, g = f(z)
+        return (2 * z - h if flip_a else h), (-g if flip_b else g)
+
+    def signed_df(z):
+        dh, dg = df(z)
+        return (2 - dh if flip_a else dh), (-dg if flip_b else dg)
+
+    return signed_f, signed_df
 
 
 # -- the named maps -----------------------------------------------------------

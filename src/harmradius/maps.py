@@ -1,9 +1,9 @@
 """Harmonic mappings of the unit disk, f = h + conj(g).
 
 A HarmonicMap is a coefficient sequence or a named map.  A sequence is
-compiled into polynomial evaluators for h, g and their derivatives; a
+compiled into polynomial evaluators of the pairs (h, g) and (h', g'); a
 named map is a bound family and two signs, which give its coefficients,
-and extremals derives its evaluators from them.  Maps support
+and extremals derives its pair evaluators from them.  Maps support
 evaluation, the two Wirtinger derivatives f_z = h' and f_zbar =
 conj(g'), the Jacobian |h'|^2 - |g'|^2, the second complex dilatation
 g'/h', dilation f_r(z) = f(rz)/r, and truncation to partial sums.
@@ -15,7 +15,6 @@ evaluated by numpy, which this module imports on the first array call.
 Maps are immutable once constructed.
 """
 
-import functools
 import math
 
 from ._util import UnsupportedOperation, check_index, horner, horner_array, record
@@ -36,9 +35,10 @@ class EvaluationDomainError(ValueError):
     """Raised when an evaluation point falls outside the trusted domain."""
 
 
-class ClosedForm(record("ClosedForm", "h g dh dg")):
-    """Evaluators (callables) for h, g and their derivatives: compiled from a
-    series, or extremals.named_forms of a named map's bounds."""
+class ClosedForm(record("ClosedForm", "f df")):
+    """Pair evaluators of a map: f(w) gives (h(w), g(w)) and df(w) gives
+    (h'(w), g'(w)), compiled from a series, or extremals.named_forms of a
+    named map's bounds.  Neither writes into w."""
 
     __slots__ = ()
 
@@ -57,12 +57,13 @@ def _compile(seq: CoefficientSeq) -> ClosedForm:
     h, g = tuple(reversed(ch)), tuple(reversed(cg))
     dh = tuple(reversed([c * n for n, c in enumerate(ch) if n]))
     dg = tuple(reversed([c * n for n, c in enumerate(cg) if n]))
-    return ClosedForm(*map(_polynomial, (h, g, dh, dg)))
+    return ClosedForm(_polynomials(h, g), _polynomials(dh, dg))
 
 
-def _polynomial(coeffs):
-    # a point is a complex, or a complex array, evaluated in place (see HarmonicMap._point)
-    return lambda w: horner(coeffs, w) if isinstance(w, complex) else horner_array(coeffs, w)
+def _polynomials(p, q):
+    # a point is a complex, or a complex array (see HarmonicMap._point)
+    return lambda w: ((horner(p, w), horner(q, w)) if isinstance(w, complex)
+                      else (horner_array(p, w), horner_array(q, w)))
 
 
 # Evaluation domain per backing: the largest accepted |z| and the refusal
@@ -94,12 +95,13 @@ class HarmonicMap:
         self._domain = _CLOSED_DOMAIN if series is None else _SERIES_DOMAIN
         self._scale = float(scale)
 
-    @functools.cached_property
-    def _forms(self) -> ClosedForm:
-        if self._series is None:
-            return ClosedForm(*named_forms(*self._bounds))
-        # a CoefficientSeq is normalized by construction: a_1 = 1, |b_1| < 1
-        return _compile(self._series)
+    def _evaluators(self) -> ClosedForm:
+        """The pair evaluators, built on first use and kept as vars(self)["_forms"]."""
+        forms = vars(self).get("_forms")
+        if forms is None:  # a CoefficientSeq is normalized by construction: a_1 = 1, |b_1| < 1
+            forms = self._forms = (ClosedForm(*named_forms(*self._bounds))
+                                   if self._series is None else _compile(self._series))
+        return forms
 
     # -- constructors -----------------------------------------------------
 
@@ -118,7 +120,8 @@ class HarmonicMap:
 
     def _point(self, z):
         """z checked against the domain, times the dilation: a complex for a
-        number or a 0-d array, a complex array otherwise."""
+        number or a 0-d array, a complex array otherwise (z itself, when z is
+        a complex array and the map is not dilated)."""
         limit, message = self._domain
         if getattr(z, "ndim", 0) or isinstance(z, (list, tuple)):
             import numpy as np
@@ -130,25 +133,25 @@ class HarmonicMap:
             outside = abs(w) > limit
         if outside:
             raise EvaluationDomainError(message)
-        return w * self._scale
+        return w if self._scale == 1.0 else w * self._scale
 
     # -- evaluation --------------------------------------------------------
 
     def __call__(self, z):
         """f(z) = h(z) + conj(g(z)), broadcasting over array input."""
-        w = self._point(z)
-        return (self._forms.h(w) + self._forms.g(w).conjugate()) / self._scale
+        h, g = self._evaluators().f(self._point(z))
+        f = h + g.conjugate()
+        return f if self._scale == 1.0 else f / self._scale
 
     def wirtinger(self, z):
         """The Wirtinger derivatives (f_z, f_zbar) = (h'(z), conj(g'(z)))."""
-        w = self._point(z)
-        return self._forms.dh(w), self._forms.dg(w).conjugate()
+        dh, dg = self._evaluators().df(self._point(z))
+        return dh, dg.conjugate()
 
     def jacobian(self, z):
         """J_f(z) = |h'(z)|^2 - |g'(z)|^2.  Positive iff sense-preserving at z."""
-        w = self._point(z)
+        dh, dg = map(abs, self._evaluators().df(self._point(z)))
         # products: numpy squares an array by one, where float ** 2 calls pow()
-        dh, dg = abs(self._forms.dh(w)), abs(self._forms.dg(w))
         return dh * dh - dg * dg
 
     def dilatation(self, z):
@@ -157,10 +160,9 @@ class HarmonicMap:
         Raises:
             ZeroDivisionError: if |h'(z)| <= 1e-14 at any requested point.
         """
-        w = self._point(z)
-        dh, dg = self._forms.dh(w), self._forms.dg(w)
+        dh, dg = self._evaluators().df(self._point(z))
         small = abs(dh) <= 1e-14
-        if small if isinstance(w, complex) else small.any():
+        if small if isinstance(dh, complex) else small.any():
             raise ZeroDivisionError(f"{self.label}: h' vanishes at a requested point")
         return dg / dh
 

@@ -340,10 +340,14 @@ def _sense_preserving(f: HarmonicMap, pts: np.ndarray) -> bool:
 
 
 def _cell_rows(c: np.ndarray) -> np.ndarray:
-    """The occupied cell rows c renumbered from 0, every gap between two
-    neighbouring ones capped at 2: touching rows stay touching, the others
-    stay apart, and the numbers stay below 2 * c.size."""
+    """The occupied cell rows c (integers as floats) numbered from 0 below
+    2 * c.size, touching rows touching and the others apart: as offsets from
+    the lowest when they span fewer than 2 * c.size, as a grid's images mostly
+    do, and otherwise with every gap between neighbouring ones capped at 2."""
     np = _np()
+    low = c.min()
+    if c.max() - low < 2 * c.size:  # exact: integers at most 2 * c.size apart
+        return (c - low).astype(np.int64)
     rows, index = np.unique(c, return_inverse=True)
     number = np.r_[0.0, np.minimum(np.diff(rows), 2.0).cumsum()].astype(np.int64)
     return number[index]
@@ -374,9 +378,10 @@ def _cell_pairs(x: np.ndarray, y: np.ndarray, reach: float):
     cells = key[order[start]]
     count = np.diff(np.r_[start, key.size])
 
-    # links (src, dst): a cell of several points to itself, and to each neighbour
+    # links (src, dst): a cell to each neighbour; a cell of several points also
+    # pairs with itself (see triangle)
     same, step = np.flatnonzero(count > 1), np.flatnonzero(np.diff(cells) == 1)
-    links = [(same, same), (step, step + 1)]
+    links = [(step, step + 1)]
     at = np.searchsorted(cells, cells + width - 1)
     for dy in (-1, 0, 1):  # the keys are sorted and distinct: step past each hit
         hit = cells[np.minimum(at, cells.size - 1)] == cells + width + dy
@@ -388,17 +393,25 @@ def _cell_pairs(x: np.ndarray, y: np.ndarray, reach: float):
         i, j = i[near], j[near]
         return np.minimum(i, j), np.maximum(i, j)
 
+    def ranges(size):  # (g, k) for each g in turn and each k in range(size[g])
+        g = np.repeat(np.arange(size.size), size)
+        return g, np.arange(g.size) - np.repeat(np.cumsum(size) - size, size)
+
     def combinations(src, dst):  # every (point of src, point of dst), one per row
         n_dst = count[dst]
-        size = count[src] * n_dst
-        group = np.repeat(np.arange(src.size), size)
-        local = np.arange(int(size.sum())) - np.repeat(np.cumsum(size) - size, size)
-        # positions in order: p < q keeps a cell's pairs with itself once, all of two cells
+        group, local = ranges(count[src] * n_dst)
         p = start[src][group] + local // n_dst[group]
         q = start[dst][group] + local % n_dst[group]
-        return order[p[p < q]], order[q[p < q]]
+        return order[p], order[q]
 
-    pairs = []
+    def triangle(cell):  # every (p, q), p < q, of the points of each cell
+        n = count[cell]
+        group, k = ranges(n - 1)  # each point but the last of its cell, then those after it
+        after, local = ranges(n[group] - 1 - k)
+        p = (start[cell][group] + k)[after]
+        return order[p], order[p + 1 + local]
+
+    pairs = [close(*triangle(same))]
     for src, dst in links:
         one = (count[src] == 1) & (count[dst] == 1)  # one point each: the pair itself
         pairs.append(close(order[start[src[one]]], order[start[dst[one]]]))
@@ -488,8 +501,7 @@ def injectivity_oracle(f: HarmonicMap, r: float,
     if not 8 <= resolution <= 512:
         raise ValueError("resolution must lie in [8, 512]")
     axis = np.linspace(-r, r, resolution)
-    xs, ys = np.meshgrid(axis, axis)
-    pts = (xs + 1j * ys).ravel()
+    pts = (axis + 1j * axis[:, None]).ravel()
     pts = pts[np.abs(pts) <= r]
     pitch = 2.0 * r / (resolution - 1)
     if 5.0 * pitch / 16 < _MIN_REACH:

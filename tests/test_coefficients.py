@@ -63,6 +63,14 @@ def test_seq_rejects_index_beyond_truncation():
         CoefficientSeq({5: 1.0}, {}, 4)
 
 
+def test_seq_truncation_is_an_integer():
+    for truncation in (2.5, 3.0, "3", True):
+        with pytest.raises(TypeError, match="truncation must be an integer"):
+            CoefficientSeq({2: 0.1}, {}, truncation)
+    seq = CoefficientSeq({2: 0.1}, {}, np.int64(3))
+    assert seq.truncation == 3 and type(seq.truncation) is int
+
+
 def test_seq_rejects_large_b1():
     with pytest.raises(ValueError):
         CoefficientSeq({}, {1: 1.0}, 1)

@@ -132,13 +132,17 @@ def _bit_points(rng):
 
 
 def _same_bits(form, ref, points, what):
-    """form and ref agree bit for bit on the array of points and on each point."""
+    """form and ref agree bit for bit on the array of points and on each
+    point; each gives a number or a tuple of them (a pair evaluator's)."""
+    values = lambda v: v if isinstance(v, tuple) else (v,)
     arr = np.array(points)
-    assert form(arr).tobytes() == ref(arr).tobytes(), what
+    for got, want in zip(values(form(arr)), values(ref(arr)), strict=True):
+        assert got.tobytes() == want.tobytes(), what
     for z in points:
-        got, want = form(z), ref(z)
-        assert isinstance(got, complex), what
-        assert struct.pack("2d", got.real, got.imag) == struct.pack("2d", want.real, want.imag), what
+        for got, want in zip(values(form(z)), values(ref(z)), strict=True):
+            assert isinstance(got, complex), what
+            assert (struct.pack("2d", got.real, got.imag)
+                    == struct.pack("2d", want.real, want.imag)), what
 
 
 def test_halving_by_product_keeps_the_bits(rng):
@@ -146,16 +150,57 @@ def test_halving_by_product_keeps_the_bits(rng):
 
     points = _bit_points(rng)
     for name in _halved_by_division(0j):
-        _same_bits(getattr(extremals, name), lambda z: _halved_by_division(z)[name],
-                   points, name)
+        # "_koebe_h" is the first value of the pair evaluator _koebe_f, "_koebe_dg"
+        # the second of _koebe_df
+        base, part = name.rsplit("_", 1)
+        pair = getattr(extremals, base + ("_df" if part.startswith("d") else "_f"))
+        _same_bits(lambda z: pair(z)["hg".index(part[-1])],
+                   lambda z: _halved_by_division(z)[name], points, name)
+
+
+# The base maps' evaluators as they read when each of h, g, h', g' had a
+# function of its own: the reference for the bits of the pair evaluators.
+def _koebe_h(z):
+    q, zz = 1 - z, z * z
+    return (z - zz * 0.5 + z * zz / 6) / (q * (q * q))
+
+
+def _koebe_g(z):
+    q, zz = 1 - z, z * z
+    return (zz * 0.5 + z * zz / 6) / (q * (q * q))
+
+
+def _koebe_dh(z):
+    qq = (1 - z) * (1 - z)
+    return (1 + z) / (qq * qq)
+
+
+def _koebe_dg(z):
+    qq = (1 - z) * (1 - z)
+    return z * (1 + z) / (qq * qq)
+
+
+def _convex_h(z):
+    return (z / (1 - z) + z / (1 - z) ** 2) * 0.5
+
+
+def _convex_g(z):
+    return (z / (1 - z) - z / (1 - z) ** 2) * 0.5
+
+
+def _convex_dh(z):
+    q = 1 - z
+    return (1 / (q * q) + (1 + z) / (q * (q * q))) * 0.5
+
+
+def _convex_dg(z):
+    q = 1 - z
+    return (1 / (q * q) - (1 + z) / (q * (q * q))) * 0.5
 
 
 def test_signed_maps_keep_the_bits_of_their_hand_written_forms(rng):
     # the flipped bases against the expressions F0, L0 and f0 were written as
     # when each carried its own evaluators: the same operations in the same order
-    from harmradius.extremals import (_convex_dg, _convex_dh, _convex_g, _convex_h,
-                                      _koebe_dg, _koebe_dh, _koebe_g, _koebe_h)
-
     c, b1 = 2.0, 0.3
     tail = lambda z: (c / 2) * z * z / (1 - z)
     dtail = lambda z: (c / 2) * (1 / (1 - z) ** 2 - 1)
@@ -167,11 +212,37 @@ def test_signed_maps_keep_the_bits_of_their_hand_written_forms(rng):
         "f0": (lambda z: z - tail(z), lambda z: -b1 * z - tail(z),
                lambda z: 1 - dtail(z), lambda z: -b1 - dtail(z)),
     }
+    cases = [(get_extremal(label, c, b1) if label in PARAMETERS else get_extremal(label), refs)
+             for label, refs in written.items()]
+    # every family and sign pair: its base's forms, each flipped as named_forms flips it
+    bases = {BoundFamily("koebe"): ((_koebe_h, _koebe_g, _koebe_dh, _koebe_dg), 1, 1),
+             BoundFamily("convex"): ((_convex_h, _convex_g, _convex_dh, _convex_dg), 1, -1),
+             BoundFamily.uniform(c, b1): (written["f0"], -1, -1)}
+    for family, ((h, g, dh, dg), base_a, base_b) in bases.items():
+        for sign_a in (1, -1):
+            for sign_b in (1, -1):
+                refs = [h, g, dh, dg]
+                if sign_a != base_a:
+                    refs[0::2] = (lambda z, h=h: 2 * z - h(z)), (lambda z, dh=dh: 2 - dh(z))
+                if sign_b != base_b:
+                    refs[1::2] = (lambda z, g=g: -g(z)), (lambda z, dg=dg: -dg(z))
+                cases.append((HarmonicMap("x", bounds=(family, sign_a, sign_b)), refs))
+    assert len(cases) == 15
     points = _bit_points(rng)
-    for label, refs in written.items():
-        f = get_extremal(label, c, b1) if label in PARAMETERS else get_extremal(label)
-        for name, form, ref in zip(("h", "g", "dh", "dg"), f._forms, refs):
-            _same_bits(form, ref, points, f"{label}.{name}")
+    numbers = [complex(z) for z in points]
+    for f, (h, g, dh, dg) in cases:
+        what = f"{f.family[0].kind}{f.coefficient(2)}"
+        _same_bits(f._evaluators().f, lambda z: (h(z), g(z)), points, what)
+        _same_bits(f._evaluators().df, lambda z: (dh(z), dg(z)), points, what)
+        # the map's evaluators, undilated (no product or quotient by 1) and
+        # dilated by 0.3: h, g, h', g' at w = 0.3 z, and f over 0.3; a map
+        # evaluates a number as a Python complex
+        _same_bits(f, lambda z: h(z) + g(z).conjugate(), numbers, what)
+        _same_bits(f.wirtinger, lambda z: (dh(z), dg(z).conjugate()), numbers, what)
+        fs = f.dilate(0.3)
+        _same_bits(fs, lambda z: (h(z * 0.3) + g(z * 0.3).conjugate()) / 0.3, numbers, what)
+        _same_bits(fs.wirtinger, lambda z: (dh(z * 0.3), dg(z * 0.3).conjugate()),
+                   numbers, what)
 
 
 def test_koebe_dilatation_is_z(rng):

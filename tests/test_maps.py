@@ -108,14 +108,14 @@ def test_compiled_evaluators_match_numpy_polynomial_bit_for_bit(rng):
             ch = np.array([0, 1, *a[2:]], dtype=complex)
             cg = np.array([0, *b[1:]], dtype=complex)
             forms = _compile(seq)
-            pairs = [(forms.h, ch), (forms.g, cg), (forms.dh, npoly.polyder(ch)),
-                     (forms.dg, npoly.polyder(cg))]
+            pairs = [(forms.f, (ch, cg)), (forms.df, (npoly.polyder(ch), npoly.polyder(cg)))]
             for w in (0.5 * rand((3, 4)), np.asarray(0.5 * rand(1)[0]), np.asarray(0j),
                       np.array([0j, 0.3, -0.4, 0.25j, -0.5j])):
-                for evaluate, c in pairs:
-                    got, want = np.asarray(evaluate(w)), np.asarray(npoly.polyval(w, c))
-                    assert got.dtype == want.dtype and got.shape == want.shape
-                    assert got.tobytes() == want.tobytes(), (degree, zeros)
+                for evaluate, cs in pairs:
+                    for got, c in zip(evaluate(w), cs, strict=True):
+                        got, want = np.asarray(got), np.asarray(npoly.polyval(w, c))
+                        assert got.dtype == want.dtype and got.shape == want.shape
+                        assert got.tobytes() == want.tobytes(), (degree, zeros)
 
 
 def test_wirtinger_matches_finite_differences(rng):
@@ -270,6 +270,20 @@ def test_named_maps_are_normalized(label, params):
     assert abs(b1) < 1
 
 
+def test_undilated_evaluation_leaves_its_input_unchanged(rng):
+    # an undilated map evaluates the caller's complex array itself, not a scaled copy
+    z = 0.7 * rng.uniform(0.0, 1.0, 64) * np.exp(2j * np.pi * rng.uniform(0.0, 1.0, 64))
+    before = z.tobytes()
+    maps = [HarmonicMap.from_series(_sample_seq()), identity_map()]
+    maps += [get_extremal(label, *([1.5, 0.25] if label in PARAMETERS else []))
+             for label in EXTREMALS]
+    for f in maps:
+        for evaluate in (f, f.wirtinger, f.jacobian, f.dilatation):
+            out = evaluate(z)
+            assert z.tobytes() == before, (f.label, evaluate)
+            assert all(v is not z for v in (out if isinstance(out, tuple) else (out,)))
+
+
 def test_dilate_calls_no_evaluator(monkeypatch):
     from harmradius import maps
 
@@ -295,8 +309,8 @@ def test_constructor_takes_a_series_or_bounds():
         with pytest.raises(ValueError, match="signs must be [+]1 or -1"):
             HarmonicMap("bad", bounds=(koebe, *signs))
     with pytest.raises(TypeError, match="forms"):
-        HarmonicMap("bad", forms=ClosedForm(abs, abs, abs, abs))
-    assert ClosedForm._fields == ("h", "g", "dh", "dg")
+        HarmonicMap("bad", forms=ClosedForm(abs, abs))
+    assert ClosedForm._fields == ("f", "df")
     assert HarmonicMap("K", bounds=(koebe, 1, 1)).coefficient(2) == (2.5 + 0j, 0.5 + 0j)
 
 

@@ -76,7 +76,7 @@ RECORDS = [
     (JacobianProfile("f0", ((1.0,), (1.0, -2.0, 0.5)), 2), None, None),
     (BlochRow(1.0, 4 / math.pi, 0.2, 0.1, 0.3, 0.4), {"R_S": 0.5},
      "R_S must lie in (0, r_S)"),
-    (ClosedForm(abs, abs, abs, abs), None, None),
+    (ClosedForm(abs, abs), None, None),
     (GridSpec(), {"n_radial": 1}, "grid needs n_radial >= 2, n_angular >= 1"),
     (MembershipReport("satisfied", 0.5), {"verdict": "maybe"}, "unknown verdict 'maybe'"),
 ]
