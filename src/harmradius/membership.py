@@ -58,10 +58,16 @@ COLLISION_TOL = 1e-9
 _MAX_GRID_POINTS = 512 * 512
 # Most candidate pairs the injectivity oracle Newton-refines, closest images first.
 _MAX_REFINED = 2000
-# Shortest pair-search reach: its square is the smallest normal float.
+# Shortest pair-search reach: its square is the smallest normal float, and it
+# is a power of two, 2^-511.
 _MIN_REACH = math.sqrt(sys.float_info.min)
 # Widest image span the pair search takes: its square is the largest finite float.
 _MAX_SPAN = math.sqrt(sys.float_info.max)
+# Points per slice of the oracle's grid evaluations, so that each temporary
+# stays small.  numpy elides temporaries of 256 KiB and up, 16,384 complex
+# points, which moves the last bits of f and J: every slice of an array over
+# _BLOCK / 2 points is over it too (see _blocks).
+_BLOCK = 32_768
 
 
 def __getattr__(name):
@@ -113,7 +119,7 @@ class GridSpec(record("GridSpec", "n_radial n_angular r_max", (200, 64, 0.999)))
 
     def describe(self) -> str:
         return (f"{self.n_radial}x{self.n_angular} polar grid, geometric "
-                f"clustering toward r_max={self.r_max:g}")
+                f"clustering toward r_max={float(self.r_max)!r}")
 
 
 class MembershipReport(record("MembershipReport", "verdict margin witness grid_spec boundary "
@@ -333,6 +339,13 @@ def _closest_first(dist: np.ndarray, key: np.ndarray) -> np.ndarray:
     return keep[np.lexsort((key[keep], dist[keep]))][:_MAX_REFINED]
 
 
+def _blocks(n: int):
+    """Slices of range(n), _BLOCK long but for the last, which takes any
+    remainder of at most _BLOCK / 2: over n > _BLOCK / 2 each slice is too."""
+    cuts = [*range(0, max(n - _BLOCK // 2, 1), _BLOCK), n]
+    return [slice(a, b) for a, b in zip(cuts, cuts[1:])]
+
+
 def _sense_preserving(f: HarmonicMap, pts: np.ndarray) -> bool:
     """Whether J > 0, and finite, at every point of pts."""
     jac = f.jacobian(pts)
@@ -419,6 +432,19 @@ def _cell_pairs(x: np.ndarray, y: np.ndarray, reach: float):
     return tuple(np.concatenate(column) for column in zip(*pairs))
 
 
+def _reaches(pitch: float) -> list[float]:
+    """The pair search's reaches: the powers of two from the largest at or
+    below 5/16 of a pitch while they stay below 5 pitches, then 5 pitches;
+    five or six in all.  Each but the last is its own cell side (see
+    _cell_pairs)."""
+    reach = math.ldexp(1.0, math.frexp(5.0 * pitch / 16)[1] - 1)
+    reaches = []
+    while reach < 5.0 * pitch:
+        reaches.append(reach)
+        reach *= 2.0
+    return reaches + [5.0 * pitch]
+
+
 def _simple_polygon(p: np.ndarray) -> bool:
     """Whether the closed polygon through the points p, in order, is simple:
     no two non-adjacent edges meet, touching included.
@@ -478,11 +504,15 @@ def injectivity_oracle(f: HarmonicMap, r: float,
     injectivity.
 
     The pair search reaches out only as far as those candidates need: its
-    radius, the reach, doubles from 5/16 of a pitch to 5 pitches and stops
-    at the first reach that holds _MAX_REFINED candidates with image
-    distance <= reach * (1 - 1e-9).  Every candidate of the 5-pitch search
-    up to the _MAX_REFINED-th closest image, ties included, is then among
-    them, so the refined pairs are the same.
+    radius, the reach, runs through the powers of two from the largest at
+    or below 5/16 of a pitch, each its own cell side, while they stay below
+    5 pitches, then 5 pitches (see _reaches).  It stops at the first reach
+    that holds _MAX_REFINED candidates with image distance
+    <= reach * (1 - 1e-9).  Every candidate of the 5-pitch search up to the
+    _MAX_REFINED-th closest image, ties included, is then among them, so
+    the refined pairs are those of the 5-pitch search, for any increasing
+    reaches that end at 5 pitches.  f and J are evaluated on the grid in
+    slices (see _blocks), which give the bytes of one whole-grid call.
 
     The collision tolerance is COLLISION_TOL and Newton stops at a residual
     of 1e-13, both times the grid's image scale, min(1, pitch / 1e-4): on
@@ -510,7 +540,7 @@ def injectivity_oracle(f: HarmonicMap, r: float,
     sep = 2.0 * pitch
     scale = min(1.0, pitch / 1e-4)
     tol = COLLISION_TOL * scale
-    spec = (f"{resolution}x{resolution} cartesian grid on |z|<={r:g}, "
+    spec = (f"{resolution}x{resolution} cartesian grid on |z|<={r!r}, "
             f"pitch {pitch:.3g}, Newton-refined collision candidates")
 
     m = 4 * resolution
@@ -519,23 +549,24 @@ def injectivity_oracle(f: HarmonicMap, r: float,
     # a non-finite sample fails the stage below and is refused before the search
     with np.errstate(over="ignore", invalid="ignore"):
         if (_sense_preserving(f, ring) and _simple_polygon(f(ring))
-                and _sense_preserving(f, pts)):
+                and all(_sense_preserving(f, pts[s]) for s in _blocks(pts.size))):
             return MembershipReport(
                 "inconclusive", 5.0 * pitch - tol, None, spec,
                 note="argument principle: J > 0 at every sample and the image "
                      "of |z|=r is a simple polygon",
             )
-        images = f(pts)
+        images = np.empty_like(pts)
+        for s in _blocks(pts.size):
+            images[s] = f(pts[s])
         _require_finite(images)
         span = math.hypot(images.real.max() - images.real.min(),
                           images.imag.max() - images.imag.min())
     if span > _MAX_SPAN:
-        raise ValueError(f"the images of a {resolution}x{resolution} grid on |z|<={r:g} "
+        raise ValueError(f"the images of a {resolution}x{resolution} grid on |z|<={r!r} "
                          f"span {span:.3g}: the pair search's squared distances would "
                          f"overflow")
 
-    for k in range(4, -1, -1):
-        reach = 5.0 * pitch / 2 ** k
+    for reach in _reaches(pitch):
         first, second = _cell_pairs(images.real, images.imag, reach)
         far = np.abs(pts[first] - pts[second]) > sep
         first, second = first[far], second[far]

@@ -445,9 +445,9 @@ def _full_search_reference(monkeypatch, f, r, resolution):
     queries = []
 
     def one_search(x, y, reach):
-        # the four shorter reaches find nothing, so the oracle takes the fifth
+        # the shorter reaches find nothing, so the oracle takes the last, 5 pitches
         queries.append(reach)
-        return full.T if len(queries) == 5 else (np.empty(0, np.intp), np.empty(0, np.intp))
+        return full.T if reach == 5.0 * pitch else (np.empty(0, np.intp), np.empty(0, np.intp))
 
     with monkeypatch.context() as m:
         _search_only(m)
@@ -539,19 +539,24 @@ def test_injectivity_report_matches_full_search_on_a_seeded_sweep(monkeypatch, l
                                                                    r, resolution):
     f = _oracle_map(label)
     log = _record_queries(monkeypatch)
-    # a map the stage settles makes no search, whose first reach is 5/16 of a
-    # pitch; the search below runs on every map
-    first_reach = 5.0 * (2.0 * r / (resolution - 1)) / 2 ** 4
+    # a map the stage settles makes no search, whose first reach is the largest
+    # power of two at or below 5/16 of a pitch; the search below runs on every map
+    pitch = 2.0 * r / (resolution - 1)
+    first_reach = 2.0 ** math.floor(math.log2(5.0 * pitch / 16))
+    assert first_reach <= 5.0 * pitch / 16 < 2 * first_reach
     settled = injectivity_oracle(f, r, resolution).note == STAGE_NOTE
     assert settled == (first_reach not in [reach for reach, _ in log])
     _search_only(monkeypatch)
     log.clear()
     got = _with_refined(monkeypatch, lambda: injectivity_oracle(f, r, resolution))
     reaches = [reach for reach, _ in log]
-    assert 1 <= len(reaches) <= 5
-    assert all(longer == 2 * shorter for shorter, longer in zip(reaches, reaches[1:]))
+    # the powers of two below 5 pitches, doubling, then 5 pitches; cut at the stop
+    schedule = [first_reach * 2 ** k for k in range(5) if first_reach * 2 ** k < 5.0 * pitch]
+    assert 1 <= len(reaches) <= 6
+    assert reaches == (schedule + [5.0 * pitch])[:len(reaches)]
     if resolution == 8:
-        assert len(reaches) == 5  # too few candidates: the search goes out to 5 pitches
+        # too few candidates: the search goes out to 5 pitches
+        assert reaches[-1] == 5.0 * pitch
     assert got == _with_refined(monkeypatch,
                                 lambda: _full_search_reference(monkeypatch, f, r, resolution))
 
@@ -768,10 +773,11 @@ def _assert_query_pairs(images, reaches):
 def test_cell_pairs_are_the_query_pairs_of_the_oracle_reaches(label, r, resolution):
     # every reach up to resolution 128; above it, at benchmark scale, the first
     # reach only, where F0's oracle calls stop and nearly every cell holds one image
-    pitch = 2.0 * r / (resolution - 1)
+    from harmradius.membership import _reaches
+
+    reaches = _reaches(2.0 * r / (resolution - 1))
     _, images = _grid_images(_oracle_map(label), r, resolution)
-    ks = range(4, -1, -1) if resolution <= 128 else [4]
-    _assert_query_pairs(images, [5.0 * pitch / 2 ** k for k in ks])
+    _assert_query_pairs(images, reaches if resolution <= 128 else reaches[:1])
 
 
 def test_cell_pairs_of_a_clustered_map(monkeypatch):
@@ -780,6 +786,8 @@ def test_cell_pairs_of_a_clustered_map(monkeypatch):
     # rows, not coordinates, which would overflow int64, and the cells keep
     # their width
     import tracemalloc
+
+    from harmradius.membership import _reaches
 
     f = HarmonicMap.from_series(CoefficientSeq({40: 1e13}, {}, 40))
     injectivity_oracle(f, 0.9, 64)  # imports and first-call set-up outside the count
@@ -793,7 +801,7 @@ def test_cell_pairs_of_a_clustered_map(monkeypatch):
     assert rep.verdict == "violated"
     assert rep == _full_search_reference(monkeypatch, f, 0.9, 512)
     _, images = _grid_images(f, 0.9, 512)
-    _assert_query_pairs(images, [5.0 * (1.8 / 511) / 16])  # the first reach
+    _assert_query_pairs(images, _reaches(1.8 / 511)[:1])  # the first reach
 
 
 def test_closest_first_is_the_head_of_a_stable_sort(rng):
@@ -827,7 +835,8 @@ def test_injectivity_refuses_radii_whose_squared_reach_underflows():
     from harmradius.membership import _MIN_REACH
 
     for resolution in (8, 64, 512):
-        # the radius whose shortest reach, 5/16 of a pitch, is _MIN_REACH
+        # the radius whose 5/16 of a pitch is _MIN_REACH, a power of two: the
+        # shortest reach, the largest power of two at or below it, is _MIN_REACH
         least = _MIN_REACH * 16 / 5 * (resolution - 1) / 2
         assert injectivity_oracle(identity_map(), 2 * least, resolution).verdict == "inconclusive"
         for r in (least / 2, 1e-200, 5e-324):
@@ -835,18 +844,89 @@ def test_injectivity_refuses_radii_whose_squared_reach_underflows():
                 injectivity_oracle(identity_map(), r, resolution)
 
 
+def test_pair_search_reaches_are_powers_of_two_then_five_pitches(rng):
+    from harmradius.membership import _MIN_REACH, _reaches
+
+    def power_of_two(x):  # then x is its own cell side in _cell_pairs
+        return math.frexp(x)[0] == 0.5
+
+    pitches = [2.0 * r / (n - 1) for r, n in zip(rng.uniform(1e-6, 1.0, 400),
+                                                 rng.integers(8, 513, 400))]
+    # pitches whose 5/16 is a power of two: five reaches, 5 pitches / 2^k
+    exact = [p for k in range(-500, 0) for p in [math.ldexp(16 / 5, k)]
+             if power_of_two(5.0 * p / 16)]
+    assert len(exact) > 100
+    for p in pitches + exact:
+        reaches = _reaches(p)
+        *powers, last = reaches
+        assert last == 5.0 * p
+        assert all(power_of_two(reach) and reach < last for reach in powers)
+        assert powers[0] <= 5.0 * p / 16 < 2 * powers[0]
+        assert all(longer == 2 * shorter for shorter, longer in zip(powers, powers[1:]))
+        assert 2 * powers[-1] >= last  # the last power of two below 5 pitches
+        assert len(reaches) == (5 if p in exact else 6)
+    for p in exact:
+        assert _reaches(p) == [5.0 * p / 2 ** k for k in range(4, -1, -1)]
+
+    # the same refused radii: the shortest reach is below _MIN_REACH exactly
+    # when 5/16 of a pitch is
+    for resolution in (8, 64, 512):
+        least = _MIN_REACH * 16 / 5 * (resolution - 1) / 2
+        radii = [least * (1.0 + d) for d in (-0.5, -1e-9, 0.0, 1e-9, 0.5)]
+        radii += [math.nextafter(least, 0.0), math.nextafter(least, 1.0)]
+        for r in radii:
+            p = 2.0 * r / (resolution - 1)
+            refused = 5.0 * p / 16 < _MIN_REACH
+            assert (_reaches(p)[0] < _MIN_REACH) == refused
+            if refused:
+                with pytest.raises(ValueError, match="too small"):
+                    injectivity_oracle(identity_map(), r, resolution)
+            else:
+                assert injectivity_oracle(identity_map(), r, resolution).verdict == "inconclusive"
+
+
+@pytest.mark.parametrize("size", [16_384, 16_385, 32_768, 32_769, 49_152, 49_153, 205_012])
+def test_grid_blocks_give_the_bytes_of_one_call(size):
+    # numpy elides temporaries from 16,384 complex points up, which moves the
+    # last bits of f and J: the slices of a larger array must all be past that
+    # size.  This fails if a numpy release moves it.
+    from harmradius.membership import _BLOCK, _blocks
+
+    blocks = _blocks(size)
+    assert [b.start for b in blocks] == [0, *(b.stop for b in blocks[:-1])]
+    assert blocks[-1].stop == size
+    lengths = [b.stop - b.start for b in blocks]
+    assert max(lengths) <= _BLOCK * 3 // 2
+    assert min(lengths) > _BLOCK // 2 or lengths == [size]
+    rng = np.random.default_rng(size)
+    radius, angle = rng.uniform(0.0, 1.0, (2, size))
+    pts = 0.21 * np.sqrt(radius) * np.exp(2j * np.pi * angle)
+    maps = [get_extremal("F0"), get_extremal("L0"), harmonic_koebe(), get_extremal("convex_L"),
+            get_extremal("f0", 2.0, 0.3), get_extremal("F0").dilate(0.3),
+            HarmonicMap.from_series(CoefficientSeq({2: 0.3 + 0.1j, 5: -0.02},
+                                                   {1: 0.2, 3: 0.05j}, 5))]
+    for f in maps:
+        for evaluate in (f, f.jacobian):
+            whole = evaluate(pts)
+            sliced = np.concatenate([evaluate(pts[b]) for b in blocks])
+            assert sliced.tobytes() == whole.tobytes(), (f.label, evaluate)
+
+
 def test_injectivity_oracle_memory():
     import tracemalloc
 
     f = get_extremal("F0")
     injectivity_oracle(f, 0.2, 64)  # imports and first-call set-up outside the count
-    tracemalloc.start()
-    try:
-        assert injectivity_oracle(f, 0.18, 512).verdict == "violated"
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 40 * 2 ** 20, f"{peak / 2 ** 20:.0f} MB"
+    for r in (0.18, 0.2):
+        tracemalloc.start()
+        try:
+            assert injectivity_oracle(f, r, 512).verdict == "violated"
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # 22.4 MB measured at both radii: the reaches are their own cell
+        # sides, and f is evaluated on the grid in slices
+        assert peak < 24 * 2 ** 20, f"r={r}: {peak / 2 ** 20:.1f} MB"
 
 
 def test_cell_pairs_memory_on_dense_cells():
@@ -883,6 +963,15 @@ def test_ckdtree_is_a_lazy_module_attribute():
     assert "cKDTree" in vars(membership)  # stored by the first lookup
     with pytest.raises(AttributeError, match="no_such_name"):
         membership.no_such_name
+
+
+def test_grid_descriptions_keep_every_digit_of_the_radius():
+    # 0.9999999999999999 is the float below 1, inside the disk; :g read it as 1
+    for r in (0.9999999999999999, 0.1129031):
+        assert GridSpec(8, 4, r).describe().endswith(f"r_max={r!r}")
+        rep = injectivity_oracle(get_extremal("F0"), r, 8)  # a series map stops at 0.999
+        assert f"cartesian grid on |z|<={r!r}, pitch" in rep.grid_spec
+    assert GridSpec(8, 4, np.float64(0.5)).describe().endswith("r_max=0.5")
 
 
 def test_injectivity_validation():
