@@ -22,7 +22,7 @@ import sys
 
 from ._util import UnsupportedOperation, round12, fmt12
 from .coefficients import BoundFamily, load_sequence, power_sums
-from .extremals import EXTREMALS, PARAMETERS, WITNESSES, get_extremal
+from .extremals import EXTREMALS, WITNESSES, get_extremal
 from .radii import (
     NoRadiusError,
     closed_form_radius,
@@ -88,9 +88,8 @@ def _witness(label: str, *params):
     """-> (JacobianProfile, claimed radius from the matching closed form)."""
     if label not in WITNESSES:
         raise ValueError(f"unknown witness {label!r}; known labels: {', '.join(WITNESSES)}")
-    kind, profile = WITNESSES[label]
-    family = BoundFamily(kind, *params)
-    return profile(*params), closed_form_radius(family).radius
+    family = BoundFamily(EXTREMALS[label][0], *params)
+    return WITNESSES[label](*params), closed_form_radius(family).radius
 
 
 def _bounds(text: str) -> list[float]:
@@ -123,7 +122,7 @@ def _cmd_membership(args) -> int:
         if args.dilate is not None:
             subject = subject.scaled(args.dilate)
             if args.dilate != 1.0:  # the label HarmonicMap.dilate gives
-                label = f"dilate({label},{args.dilate:g})"
+                label = f"dilate({label},{args.dilate!r})"
     else:
         if args.seq is not None:
             from .maps import HarmonicMap
@@ -195,9 +194,11 @@ def _cmd_identities(args) -> int:
 
 
 def _cmd_list_extremals(args) -> int:
+    # only the uniform family takes parameters: BoundFamily's c and b1_abs
     _emit({
         "extremals": [
-            {"label": label, "parameters": list(PARAMETERS.get(label, ()))}
+            {"label": label, "parameters": list(BoundFamily._fields[1:])
+             if EXTREMALS[label][0] == "uniform" else []}
             for label in sorted(EXTREMALS)
         ]
     })

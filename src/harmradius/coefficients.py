@@ -126,22 +126,22 @@ class BoundFamily(record("BoundFamily", "kind c b1_abs", (None, 0.0))):
 
     kind is one of "koebe", "convex", "uniform".  Only the uniform family
     takes parameters: the bound c on |a_n| + |b_n| for n >= 2 (required)
-    and b1_abs = |b_1| (default 0).  Koebe and convex take none (b_1 = 0).
+    and b1_abs = |b_1| (default 0), stored as floats.  Koebe and convex
+    take none (b_1 = 0).
     """
 
     __slots__ = ()
 
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        if self.kind not in ("koebe", "convex", "uniform"):
-            raise ValueError(f"unknown family kind {self.kind!r}")
-        if self.kind == "uniform":
-            if self.c is None:
+    def __new__(cls, kind, c=None, b1_abs=0.0):
+        if kind not in ("koebe", "convex", "uniform"):
+            raise ValueError(f"unknown family kind {kind!r}")
+        if kind == "uniform":
+            if c is None:
                 raise ValueError("family 'uniform' requires the bound parameter c")
-            check_uniform(self.c, self.b1_abs)
-        elif self.c is not None or self.b1_abs != 0.0:
-            raise ValueError(f"family {self.kind!r} takes no parameters")
-        return self
+            return super().__new__(cls, kind, *check_uniform(c, b1_abs))
+        if c is not None or b1_abs != 0.0:
+            raise ValueError(f"family {kind!r} takes no parameters")
+        return super().__new__(cls, kind)
 
     def bounds(self, n: int) -> tuple[float, float]:
         """(A_n, B_n), the bounds on (|a_n|, |b_n|) at an integer index n >= 1:
@@ -164,7 +164,7 @@ class BoundFamily(record("BoundFamily", "kind c b1_abs", (None, 0.0))):
 
     @classmethod
     def uniform(cls, c: float, b1_abs: float = 0.0) -> "BoundFamily":
-        return cls("uniform", float(c), float(b1_abs))
+        return cls("uniform", c, b1_abs)
 
 
 # ---------------------------------------------------------------------------

@@ -1,27 +1,27 @@
 """Named extremal harmonic maps and sharpness witnesses.
 
-Five maps are exposed through a label registry for CLI use:
+EXTREMALS, the one registry of named maps, gives each label a stock family
+and two signs: its coefficients past a_1 = 1 are the family's bounds with
+those signs, and named_forms derives its evaluators from them.
 
-- ``koebe``: the harmonic Koebe function K = H + conj(G), dilatation z,
-  coefficients A_n = (2n+1)(n+1)/6, B_n = (2n-1)(n-1)/6.
-- ``convex_L``: the convex extremal L = M + conj(N) with coefficients
+- ``koebe`` (++): the harmonic Koebe function K = H + conj(G), dilatation
+  z, coefficients A_n = (2n+1)(n+1)/6, B_n = (2n-1)(n-1)/6.
+- ``convex_L`` (+-): the convex extremal L = M + conj(N) with coefficients
   ((n+1)/2, -(n-1)/2); maps |z| < r onto a convex region exactly up to
   r = sqrt(2) - 1.
-- ``F0``, ``L0``, ``f0``: sharpness witnesses built by coefficient
-  negation, 2z - K-style; their Jacobians restricted to the real axis
-  are rational functions whose smallest positive roots realize the
-  radii computed in the radii module.
+- ``F0`` (--), ``L0`` (-+), ``f0`` (--): sharpness witnesses built by
+  coefficient negation, 2z - K-style; their Jacobians restricted to the
+  real axis are rational functions whose smallest positive roots realize
+  the radii computed in the radii module.
 
-Only f0 takes parameters (PARAMETERS names them); WITNESSES pairs each witness
-with the family it is sharp for.  Each map is a stock family and two signs:
-its coefficients past a_1 = 1 are the family's bounds, signed (koebe ++,
-convex_L +-, F0 --, L0 -+, f0 --); named_forms derives its evaluators from
-them.  A JacobianProfile holds a witness's real-axis Jacobian as polynomial
-factors over a power of (r - 1); those of F0 and L0 include their family's
-S(r) = 1 polynomial (FAMILY_POLYNOMIALS).
+get_extremal builds a map from its row; BoundFamily alone decides which
+parameters a label takes (f0's family, uniform, takes c and b1_abs).
+WITNESSES gives each witness its JacobianProfile factory: polynomial
+factors over a power of (r - 1), among them the S(r) = 1 polynomial of
+F0's and L0's family (FAMILY_POLYNOMIALS).
 
-The map factories import maps when called; the label tables and the
-profiles need no map.  None of them imports numpy.
+get_extremal imports maps when called; the tables and the profiles need
+no map.  None of them imports numpy.
 """
 
 from __future__ import annotations
@@ -41,17 +41,11 @@ if TYPE_CHECKING:
 __all__ = [
     "CONVEX_EXTREMAL_CONVEXITY_RADIUS",
     "JacobianProfile",
-    "harmonic_koebe",
-    "convex_extremal",
-    "koebe_witness",
-    "convex_witness",
-    "uniform_witness",
     "koebe_witness_profile",
     "convex_witness_profile",
     "uniform_witness_profile",
     "one_term_extremal",
     "EXTREMALS",
-    "PARAMETERS",
     "WITNESSES",
     "get_extremal",
 ]
@@ -136,40 +130,6 @@ def named_forms(family: BoundFamily, sign_a: int, sign_b: int) -> tuple:
     return signed_f, signed_df
 
 
-# -- the named maps -----------------------------------------------------------
-
-def _named(label: str, family: BoundFamily, sign_a: int, sign_b: int) -> HarmonicMap:
-    from .maps import HarmonicMap
-
-    return HarmonicMap(label, bounds=(family, sign_a, sign_b))
-
-
-def harmonic_koebe() -> HarmonicMap:
-    """The harmonic Koebe function; dilatation g'/h' = z."""
-    return _named("koebe", BoundFamily("koebe"), 1, 1)
-
-
-def convex_extremal() -> HarmonicMap:
-    """The convex extremal map L; h + g = z/(1-z), h - g = z/(1-z)^2."""
-    return _named("convex_L", BoundFamily("convex"), 1, -1)
-
-
-def koebe_witness() -> HarmonicMap:
-    """F0 = (2z - H) - conj(G): the Koebe-family map with negated tail."""
-    return _named("F0", BoundFamily("koebe"), -1, -1)
-
-
-def convex_witness() -> HarmonicMap:
-    """L0 = (2z - M) - conj(N): the convex-family map with negated tail."""
-    return _named("L0", BoundFamily("convex"), -1, 1)
-
-
-def uniform_witness(c: float, b1_abs: float = 0.0) -> HarmonicMap:
-    """f0: the uniform family's bounds with signs (-,-), so a_n = b_n = -c/2
-    for n >= 2 and b_1 = -b1_abs; h(z) = z - (c/2) z^2/(1-z)."""
-    return _named("f0", BoundFamily.uniform(c, b1_abs), -1, -1)
-
-
 # -- closed-form Jacobians on the real axis --------------------------------
 
 class JacobianProfile(record("JacobianProfile", "label factors pole")):
@@ -237,37 +197,36 @@ def one_term_extremal(n: int, theta: float = 0.0, anti: bool = False) -> Harmoni
 
 # -- registry ----------------------------------------------------------------
 
-EXTREMALS: dict[str, Callable[..., HarmonicMap]] = {
-    "koebe": harmonic_koebe,
-    "convex_L": convex_extremal,
-    "F0": koebe_witness,
-    "L0": convex_witness,
-    "f0": uniform_witness,
+# Named map label -> (BoundFamily kind, sign_a, sign_b): the harmonic Koebe
+# function K = H + conj(G), the convex extremal L = M + conj(N), and the
+# witnesses F0 = (2z - H) - conj(G), L0 = (2z - M) - conj(N) and f0.
+EXTREMALS: dict[str, tuple[str, int, int]] = {
+    "koebe": ("koebe", 1, 1),
+    "convex_L": ("convex", 1, -1),
+    "F0": ("koebe", -1, -1),
+    "L0": ("convex", -1, 1),
+    "f0": ("uniform", -1, -1),
 }
 
-# Parameter names of the extremals that take parameters; the others take none.
-PARAMETERS: dict[str, tuple[str, ...]] = {"f0": ("c", "b1_abs")}
-
-# Sharpness witness label -> (BoundFamily kind it is extremal for, its profile).
-WITNESSES: dict[str, tuple[str, Callable[..., JacobianProfile]]] = {
-    "F0": ("koebe", koebe_witness_profile),
-    "L0": ("convex", convex_witness_profile),
-    "f0": ("uniform", uniform_witness_profile),
+# Sharpness witness label -> its profile factory, which takes the parameters
+# of the witness's family (its EXTREMALS kind).
+WITNESSES: dict[str, Callable[..., JacobianProfile]] = {
+    "F0": koebe_witness_profile,
+    "L0": convex_witness_profile,
+    "f0": uniform_witness_profile,
 }
 
 
 def get_extremal(label: str, c: float | None = None,
                  b1_abs: float | None = None) -> HarmonicMap:
-    """Look up a named extremal; those in PARAMETERS require c, the rest take none."""
+    """The named map of EXTREMALS[label], on BoundFamily(kind, c, b1_abs):
+    its family decides which of c and b1_abs (default 0) the label takes."""
+    from .maps import HarmonicMap
+
     try:
-        factory = EXTREMALS[label]
+        kind, sign_a, sign_b = EXTREMALS[label]
     except KeyError:
         known = ", ".join(sorted(EXTREMALS))
         raise ValueError(f"unknown extremal {label!r}; known labels: {known}") from None
-    if label in PARAMETERS:
-        if c is None:
-            raise ValueError(f"extremal {label!r} requires the bound parameter c")
-        return factory(c, b1_abs if b1_abs is not None else 0.0)
-    if c is not None or b1_abs is not None:
-        raise ValueError(f"extremal {label!r} takes no parameters")
-    return factory()
+    family = BoundFamily(kind, c, 0.0 if b1_abs is None else b1_abs)
+    return HarmonicMap(label, bounds=(family, sign_a, sign_b))

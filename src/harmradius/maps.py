@@ -200,7 +200,7 @@ class HarmonicMap:
             raise ValueError("dilation parameter must lie in (0, 1]")
         if r == 1.0:
             return self
-        return HarmonicMap(f"dilate({self.label},{r:g})", series=self._series,
+        return HarmonicMap(f"dilate({self.label},{float(r)!r})", series=self._series,
                            bounds=self._bounds, scale=self._scale * r)
 
     def section(self, n: int, m: int) -> "HarmonicMap":

@@ -288,7 +288,8 @@ def starlike_scan(f: HarmonicMap, r: float,
         raise ValueError("grid r_max exceeds the scan radius")
     pts = grid.points()
     if pts[0].real < sys.float_info.min:  # pts[0] lies on the innermost circle
-        raise ValueError(f"scan radius {grid.r_max:g} is too small: its inner circle is subnormal")
+        raise ValueError(f"scan radius {float(grid.r_max)!r} is too small: "
+                         "its inner circle is subnormal")
     with np.errstate(over="ignore", invalid="ignore"):  # refused by _sampled_verdict
         fval = f(pts)
         small = np.abs(fval) < 1e-12 * grid.r_max
@@ -535,7 +536,7 @@ def injectivity_oracle(f: HarmonicMap, r: float,
     pts = pts[np.abs(pts) <= r]
     pitch = 2.0 * r / (resolution - 1)
     if 5.0 * pitch / 16 < _MIN_REACH:
-        raise ValueError(f"radius {r:g} is too small for a {resolution}x{resolution} grid: "
+        raise ValueError(f"radius {r!r} is too small for a {resolution}x{resolution} grid: "
                          f"the pair search's squared distances would underflow")
     sep = 2.0 * pitch
     scale = min(1.0, pitch / 1e-4)

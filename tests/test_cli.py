@@ -215,7 +215,11 @@ def test_radius_unknown_family_exits_1(capsys):
         (["membership", "--check", "coeff", "--map", "foo"],
          "unknown extremal 'foo'; known labels: F0, L0, convex_L, f0, koebe"),
         (["membership", "--check", "coeff", "--map", "koebe:1"],
-         "extremal 'koebe' takes no parameters"),
+         "family 'koebe' takes no parameters"),
+        (["membership", "--check", "coeff", "--map", "convex_L:1"],
+         "family 'convex' takes no parameters"),
+        (["membership", "--check", "coeff", "--map", "f0"],
+         "family 'uniform' requires the bound parameter c"),
     ):
         with pytest.raises(SystemExit) as excinfo:
             main(argv)
@@ -409,6 +413,18 @@ def test_membership_ch2_dilate_split(capsys):
     assert isinstance(bad["witness"], list) and len(bad["witness"]) == 2
     check(ok, "membership_report.schema.json")
     check(bad, "membership_report.schema.json")
+
+
+def test_membership_dilated_subject_keeps_every_digit(capsys, tmp_path):
+    # coeff scales the sequence and builds its label itself; c-h2 takes
+    # HarmonicMap.dilate's: both print the dilation with every digit
+    path = seq_file(tmp_path, CoefficientSeq({2: 0.1}, {1: 0.2}, 2))
+    for check_name in ("coeff", "c-h2"):
+        code, doc, _ = run_json(capsys, "membership", "--check", check_name, "--seq", path,
+                                "--dilate", "0.1129031", "--grid-radial", "20",
+                                "--grid-angular", "8")
+        assert code == 0
+        assert doc["subject"] == "dilate(seq-file,0.1129031)"
 
 
 def test_membership_starlike_f0(capsys):

@@ -161,6 +161,20 @@ def test_family_constructors():
         BoundFamily.uniform(0.0)
     with pytest.raises(ValueError):
         BoundFamily.uniform(1.0, 1.0)
+    # the family keeps the floats its checks return, so bounds and S(r) see
+    # floats whatever number type c and b1_abs arrived as
+    for family in (BoundFamily("uniform", "2"), BoundFamily("uniform", 2),
+                   BoundFamily("uniform", 1.0)._replace(c="2"),
+                   BoundFamily("uniform", 2, np.float64(0.0)),
+                   BoundFamily("uniform", True)._replace(c=2, b1_abs=False)):
+        assert family == ("uniform", 2.0, 0.0)
+        assert type(family.c) is float and type(family.b1_abs) is float
+        assert family.bounds(2) == (1.0, 1.0)
+        assert weighted_sum(family, 0.5) == 6.0
+    assert type(BoundFamily("uniform", True).c) is float
+    assert type(BoundFamily("koebe", None, 0).b1_abs) is float
+    with pytest.raises(ValueError, match="uniform bound c must be finite and positive"):
+        BoundFamily("uniform", 2)._replace(c=0)
 
 
 @pytest.mark.parametrize("kwargs, message", [

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import re
 import struct
 
 import numpy as np
@@ -12,23 +13,17 @@ from harmradius import (
     EXTREMALS,
     FAMILY_POLYNOMIALS,
     HarmonicMap,
-    PARAMETERS,
     WITNESSES,
     BoundFamily,
     closed_form_radius,
-    convex_extremal,
     convex_family_radius,
-    convex_witness,
     convex_witness_profile,
     get_extremal,
-    harmonic_koebe,
     jacobian_roots,
-    koebe_witness,
     koebe_witness_profile,
     one_term_extremal,
     power_sums,
     uniform_family_radius,
-    uniform_witness,
     uniform_witness_profile,
     verify_sharpness,
 )
@@ -37,7 +32,7 @@ from harmradius import (
 # -- coefficients of the named maps -------------------------------------------
 
 def test_koebe_coefficients():
-    K = harmonic_koebe()
+    K = get_extremal("koebe")
     assert K.coefficient(1) == (1.0 + 0j, 0j)
     assert K.coefficient(2) == (2.5 + 0j, 0.5 + 0j)
     a7, b7 = K.coefficient(7)
@@ -46,23 +41,23 @@ def test_koebe_coefficients():
 
 
 def test_convex_extremal_coefficients():
-    L = convex_extremal()
+    L = get_extremal("convex_L")
     assert L.coefficient(3) == (2.0 + 0j, -1.0 + 0j)
     assert L.coefficient(1) == (1.0 + 0j, 0j)
 
 
 def test_witness_coefficients():
-    assert koebe_witness().coefficient(2) == (-2.5 + 0j, -0.5 + 0j)
-    assert koebe_witness().coefficient(1) == (1.0 + 0j, 0j)
-    assert convex_witness().coefficient(2) == (-1.5 + 0j, 0.5 + 0j)
-    f0 = uniform_witness(1.5, 0.25)
+    assert get_extremal("F0").coefficient(2) == (-2.5 + 0j, -0.5 + 0j)
+    assert get_extremal("F0").coefficient(1) == (1.0 + 0j, 0j)
+    assert get_extremal("L0").coefficient(2) == (-1.5 + 0j, 0.5 + 0j)
+    f0 = get_extremal("f0", 1.5, 0.25)
     assert f0.coefficient(1) == (1.0 + 0j, -0.25 + 0j)
     assert f0.coefficient(4) == (-0.75 + 0j, -0.75 + 0j)
 
 
 def test_uniform_witness_initial_derivative():
     for b1 in (0.0, 0.3, 0.85):
-        f0 = uniform_witness(2.0, b1)
+        f0 = get_extremal("f0", 2.0, b1)
         _, fzbar = f0.wirtinger(0.0)
         # g'(0) = -b1: the anti-analytic derivative at 0 is its conjugate
         assert fzbar == pytest.approx(-b1 + 0j, abs=1e-15)
@@ -70,12 +65,12 @@ def test_uniform_witness_initial_derivative():
 
 def test_uniform_witness_validation():
     with pytest.raises(ValueError):
-        uniform_witness(0.0)
+        get_extremal("f0", 0.0)
     with pytest.raises(ValueError):
-        uniform_witness(1.0, 1.0)
+        get_extremal("f0", 1.0, 1.0)
     for c in (math.nan, math.inf):
         with pytest.raises(ValueError, match="finite"):
-            uniform_witness(c)
+            get_extremal("f0", c)
         with pytest.raises(ValueError, match="finite"):
             uniform_witness_profile(c, 0.2)
 
@@ -87,11 +82,17 @@ def _signed(family, sign_a, sign_b):
                         id=f"{family.kind}{'+-'[sign_a < 0]}{'+-'[sign_b < 0]}")
 
 
-# every family with every sign pair: the five registered pairs through their
-# factories, which build HarmonicMap(label, bounds=...), and the other seven
+def _registered(label, name):
+    """The registered map label, with its long name (harmonic_koebe) as test id."""
+    return pytest.param(lambda: get_extremal(label), id=name)
+
+
+# every family with every sign pair: the five registered pairs through
+# get_extremal, which builds HarmonicMap(label, bounds=...), and the other seven
 @pytest.mark.parametrize("factory", [
-    harmonic_koebe, convex_extremal, koebe_witness, convex_witness,
-    lambda: uniform_witness(1.5, 0.25),
+    _registered("koebe", "harmonic_koebe"), _registered("convex_L", "convex_extremal"),
+    _registered("F0", "koebe_witness"), _registered("L0", "convex_witness"),
+    lambda: get_extremal("f0", 1.5, 0.25),
     _signed(BoundFamily("koebe"), 1, -1), _signed(BoundFamily("koebe"), -1, 1),
     _signed(BoundFamily("convex"), 1, 1), _signed(BoundFamily("convex"), -1, -1),
     _signed(BoundFamily.uniform(1.5, 0.25), 1, 1), _signed(BoundFamily.uniform(1.5, 0.25), 1, -1),
@@ -212,7 +213,7 @@ def test_signed_maps_keep_the_bits_of_their_hand_written_forms(rng):
         "f0": (lambda z: z - tail(z), lambda z: -b1 * z - tail(z),
                lambda z: 1 - dtail(z), lambda z: -b1 - dtail(z)),
     }
-    cases = [(get_extremal(label, c, b1) if label in PARAMETERS else get_extremal(label), refs)
+    cases = [(get_extremal(label, *((c, b1) if label == "f0" else ())), refs)
              for label, refs in written.items()]
     # every family and sign pair: its base's forms, each flipped as named_forms flips it
     bases = {BoundFamily("koebe"): ((_koebe_h, _koebe_g, _koebe_dh, _koebe_dg), 1, 1),
@@ -246,14 +247,14 @@ def test_signed_maps_keep_the_bits_of_their_hand_written_forms(rng):
 
 
 def test_koebe_dilatation_is_z(rng):
-    K = harmonic_koebe()
+    K = get_extremal("koebe")
     for _ in range(20):
         z = rng.uniform(0, 0.9) * cmath.exp(2j * math.pi * rng.uniform())
         assert K.dilatation(z) == pytest.approx(z, abs=1e-12)
 
 
 def test_koebe_boundary_behavior():
-    K = harmonic_koebe()
+    K = get_extremal("koebe")
     val = K(-0.999)
     assert abs(val.imag) < 1e-12
     assert val.real == pytest.approx(-1.0 / 6.0, abs=1e-2)
@@ -265,7 +266,7 @@ def test_koebe_boundary_behavior():
 
 
 def test_convex_extremal_real_axis():
-    L = convex_extremal()
+    L = get_extremal("convex_L")
     for x in (-0.7, -0.2, 0.1, 0.45):
         assert L(x).real == pytest.approx(x / (1 - x), abs=1e-14)
         assert L(x).imag == pytest.approx(0.0, abs=1e-15)
@@ -283,7 +284,7 @@ def test_koebe_witness_jacobian_normalization():
 
 
 def test_koebe_witness_jacobian_matches_map():
-    F0, profile = koebe_witness(), koebe_witness_profile()
+    F0, profile = get_extremal("F0"), koebe_witness_profile()
     for r in (0.05, 0.14, 0.2, 0.4):
         assert profile(r) == pytest.approx(F0.jacobian(r), abs=1e-9)
     assert profile(0.14) < 0
@@ -337,7 +338,7 @@ def test_convex_witness_jacobian_expanded_form():
 
 
 def test_convex_witness_jacobian_matches_map():
-    L0, profile = convex_witness(), convex_witness_profile()
+    L0, profile = get_extremal("L0"), convex_witness_profile()
     for r in (0.05, 0.2, 0.31):
         assert profile(r) == pytest.approx(L0.jacobian(r), abs=1e-9)
 
@@ -350,7 +351,7 @@ def test_uniform_witness_jacobian_vanishes_at_radius():
 
 
 def test_uniform_witness_jacobian_matches_map():
-    f0, profile = uniform_witness(1.5, 0.25), uniform_witness_profile(1.5, 0.25)
+    f0, profile = get_extremal("f0", 1.5, 0.25), uniform_witness_profile(1.5, 0.25)
     for r in (0.1, 0.3, 0.6):
         assert profile(r) == pytest.approx(f0.jacobian(r), abs=1e-9)
         # the unexpanded form (1 + b1)(1 + c - b1 - c/(1-r)^2)
@@ -389,8 +390,9 @@ def test_profile_array_call_is_bitwise_elementwise(profile):
 
 
 def test_profiles_carry_their_family_polynomial():
-    for label, (kind, factory) in WITNESSES.items():
-        profile = factory() if label not in PARAMETERS else factory(1.0)
+    for label, factory in WITNESSES.items():
+        kind = EXTREMALS[label][0]
+        profile = factory() if kind != "uniform" else factory(1.0)
         if kind in FAMILY_POLYNOMIALS:
             assert FAMILY_POLYNOMIALS[kind] in profile.factors
         assert profile.label == label
@@ -398,7 +400,7 @@ def test_profiles_carry_their_family_polynomial():
 
 @pytest.mark.parametrize("label", ["F0", "L0"])
 def test_profile_vanishes_exactly_at_family_radius(label):
-    kind, factory = WITNESSES[label]
+    kind, factory = EXTREMALS[label][0], WITNESSES[label]
     radius = closed_form_radius(BoundFamily(kind)).radius
     assert verify_sharpness(factory(), radius).root_residual == 0.0
     assert jacobian_roots(factory(), 0.0, 0.25)[0] == pytest.approx(radius, abs=1e-12)
@@ -487,11 +489,28 @@ def test_get_extremal_dispatch():
         get_extremal("nope")
 
 
+@pytest.mark.parametrize("label", sorted(EXTREMALS))
+def test_get_extremal_takes_its_family_parameters(label):
+    # BoundFamily alone decides the parameters: the map's family, or its refusal
+    kind, sign_a, sign_b = EXTREMALS[label]
+    for params in ((), (2.0,), (2.0, 0.3), (None, 0.0), (None, 0.3), (0.0,)):
+        try:
+            family = BoundFamily(kind, *params)
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+                get_extremal(label, *params)
+            continue
+        f = get_extremal(label, *params)
+        assert f.family == (family, 1.0)
+        a2, b2 = family.bounds(2)
+        assert f.coefficient(2) == (sign_a * a2, sign_b * b2)
+
+
 def test_witness_table_pairs_each_witness_with_its_family():
     assert set(WITNESSES) <= set(EXTREMALS)
-    for label, (kind, profile) in WITNESSES.items():
-        params = (2.0, 0.3) if label in PARAMETERS else ()
-        assert len(params) == len(PARAMETERS.get(label, ()))
+    for label, profile in WITNESSES.items():
+        kind = EXTREMALS[label][0]
+        params = (2.0, 0.3) if kind == "uniform" else ()
         witness = profile(*params)
         assert witness.label == label == get_extremal(label, *params).label
         radius = closed_form_radius(BoundFamily(kind, *params)).radius

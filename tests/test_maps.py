@@ -12,14 +12,12 @@ from hypothesis import given, settings, strategies as st
 
 from harmradius import (
     EXTREMALS,
-    PARAMETERS,
     BoundFamily,
     CoefficientSeq,
     EvaluationDomainError,
     HarmonicMap,
     UnsupportedOperation,
     get_extremal,
-    harmonic_koebe,
     identity_map,
 )
 from harmradius.maps import SERIES_EVAL_MAX, ClosedForm, _compile
@@ -129,7 +127,7 @@ def test_wirtinger_matches_finite_differences(rng):
 
 
 def test_jacobian_matches_fd_determinant(rng):
-    for f in (HarmonicMap.from_series(_sample_seq()), harmonic_koebe()):
+    for f in (HarmonicMap.from_series(_sample_seq()), get_extremal("koebe")):
         for _ in range(10):
             z = complex(rng.uniform(-0.45, 0.45), rng.uniform(-0.45, 0.45))
             assert f.jacobian(z) == pytest.approx(fd_jacobian(f, z), abs=1e-5)
@@ -161,7 +159,7 @@ def test_series_domain_guard():
 
 
 def test_closed_form_domain_guard():
-    f = harmonic_koebe()
+    f = get_extremal("koebe")
     f(0.9995)  # fine: closed forms work on the open disk
     with pytest.raises(EvaluationDomainError):
         f(1.0)
@@ -182,10 +180,10 @@ PATH_RTOL = 1e-14
 def _path_maps():
     seq = CoefficientSeq({n: (-0.3 + 0.2j) / n ** 3 for n in range(2, 31)},
                          {n: (0.1 - 0.15j) / n ** 3 for n in range(1, 31)}, 30)
-    closed = [get_extremal(label, 2.0, 0.3) if label in PARAMETERS else get_extremal(label)
-              for label in sorted(EXTREMALS)]
+    closed = [get_extremal(label, *((2.0, 0.3) if kind == "uniform" else ()))
+              for label, (kind, _, _) in sorted(EXTREMALS.items())]
     series = [HarmonicMap.from_series(_sample_seq()), HarmonicMap.from_series(seq)]
-    return [*closed, *series, harmonic_koebe().dilate(0.3), series[1].dilate(0.5)]
+    return [*closed, *series, get_extremal("koebe").dilate(0.3), series[1].dilate(0.5)]
 
 
 @pytest.mark.parametrize("f", _path_maps(), ids=lambda f: f.label)
@@ -202,7 +200,7 @@ def test_scalar_and_array_paths_agree(f, rng):
         assert abs(f.jacobian(z) - jac[k]) <= PATH_RTOL * max(1.0, scale), (f.label, z)
 
 
-@pytest.mark.parametrize("f", [harmonic_koebe(), HarmonicMap.from_series(_sample_seq())],
+@pytest.mark.parametrize("f", [get_extremal("koebe"), HarmonicMap.from_series(_sample_seq())],
                          ids=lambda f: f.label)
 def test_scalar_path_refuses_at_the_array_boundary(f):
     limit = SERIES_EVAL_MAX * (1.0 + 1e-12) if f.is_series else math.nextafter(1.0, 0.0)
@@ -275,8 +273,8 @@ def test_undilated_evaluation_leaves_its_input_unchanged(rng):
     z = 0.7 * rng.uniform(0.0, 1.0, 64) * np.exp(2j * np.pi * rng.uniform(0.0, 1.0, 64))
     before = z.tobytes()
     maps = [HarmonicMap.from_series(_sample_seq()), identity_map()]
-    maps += [get_extremal(label, *([1.5, 0.25] if label in PARAMETERS else []))
-             for label in EXTREMALS]
+    maps += [get_extremal(label, *([1.5, 0.25] if kind == "uniform" else []))
+             for label, (kind, _, _) in EXTREMALS.items()]
     for f in maps:
         for evaluate in (f, f.wirtinger, f.jacobian, f.dilatation):
             out = evaluate(z)
@@ -351,6 +349,13 @@ def test_dilate_validates():
     assert f.dilate(1.0) is f
 
 
+def test_dilate_label_keeps_every_digit():
+    # r printed by repr, as a grid_spec prints its radius: :g would print 1
+    r = 0.9999999999999999
+    assert get_extremal("F0").dilate(r).label == f"dilate(F0,{r!r})"
+    assert identity_map().dilate(np.float64(0.1129031)).label == "dilate(identity,0.1129031)"
+
+
 # -- sections and sequences ----------------------------------------------------
 
 def test_section_is_prefix():
@@ -363,7 +368,7 @@ def test_section_is_prefix():
 
 
 def test_section_of_closed_form_with_rule():
-    K = harmonic_koebe()
+    K = get_extremal("koebe")
     s = K.section(4, 4)
     assert s.is_series
     assert s.coefficient(2) == (2.5 + 0j, 0.5 + 0j)
@@ -382,9 +387,9 @@ def test_section_degree_validation():
     # a degree is an integer: no truncation of 2.5, and no failure inside range()
     for n, m in ((2.5, 2), (2, 2.0), (True, 1), (2, np.float64(1.0))):
         with pytest.raises(TypeError, match="section degree must be an integer"):
-            harmonic_koebe().section(n, m)
-    s = harmonic_koebe().section(np.int64(3), np.int32(2))
-    assert s.coefficient(3) == (harmonic_koebe().coefficient(3)[0], 0j)
+            get_extremal("koebe").section(n, m)
+    s = get_extremal("koebe").section(np.int64(3), np.int32(2))
+    assert s.coefficient(3) == (get_extremal("koebe").coefficient(3)[0], 0j)
 
 
 @pytest.mark.parametrize("n, m", [(3000, 3000), (1, 0), (2, 7), (7, 2)])
@@ -407,7 +412,7 @@ def test_coefficient_index_is_any_integer_but_bool(label):
     if label == "series":
         f = HarmonicMap.from_series(_sample_seq())
     else:
-        f = get_extremal(label, 2.0) if label in PARAMETERS else get_extremal(label)
+        f = get_extremal(label, *((2.0,) if EXTREMALS[label][0] == "uniform" else ()))
     assert f.coefficient(np.int64(3)) == f.coefficient(3)
     assert f.dilate(0.5).coefficient(np.int32(4)) == f.dilate(0.5).coefficient(4)
     for bad in (3.0, np.float64(3.0), True, np.bool_(True), "3"):
@@ -421,7 +426,7 @@ def test_as_sequence_roundtrip_and_closed_refusal():
     seq = _sample_seq()
     assert HarmonicMap.from_series(seq).as_sequence() == seq
     with pytest.raises(UnsupportedOperation):
-        harmonic_koebe().as_sequence()
+        get_extremal("koebe").as_sequence()
 
 
 def test_section_of_dilated_map_folds_scale():

@@ -20,11 +20,9 @@ from harmradius import (
     coefficient_growth_check,
     convex_family_radius,
     get_extremal,
-    harmonic_koebe,
     identity_map,
     injectivity_oracle,
     koebe_family_radius,
-    koebe_witness,
     one_term_extremal,
     radius_by_bisection,
     starlike_scan,
@@ -135,7 +133,7 @@ def test_coefficient_checks_read_a_series_map_without_compiling_it():
 
 def test_coeff_condition_rejects_closed_form_map():
     with pytest.raises(UnsupportedOperation):
-        coeff_condition(harmonic_koebe(), 0.0)
+        coeff_condition(get_extremal("koebe"), 0.0)
 
 
 def test_coeff_condition_refuses_a_non_finite_sum():
@@ -284,14 +282,14 @@ def test_c_h2_identity_margin_exact():
 
 
 def test_c_h2_dilated_koebe_inside_radius():
-    K = harmonic_koebe()
+    K = get_extremal("koebe")
     rep = c_h2_numeric(K.dilate(0.112903), 0.0)
     assert rep.verdict == "satisfied"
     assert rep.margin > 0
 
 
 def test_c_h2_dilated_koebe_outside_radius():
-    K = harmonic_koebe()
+    K = get_extremal("koebe")
     rep = c_h2_numeric(K.dilate(0.5), 0.0)
     assert rep.verdict == "violated"
     # failure shows up along the positive real axis near the rim
@@ -302,7 +300,7 @@ def test_c_h2_dilated_koebe_outside_radius():
 
 def test_c_h2_respects_supplied_grid():
     # the inequality for dilate(K, rho) crosses at rho |z| ~ 0.1129
-    K = harmonic_koebe().dilate(0.2)
+    K = get_extremal("koebe").dilate(0.2)
     rep = c_h2_numeric(K, 0.0, GridSpec(30, 8, 0.3))
     assert rep.grid_spec == GridSpec(30, 8, 0.3).describe()
     assert rep.verdict == "satisfied"  # 0.2 * 0.3 is inside the radius
@@ -330,12 +328,12 @@ def test_starlike_identity():
 
 def test_starlike_dilated_koebe():
     r_s = koebe_family_radius().radius
-    rep = starlike_scan(harmonic_koebe().dilate(r_s), 0.999)
+    rep = starlike_scan(get_extremal("koebe").dilate(r_s), 0.999)
     assert rep.verdict == "satisfied"
 
 
 def test_starlike_witness_violated():
-    rep = starlike_scan(koebe_witness(), 0.2)
+    rep = starlike_scan(get_extremal("F0"), 0.2)
     assert rep.verdict == "violated"
     assert rep.witness is not None
 
@@ -353,7 +351,7 @@ def test_starlike_singularity_report():
 def test_starlike_tiny_radius_agrees_with_the_dilated_map(r):
     # f(z) = z + O(z^2) has no zero on the grid: the singularity test scales
     # with the disk, so a tiny disk reads as the dilated map's disk does
-    K = harmonic_koebe()
+    K = get_extremal("koebe")
     small = starlike_scan(K, r, GridSpec(20, 8, r))
     dilated = starlike_scan(K.dilate(r), 0.5, GridSpec(20, 8, 0.5))
     for rep in (small, dilated):
@@ -364,7 +362,7 @@ def test_starlike_tiny_radius_agrees_with_the_dilated_map(r):
 def test_starlike_refuses_exactly_the_grids_with_a_subnormal_inner_circle():
     # numpy's complex division of a subnormal by a subnormal is not finite, so
     # such a grid has a refusal of its own, not "map evaluation is not finite"
-    for f in (harmonic_koebe(), get_extremal("F0")):
+    for f in (get_extremal("koebe"), get_extremal("F0")):
         for r in np.geomspace(1e-300, 5e-324, 120).tolist():
             for grid in (GridSpec(20, 8, r), GridSpec(200, 64, r)):
                 if grid.radii()[0] >= sys.float_info.min:
@@ -390,18 +388,18 @@ def test_injectivity_identity_inconclusive():
 
 
 def test_injectivity_witness_collision():
-    rep = injectivity_oracle(koebe_witness(), 0.2, 256)
+    rep = injectivity_oracle(get_extremal("F0"), 0.2, 256)
     assert rep.verdict == "violated"
     assert rep.margin < 0
     z1, z2 = rep.witness
-    f = koebe_witness()
+    f = get_extremal("F0")
     assert abs(f(z1) - f(z2)) <= 1e-9
     assert abs(z1 - z2) > 2 * (0.4 / 255)
     assert abs(z1) <= 0.2 and abs(z2) <= 0.2
 
 
 def test_injectivity_dilated_koebe_no_collision():
-    K = harmonic_koebe().dilate(0.112903)
+    K = get_extremal("koebe").dilate(0.112903)
     rep = injectivity_oracle(K, 0.999, 256)
     assert rep.verdict == "inconclusive"
 
@@ -500,7 +498,7 @@ def _oracle_map(label):
     if label == "identity":
         return identity_map()
     if label == "koebe":
-        return harmonic_koebe().dilate(0.112903)
+        return get_extremal("koebe").dilate(0.112903)
     if label == "f0":
         return get_extremal("f0", 2.0, 0.3)
     return get_extremal(label)
@@ -827,7 +825,7 @@ def test_injectivity_tiny_radius_is_not_violated(monkeypatch, r):
     assert rep.margin >= 0.0
     # each query, if any, finds pairs of neighbours only, not most of the grid's 5 million
     assert max((found for _, found in log), default=0) < 100_000
-    rep = injectivity_oracle(harmonic_koebe().dilate(0.1), min(r, 1e-14), 16)
+    rep = injectivity_oracle(get_extremal("koebe").dilate(0.1), min(r, 1e-14), 16)
     assert rep.verdict == "inconclusive"
 
 
@@ -901,7 +899,7 @@ def test_grid_blocks_give_the_bytes_of_one_call(size):
     rng = np.random.default_rng(size)
     radius, angle = rng.uniform(0.0, 1.0, (2, size))
     pts = 0.21 * np.sqrt(radius) * np.exp(2j * np.pi * angle)
-    maps = [get_extremal("F0"), get_extremal("L0"), harmonic_koebe(), get_extremal("convex_L"),
+    maps = [get_extremal("F0"), get_extremal("L0"), get_extremal("koebe"), get_extremal("convex_L"),
             get_extremal("f0", 2.0, 0.3), get_extremal("F0").dilate(0.3),
             HarmonicMap.from_series(CoefficientSeq({2: 0.3 + 0.1j, 5: -0.02},
                                                    {1: 0.2, 3: 0.05j}, 5))]
@@ -937,7 +935,7 @@ def test_cell_pairs_memory_on_dense_cells():
     from harmradius.membership import _cell_pairs
 
     m = 4 * 512
-    p = harmonic_koebe()(0.9 * np.exp(2j * np.pi * np.arange(m) / m))
+    p = get_extremal("koebe")(0.9 * np.exp(2j * np.pi * np.arange(m) / m))
     d = np.roll(p, -1) - p
     mid = p + d / 2
     reach = float(np.abs(d).max()) * (1.0 + 1e-9)

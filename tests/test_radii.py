@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from harmradius import (
+    EXTREMALS,
     WITNESSES,
     BoundFamily,
     CoefficientSeq,
@@ -21,11 +22,9 @@ from harmradius import (
     convex_family_radius,
     convex_witness_profile,
     get_extremal,
-    harmonic_koebe,
     identity_map,
     jacobian_roots,
     koebe_family_radius,
-    koebe_witness,
     koebe_witness_profile,
     radius_by_bisection,
     uniform_family_radius,
@@ -289,7 +288,7 @@ def test_jacobian_roots_constant_profile_empty():
 
 
 def test_jacobian_roots_accepts_map():
-    roots = jacobian_roots(koebe_witness(), 0.0, 0.25)
+    roots = jacobian_roots(get_extremal("F0"), 0.0, 0.25)
     assert roots[0] == pytest.approx(koebe_family_radius().radius, abs=1e-9)
 
 
@@ -331,7 +330,7 @@ def test_sharpness_all_three_witnesses():
 
 
 def test_sharpness_accepts_map_witness():
-    rep = verify_sharpness(koebe_witness(), koebe_family_radius().radius)
+    rep = verify_sharpness(get_extremal("F0"), koebe_family_radius().radius)
     assert rep.passed
 
 
@@ -357,7 +356,7 @@ def _sharpness_both_paths(profile, claimed):
 
 def _witness(label, *params):
     """(profile, radius) of a sharpness witness, as the CLI pairs them."""
-    kind, profile = WITNESSES[label]
+    kind, profile = EXTREMALS[label][0], WITNESSES[label]
     return profile(*params), closed_form_radius(BoundFamily(kind, *params)).radius
 
 
