@@ -1,9 +1,10 @@
 """Shared helpers.
 
 Output formatting: all user-facing floats use 12 significant digits,
-below the tolerance floors and above printed-table precision.  Parameter
-checks shared by several modules raise ValueError with one message each.
-The package's records (specs and reports) are immutable namedtuples.
+below the tolerance floors and above printed-table precision.  Every
+number parameter is checked by check_index (an integer) or check_real (a
+real number), each with one message format for a wrong type and one for
+a value out of range.  The records are immutable namedtuples.
 """
 
 import math
@@ -11,7 +12,7 @@ import operator
 from collections import namedtuple
 
 __all__ = ["UnsupportedOperation", "record", "fmt12", "round12", "horner", "horner_array",
-           "check_index", "check_beta", "check_uniform"]
+           "dtype_kind", "check_index", "check_real"]
 
 
 class UnsupportedOperation(RuntimeError):
@@ -69,10 +70,15 @@ def horner_array(coeffs, x):
     return acc
 
 
+def dtype_kind(x) -> str:
+    """numpy's dtype kind of x ("b" a bool, "c" a complex), "" for a Python number."""
+    return getattr(getattr(x, "dtype", None), "kind", "")
+
+
 def check_index(n, low: int | None, what: str) -> int:
     """An integer n >= low (an operator.index integer, not a bool) as an int;
     low None leaves the range to the caller.  what names n in the errors."""
-    if isinstance(n, bool) or not hasattr(type(n), "__index__"):
+    if isinstance(n, bool) or dtype_kind(n) == "b" or not hasattr(type(n), "__index__"):
         raise TypeError(f"{what} must be an integer, got {n!r}")
     n = operator.index(n)
     if low is not None and n < low:
@@ -80,19 +86,15 @@ def check_index(n, low: int | None, what: str) -> int:
     return n
 
 
-def check_beta(beta: float) -> float:
-    """The class parameter beta as a float in [0, 1)."""
-    beta = float(beta)
-    if not 0.0 <= beta < 1.0:
-        raise ValueError("beta must lie in [0, 1)")
-    return beta
-
-
-def check_uniform(c: float, b1_abs: float) -> tuple[float, float]:
-    """The uniform-family parameters (finite c > 0, b1_abs in [0, 1)) as floats."""
-    c, b1_abs = float(c), float(b1_abs)
-    if not (math.isfinite(c) and c > 0.0):
-        raise ValueError("uniform bound c must be finite and positive")
-    if not 0.0 <= b1_abs < 1.0:
-        raise ValueError("b1_abs must lie in [0, 1)")
-    return c, b1_abs
+def check_real(x, what: str, low=-math.inf, high=math.inf, ends="()") -> float:
+    """x as a float: a real number (no bool, complex, string or array) in the interval
+    from low to high with the brackets ends, "[)" for low <= x < high.  x
+    itself is compared, so a Fraction is not rounded first."""
+    if type(x) is not float and (isinstance(x, (bool, complex)) or dtype_kind(x) in ("b", "c")
+                                 or getattr(x, "ndim", 0) or not hasattr(type(x), "__float__")):
+        raise TypeError(f"{what} must be a real number, got {x!r}")
+    # in the closed interval, and at an end only where ends closes it
+    if low <= x <= high and (x != low or ends[0] == "[") and (x != high or ends[1] == "]"):
+        return float(x)
+    interval = ", ".join(repr(float(v)).removesuffix(".0") for v in (low, high))
+    raise ValueError(f"{what} must lie in {ends[0]}{interval}{ends[1]}, got {float(x)!r}")

@@ -13,7 +13,7 @@ norms impossible.
 
 import math
 
-from ._util import fmt12, record
+from ._util import check_real, fmt12, record
 from .coefficients import BoundFamily
 from .radii import closed_form_radius
 
@@ -41,11 +41,7 @@ BLOCH_CSV_HEADER = "M,phi,psi,r_S,R_S"
 
 
 def _check_bound(M: float) -> float:
-    M = float(M)
-    if not math.isfinite(M):
-        raise ValueError("sup-norm bound M must be finite")
-    if M < MIN_BOUND:
-        raise ValueError("sup-norm bound M must be >= pi/4")
+    M = check_real(M, "sup-norm bound M", MIN_BOUND, math.inf, "[)")
     if math.isinf(8.0 * M / math.pi):
         raise ValueError(f"sup-norm bound M = {M:g} is too large: 8M/pi overflows")
     return M
@@ -71,7 +67,7 @@ def bloch_radius(M: float) -> tuple[float, float]:
 def phi(x: float) -> float:
     """Comparison bound x/(sqrt(2)(x^2 + x - 1)); needs x^2 + x - 1 > 0.
     Evaluated as 1/(sqrt(2)(x + 1 - 1/x)), which cannot overflow."""
-    x = float(x)
+    x = check_real(x, "x")
     if x * x + x - 1.0 <= 0.0:
         raise ValueError("phi requires x^2 + x - 1 > 0")
     return 1.0 / (math.sqrt(2.0) * (x + 1.0 - 1.0 / x))
@@ -84,7 +80,7 @@ def psi(x: float) -> float:
     and u = -(ln(1-t) + t) = sum_{k>=2} t^k/k the bracket is t - q u,
     which is evaluated without the cancellation of the form above.
     """
-    x = float(x)
+    x = check_real(x, "x")
     if x <= 1.0:
         raise ValueError("psi requires x > 1")
     t = 1.0 / (x + 1.0 - 1.0 / x)

@@ -151,15 +151,15 @@ def _cmd_membership(args) -> int:
 
 
 def _cmd_jacobian_scan(args) -> int:
-    if not 0.0 < args.lo < args.hi < 1.0:
-        raise argparse.ArgumentTypeError("need 0 < lo < hi < 1")
+    if not 0.0 <= args.lo < args.hi < 1.0:
+        raise argparse.ArgumentTypeError("need 0 <= lo < hi < 1")
     if not 2 <= args.steps <= 10 ** 6:
         raise argparse.ArgumentTypeError("steps must lie in [2, 1e6]")
     profile, _ = args.witness
     lines = ["r,J"]
     span = args.hi - args.lo
     for i in range(args.steps):
-        r = args.lo + span * i / (args.steps - 1)
+        r = min(args.lo + span * i / (args.steps - 1), args.hi)  # the last may round past hi
         lines.append(f"{fmt12(r)},{fmt12(profile(r))}")
     sys.stdout.write("\n".join(lines) + "\n")
     return 0

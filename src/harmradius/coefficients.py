@@ -21,7 +21,7 @@ import json
 import math
 import sys
 
-from ._util import check_index, check_uniform, record
+from ._util import check_index, check_real, dtype_kind, record
 
 __all__ = [
     "SERIES_EVAL_MAX",
@@ -53,10 +53,8 @@ class TailBound(record("TailBound", "degree constant")):
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
-        if not math.isfinite(self.degree):
-            raise ValueError("tail degree must be finite")
-        if not (math.isfinite(self.constant) and self.constant >= 0.0):
-            raise ValueError("tail constant must be finite and nonnegative")
+        check_real(self.degree, "tail degree")
+        check_real(self.constant, "tail constant", 0.0, math.inf, "[)")
         return self
 
 
@@ -78,9 +76,7 @@ class CoefficientSeq(record("CoefficientSeq", "a b truncation tail")):
     __slots__ = ()
 
     def __new__(cls, a=None, b=None, truncation=1, tail=None):
-        truncation = check_index(truncation, None, "truncation")
-        if truncation < 1:
-            raise ValueError("truncation must be >= 1")
+        truncation = check_index(truncation, 1, "truncation")
         stored = []
         for what, low, given in (("a", 2, a), ("b", 1, b)):
             checked, index = {}, f"{what} index"
@@ -88,6 +84,8 @@ class CoefficientSeq(record("CoefficientSeq", "a b truncation tail")):
                 n = check_index(n, low, index)
                 if n > truncation:
                     raise ValueError(f"{what} index {n} exceeds truncation {truncation}")
+                if isinstance(v, (bool, str)) or dtype_kind(v) == "b":
+                    raise TypeError(f"{what}[{n}] must be a number, got {v!r}")
                 v = complex(v)
                 # S(r) weighs v by n, so n*|v| must be finite as well as v
                 if not math.isfinite(n * abs(v)):
@@ -105,8 +103,7 @@ class CoefficientSeq(record("CoefficientSeq", "a b truncation tail")):
 
     def scaled(self, rho: float) -> "CoefficientSeq":
         """Coefficients of the dilated map f_rho(z) = f(rho z)/rho."""
-        if not (0.0 < rho <= 1.0):
-            raise ValueError("dilation parameter must lie in (0, 1]")
+        check_real(rho, "dilation parameter", 0.0, 1.0, "(]")
         # C n^d rho^(n-1) <= C n^d for n > N, so the old tail stays a valid
         # (conservative) majorant for the dilated sequence.
         return CoefficientSeq(
@@ -138,7 +135,8 @@ class BoundFamily(record("BoundFamily", "kind c b1_abs", (None, 0.0))):
         if kind == "uniform":
             if c is None:
                 raise ValueError("family 'uniform' requires the bound parameter c")
-            return super().__new__(cls, kind, *check_uniform(c, b1_abs))
+            return super().__new__(cls, kind, check_real(c, "uniform bound c", 0.0),
+                                   check_real(b1_abs, "b1_abs", 0.0, 1.0, "[)"))
         if c is not None or b1_abs != 0.0:
             raise ValueError(f"family {kind!r} takes no parameters")
         return super().__new__(cls, kind)
@@ -186,8 +184,7 @@ def power_sums(r: float) -> tuple[float, float, float]:
     Raises:
         ValueError: if r is outside [0, 1).
     """
-    if not (0.0 <= r < 1.0):
-        raise ValueError(f"r must lie in [0, 1), got {r}")
+    check_real(r, "r", 0.0, 1.0, "[)")
     one = 1.0 - r
     s1 = r / one**2
     s2 = r * (1.0 + r) / one**3
@@ -262,8 +259,7 @@ def weighted_sum_tail(seq: CoefficientSeq, r: float) -> float:
     or its constant is 0, which bounds nothing."""
     if not _has_tail(seq):
         return 0.0
-    if not (0.0 <= r < 1.0):
-        raise ValueError(f"r must lie in [0, 1), got {r}")
+    check_real(r, "r", 0.0, 1.0, "[)")
     if r > SERIES_EVAL_MAX:
         raise ValueError(
             f"tail majorant is evaluated only for r <= {SERIES_EVAL_MAX}"
@@ -299,8 +295,7 @@ def weighted_sum(x: CoefficientSeq | BoundFamily, r: float) -> float:
     Raises:
         ValueError: if r lies outside [0, 1).
     """
-    if not (0.0 <= r < 1.0):
-        raise ValueError(f"r must lie in [0, 1), got {r}")
+    check_real(r, "r", 0.0, 1.0, "[)")
     if isinstance(x, BoundFamily):
         return _family_sum(x, r)
     if isinstance(x, CoefficientSeq):

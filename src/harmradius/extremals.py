@@ -29,7 +29,7 @@ from __future__ import annotations
 import cmath
 import math
 
-from ._util import check_index, horner, record
+from ._util import check_index, check_real, horner, record
 from .coefficients import FAMILY_POLYNOMIALS, BoundFamily, CoefficientSeq
 
 TYPE_CHECKING = False  # typing.TYPE_CHECKING, without importing typing
@@ -185,9 +185,7 @@ def one_term_extremal(n: int, theta: float = 0.0, anti: bool = False) -> Harmoni
     """
     from .maps import HarmonicMap
 
-    n = check_index(n, None, "one-term index")
-    if n < 2:
-        raise ValueError("one-term index must be >= 2")
+    n, theta = check_index(n, 2, "one-term index"), check_real(theta, "theta")
     value = cmath.exp(1j * theta) / n
     a, b = ({}, {n: value}) if anti else ({n: value}, {})
     kind = "anti" if anti else "analytic"

@@ -17,7 +17,7 @@ Maps are immutable once constructed.
 
 import math
 
-from ._util import UnsupportedOperation, check_index, horner, horner_array, record
+from ._util import UnsupportedOperation, check_index, check_real, horner, horner_array, record
 from .coefficients import SERIES_EVAL_MAX, CoefficientSeq
 from .extremals import named_forms
 
@@ -88,12 +88,10 @@ class HarmonicMap:
             raise ValueError("exactly one of a series and bounds must be given")
         if bounds is not None and not {bounds[1], bounds[2]} <= {1, -1}:
             raise ValueError("a named map's signs must be +1 or -1")
-        if not (0.0 < scale <= 1.0):
-            raise ValueError("scale must lie in (0, 1]")
         self.label = str(label)
         self._series, self._bounds = series, bounds
         self._domain = _CLOSED_DOMAIN if series is None else _SERIES_DOMAIN
-        self._scale = float(scale)
+        self._scale = check_real(scale, "scale", 0.0, 1.0, "(]")
 
     def _evaluators(self) -> ClosedForm:
         """The pair evaluators, built on first use and kept as vars(self)["_forms"]."""
@@ -196,11 +194,10 @@ class HarmonicMap:
 
     def dilate(self, r: float) -> "HarmonicMap":
         """The dilated map f_r(z) = f(rz)/r; series coefficients pick up r^(n-1)."""
-        if not (0.0 < r <= 1.0):
-            raise ValueError("dilation parameter must lie in (0, 1]")
+        r = check_real(r, "dilation parameter", 0.0, 1.0, "(]")
         if r == 1.0:
             return self
-        return HarmonicMap(f"dilate({self.label},{float(r)!r})", series=self._series,
+        return HarmonicMap(f"dilate({self.label},{r!r})", series=self._series,
                            bounds=self._bounds, scale=self._scale * r)
 
     def section(self, n: int, m: int) -> "HarmonicMap":
@@ -213,9 +210,7 @@ class HarmonicMap:
             n: highest retained h index, n >= 1.
             m: highest retained g index, m >= 0 (0 drops g entirely).
         """
-        n, m = check_index(n, None, "section degree"), check_index(m, None, "section degree")
-        if n < 1 or m < 0:
-            raise ValueError("section degrees require n >= 1, m >= 0")
+        n, m = check_index(n, 1, "section degree"), check_index(m, 0, "section degree")
         top = max(n, m)
         coeffs = [self.coefficient(k) for k in range(1, top + 1)]
         a = {k: v for k, (v, _) in enumerate(coeffs[1:n], 2) if v != 0}

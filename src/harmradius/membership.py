@@ -29,7 +29,7 @@ from __future__ import annotations
 import math
 import sys
 
-from ._util import check_beta, check_index, record
+from ._util import check_index, check_real, record
 from .coefficients import (CoefficientSeq, _has_tail, _moduli, weighted_sum,
                            weighted_sum_limit)
 
@@ -97,14 +97,12 @@ class GridSpec(record("GridSpec", "n_radial n_angular r_max", (200, 64, 0.999)))
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
-        n_radial, n_angular = (check_index(n, None, "grid size") for n in self[:2])
-        if n_radial < 2 or n_angular < 1:
-            raise ValueError("grid needs n_radial >= 2, n_angular >= 1")
+        n_radial = check_index(self.n_radial, 2, "grid size")
+        n_angular = check_index(self.n_angular, 1, "grid size")
         if n_radial * n_angular > _MAX_GRID_POINTS:
             raise ValueError(f"grid of {n_radial}x{n_angular} points exceeds "
                              f"the {_MAX_GRID_POINTS} points a grid may sample")
-        if not 0.0 < self.r_max < 1.0:
-            raise ValueError("r_max must lie in (0, 1)")
+        check_real(self.r_max, "r_max", 0.0, 1.0)
         return self
 
     def radii(self) -> np.ndarray:
@@ -181,7 +179,7 @@ def coeff_condition(seq, beta: float = 0.0) -> MembershipReport:
     sum that overflows (ValueError).  Requires |b1| < 1-beta up front;
     failing that, returns a violation without summing.
     """
-    beta = check_beta(beta)
+    beta = check_real(beta, "beta", 0.0, 1.0, "[)")
     family, rho = getattr(seq, "family", None) or (None, 1.0)
     named = rho < 1.0  # a dilated named map; _as_sequence refuses an undilated one
     seq = seq if named else _as_sequence(seq)
@@ -211,7 +209,7 @@ def coefficient_growth_check(seq, beta: float = 0.0) -> MembershipReport:
     n^2 (|a_n|^2 + |b_n|^2) <= (1-beta)^2 - |b1|^2.
     margin is the smaller of the two slacks; the note carries both.
     """
-    beta = check_beta(beta)
+    beta = check_real(beta, "beta", 0.0, 1.0, "[)")
     seq = _as_sequence(seq)
     spec = "coefficient series, exact"
     if _has_tail(seq):
@@ -260,7 +258,7 @@ def c_h2_numeric(f: HarmonicMap, beta: float = 0.0,
     margin = min over the grid of (1-beta) - |f_zbar| - |f_z - 1|.
     """
     np = _np()
-    beta = check_beta(beta)
+    beta = check_real(beta, "beta", 0.0, 1.0, "[)")
     grid = grid or GridSpec()
     pts = grid.points()
     with np.errstate(over="ignore", invalid="ignore"):  # refused by _sampled_verdict
@@ -280,9 +278,7 @@ def starlike_scan(f: HarmonicMap, r: float,
     raises ValueError: numpy's complex division of subnormals is not finite.
     """
     np = _np()
-    r = float(r)
-    if not 0.0 < r < 1.0:
-        raise ValueError("scan radius must lie in (0, 1)")
+    r = check_real(r, "scan radius", 0.0, 1.0)
     grid = grid or GridSpec(r_max=r)
     if grid.r_max > r:
         raise ValueError("grid r_max exceeds the scan radius")
@@ -525,9 +521,7 @@ def injectivity_oracle(f: HarmonicMap, r: float,
     they would overflow.
     """
     np = _np()
-    r = float(r)
-    if not 0.0 < r < 1.0:
-        raise ValueError("radius must lie in (0, 1)")
+    r = check_real(r, "radius", 0.0, 1.0)
     resolution = check_index(resolution, None, "resolution")
     if not 8 <= resolution <= 512:
         raise ValueError("resolution must lie in [8, 512]")

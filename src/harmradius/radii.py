@@ -19,7 +19,7 @@ so the radii and the sharpness check need no numpy.
 import math
 import sys
 
-from ._util import check_beta, horner, record
+from ._util import check_real, horner, record
 from .coefficients import (
     FAMILY_POLYNOMIALS,
     SERIES_EVAL_MAX,
@@ -106,7 +106,7 @@ def radius_by_bisection(family, beta: float = 0.0) -> RadiusReport:
     Raises:
         NoRadiusError: S(0) = |b1| already meets or exceeds 1 - beta.
     """
-    beta = check_beta(beta)
+    beta = check_real(beta, "beta", 0.0, 1.0, "[)")
     if not isinstance(family, (BoundFamily, CoefficientSeq)):
         raise TypeError("expected a BoundFamily or CoefficientSeq")
     target = 1.0 - beta
@@ -197,7 +197,8 @@ def jacobian_roots(profile, lo: float = 0.0, hi: float = 0.999) -> list[float]:
     import numpy as np
 
     jac = _jacobian(profile)
-    if not 0.0 <= lo < hi < 1.0:
+    lo, hi = check_real(lo, "lo", 0.0, 1.0, "[)"), check_real(hi, "hi", 0.0, 1.0, "[)")
+    if not lo < hi:
         raise ValueError("scan interval must satisfy 0 <= lo < hi < 1")
     grid = np.linspace(lo, hi, _SCAN_POINTS)
     vals = jac(grid)
@@ -228,9 +229,7 @@ def verify_sharpness(witness, r_claimed: float) -> SharpnessReport:
     samples are numpy's linspace(0, r, 1002) without its ends.
     """
     jac = _jacobian(witness)
-    r = float(r_claimed)
-    if not 0.0 < r < 1.0 - 1e-3:
-        raise ValueError("claimed radius must lie in (0, 0.999)")
+    r = check_real(r_claimed, "claimed radius", 0.0, 1.0 - 1e-3)
     # A profile gives the same floats called on an array or element-wise (a
     # map the same to within rounding).  One array call is some 30x faster,
     # but importing numpy for it costs a cold process far more than the

@@ -1,6 +1,7 @@
 """Bloch-Landau radii for bounded harmonic maps and the summary table."""
 
 import math
+import re
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -35,12 +36,12 @@ def test_coefficient_bound_values():
 
 
 def test_coefficient_bound_domain():
-    with pytest.raises(ValueError):
-        coefficient_bound(0.7)
+    # check_real's one format: M lies in [pi/4, inf), so NaN and inf do not
     assert MIN_BOUND == pytest.approx(math.pi / 4)
-    for M in (math.nan, math.inf):
+    for M in (0.7, math.nan, math.inf):
         for fn in (coefficient_bound, bloch_radius, lambda m: bloch_table([1.0, m])):
-            with pytest.raises(ValueError, match="M must be finite"):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"sup-norm bound M must lie in [0.7853981633974483, inf), got {M!r}")):
                 fn(M)
 
 

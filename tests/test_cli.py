@@ -208,7 +208,7 @@ def test_radius_unknown_family_exits_1(capsys):
         (["radius", "--family", "koebe:1"], "family 'koebe' takes no parameters"),
         (["radius", "--family", "uniform"], "family 'uniform' requires the bound parameter c"),
         (["radius", "--family", "uniform:1,2,3"], "takes at most the parameters c,b1"),
-        (["radius", "--family", "uniform:nan"], "uniform bound c must be finite and positive"),
+        (["radius", "--family", "uniform:nan"], "uniform bound c must lie in (0, inf), got nan"),
         (["sharpness", "--witness", "F0:1"], "family 'koebe' takes no parameters"),
         (["sharpness", "--witness", "f0"], "family 'uniform' requires the bound parameter c"),
         (["jacobian-scan", "--witness", "K0"], "unknown witness 'K0'"),
@@ -505,6 +505,26 @@ def test_jacobian_scan_l0_has_two_sign_changes(capsys):
     assert flips == 2
 
 
+def test_jacobian_scan_last_abscissa_is_hi(capsys):
+    # 0.3 + span * 2/2 rounds to 1.0, which the profile refuses; the scan
+    # clamps it to hi
+    hi = 0.9999999999999999
+    code, out, _ = run(capsys, "jacobian-scan", "--witness", "F0",
+                       "--lo", "0.3", "--hi", repr(hi), "--steps", "3")
+    assert code == 0
+    assert out.splitlines()[-1] == f"{fmt12(hi)},{fmt12(koebe_witness_profile()(hi))}"
+
+
+def test_jacobian_scan_takes_lo_zero(capsys):
+    # the library's interval 0 <= lo < hi < 1: J(0) = 1
+    code, out, _ = run(capsys, "jacobian-scan", "--witness", "F0",
+                       "--lo", "0", "--hi", "0.2", "--steps", "3")
+    assert code == 0
+    assert out.splitlines()[1] == "0,1"
+    code, _, err = run(capsys, "jacobian-scan", "--witness", "F0", "--lo", "-0.5")
+    assert code == 1 and "need 0 <= lo < hi < 1" in err
+
+
 def test_jacobian_scan_validation(capsys):
     code, _, err = run(capsys, "jacobian-scan", "--witness", "F0",
                        "--lo", "0.3", "--hi", "0.2")
@@ -550,7 +570,9 @@ def test_bloch_table_bound_below_pi_quarter(capsys):
 def test_bloch_table_non_finite_bound(capsys, M):
     code, doc, _ = run_json(capsys, "bloch-table", "--M", M)
     assert code == 2
-    assert doc == {"error": "sup-norm bound M must be finite", "kind": "domain"}
+    bad = M.split(",")[-1]
+    assert doc == {"error": f"sup-norm bound M must lie in [0.7853981633974483, inf), got {bad}",
+                   "kind": "domain"}
     check(doc, "error.schema.json")
 
 

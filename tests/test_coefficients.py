@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -162,18 +163,25 @@ def test_family_constructors():
     with pytest.raises(ValueError):
         BoundFamily.uniform(1.0, 1.0)
     # the family keeps the floats its checks return, so bounds and S(r) see
-    # floats whatever number type c and b1_abs arrived as
-    for family in (BoundFamily("uniform", "2"), BoundFamily("uniform", 2),
-                   BoundFamily("uniform", 1.0)._replace(c="2"),
+    # floats whatever real number type c and b1_abs arrived as
+    for family in (BoundFamily("uniform", 2), BoundFamily("uniform", 1.0)._replace(c=2),
                    BoundFamily("uniform", 2, np.float64(0.0)),
-                   BoundFamily("uniform", True)._replace(c=2, b1_abs=False)):
+                   BoundFamily("uniform", np.int64(3))._replace(c=Fraction(2), b1_abs=0)):
         assert family == ("uniform", 2.0, 0.0)
         assert type(family.c) is float and type(family.b1_abs) is float
         assert family.bounds(2) == (1.0, 1.0)
         assert weighted_sum(family, 0.5) == 6.0
-    assert type(BoundFamily("uniform", True).c) is float
     assert type(BoundFamily("koebe", None, 0).b1_abs) is float
-    with pytest.raises(ValueError, match="uniform bound c must be finite and positive"):
+    # a string or a bool is not a number, by the constructor and by _replace
+    for build, bad in ((lambda: BoundFamily("uniform", "2"), "c"),
+                       (lambda: BoundFamily("uniform", True), "c"),
+                       (lambda: BoundFamily("uniform", 1.0)._replace(c="2"), "c"),
+                       (lambda: BoundFamily("uniform", 2.0, False), "b1_abs"),
+                       (lambda: BoundFamily("uniform", 2.0, np.False_), "b1_abs"),
+                       (lambda: BoundFamily.uniform(2.0, "0.3"), "b1_abs")):
+        with pytest.raises(TypeError, match=f"{bad} must be a real number, got "):
+            build()
+    with pytest.raises(ValueError, match=re.escape("uniform bound c must lie in (0, inf), got 0.0")):
         BoundFamily("uniform", 2)._replace(c=0)
 
 

@@ -69,9 +69,10 @@ def test_uniform_witness_validation():
     with pytest.raises(ValueError):
         get_extremal("f0", 1.0, 1.0)
     for c in (math.nan, math.inf):
-        with pytest.raises(ValueError, match="finite"):
+        message = re.escape(f"uniform bound c must lie in (0, inf), got {c!r}")
+        with pytest.raises(ValueError, match=message):
             get_extremal("f0", c)
-        with pytest.raises(ValueError, match="finite"):
+        with pytest.raises(ValueError, match=message):
             uniform_witness_profile(c, 0.2)
 
 

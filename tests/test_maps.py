@@ -381,8 +381,8 @@ def test_section_of_closed_form_with_rule():
 
 
 def test_section_degree_validation():
-    for n, m in ((0, 0), (1, -1)):
-        with pytest.raises(ValueError, match="section degrees require n >= 1, m >= 0"):
+    for n, m, message in ((0, 0, ">= 1, got 0"), (1, -1, ">= 0, got -1")):
+        with pytest.raises(ValueError, match=f"section degree must be {message}"):
             identity_map().section(n, m)
     # a degree is an integer: no truncation of 2.5, and no failure inside range()
     for n, m in ((2.5, 2), (2, 2.0), (True, 1), (2, np.float64(1.0))):

@@ -61,8 +61,10 @@ def test_grid_points_are_fresh_and_unchanged():
 
 
 def test_grid_validation():
-    with pytest.raises(ValueError, match="grid needs n_radial >= 2, n_angular >= 1"):
+    with pytest.raises(ValueError, match="grid size must be >= 2, got 1"):
         GridSpec(1, 8, 0.5)
+    with pytest.raises(ValueError, match="grid size must be >= 1, got 0"):
+        GridSpec(2, 0, 0.5)
     with pytest.raises(ValueError):
         GridSpec(10, 8, 1.0)
     # counts are integers: a float fails here, not inside np.geomspace

@@ -66,7 +66,7 @@ def test_every_export_is_a_lazy_package_attribute(monkeypatch):
 # one valid record of each type; for a validated type, a field value its
 # checks refuse and their message
 RECORDS = [
-    (TailBound(1.0, 2.0), {"degree": math.nan}, "tail degree must be finite"),
+    (TailBound(1.0, 2.0), {"degree": math.nan}, "tail degree must lie in (-inf, inf), got nan"),
     (CoefficientSeq({2: 0.1}, {1: 0.2}, 3), {"b": {1: 1.5}},
      "|b_1| must be < 1 (sense-preserving normalization)"),
     (BoundFamily("uniform", 2.0, 0.3), {"kind": "disk"}, "unknown family kind 'disk'"),
@@ -77,7 +77,7 @@ RECORDS = [
     (BlochRow(1.0, 4 / math.pi, 0.2, 0.1, 0.3, 0.4), {"R_S": 0.5},
      "R_S must lie in (0, r_S)"),
     (ClosedForm(abs, abs), None, None),
-    (GridSpec(), {"n_radial": 1}, "grid needs n_radial >= 2, n_angular >= 1"),
+    (GridSpec(), {"n_radial": 1}, "grid size must be >= 2, got 1"),
     (MembershipReport("satisfied", 0.5), {"verdict": "maybe"}, "unknown verdict 'maybe'"),
 ]
 

@@ -1,6 +1,7 @@
 """Radius solvers, Jacobian root location, sharpness certification."""
 
 import math
+import re
 import sys
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -68,21 +69,27 @@ def test_family_radius_is_nearest_double(closed_form, expected, coeffs):
 
 
 def test_uniform_radius_validates_once(monkeypatch):
-    from harmradius._util import check_uniform
+    # the uniform bound c is checked once per call, by BoundFamily
+    from harmradius._util import check_real
 
     calls = []
-    counting = lambda *args: calls.append(args) or check_uniform(*args)
+
+    def counting(x, what, *args):
+        if what == "uniform bound c":
+            calls.append(x)
+        return check_real(x, what, *args)
+
     for name, module in list(sys.modules.items()):
-        if name.startswith("harmradius.") and hasattr(module, "check_uniform"):
-            monkeypatch.setattr(module, "check_uniform", counting)
+        if name.startswith("harmradius.") and hasattr(module, "check_real"):
+            monkeypatch.setattr(module, "check_real", counting)
     assert uniform_family_radius(2.0, 0.3).radius == pytest.approx(0.139337034176)
-    assert calls == [(2.0, 0.3)]
+    assert calls == [2.0]
     calls.clear()
     assert get_extremal("f0", 2.0, 0.3).coefficient(1) == (1, -0.3)
-    assert calls == [(2.0, 0.3)]
+    assert calls == [2.0]
     calls.clear()
     assert uniform_witness_profile(2.0, 0.3).label == "f0"
-    assert calls == [(2.0, 0.3)]
+    assert calls == [2.0]
 
 
 def test_convex_radius_value_and_residual():
@@ -168,9 +175,10 @@ def test_uniform_radius_validation():
     with pytest.raises(ValueError):
         uniform_family_radius(1.0, 1.0)
     for c in (math.nan, math.inf, -math.inf):
-        with pytest.raises(ValueError, match="finite"):
+        message = re.escape(f"uniform bound c must lie in (0, inf), got {c!r}")
+        with pytest.raises(ValueError, match=message):
             uniform_family_radius(c)
-        with pytest.raises(ValueError, match="finite"):
+        with pytest.raises(ValueError, match=message):
             BoundFamily.uniform(c)
 
 
