@@ -20,7 +20,7 @@ class UnsupportedOperation(RuntimeError):
     named map does not have.
 
     Defined here, and re-exported by maps, so the CLI can catch it without
-    importing numpy."""
+    importing maps."""
 
 
 def record(name: str, fields: str, defaults=()):

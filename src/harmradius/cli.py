@@ -112,27 +112,15 @@ def _cmd_radius(args) -> int:
 
 
 def _cmd_membership(args) -> int:
+    from .maps import HarmonicMap
     from .membership import (GridSpec, c_h2_numeric, coeff_condition,
                              coefficient_growth_check, injectivity_oracle, starlike_scan)
 
     check = args.check
-    if args.seq is not None and check in ("coeff", "growth"):
-        # the exact checks read the stored coefficients: no map, no numpy
-        subject, label = load_sequence(args.seq), "seq-file"
-        if args.dilate is not None:
-            subject = subject.scaled(args.dilate)
-            if args.dilate != 1.0:  # the label HarmonicMap.dilate gives
-                label = f"dilate({label},{args.dilate!r})"
-    else:
-        if args.seq is not None:
-            from .maps import HarmonicMap
-
-            subject = HarmonicMap.from_series(load_sequence(args.seq), label="seq-file")
-        else:
-            subject = args.map
-        if args.dilate is not None:
-            subject = subject.dilate(args.dilate)
-        label = subject.label
+    subject = (args.map if args.seq is None
+               else HarmonicMap.from_series(load_sequence(args.seq), label="seq-file"))
+    if args.dilate is not None:
+        subject = subject.dilate(args.dilate)
 
     if check == "coeff":
         report = coeff_condition(subject, args.beta)
@@ -146,7 +134,7 @@ def _cmd_membership(args) -> int:
                                GridSpec(args.grid_radial, args.grid_angular, args.r))
     else:
         report = injectivity_oracle(subject, args.r, args.resolution)
-    _emit({"check": check, "subject": label} | report._asdict())
+    _emit({"check": check, "subject": subject.label} | report._asdict())
     return 0
 
 

@@ -137,7 +137,7 @@ class BoundFamily(record("BoundFamily", "kind c b1_abs", (None, 0.0))):
                 raise ValueError("family 'uniform' requires the bound parameter c")
             return super().__new__(cls, kind, check_real(c, "uniform bound c", 0.0),
                                    check_real(b1_abs, "b1_abs", 0.0, 1.0, "[)"))
-        if c is not None or b1_abs != 0.0:
+        if c is not None or check_real(b1_abs, "b1_abs", 0.0, 1.0, "[)") != 0.0:
             raise ValueError(f"family {kind!r} takes no parameters")
         return super().__new__(cls, kind)
 
@@ -185,6 +185,11 @@ def power_sums(r: float) -> tuple[float, float, float]:
         ValueError: if r is outside [0, 1).
     """
     check_real(r, "r", 0.0, 1.0, "[)")
+    return _power_sums(r)
+
+
+def _power_sums(r: float) -> tuple[float, float, float]:
+    """power_sums without the check on r."""
     one = 1.0 - r
     s1 = r / one**2
     s2 = r * (1.0 + r) / one**3
@@ -195,7 +200,7 @@ def power_sums(r: float) -> tuple[float, float, float]:
 def _family_sum(fam: BoundFamily, r: float) -> float:
     if fam.kind == "koebe":
         # S(r) = sum_{n>=2} n(2n^2+1)/3 r^(n-1), assembled from the closed sums.
-        _, _, s3 = power_sums(r)
+        _, _, s3 = _power_sums(r)  # r checked by weighted_sum
         t1 = 1.0 / (1.0 - r) ** 2          # sum_{n>=1} n r^(n-1)
         return (2.0 * (s3 - 1.0) + (t1 - 1.0)) / 3.0
     if fam.kind == "convex":

@@ -86,8 +86,11 @@ class HarmonicMap:
                  bounds: tuple | None = None, scale: float = 1.0):
         if (series is None) == (bounds is None):
             raise ValueError("exactly one of a series and bounds must be given")
-        if bounds is not None and not {bounds[1], bounds[2]} <= {1, -1}:
-            raise ValueError("a named map's signs must be +1 or -1")
+        if bounds is not None:
+            family, *signs = bounds
+            bounds = (family, *(check_index(s, None, "a named map's sign") for s in signs))
+            if not set(bounds[1:]) <= {1, -1}:
+                raise ValueError("a named map's signs must be +1 or -1")
         self.label = str(label)
         self._series, self._bounds = series, bounds
         self._domain = _CLOSED_DOMAIN if series is None else _SERIES_DOMAIN

@@ -32,10 +32,7 @@ import sys
 from ._util import check_index, check_real, record
 from .coefficients import (CoefficientSeq, _has_tail, _moduli, weighted_sum,
                            weighted_sum_limit)
-
-TYPE_CHECKING = False  # typing.TYPE_CHECKING, without importing typing
-if TYPE_CHECKING:
-    from .maps import HarmonicMap
+from .maps import HarmonicMap
 
 __all__ = [
     "BOUNDARY_TOL",
@@ -150,7 +147,7 @@ def _graded_verdict(margin: float, witness, grid_spec: str, note: str = "") -> M
 def _as_sequence(x) -> CoefficientSeq:
     if isinstance(x, CoefficientSeq):
         return x
-    if hasattr(x, "as_sequence"):  # a series-backed HarmonicMap
+    if isinstance(x, HarmonicMap):  # refused unless series-backed
         return x.as_sequence()
     raise TypeError("expected a CoefficientSeq or a series-backed HarmonicMap")
 

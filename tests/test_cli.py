@@ -416,8 +416,8 @@ def test_membership_ch2_dilate_split(capsys):
 
 
 def test_membership_dilated_subject_keeps_every_digit(capsys, tmp_path):
-    # coeff scales the sequence and builds its label itself; c-h2 takes
-    # HarmonicMap.dilate's: both print the dilation with every digit
+    # every check prints HarmonicMap.dilate's label, with every digit of
+    # the dilation
     path = seq_file(tmp_path, CoefficientSeq({2: 0.1}, {1: 0.2}, 2))
     for check_name in ("coeff", "c-h2"):
         code, doc, _ = run_json(capsys, "membership", "--check", check_name, "--seq", path,
@@ -425,6 +425,17 @@ def test_membership_dilated_subject_keeps_every_digit(capsys, tmp_path):
                                 "--grid-angular", "8")
         assert code == 0
         assert doc["subject"] == "dilate(seq-file,0.1129031)"
+
+
+def test_membership_dilate_one_is_the_undilated_subject(capsys):
+    # HarmonicMap.dilate(1.0) is the map itself: its label and its report
+    path = str(Path(__file__).resolve().parent / "golden" / "tailed_seq.json")
+    _, undilated, _ = run(capsys, "membership", "--check", "coeff", "--seq", path)
+    code, out, _ = run(capsys, "membership", "--check", "coeff", "--seq", path,
+                       "--dilate", "1")
+    assert code == 0
+    assert '"subject": "seq-file"' in out
+    assert out == undilated
 
 
 def test_membership_starlike_f0(capsys):
@@ -782,7 +793,7 @@ assert not loaded, f"a subcommand other than membership loaded {loaded}"
 for check in ("coeff", "growth"):
     run("membership", "--check", check, "--seq", sys.argv[1])
     run("membership", "--check", check, "--seq", sys.argv[1], "--dilate", "0.5")
-assert "harmradius.maps" not in sys.modules, "a coefficient check loaded maps"
+assert "numpy" not in sys.modules, "a coefficient check loaded numpy"
 # a closed-form map builds and exits 2 (no coefficient sequence) without numpy
 run("membership", "--check", "coeff", "--map", "F0", code=2)
 run("membership", "--check", "growth", "--map", "f0:2,0.3", code=2)
@@ -956,9 +967,8 @@ def test_cli_boundary_answers_or_fails_structured(tmp_path_factory, argv, doc):
 @settings(max_examples=100, deadline=None)
 @given(doc=seq_docs(), rho=st.sampled_from([1.0, 0.5, 0.3, 1e-3, 5e-324]))
 def test_coefficient_checks_read_the_dilated_sequence_of_the_map(tmp_path_factory, doc, rho):
-    # coeff and growth on --seq take seq.scaled(rho), no map: the same
-    # coefficients, to the bit, and the same subject label as the dilated
-    # series map they used to read
+    # coeff and growth on --seq read the dilated series map, whose
+    # sequence is seq.scaled(rho) to the bit, and print its label
     try:
         seq = sequence_from_dict(doc)
     except ValueError:  # a drawn coefficient too large for its index

@@ -197,6 +197,18 @@ def test_family_parameters_per_kind(kwargs, message):
         BoundFamily(**kwargs)
 
 
+def test_parameterless_families_take_b1_abs_by_the_real_rule():
+    # a bool is not "no parameter": it is refused as the uniform family refuses it
+    for kind in ("koebe", "convex"):
+        for b1 in (False, np.False_):
+            with pytest.raises(TypeError, match=re.escape(f"b1_abs must be a real number, "
+                                                          f"got {b1!r}")):
+                BoundFamily(kind, None, b1)
+        assert BoundFamily(kind, None, 0) == BoundFamily(kind)
+    with pytest.raises(TypeError, match=re.escape("b1_abs must be a real number, got False")):
+        BoundFamily("uniform", 1.0, False)
+
+
 # -- power sums --------------------------------------------------------------
 
 def test_power_sums_against_brute_force():
@@ -209,6 +221,27 @@ def test_power_sums_against_brute_force():
         assert c1 == pytest.approx(s1, abs=1e-11)
         assert c2 == pytest.approx(s2, abs=1e-11)
         assert c3 == pytest.approx(s3, abs=1e-10)
+
+
+def test_weighted_sum_checks_r_once_per_call(monkeypatch):
+    import harmradius.coefficients as coefficients
+
+    families = (BoundFamily.koebe(), BoundFamily.convex(), BoundFamily.uniform(2.0, 0.3))
+    seen = []
+    check_real = coefficients.check_real
+
+    def counted(x, what, *args):
+        seen.append(what)
+        return check_real(x, what, *args)
+
+    monkeypatch.setattr(coefficients, "check_real", counted)
+    for family in families:
+        seen.clear()
+        weighted_sum(family, 0.1)
+        assert seen == ["r"], family.kind
+    seen.clear()
+    power_sums(0.1)
+    assert seen == ["r"]
 
 
 def test_power_sums_domain():

@@ -303,9 +303,16 @@ def test_constructor_takes_a_series_or_bounds():
     for kwargs in ({}, {"series": _sample_seq(), "bounds": (koebe, 1, 1)}):
         with pytest.raises(ValueError, match="exactly one of a series and bounds"):
             HarmonicMap("bad", **kwargs)
-    for signs in ((0, 1), (1, 2), (-1, 0.5)):
+    for signs in ((0, 1), (1, 2)):
         with pytest.raises(ValueError, match="signs must be [+]1 or -1"):
             HarmonicMap("bad", bounds=(koebe, *signs))
+    # each sign is an integer by check_index's rule: a bool or a float is refused
+    for signs in ((True, -1), (1, 1.0), (-1, 0.5), (np.True_, 1)):
+        with pytest.raises(TypeError, match="a named map's sign must be an integer, got "):
+            HarmonicMap("bad", bounds=(koebe, *signs))
+    f = HarmonicMap("x", bounds=(koebe, 1, np.int64(-1)))
+    assert f._bounds == (koebe, 1, -1) and type(f._bounds[2]) is int
+    assert f.coefficient(2) == (2.5 + 0j, -0.5 + 0j)
     with pytest.raises(TypeError, match="forms"):
         HarmonicMap("bad", forms=ClosedForm(abs, abs))
     assert ClosedForm._fields == ("f", "df")

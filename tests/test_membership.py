@@ -400,6 +400,16 @@ def test_injectivity_witness_collision():
     assert abs(z1) <= 0.2 and abs(z2) <= 0.2
 
 
+def test_injectivity_no_near_coincidence_between_separated_samples():
+    # a map that stretches its grid apart: no pair of separated samples has
+    # images within the largest reach, so nothing is refined
+    f = HarmonicMap.from_series(CoefficientSeq({3: 500.0}, {2: 400.0}, 3))
+    rep = injectivity_oracle(f, 0.3, 8)
+    assert rep.verdict == "inconclusive" and rep.witness is None
+    assert rep.note == "no image near-coincidence between separated samples"
+    assert rep.margin == 0.4285714275714286
+
+
 def test_injectivity_dilated_koebe_no_collision():
     K = get_extremal("koebe").dilate(0.112903)
     rep = injectivity_oracle(K, 0.999, 256)

@@ -52,6 +52,8 @@ ENTRIES = [
     ("CoefficientSeq.scaled", SEQ.scaled, "dilation parameter", "(0, 1]", 1.5),
     ("BoundFamily.c", lambda x: BoundFamily("uniform", x), "uniform bound c", "(0, inf)", 0.0),
     ("BoundFamily.b1_abs", lambda x: BoundFamily.uniform(2.0, x), "b1_abs", "[0, 1)", 1.0),
+    ("BoundFamily.koebe.b1_abs", lambda x: BoundFamily("koebe", None, x), "b1_abs",
+     "[0, 1)", 1.0),
     ("power_sums", power_sums, "r", "[0, 1)", 1.0),
     ("weighted_sum", lambda x: weighted_sum(KOEBE, x), "r", "[0, 1)", -0.5),
     ("weighted_sum_tail", lambda x: weighted_sum_tail(TAILED, x), "r", "[0, 1)", 1.0),
