@@ -18,7 +18,7 @@ Three experiments:
 
 import numpy as np
 
-from harmradius.coefficients import CoefficientSeq
+from harmradius.coefficients import BoundFamily, CoefficientSeq
 from harmradius.extremals import get_extremal
 from harmradius.maps import HarmonicMap
 from harmradius.membership import (
@@ -28,12 +28,12 @@ from harmradius.membership import (
     injectivity_oracle,
     starlike_scan,
 )
-from harmradius.radii import koebe_family_radius
+from harmradius.radii import closed_form_radius
 
 
 def main() -> None:
     koebe = get_extremal("koebe")
-    radius = koebe_family_radius().radius
+    radius = closed_form_radius(BoundFamily.koebe()).radius
 
     print(f"1. scaling the harmonic Koebe map across r = {radius:.6f}")
     for rho in (0.05, 0.10, 0.112903, 0.12, 0.2, 0.5):

@@ -13,27 +13,21 @@ Deterministic; requires only numpy and harmradius.
 import numpy as np
 
 from harmradius.coefficients import BoundFamily, weighted_sum
-from harmradius.radii import (
-    convex_family_radius,
-    koebe_family_radius,
-    radius_by_bisection,
-    uniform_family_radius,
-)
+from harmradius.radii import closed_form_radius, radius_by_bisection
 
 CASES = [
-    ("harmonic Koebe bounds", BoundFamily.koebe(), koebe_family_radius),
-    ("convex bounds", BoundFamily.convex(), convex_family_radius),
-    ("uniform bound c=1", BoundFamily.uniform(1.0), lambda: uniform_family_radius(1.0)),
-    ("uniform bound c=2, |b1|=0.3", BoundFamily.uniform(2.0, 0.3),
-     lambda: uniform_family_radius(2.0, 0.3)),
+    ("harmonic Koebe bounds", BoundFamily.koebe()),
+    ("convex bounds", BoundFamily.convex()),
+    ("uniform bound c=1", BoundFamily.uniform(1.0)),
+    ("uniform bound c=2, |b1|=0.3", BoundFamily.uniform(2.0, 0.3)),
 ]
 
 
 def main() -> None:
     print("family radii: closed form vs bisection")
     print("=" * 64)
-    for name, family, closed_form in CASES:
-        closed = closed_form()
+    for name, family in CASES:
+        closed = closed_form_radius(family)
         bisected = radius_by_bisection(family, 0.0)
         print(f"\n{name}")
         print(f"  closed form   r = {closed.radius:.15f}")

@@ -10,23 +10,19 @@ its roots, and runs the packaged sharpness verdict.
 The printed root lists are the data behind the CLI's jacobian-scan CSV.
 """
 
+from harmradius.coefficients import BoundFamily
 from harmradius.extremals import (
     convex_witness_profile,
     koebe_witness_profile,
     uniform_witness_profile,
 )
-from harmradius.radii import (
-    convex_family_radius,
-    jacobian_roots,
-    koebe_family_radius,
-    uniform_family_radius,
-    verify_sharpness,
-)
+from harmradius.radii import closed_form_radius, jacobian_roots, verify_sharpness
 
 WITNESSES = [
-    ("F0", koebe_witness_profile(), koebe_family_radius().radius, 0.25),
-    ("L0", convex_witness_profile(), convex_family_radius().radius, 0.35),
-    ("f0(c=1)", uniform_witness_profile(1.0), uniform_family_radius(1.0).radius, 0.5),
+    ("F0", koebe_witness_profile(), closed_form_radius(BoundFamily.koebe()).radius, 0.25),
+    ("L0", convex_witness_profile(), closed_form_radius(BoundFamily.convex()).radius, 0.35),
+    ("f0(c=1)", uniform_witness_profile(1.0),
+     closed_form_radius(BoundFamily.uniform(1.0)).radius, 0.5),
 ]
 
 

@@ -40,16 +40,12 @@ PRIOR_ESTIMATE_FACTOR = 1.0 / 11.105
 BLOCH_CSV_HEADER = "M,phi,psi,r_S,R_S"
 
 
-def _check_bound(M: float) -> float:
+def coefficient_bound(M: float) -> float:
+    """Sharp bound 4M/pi on |a_n| + |b_n| for maps with |f| < M."""
     M = check_real(M, "sup-norm bound M", MIN_BOUND, math.inf, "[)")
     if math.isinf(8.0 * M / math.pi):
         raise ValueError(f"sup-norm bound M = {M:g} is too large: 8M/pi overflows")
-    return M
-
-
-def coefficient_bound(M: float) -> float:
-    """Sharp bound 4M/pi on |a_n| + |b_n| for maps with |f| < M."""
-    return 4.0 * _check_bound(M) / math.pi
+    return 4.0 * M / math.pi
 
 
 def bloch_radius(M: float) -> tuple[float, float]:
@@ -122,11 +118,10 @@ def bloch_table(Ms) -> list[BlochRow]:
     """One BlochRow per bound M; the comparison columns use x = 8M/pi."""
     rows = []
     for M in Ms:
-        M = _check_bound(M)
-        r_s, big_r = bloch_radius(M)
+        r_s, big_r = bloch_radius(M)  # checks M
+        M = float(M)
         x = 8.0 * M / math.pi
-        rows.append(BlochRow(M, coefficient_bound(M), r_s, big_r,
-                             phi(x), psi(x)))
+        rows.append(BlochRow(M, x / 2, r_s, big_r, phi(x), psi(x)))  # x/2 == 4M/pi exactly
     return rows
 
 

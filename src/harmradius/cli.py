@@ -21,7 +21,7 @@ import json
 import sys
 
 from ._util import UnsupportedOperation, round12, fmt12
-from .coefficients import BoundFamily, load_sequence, power_sums
+from .coefficients import SERIES_EVAL_MAX, BoundFamily, load_sequence, power_sums
 from .extremals import EXTREMALS, WITNESSES, get_extremal
 from .radii import (
     NoRadiusError,
@@ -219,7 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dilate", type=float,
                    help="replace f by f(rz)/r before checking")
     p.add_argument("--beta", type=float, default=0.0)
-    p.add_argument("--r", type=float, default=0.999,
+    p.add_argument("--r", type=float, default=SERIES_EVAL_MAX,
                    help="radius of the disk |z| <= r that the sampled checks "
                         "(c-h2, starlike, injectivity) cover")
     p.add_argument("--resolution", type=int, default=256)

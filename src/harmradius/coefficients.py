@@ -92,6 +92,8 @@ class CoefficientSeq(record("CoefficientSeq", "a b truncation tail")):
                     raise ValueError(f"{what}[{n}]: n*|{what}_n| is not finite")
                 checked[n] = v
             stored.append(dict(sorted(checked.items())))
+        if tail is not None and not isinstance(tail, TailBound):
+            raise TypeError(f"tail must be a TailBound or None, got {tail!r}")
         self = super().__new__(cls, *stored, truncation, tail)
         if abs(self.b1) >= 1.0:
             raise ValueError("|b_1| must be < 1 (sense-preserving normalization)")
@@ -260,11 +262,11 @@ def _tail_start(seq: CoefficientSeq) -> int:
 
 
 def weighted_sum_tail(seq: CoefficientSeq, r: float) -> float:
-    """Rigorous majorant of the unstored part of S(r); zero when tail is None
-    or its constant is 0, which bounds nothing."""
+    """Rigorous majorant of the unstored part of S(r), r checked on every seq;
+    zero when tail is None or its constant is 0, which bounds nothing."""
+    check_real(r, "r", 0.0, 1.0, "[)")
     if not _has_tail(seq):
         return 0.0
-    check_real(r, "r", 0.0, 1.0, "[)")
     if r > SERIES_EVAL_MAX:
         raise ValueError(
             f"tail majorant is evaluated only for r <= {SERIES_EVAL_MAX}"
@@ -300,11 +302,12 @@ def weighted_sum(x: CoefficientSeq | BoundFamily, r: float) -> float:
     Raises:
         ValueError: if r lies outside [0, 1).
     """
-    check_real(r, "r", 0.0, 1.0, "[)")
     if isinstance(x, BoundFamily):
+        check_real(r, "r", 0.0, 1.0, "[)")
         return _family_sum(x, r)
     if isinstance(x, CoefficientSeq):
-        return _stored_sum(x, r) + weighted_sum_tail(x, r)
+        # weighted_sum_tail checks r, so it runs before the stored sum
+        return weighted_sum_tail(x, r) + _stored_sum(x, r)
     raise TypeError(f"expected CoefficientSeq or BoundFamily, got {type(x).__name__}")
 
 

@@ -18,7 +18,7 @@ Maps are immutable once constructed.
 import math
 
 from ._util import UnsupportedOperation, check_index, check_real, horner, horner_array, record
-from .coefficients import SERIES_EVAL_MAX, CoefficientSeq
+from .coefficients import SERIES_EVAL_MAX, BoundFamily, CoefficientSeq
 from .extremals import named_forms
 
 __all__ = [
@@ -86,7 +86,12 @@ class HarmonicMap:
                  bounds: tuple | None = None, scale: float = 1.0):
         if (series is None) == (bounds is None):
             raise ValueError("exactly one of a series and bounds must be given")
+        if series is not None and not isinstance(series, CoefficientSeq):
+            raise TypeError(f"series must be a CoefficientSeq, got {series!r}")
         if bounds is not None:
+            if not (isinstance(bounds, tuple) and len(bounds) == 3
+                    and isinstance(bounds[0], BoundFamily)):
+                raise TypeError(f"bounds must be (BoundFamily, sign_a, sign_b), got {bounds!r}")
             family, *signs = bounds
             bounds = (family, *(check_index(s, None, "a named map's sign") for s in signs))
             if not set(bounds[1:]) <= {1, -1}:
@@ -232,7 +237,8 @@ class HarmonicMap:
             raise UnsupportedOperation(
                 f"{self.label}: closed-form map has no finite coefficient sequence"
             )
-        return self._series.scaled(self._scale)
+        # the stored sequence was checked when it was built
+        return self._series if self._scale == 1.0 else self._series.scaled(self._scale)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         kind = "series" if self.is_series else "named"

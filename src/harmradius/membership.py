@@ -30,8 +30,8 @@ import math
 import sys
 
 from ._util import check_index, check_real, record
-from .coefficients import (CoefficientSeq, _has_tail, _moduli, weighted_sum,
-                           weighted_sum_limit)
+from .coefficients import (SERIES_EVAL_MAX, CoefficientSeq, _has_tail, _moduli,
+                           weighted_sum, weighted_sum_limit)
 from .maps import HarmonicMap
 
 __all__ = [
@@ -84,7 +84,7 @@ def _np():
     return sys.modules[__name__].np
 
 
-class GridSpec(record("GridSpec", "n_radial n_angular r_max", (200, 64, 0.999))):
+class GridSpec(record("GridSpec", "n_radial n_angular r_max", (200, 64, SERIES_EVAL_MAX))):
     """Polar sampling grid: n_radial circles, geometrically clustered
     toward r_max (which is included; 0 is not), times n_angular equally
     spaced angles starting on the positive real axis; at most 512 x 512

@@ -153,6 +153,9 @@ def test_bloch_row_invariants():
         BlochRow(1.0, 0.9, 0.25, 0.14, 0.2, 0.1)   # c < 1
     with pytest.raises(ValueError):
         BlochRow(1.0, 1.2, 0.25, 0.3, 0.2, 0.1)    # R_S > r_S
+    for r_s in (0.0, 1.0):
+        with pytest.raises(ValueError, match=re.escape("r_S must lie in (0, 1)")):
+            BlochRow(1.0, 1.2, r_s, 0.1, 0.2, 0.1)
 
 
 def test_csv_output():

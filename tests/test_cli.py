@@ -157,9 +157,10 @@ def test_radius_no_radius_is_exit_2(capsys, tmp_path):
     {"a": 5, "truncation": 3},
     {"a": None, "truncation": 3},
     {"b": 1.5, "truncation": 3},
+    [1, 2],
 ], ids=["null-truncation", "tail-without-degree", "fractional-index", "null-value",
         "null-degree", "string-value", "bool-value", "null-tail", "int-a", "null-a",
-        "float-b"])
+        "float-b", "not-an-object"])
 def test_radius_malformed_seq_file_is_exit_2(capsys, tmp_path, doc):
     # the published schema rejects what the loader rejects
     assert not Draft202012Validator(schema("coefficient_seq.schema.json")).is_valid(doc)

@@ -95,6 +95,14 @@ def test_tail_bound_validation():
         TailBound(degree=-3.0, constant=-1.0)
 
 
+def test_seq_tail_must_be_a_tail_bound():
+    # refused where it enters, not at the first weighted_sum
+    for tail in ((-3.0, 0.01), "tail", 0.01, {"degree": -3.0, "constant": 0.01}):
+        with pytest.raises(TypeError, match=re.escape(
+                f"tail must be a TailBound or None, got {tail!r}")):
+            CoefficientSeq({2: 0.1}, {}, 2, tail)
+
+
 def test_scaled_multiplies_by_powers():
     seq = CoefficientSeq({2: 1.0, 4: 2.0}, {1: 0.5, 3: 1.0}, 4)
     s = seq.scaled(0.5)
@@ -299,6 +307,8 @@ def test_weighted_sum_domain_errors():
         weighted_sum(fam, -0.2)
     with pytest.raises(TypeError):
         weighted_sum("koebe", 0.5)
+    with pytest.raises(TypeError, match="expected CoefficientSeq, got BoundFamily"):
+        weighted_sum_limit(fam)
 
 
 def test_weighted_sum_scaled_composition(rng):
@@ -449,6 +459,8 @@ def test_sequence_dict_shape():
 
 
 def test_sequence_from_dict_rejects_garbage():
+    with pytest.raises(ValueError, match="sequence document must be a JSON object"):
+        sequence_from_dict([1, 2])
     with pytest.raises(ValueError):
         sequence_from_dict({"a": [], "b": []})  # missing truncation
     with pytest.raises(ValueError):

@@ -2,6 +2,7 @@
 
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -321,6 +322,21 @@ def test_constructor_takes_a_series_or_bounds():
 
 # -- dilation -------------------------------------------------------------------
 
+def test_series_must_be_a_coefficient_seq():
+    for series in ({2: 0.1}, BoundFamily("koebe"), ({2: 0.1}, {}, 2)):
+        with pytest.raises(TypeError, match=re.escape(
+                f"series must be a CoefficientSeq, got {series!r}")):
+            HarmonicMap("bad", series=series)
+
+
+def test_bounds_must_be_a_family_and_two_signs():
+    koebe = BoundFamily("koebe")
+    for bounds in (("koebe", 1, 1), (koebe, 1), (koebe, 1, 1, 1), [koebe, 1, 1], koebe):
+        with pytest.raises(TypeError, match=re.escape(
+                f"bounds must be (BoundFamily, sign_a, sign_b), got {bounds!r}")):
+            HarmonicMap("bad", bounds=bounds)
+
+
 def test_dilate_eval_definition(rng):
     f = HarmonicMap.from_series(_sample_seq())
     g = f.dilate(0.4)
@@ -431,7 +447,8 @@ def test_coefficient_index_is_any_integer_but_bool(label):
 
 def test_as_sequence_roundtrip_and_closed_refusal():
     seq = _sample_seq()
-    assert HarmonicMap.from_series(seq).as_sequence() == seq
+    # an undilated series map hands on the sequence it was built from
+    assert HarmonicMap.from_series(seq).as_sequence() is seq
     with pytest.raises(UnsupportedOperation):
         get_extremal("koebe").as_sequence()
 

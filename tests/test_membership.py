@@ -138,6 +138,12 @@ def test_coeff_condition_rejects_closed_form_map():
         coeff_condition(get_extremal("koebe"), 0.0)
 
 
+def test_coefficient_checks_refuse_a_bound_family():
+    for check in (coeff_condition, coefficient_growth_check):
+        with pytest.raises(TypeError, match="expected a CoefficientSeq or a series-backed"):
+            check(BoundFamily.koebe())
+
+
 def test_coeff_condition_refuses_a_non_finite_sum():
     # the uniform family's S(0.5) at c = 1e308 overflows to inf: the radius
     # solver reads that inf as S > 1, while the check has no margin to report
@@ -398,6 +404,18 @@ def test_injectivity_witness_collision():
     assert abs(f(z1) - f(z2)) <= 1e-9
     assert abs(z1 - z2) > 2 * (0.4 / 255)
     assert abs(z1) <= 0.2 and abs(z2) <= 0.2
+
+
+def test_newton_gives_up_on_a_singular_jacobian_and_outside_the_disk():
+    from harmradius.membership import _newton_collide
+
+    # g(z) = z^2 has J = 1 - 4|z|^2, zero at z = 1/2, where no step can be solved for
+    fold = HarmonicMap.from_series(CoefficientSeq({}, {2: 1.0}, 2))
+    assert fold.jacobian(0.5) == 0.0
+    assert _newton_collide(fold, fold(0.5) + 0.1, 0.5, 0.9, 1.0) is None
+    # the identity's one step from 0 lands on the target 0.8, outside |z| <= 0.5
+    assert _newton_collide(identity_map(), 0.8, 0j, 0.5, 1.0) is None
+    assert _newton_collide(identity_map(), 0.4, 0j, 0.5, 1.0) == (0.4 + 0j, 0.0)
 
 
 def test_injectivity_no_near_coincidence_between_separated_samples():

@@ -4,6 +4,7 @@ messages, and a numpy scalar gives the report of the float it holds."""
 
 import math
 import re
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -37,6 +38,7 @@ from harmradius import (
     weighted_sum,
     weighted_sum_tail,
 )
+from harmradius._util import check_index, check_real
 
 KOEBE = BoundFamily.koebe()
 SEQ = CoefficientSeq({2: 0.1}, {1: 0.2}, 2)
@@ -44,47 +46,54 @@ TAILED = CoefficientSeq({2: 0.1}, {}, 2, TailBound(0.0, 0.01))
 F0 = get_extremal("F0")
 M_INTERVAL = f"[{math.pi / 4!r}, inf)"
 
-# entry, the name check_real gives the parameter, its interval, and a finite
-# value outside it (None where the interval is all finite reals)
+# entry, the name check_real gives the parameter, its interval, a finite
+# value outside it (None where the interval is all finite reals) and one inside it
 ENTRIES = [
-    ("TailBound.degree", lambda x: TailBound(x, 1.0), "tail degree", "(-inf, inf)", None),
-    ("TailBound.constant", lambda x: TailBound(1.0, x), "tail constant", "[0, inf)", -1.0),
-    ("CoefficientSeq.scaled", SEQ.scaled, "dilation parameter", "(0, 1]", 1.5),
-    ("BoundFamily.c", lambda x: BoundFamily("uniform", x), "uniform bound c", "(0, inf)", 0.0),
-    ("BoundFamily.b1_abs", lambda x: BoundFamily.uniform(2.0, x), "b1_abs", "[0, 1)", 1.0),
+    ("TailBound.degree", lambda x: TailBound(x, 1.0), "tail degree", "(-inf, inf)", None, -3.0),
+    ("TailBound.constant", lambda x: TailBound(1.0, x), "tail constant", "[0, inf)", -1.0, 0.5),
+    ("CoefficientSeq.scaled", SEQ.scaled, "dilation parameter", "(0, 1]", 1.5, 0.5),
+    ("BoundFamily.c", lambda x: BoundFamily("uniform", x), "uniform bound c", "(0, inf)", 0.0,
+     2.0),
+    ("BoundFamily.b1_abs", lambda x: BoundFamily.uniform(2.0, x), "b1_abs", "[0, 1)", 1.0, 0.25),
     ("BoundFamily.koebe.b1_abs", lambda x: BoundFamily("koebe", None, x), "b1_abs",
-     "[0, 1)", 1.0),
-    ("power_sums", power_sums, "r", "[0, 1)", 1.0),
-    ("weighted_sum", lambda x: weighted_sum(KOEBE, x), "r", "[0, 1)", -0.5),
-    ("weighted_sum_tail", lambda x: weighted_sum_tail(TAILED, x), "r", "[0, 1)", 1.0),
-    ("radius_by_bisection", lambda x: radius_by_bisection(KOEBE, x), "beta", "[0, 1)", 1.0),
-    ("uniform_family_radius", uniform_family_radius, "uniform bound c", "(0, inf)", -2.0),
+     "[0, 1)", 1.0, 0.0),
+    ("power_sums", power_sums, "r", "[0, 1)", 1.0, 0.5),
+    ("weighted_sum", lambda x: weighted_sum(KOEBE, x), "r", "[0, 1)", -0.5, 0.5),
+    ("weighted_sum.tailed", lambda x: weighted_sum(TAILED, x), "r", "[0, 1)", 1.0, 0.5),
+    ("weighted_sum_tail", lambda x: weighted_sum_tail(TAILED, x), "r", "[0, 1)", 1.0, 0.5),
+    ("weighted_sum_tail.untailed", lambda x: weighted_sum_tail(SEQ, x), "r", "[0, 1)", 1.5,
+     0.5),
+    ("radius_by_bisection", lambda x: radius_by_bisection(KOEBE, x), "beta", "[0, 1)", 1.0,
+     0.25),
+    ("uniform_family_radius", uniform_family_radius, "uniform bound c", "(0, inf)", -2.0, 2.0),
     ("jacobian_roots.lo", lambda x: jacobian_roots(koebe_witness_profile(), x), "lo",
-     "[0, 1)", -0.1),
+     "[0, 1)", -0.1, 0.05),
     ("jacobian_roots.hi", lambda x: jacobian_roots(koebe_witness_profile(), 0.0, x), "hi",
-     "[0, 1)", 1.0),
+     "[0, 1)", 1.0, 0.3),
     ("verify_sharpness", lambda x: verify_sharpness(koebe_witness_profile(), x),
-     "claimed radius", "(0, 0.999)", 0.9995),
+     "claimed radius", "(0, 0.999)", 0.9995, 0.1129029312079177),
     ("HarmonicMap.scale", lambda x: HarmonicMap("x", series=SEQ, scale=x), "scale",
-     "(0, 1]", 0.0),
-    ("HarmonicMap.dilate", F0.dilate, "dilation parameter", "(0, 1]", 2.0),
-    ("GridSpec.r_max", lambda x: GridSpec(r_max=x), "r_max", "(0, 1)", 1.0),
-    ("coeff_condition", lambda x: coeff_condition(SEQ, x), "beta", "[0, 1)", 1.0),
+     "(0, 1]", 0.0, 0.5),
+    ("HarmonicMap.dilate", F0.dilate, "dilation parameter", "(0, 1]", 2.0, 0.5),
+    ("GridSpec.r_max", lambda x: GridSpec(r_max=x), "r_max", "(0, 1)", 1.0, 0.5),
+    ("coeff_condition", lambda x: coeff_condition(SEQ, x), "beta", "[0, 1)", 1.0, 0.25),
     ("coefficient_growth_check", lambda x: coefficient_growth_check(SEQ, x), "beta",
-     "[0, 1)", -0.1),
-    ("c_h2_numeric", lambda x: c_h2_numeric(F0, x), "beta", "[0, 1)", 1.0),
-    ("starlike_scan", lambda x: starlike_scan(F0, x), "scan radius", "(0, 1)", 0.0),
-    ("injectivity_oracle", lambda x: injectivity_oracle(F0, x), "radius", "(0, 1)", 1.0),
-    ("coefficient_bound", coefficient_bound, "sup-norm bound M", M_INTERVAL, 0.5),
-    ("bloch_radius", bloch_radius, "sup-norm bound M", M_INTERVAL, 0.5),
-    ("bloch_table", lambda x: bloch_table([1.0, x]), "sup-norm bound M", M_INTERVAL, 0.5),
-    ("phi", phi, "x", "(-inf, inf)", None),
-    ("psi", psi, "x", "(-inf, inf)", None),
-    ("one_term_extremal", lambda x: one_term_extremal(2, x), "theta", "(-inf, inf)", None),
-    ("get_extremal.c", lambda x: get_extremal("f0", x), "uniform bound c", "(0, inf)", 0.0),
-    ("get_extremal.b1_abs", lambda x: get_extremal("f0", 2.0, x), "b1_abs", "[0, 1)", 1.0),
+     "[0, 1)", -0.1, 0.25),
+    ("c_h2_numeric", lambda x: c_h2_numeric(F0, x), "beta", "[0, 1)", 1.0, 0.25),
+    ("starlike_scan", lambda x: starlike_scan(F0, x), "scan radius", "(0, 1)", 0.0, 0.25),
+    ("injectivity_oracle", lambda x: injectivity_oracle(F0, x), "radius", "(0, 1)", 1.0, 0.2),
+    ("coefficient_bound", coefficient_bound, "sup-norm bound M", M_INTERVAL, 0.5, 2.0),
+    ("bloch_radius", bloch_radius, "sup-norm bound M", M_INTERVAL, 0.5, 2.0),
+    ("bloch_table", lambda x: bloch_table([1.0, x]), "sup-norm bound M", M_INTERVAL, 0.5, 2.0),
+    ("phi", phi, "x", "(-inf, inf)", None, 2.0),
+    ("psi", psi, "x", "(-inf, inf)", None, 2.5),
+    ("one_term_extremal", lambda x: one_term_extremal(2, x), "theta", "(-inf, inf)", None, 0.5),
+    ("get_extremal.c", lambda x: get_extremal("f0", x), "uniform bound c", "(0, inf)", 0.0,
+     3.0),
+    ("get_extremal.b1_abs", lambda x: get_extremal("f0", 2.0, x), "b1_abs", "[0, 1)", 1.0,
+     0.25),
     ("uniform_witness_profile", lambda x: uniform_witness_profile(2.0, x), "b1_abs",
-     "[0, 1)", 1.0),
+     "[0, 1)", 1.0, 0.25),
 ]
 IDS = [name for name, *_ in ENTRIES]
 # None stands for an absent parameter here: c is required, b1_abs defaults to 0
@@ -92,8 +101,9 @@ NONE_IS_ABSENT = {"BoundFamily.c", "uniform_family_radius", "get_extremal.c",
                   "get_extremal.b1_abs"}
 
 
-@pytest.mark.parametrize("name, entry, what, interval, outside", ENTRIES, ids=IDS)
-def test_real_parameters_refuse_what_is_not_a_real_number(name, entry, what, interval, outside):
+@pytest.mark.parametrize("name, entry, what, interval, outside, inside", ENTRIES, ids=IDS)
+def test_real_parameters_refuse_what_is_not_a_real_number(name, entry, what, interval, outside,
+                                                          inside):
     for x in (True, np.True_, "0.5", None, 1j, np.complex64(0.5), np.array([0.5])):
         if x is None and name in NONE_IS_ABSENT:
             continue
@@ -102,15 +112,38 @@ def test_real_parameters_refuse_what_is_not_a_real_number(name, entry, what, int
             entry(x)
 
 
-@pytest.mark.parametrize("name, entry, what, interval, outside", ENTRIES, ids=IDS)
+@pytest.mark.parametrize("name, entry, what, interval, outside, inside", ENTRIES, ids=IDS)
 def test_real_parameters_refuse_values_outside_their_interval(name, entry, what, interval,
-                                                              outside):
+                                                              outside, inside):
     for x in (math.nan, math.inf, -math.inf, outside):
         if x is None:
             continue
         with pytest.raises(ValueError, match=re.escape(f"{what} must lie in {interval}, "
                                                        f"got {x!r}")):
             entry(x)
+
+
+@pytest.mark.parametrize("name, entry, what, interval, outside, inside", ENTRIES, ids=IDS)
+def test_each_entry_checks_its_number_once(monkeypatch, name, entry, what, interval, outside,
+                                           inside):
+    # code inside the package passes a checked number on: of all the checks
+    # that the package makes, exactly one sees the entry's number by its name
+    seen = []
+
+    def real(x, label, *args):
+        seen.append((label, x))
+        return check_real(x, label, *args)
+
+    def index(n, low, label):
+        seen.append((label, n))
+        return check_index(n, low, label)
+
+    for module in [m for n, m in sys.modules.items() if n.startswith("harmradius.")]:
+        for check, counted in ((check_real, real), (check_index, index)):
+            if getattr(module, check.__name__, None) is check:
+                monkeypatch.setattr(module, check.__name__, counted)
+    entry(inside)
+    assert [x for w, x in seen if w == what and x == inside] == [inside]
 
 
 @pytest.mark.parametrize("call, value", [
