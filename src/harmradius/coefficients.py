@@ -103,18 +103,6 @@ class CoefficientSeq(record("CoefficientSeq", "a b truncation tail")):
     def b1(self) -> complex:
         return self.b.get(1, 0j)
 
-    def scaled(self, rho: float) -> "CoefficientSeq":
-        """Coefficients of the dilated map f_rho(z) = f(rho z)/rho."""
-        check_real(rho, "dilation parameter", 0.0, 1.0, "(]")
-        # C n^d rho^(n-1) <= C n^d for n > N, so the old tail stays a valid
-        # (conservative) majorant for the dilated sequence.
-        return CoefficientSeq(
-            {n: v * rho ** (n - 1) for n, v in self.a.items()},
-            {n: v * rho ** (n - 1) for n, v in self.b.items()},
-            self.truncation,
-            self.tail,
-        )
-
 
 # ---------------------------------------------------------------------------
 # Bound families
@@ -279,15 +267,21 @@ def weighted_sum_tail(seq: CoefficientSeq, r: float) -> float:
                          f"at r={r:g}") from None
 
 
-def _moduli(seq: CoefficientSeq) -> dict[int, tuple[float, float]]:
-    """(|a_n|, |b_n|) keyed by every stored index n, ascending; unstored ones are 0."""
-    return {n: (abs(seq.a.get(n, 0j)), abs(seq.b.get(n, 0j)))
-            for n in sorted(seq.a.keys() | seq.b.keys())}
+def _moduli(seq: CoefficientSeq, rho: float = 1.0) -> dict[int, tuple[float, float]]:
+    """The moduli (|a_n rho^(n-1)|, |b_n rho^(n-1)|) of the map dilated by rho, keyed
+    by every stored index n, ascending; unstored ones are 0.  A value is scaled
+    before its modulus is taken, as the dilated map's coefficient is."""
+    return {n: (abs(seq.a.get(n, 0j) * s), abs(seq.b.get(n, 0j) * s))
+            for n in sorted(seq.a.keys() | seq.b.keys()) for s in (rho ** (n - 1),)}
 
 
-def _stored_sum(seq: CoefficientSeq, r: float) -> float:
-    # n = 1 contributes |b_1| (a_1 is never stored); fsum accumulates exactly
-    return math.fsum(n * (a + b) * r ** (n - 1) for n, (a, b) in _moduli(seq).items())
+def _stored_sum(seq: CoefficientSeq, r: float, rho: float = 1.0) -> float:
+    # n = 1 contributes |b_1| (a_1 is never stored); fsum accumulates exactly,
+    # and raises OverflowError on a sum past the float range, which is inf
+    try:
+        return math.fsum(n * (a + b) * r ** (n - 1) for n, (a, b) in _moduli(seq, rho).items())
+    except OverflowError:
+        return math.inf
 
 
 def weighted_sum(x: CoefficientSeq | BoundFamily, r: float) -> float:
@@ -297,7 +291,8 @@ def weighted_sum(x: CoefficientSeq | BoundFamily, r: float) -> float:
     are summed term by term with compensated accumulation; when a tail bound
     is attached the returned value includes its majorant (weighted_sum_tail
     alone), which is rounded up past its float error, so the unstored part
-    of S(r) is bounded from above in floating point too.
+    of S(r) is bounded from above in floating point too.  A stored sum past
+    the float range is inf, as a family's closed form can be.
 
     Raises:
         ValueError: if r lies outside [0, 1).
@@ -355,7 +350,14 @@ def weighted_sum_limit(seq: CoefficientSeq) -> float:
     """
     if not isinstance(seq, CoefficientSeq):
         raise TypeError(f"expected CoefficientSeq, got {type(seq).__name__}")
-    total = _stored_sum(seq, 1.0)
+    return _sum_limit(seq)
+
+
+def _sum_limit(seq: CoefficientSeq, rho: float = 1.0) -> float:
+    """S(1^-) of seq's map dilated by rho: the stored moduli weighted by
+    rho^(n-1), plus the undilated tail's C zeta(-degree-1, N+1), which also
+    bounds the dilated tail, since C n^d rho^(n-1) <= C n^d past N."""
+    total = _stored_sum(seq, 1.0, rho)
     if _has_tail(seq):
         s = -(seq.tail.degree + 1.0)
         if s <= 1.0:

@@ -115,7 +115,7 @@ class HarmonicMap:
     def from_series(cls, seq: CoefficientSeq, label: str = "series") -> "HarmonicMap":
         """The polynomial map with the stored coefficients of seq.
 
-        A tail majorant on seq is kept (as_sequence returns it) but never
+        A tail majorant on seq is kept (source returns seq) but never
         evaluated: every sampled check on this map sees the stored
         polynomial only.  The tail enters only S(r)-based computations
         (radius_by_bisection, coeff_condition).
@@ -179,10 +179,11 @@ class HarmonicMap:
         return self._series is not None
 
     @property
-    def family(self):
-        """(BoundFamily, rho) for a named map dilated by rho, whose coefficient
-        moduli are the family's bounds times rho^(n-1); None for a series."""
-        return None if self.is_series else (self._bounds[0], self._scale)
+    def source(self) -> tuple:
+        """(CoefficientSeq or BoundFamily, rho): the stored sequence of a series,
+        or a named map's family, and the dilation rho.  The map's coefficient
+        moduli are the sequence's, or the family's bounds, times rho^(n-1)."""
+        return (self._bounds[0] if self._series is None else self._series), self._scale
 
     def coefficient(self, n: int) -> tuple[complex, complex]:
         """The series coefficients (a_n, b_n); a_1 is 1 by normalization.
@@ -225,20 +226,6 @@ class HarmonicMap:
         b = {k: v for k, (_, v) in enumerate(coeffs[:m], 1) if v != 0}
         seq = CoefficientSeq(a, b, top)
         return HarmonicMap.from_series(seq, f"section({self.label},{n},{m})")
-
-    def as_sequence(self) -> CoefficientSeq:
-        """The stored coefficient sequence (dilation folded in).
-
-        Raises:
-            UnsupportedOperation: for a named map; use section to
-                materialize a finite prefix instead.
-        """
-        if self._series is None:
-            raise UnsupportedOperation(
-                f"{self.label}: closed-form map has no finite coefficient sequence"
-            )
-        # the stored sequence was checked when it was built
-        return self._series if self._scale == 1.0 else self._series.scaled(self._scale)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         kind = "series" if self.is_series else "named"

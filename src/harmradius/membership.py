@@ -1,8 +1,10 @@
 """Membership checks for coefficient-bounded harmonic map classes.
 
 Two kinds of check live here.  Exact coefficient tests (coeff_condition,
-coefficient_growth_check) decide membership from a stored sequence, and
-coeff_condition also on a dilated named map, by its family's S(r) in closed form.
+coefficient_growth_check) decide membership from a map's source (see
+HarmonicMap.source): a stored sequence, read in place with the dilation's
+weights rho^(n-1), and for coeff_condition also a named map dilated by
+rho < 1, by its family's S(rho) in closed form.
 Sampling checks (c_h2_numeric, starlike_scan, injectivity_oracle) evaluate
 a map on a finite grid; they can certify violation with a witness point
 but can only report satisfied-on-grid, never a proof, so their verdicts
@@ -29,9 +31,9 @@ from __future__ import annotations
 import math
 import sys
 
-from ._util import check_index, check_real, record
-from .coefficients import (SERIES_EVAL_MAX, CoefficientSeq, _has_tail, _moduli,
-                           weighted_sum, weighted_sum_limit)
+from ._util import UnsupportedOperation, check_index, check_real, record
+from .coefficients import (SERIES_EVAL_MAX, BoundFamily, CoefficientSeq, _has_tail, _moduli,
+                           _sum_limit, weighted_sum)
 from .maps import HarmonicMap
 
 __all__ = [
@@ -144,15 +146,20 @@ def _graded_verdict(margin: float, witness, grid_spec: str, note: str = "") -> M
     return MembershipReport("violated", margin, witness, grid_spec, False, note)
 
 
-def _as_sequence(x) -> CoefficientSeq:
-    if isinstance(x, CoefficientSeq):
-        return x
-    if isinstance(x, HarmonicMap):  # refused unless series-backed
-        return x.as_sequence()
-    raise TypeError("expected a CoefficientSeq or a series-backed HarmonicMap")
-
-
 # -- exact coefficient checks -----------------------------------------------
+
+def _source(x, closed_form: bool = False) -> tuple:
+    """(CoefficientSeq or BoundFamily, rho) that a coefficient check reads: a
+    sequence undilated, or a map's source.  A named map is refused, unless
+    closed_form admits one dilated by rho < 1."""
+    if not isinstance(x, (CoefficientSeq, HarmonicMap)):
+        raise TypeError("expected a CoefficientSeq or a series-backed HarmonicMap")
+    seq, rho = x.source if isinstance(x, HarmonicMap) else (x, 1.0)
+    if isinstance(seq, BoundFamily) and not (closed_form and rho < 1.0):
+        raise UnsupportedOperation(f"{x.label}: closed-form map has no finite "
+                                   "coefficient sequence")
+    return seq, rho
+
 
 def _family_terms(family, rho: float) -> dict[int, float]:
     """{1: |b1|, n: the heaviest term n (A_n + B_n) rho^(n-1) of a family's S(rho), n >= 2}.
@@ -170,31 +177,32 @@ def _family_terms(family, rho: float) -> dict[int, float]:
 def coeff_condition(seq, beta: float = 0.0) -> MembershipReport:
     """Check |b1| + sum n(|a_n|+|b_n|) <= 1 - beta.
 
-    margin = (1-beta) - S(1-).  A named map dilated by rho < 1 has moduli its
-    family's bounds times rho^(n-1): S(1-) is the family's S(rho), in closed
-    form.  An undilated one has no finite sum and is refused, and so is a
+    margin = (1-beta) - S(1-).  A map dilated by rho has moduli its source's
+    times rho^(n-1).  For a series, S(1-) sums the stored ones so weighted,
+    plus the undilated tail's S(1-), which still bounds the dilated tail.
+    For a named map dilated by rho < 1 it is the family's S(rho), in closed
+    form; an undilated one has no finite sum and is refused, and so is a
     sum that overflows (ValueError).  Requires |b1| < 1-beta up front;
     failing that, returns a violation without summing.
     """
     beta = check_real(beta, "beta", 0.0, 1.0, "[)")
-    family, rho = getattr(seq, "family", None) or (None, 1.0)
-    named = rho < 1.0  # a dilated named map; _as_sequence refuses an undilated one
-    seq = seq if named else _as_sequence(seq)
-    b1a = family.bounds(1)[1] if named else abs(seq.b1)
+    seq, rho = _source(seq, closed_form=True)
+    named = isinstance(seq, BoundFamily)
+    b1a = seq.bounds(1)[1] if named else abs(seq.b1)
     spec = "coefficient series, exact limit at r=1"
     if b1a >= 1.0 - beta:
         return MembershipReport("violated", (1.0 - beta) - b1a, 1, spec,
                                 note="precondition |b1| < 1 - beta fails")
-    margin = (1.0 - beta) - (weighted_sum(family, rho) if named else weighted_sum_limit(seq))
+    margin = (1.0 - beta) - (weighted_sum(seq, rho) if named else _sum_limit(seq, rho))
     if not math.isfinite(margin):
         raise ValueError("coefficient sum S(1-) is not finite")
     witness = None
     if margin < -BOUNDARY_TOL:
         # no single index breaks a sum condition; point at the heaviest term
-        terms = (_family_terms(family, rho) if named
-                 else {n: n * (a + b) for n, (a, b) in _moduli(seq).items()})
+        terms = (_family_terms(seq, rho) if named
+                 else {n: n * (a + b) for n, (a, b) in _moduli(seq, rho).items()})
         witness = max(terms, key=terms.get, default=1)
-    note = f"the {family.kind} family's S(r) in closed form at r={rho:.12g}" if named else ""
+    note = f"the {seq.kind} family's S(r) in closed form at r={rho:.12g}" if named else ""
     return _graded_verdict(margin, witness, spec, note)
 
 
@@ -204,10 +212,12 @@ def coefficient_growth_check(seq, beta: float = 0.0) -> MembershipReport:
     Two families: | |a_n| - |b_n| | <= (1-beta)/n per index n >= 2 where
     a_n or b_n is nonzero, and the aggregate sum
     n^2 (|a_n|^2 + |b_n|^2) <= (1-beta)^2 - |b1|^2.
-    margin is the smaller of the two slacks; the note carries both.
+    margin is the smaller of the two slacks; the note carries both.  A map
+    dilated by rho is read as its stored moduli times rho^(n-1); a named
+    map, and a sum of squares past the float range (ValueError), are refused.
     """
     beta = check_real(beta, "beta", 0.0, 1.0, "[)")
-    seq = _as_sequence(seq)
+    seq, rho = _source(seq)
     spec = "coefficient series, exact"
     if _has_tail(seq):
         return MembershipReport(
@@ -216,14 +226,20 @@ def coefficient_growth_check(seq, beta: float = 0.0) -> MembershipReport:
         )
     one = 1.0 - beta
     # indices with a nonzero coefficient; a stored zero checks nothing
-    moduli = {n: ab for n, ab in _moduli(seq).items() if n >= 2 and any(ab)}
+    moduli = {n: ab for n, ab in _moduli(seq, rho).items() if n >= 2 and any(ab)}
     per_margin, per_witness = one, None
     for n, (an, bn) in moduli.items():
         slack = one / n - abs(an - bn)
         if slack < per_margin:
             per_margin, per_witness = slack, n
-    squares = {n: n * n * (an ** 2 + bn ** 2) for n, (an, bn) in moduli.items()}
-    agg_margin = one * one - abs(seq.b1) ** 2 - math.fsum(squares.values())
+    try:  # ** raises OverflowError past the float range, and so does fsum
+        squares = {n: n * n * (an ** 2 + bn ** 2) for n, (an, bn) in moduli.items()}
+        total = math.fsum(squares.values())
+    except OverflowError:
+        total = math.inf
+    if total == math.inf:
+        raise ValueError("sum of squares n^2 (|a_n|^2 + |b_n|^2) is not finite")
+    agg_margin = one * one - abs(seq.b1) ** 2 - total
     agg_witness = (max(squares, key=squares.get)
                    if agg_margin <= per_margin and squares else None)
     note = f"per-index margin {per_margin:.6g}, sum-of-squares margin {agg_margin:.6g}"

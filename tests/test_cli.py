@@ -15,6 +15,7 @@ import os
 import shutil
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -27,6 +28,7 @@ from harmradius.coefficients import (CoefficientSeq, save_sequence, sequence_fro
 from harmradius.bloch import bloch_table, bloch_table_csv
 from harmradius.extremals import koebe_witness_profile
 from harmradius.maps import HarmonicMap
+from harmradius.membership import coeff_condition, coefficient_growth_check
 from harmradius.radii import (
     convex_family_radius,
     koebe_family_radius,
@@ -232,16 +234,20 @@ def test_radius_unknown_family_exits_1(capsys):
 
 OVERFLOW = {"a": [[2, 1e308, 1e308]], "b": [], "truncation": 2}
 SAMPLED_OVERFLOW = {"a": [[n, 3e306, 0] for n in range(2, 12)], "b": [], "truncation": 11}
+# finite terms 2 * 5e307 and 3 * 5e307 whose sum passes the float range
+SUM_OVERFLOW = {"a": [[2, 5e307, 0], [3, 5e307, 0]], "b": [], "truncation": 3}
 
 
 @pytest.mark.parametrize("argv, doc, message", [
     (["radius"], OVERFLOW, "a[2]: n*|a_n| is not finite"),
     (["membership", "--check", "coeff"], OVERFLOW, "a[2]: n*|a_n| is not finite"),
+    (["membership", "--check", "coeff"], SUM_OVERFLOW, "coefficient sum S(1-) is not finite"),
     (["membership", "--check", "c-h2"], SAMPLED_OVERFLOW,
      "map evaluation is not finite on the grid"),
     (["membership", "--check", "starlike"], SAMPLED_OVERFLOW,
      "map evaluation is not finite on the grid"),
-], ids=["radius-overflow", "coeff-overflow", "c-h2-nan-margin", "starlike-nan-margin"])
+], ids=["radius-overflow", "coeff-overflow", "coeff-sum-overflow", "c-h2-nan-margin",
+        "starlike-nan-margin"])
 def test_non_finite_results_are_exit_2(capsys, tmp_path, argv, doc, message):
     path = tmp_path / "huge.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
@@ -290,6 +296,8 @@ STARLIKE_SUBNORMAL_CIRCLE = ["membership", "--check", "starlike", "--map", "koeb
 SHARPNESS_OVERFLOW = ["sharpness", "--witness", "f0:1e308", "--radius", "0.5"]
 # the uniform family's S(r) at c = 1e308 overflows to inf
 COEFF_FAMILY_OVERFLOW = ["membership", "--check", "coeff", "--map", "f0:1e308", "--dilate", "0.5"]
+# |a_2|^2 = 1e400 passes the float range in the growth check's sum of squares
+SQUARES_OVERFLOW = {"a": [[2, 1e200, 0]], "b": [], "truncation": 2}
 # the tail majorant would start at index 10^400 + 1, past the float range
 HUGE_TRUNCATION = {"a": [], "b": [], "truncation": 10 ** 400,
                    "tail": {"degree": -3, "constant": 0.01}}
@@ -328,10 +336,13 @@ HUGE_TRUNCATION_ERROR = _domain("truncation exceeds the float range: "
     # the object a cold process, which samples by float calls, prints too
     (SHARPNESS_OVERFLOW, None, _domain("Out of range float values are not JSON compliant: inf")),
     (COEFF_FAMILY_OVERFLOW, None, _domain("coefficient sum S(1-) is not finite")),
+    (["membership", "--check", "growth"], SQUARES_OVERFLOW, _domain(
+        "sum of squares n^2 (|a_n|^2 + |b_n|^2) is not finite")),
 ], ids=["divergent-tail", "steep-tail", "huge-grid", "huge-index-c-h2", "huge-M",
         "huge-truncation-radius", "huge-truncation-coeff", "overflowing-images", "huge-span",
         "c-h2-overflow", "starlike-overflow", "starlike-subnormal-dilation",
-        "starlike-subnormal-circle", "sharpness-overflow", "coeff-family-overflow"])
+        "starlike-subnormal-circle", "sharpness-overflow", "coeff-family-overflow",
+        "growth-squares-overflow"])
 def test_hostile_inputs_are_exit_2(capsys, tmp_path, argv, doc, expected):
     if doc is not None:
         check(doc, "coefficient_seq.schema.json")
@@ -353,6 +364,21 @@ def test_coefficient_checks_compile_no_map(capsys, tmp_path, check_name):
     assert code == 0
     check(doc, "membership_report.schema.json")
     assert (doc["subject"], doc["verdict"]) == ("seq-file", "satisfied")
+
+
+def test_radius_answers_where_the_stored_sum_overflows(capsys, tmp_path):
+    # S(r) = 1e308 r + 1.5e308 r^2 is inf near r = 1, which is S > 1 to the
+    # solver; its crossing lies near 1e-308, inside the reported bracket
+    path = tmp_path / "sum-overflow.json"
+    path.write_text(json.dumps(SUM_OVERFLOW), encoding="utf-8")
+    code, out, _ = run_json(capsys, "radius", "--seq", str(path))
+    assert code == 0
+    check(out, "radius_report.schema.json")
+    assert (out["radius"], out["saturated"]) == (9.99999999999e-309, False)
+    report = radius_by_bisection(sequence_from_dict(SUM_OVERFLOW))
+    s = lambda r: 2 * Fraction(5e307) * Fraction(r) + 3 * Fraction(5e307) * Fraction(r) ** 2
+    lo, hi = report.bracket
+    assert s(lo) < 1 < s(hi) and lo <= report.radius <= hi
 
 
 def test_radius_zero_tail_constant(capsys, tmp_path):
@@ -968,14 +994,24 @@ def test_cli_boundary_answers_or_fails_structured(tmp_path_factory, argv, doc):
 @settings(max_examples=100, deadline=None)
 @given(doc=seq_docs(), rho=st.sampled_from([1.0, 0.5, 0.3, 1e-3, 5e-324]))
 def test_coefficient_checks_read_the_dilated_sequence_of_the_map(tmp_path_factory, doc, rho):
-    # coeff and growth on --seq read the dilated series map, whose
-    # sequence is seq.scaled(rho) to the bit, and print its label
+    # coeff and growth on --seq read the dilated series map: their reports
+    # are those on its sequence dilated by hand, to the bit, and print its label
     try:
         seq = sequence_from_dict(doc)
     except ValueError:  # a drawn coefficient too large for its index
         assume(False)
     dilated = HarmonicMap.from_series(seq, label="seq-file").dilate(rho)
-    assert repr(seq.scaled(rho)) == repr(dilated.as_sequence())
+    by_hand = CoefficientSeq({n: v * rho ** (n - 1) for n, v in seq.a.items()},
+                             {n: v * rho ** (n - 1) for n, v in seq.b.items()},
+                             seq.truncation, seq.tail)
+    for check in (coeff_condition, coefficient_growth_check):
+        outcomes = []
+        for subject in (dilated, by_hand):
+            try:
+                outcomes.append(repr(check(subject)))
+            except ValueError as exc:
+                outcomes.append(repr(exc))
+        assert outcomes[0] == outcomes[1]
     path = tmp_path_factory.getbasetemp() / "dilated_seq.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
     for check_name in ("coeff", "growth"):

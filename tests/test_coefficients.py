@@ -26,6 +26,7 @@ from harmradius.coefficients import (
     _ZETA_CORRECTIONS,
     SERIES_EVAL_MAX,
     _hurwitz_zeta_majorant,
+    _moduli,
     _tail_sum,
     weighted_sum_tail,
 )
@@ -104,21 +105,24 @@ def test_seq_tail_must_be_a_tail_bound():
 
 
 def test_scaled_multiplies_by_powers():
-    seq = CoefficientSeq({2: 1.0, 4: 2.0}, {1: 0.5, 3: 1.0}, 4)
-    s = seq.scaled(0.5)
-    assert s.a[2] == 0.5
-    assert s.a[4] == 2.0 * 0.125
-    assert s.b[1] == 0.5  # b1 carries rho^0
-    assert s.b[3] == 0.25
-    assert s.truncation == 4
+    # the moduli of the map dilated by rho: |a_n rho^(n-1)| and |b_n rho^(n-1)|
+    seq = CoefficientSeq({2: 1.0, 4: -2.0j}, {1: 0.5, 3: 1.0, 5: 0.0}, 5)
+    assert _moduli(seq, 0.5) == {1: (0.0, 0.5),  # b1 carries rho^0
+                                 2: (0.5, 0.0), 3: (0.0, 0.25), 4: (2.0 * 0.125, 0.0),
+                                 5: (0.0, 0.0)}
+    assert _moduli(seq) == _moduli(seq, 1.0) == {1: (0.0, 0.5), 2: (1.0, 0.0), 3: (0.0, 1.0),
+                                                 4: (2.0, 0.0), 5: (0.0, 0.0)}
 
 
 def test_scaled_rejects_bad_rho():
-    seq = CoefficientSeq({2: 1.0}, {}, 2)
-    with pytest.raises(ValueError):
-        seq.scaled(0.0)
-    with pytest.raises(ValueError):
-        seq.scaled(1.5)
+    # a sequence is dilated only as a series map, whose dilate checks rho
+    from harmradius import HarmonicMap
+
+    f = HarmonicMap.from_series(CoefficientSeq({2: 1.0}, {}, 2))
+    for rho in (0.0, 1.5):
+        with pytest.raises(ValueError, match=re.escape(
+                f"dilation parameter must lie in (0, 1], got {rho!r}")):
+            f.dilate(rho)
 
 
 # -- stock bounds ------------------------------------------------------------
@@ -312,10 +316,14 @@ def test_weighted_sum_domain_errors():
 
 
 def test_weighted_sum_scaled_composition(rng):
+    # S of the map dilated by rho, at r, is S(rho r): the moduli rho^(n-1) |a_n|
     seq = CoefficientSeq({2: 0.3, 7: 0.04}, {1: 0.2, 4: 0.1j}, 8)
     for rho in (0.3, 0.9):
+        dilated = CoefficientSeq({n: v * rho ** (n - 1) for n, v in seq.a.items()},
+                                 {n: v * rho ** (n - 1) for n, v in seq.b.items()}, 8)
+        assert _moduli(seq, rho) == _moduli(dilated)
         for r in (0.25, 0.8):
-            assert weighted_sum(seq.scaled(rho), r) == pytest.approx(
+            assert weighted_sum(dilated, r) == pytest.approx(
                 weighted_sum(seq, rho * r), abs=1e-14)
 
 

@@ -233,7 +233,7 @@ def test_signed_maps_keep_the_bits_of_their_hand_written_forms(rng):
     points = _bit_points(rng)
     numbers = [complex(z) for z in points]
     for f, (h, g, dh, dg) in cases:
-        what = f"{f.family[0].kind}{f.coefficient(2)}"
+        what = f"{f.source[0].kind}{f.coefficient(2)}"
         _same_bits(f._evaluators().f, lambda z: (h(z), g(z)), points, what)
         _same_bits(f._evaluators().df, lambda z: (dh(z), dg(z)), points, what)
         # the map's evaluators, undilated (no product or quotient by 1) and
@@ -502,7 +502,7 @@ def test_get_extremal_takes_its_family_parameters(label):
                 get_extremal(label, *params)
             continue
         f = get_extremal(label, *params)
-        assert f.family == (family, 1.0)
+        assert f.source == (family, 1.0)
         a2, b2 = family.bounds(2)
         assert f.coefficient(2) == (sign_a * a2, sign_b * b2)
 

@@ -17,7 +17,6 @@ from harmradius import (
     CoefficientSeq,
     EvaluationDomainError,
     HarmonicMap,
-    UnsupportedOperation,
     get_extremal,
     identity_map,
 )
@@ -70,7 +69,7 @@ def test_series_map_is_compiled_on_first_evaluation_up_to_degree_cap():
     # index 10^13: a dense polynomial would take 146 TiB, so the cap must
     # refuse it before any allocation; the stored sequence stays readable
     f = HarmonicMap.from_series(CoefficientSeq({10 ** 13: 1e-15}, {}, 10 ** 13))
-    assert f.as_sequence().a == {10 ** 13: 1e-15}
+    assert f.source[0].a == {10 ** 13: 1e-15}
     assert f.dilate(0.5).is_series
     message = "up to degree 10000; the highest stored index is 10000000000000"
     for evaluate in (f, f.wirtinger, f.jacobian, f.dilate(0.5)):
@@ -80,7 +79,7 @@ def test_series_map_is_compiled_on_first_evaluation_up_to_degree_cap():
     assert f.coefficient(1) == (1.0 + 0j, 0j) and f.coefficient(2) == (0j, 0j)
     assert f.coefficient(10 ** 13) == (1e-15 + 0j, 0j)
     assert f.dilate(0.5).coefficient(2) == (0j, 0j)
-    assert f.section(3, 1).as_sequence() == CoefficientSeq({}, {}, 3)
+    assert f.section(3, 1).source == (CoefficientSeq({}, {}, 3), 1.0)
     # the cap itself compiles
     g = HarmonicMap.from_series(CoefficientSeq({10 ** 4: 1e-9}, {}, 10 ** 4))
     assert g(0.5) == pytest.approx(0.5, abs=1e-15)
@@ -293,7 +292,7 @@ def test_dilate_calls_no_evaluator(monkeypatch):
     g = f.dilate(0.5).dilate(0.5)
     # a named map builds its evaluators on its first evaluation, not on dilate
     assert calls == [] and "_forms" not in vars(g)
-    assert g.family == (BoundFamily("uniform", 1e-300), 0.25)
+    assert g.source == (BoundFamily("uniform", 1e-300), 0.25)
     assert g.coefficient(2) == (0.125e-300 + 0j, 0.125e-300 + 0j)
     assert g(0.5) == 0.5 and calls == [(BoundFamily("uniform", 1e-300), 1, 1)]
     assert "_forms" in vars(g) and "_forms" not in vars(f)
@@ -445,12 +444,17 @@ def test_coefficient_index_is_any_integer_but_bool(label):
         f.coefficient(np.int64(0))
 
 
-def test_as_sequence_roundtrip_and_closed_refusal():
+def test_source_is_the_sequence_or_family_and_the_dilation():
     seq = _sample_seq()
-    # an undilated series map hands on the sequence it was built from
-    assert HarmonicMap.from_series(seq).as_sequence() is seq
-    with pytest.raises(UnsupportedOperation):
-        get_extremal("koebe").as_sequence()
+    # a series map hands on the sequence it was built from, dilated or not
+    f = HarmonicMap.from_series(seq)
+    assert f.source[0] is seq and f.source[1] == 1.0
+    g = f.dilate(0.5).dilate(0.5)
+    assert g.source[0] is seq and g.source[1] == 0.25
+    # a named map its family, however it is signed
+    assert get_extremal("koebe").source == (BoundFamily.koebe(), 1.0)
+    assert get_extremal("F0").dilate(0.1).source == (BoundFamily.koebe(), 0.1)
+    assert get_extremal("f0", 2.0, 0.3).source == (BoundFamily.uniform(2.0, 0.3), 1.0)
 
 
 def test_section_of_dilated_map_folds_scale():

@@ -1,6 +1,7 @@
 """Membership checks: coefficient tests and sampled scans."""
 
 import math
+import random
 import re
 import sys
 
@@ -154,6 +155,56 @@ def test_coeff_condition_refuses_a_non_finite_sum():
         coeff_condition(get_extremal("f0", 1e308).dilate(0.5))
 
 
+def test_coefficient_checks_overflow_into_their_refusals():
+    # the stored sum 2 * 5e307 + 3 * 5e307 passes the float range: S(1-) is inf
+    seq = CoefficientSeq({2: 5e307, 3: 5e307}, {}, 3)
+    with pytest.raises(ValueError, match=re.escape("coefficient sum S(1-) is not finite")):
+        coeff_condition(seq)
+    # |a_2|^2 = 1e400 passes it in the growth check's sum of squares
+    for a2 in (1e200, 1e154):
+        with pytest.raises(ValueError, match=re.escape(
+                "sum of squares n^2 (|a_n|^2 + |b_n|^2) is not finite")):
+            coefficient_growth_check(CoefficientSeq({2: a2}, {3: 1e154}, 3))
+
+
+DILATIONS = (1.0, 0.999, 0.9, math.sqrt(0.5), 0.5, 0.3, 0.123456789, 1e-3, 5e-324)
+
+
+def _random_series(rng):
+    """A sparse sequence whose S(1-) lies in [0.2, 3], with a summable tail or none."""
+    n_max = rng.randint(2, 60)
+    draw = lambda: complex(rng.gauss(0, 1), rng.gauss(0, 1)) * 10.0 ** rng.uniform(-6, 0)
+    a = {n: draw() for n in rng.sample(range(2, n_max + 1), rng.randint(0, n_max - 1))}
+    b = {n: draw() for n in rng.sample(range(2, n_max + 1), rng.randint(0, n_max - 1))}
+    total = math.fsum(n * abs(v) for c in (a, b) for n, v in c.items()) or 1.0
+    scale = rng.uniform(0.2, 3.0) / total
+    a = {n: v * scale for n, v in a.items()}
+    b = {n: v * scale for n, v in b.items()}
+    if rng.random() < 0.5:
+        b[1] = complex(rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5))
+    tail = rng.choice([None, None, -2.5, -3.0, -4.5])
+    if tail is not None:
+        tail = TailBound(tail, rng.uniform(0.0, 0.1))
+    return CoefficientSeq(a, b, n_max, tail)
+
+
+def test_coefficient_checks_on_a_dilated_series_map_match_a_sequence_dilated_by_hand():
+    # the reference: the dilated map's coefficients a_n rho^(n-1), stored as
+    # a sequence of their own, with the undilated tail, which still bounds them
+    rng = random.Random(20261020)
+    for _ in range(300):
+        seq = _random_series(rng)
+        f = HarmonicMap.from_series(seq)
+        for rho in DILATIONS:
+            by_hand = CoefficientSeq({n: v * rho ** (n - 1) for n, v in seq.a.items()},
+                                     {n: v * rho ** (n - 1) for n, v in seq.b.items()},
+                                     seq.truncation, seq.tail)
+            for beta in (0.0, 0.3):
+                for check in (coeff_condition, coefficient_growth_check):
+                    assert repr(check(f.dilate(rho), beta)) == repr(check(by_hand, beta)), (
+                        seq, rho, beta, check.__name__)
+
+
 # label, f0's (c, b1), the family, and the signs of a_n (n >= 2) and b_n
 NAMED_MAPS = [
     ("koebe", (), BoundFamily("koebe"), 1, 1),
@@ -227,7 +278,7 @@ def test_growth_identity_margins():
     assert rep.verdict == "satisfied"
     assert rep.margin == pytest.approx(1.0, abs=1e-15)
     beta = 0.5
-    rep = coefficient_growth_check(identity_map().as_sequence(), beta)
+    rep = coefficient_growth_check(identity_map().source[0], beta)
     assert rep.margin == pytest.approx((1 - beta) ** 2, abs=1e-15)
     assert "per-index margin 0.5" in rep.note
 

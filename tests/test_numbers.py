@@ -44,6 +44,9 @@ KOEBE = BoundFamily.koebe()
 SEQ = CoefficientSeq({2: 0.1}, {1: 0.2}, 2)
 TAILED = CoefficientSeq({2: 0.1}, {}, 2, TailBound(0.0, 0.01))
 F0 = get_extremal("F0")
+SERIES = HarmonicMap.from_series(CoefficientSeq({2: 0.12, 5: 0.03 + 0.02j},
+                                                {1: 0.0, 3: 0.04j}, 5))
+DILATED = SERIES.dilate(0.5)
 M_INTERVAL = f"[{math.pi / 4!r}, inf)"
 
 # entry, the name check_real gives the parameter, its interval, a finite
@@ -51,7 +54,7 @@ M_INTERVAL = f"[{math.pi / 4!r}, inf)"
 ENTRIES = [
     ("TailBound.degree", lambda x: TailBound(x, 1.0), "tail degree", "(-inf, inf)", None, -3.0),
     ("TailBound.constant", lambda x: TailBound(1.0, x), "tail constant", "[0, inf)", -1.0, 0.5),
-    ("CoefficientSeq.scaled", SEQ.scaled, "dilation parameter", "(0, 1]", 1.5, 0.5),
+    ("HarmonicMap.dilate.series", SERIES.dilate, "dilation parameter", "(0, 1]", 1.5, 0.5),
     ("BoundFamily.c", lambda x: BoundFamily("uniform", x), "uniform bound c", "(0, inf)", 0.0,
      2.0),
     ("BoundFamily.b1_abs", lambda x: BoundFamily.uniform(2.0, x), "b1_abs", "[0, 1)", 1.0, 0.25),
@@ -123,11 +126,10 @@ def test_real_parameters_refuse_values_outside_their_interval(name, entry, what,
             entry(x)
 
 
-@pytest.mark.parametrize("name, entry, what, interval, outside, inside", ENTRIES, ids=IDS)
-def test_each_entry_checks_its_number_once(monkeypatch, name, entry, what, interval, outside,
-                                           inside):
-    # code inside the package passes a checked number on: of all the checks
-    # that the package makes, exactly one sees the entry's number by its name
+@pytest.fixture
+def checks(monkeypatch):
+    """The (name, number) of every check_real and check_index call that the
+    package makes while the test runs, in order."""
     seen = []
 
     def real(x, label, *args):
@@ -142,8 +144,27 @@ def test_each_entry_checks_its_number_once(monkeypatch, name, entry, what, inter
         for check, counted in ((check_real, real), (check_index, index)):
             if getattr(module, check.__name__, None) is check:
                 monkeypatch.setattr(module, check.__name__, counted)
+    return seen
+
+
+@pytest.mark.parametrize("name, entry, what, interval, outside, inside", ENTRIES, ids=IDS)
+def test_each_entry_checks_its_number_once(checks, name, entry, what, interval, outside,
+                                           inside):
+    # code inside the package passes a checked number on: of all the checks
+    # that the package makes, exactly one sees the entry's number by its name
     entry(inside)
-    assert [x for w, x in seen if w == what and x == inside] == [inside]
+    assert [x for w, x in checks if w == what and x == inside] == [inside]
+
+
+@pytest.mark.parametrize("call", [
+    lambda beta: coeff_condition(DILATED, beta),
+    lambda beta: coefficient_growth_check(DILATED, beta),
+], ids=["coeff_condition.dilated-series", "coefficient_growth_check.dilated-series"])
+def test_whole_call_checks_beta_only(checks, call):
+    # a dilated series map is read in place, not rebuilt and checked again:
+    # beta is all there is
+    call(0.25)
+    assert checks == [("beta", 0.25)]
 
 
 @pytest.mark.parametrize("call, value", [

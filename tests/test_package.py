@@ -2,6 +2,7 @@
 import, those of maps and membership resolved lazily, and the immutable
 records they define, and the README's quick start run as a doctest."""
 
+import ast
 import doctest
 import importlib
 import math
@@ -103,3 +104,24 @@ def test_readme_quick_start_runs_as_documented():
     readme = Path(__file__).resolve().parents[1] / "README.md"
     failed, attempted = doctest.testfile(str(readme), module_relative=False)
     assert (failed, attempted > 0) == (0, True)
+
+
+def test_src_imports_the_standard_library_numpy_and_itself_only():
+    # scipy is a test extra, and mpmath and sympy come only with it, so no
+    # module of the package imports them.  The one exception is membership's
+    # lazy cKDTree attribute, which no check calls but which perfbench's
+    # tracer looks up to wrap it.
+    allowed = set(sys.stdlib_module_names) | {"numpy", "harmradius"}
+    found = set()
+    src = Path(__file__).resolve().parents[1] / "src" / "harmradius"
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:  # not an import, or a relative import within the package
+                continue
+            found.update((path.name, name) for name in names
+                         if name.partition(".")[0] not in allowed)
+    assert found == {("membership.py", "scipy.spatial")}
