@@ -39,10 +39,9 @@ __all__ = [
     "save_sequence",
 ]
 
-# Series-type evaluations (tail majorants here, stored polynomials in maps)
-# are trusted only for |z| <= SERIES_EVAL_MAX: polynomially growing
-# coefficient families make truncation error controllable only away from
-# the boundary.
+# Tail majorants are evaluated only for r <= SERIES_EVAL_MAX: a polynomially
+# growing tail's sum is controllable only away from the boundary.  The
+# sampled checks take it as their default disk radius.
 SERIES_EVAL_MAX = 0.999
 
 
@@ -388,16 +387,16 @@ def _json_number(x, what: str) -> float:
     raise ValueError(f"{what} must be a number, got {x!r}")
 
 
-def _entries_to_map(entries, low: int, what: str) -> dict[int, complex]:
+def _entries_to_map(entries, what: str) -> dict[int, complex]:
     if not isinstance(entries, (list, tuple)):
         raise ValueError(f"{what} must be a list of [n, re, im] triples")
     out: dict[int, complex] = {}
-    last = low - 1
+    last = -math.inf
     for item in entries:
         if not (isinstance(item, (list, tuple)) and len(item) == 3):
             raise ValueError(f"{what} entries must be [n, re, im] triples")
         n, re, im = item
-        n = check_index(_json_int(n, f"{what} index"), low, f"{what} index")
+        n = _json_int(n, f"{what} index")  # its range is CoefficientSeq's to check
         if n in out:
             raise ValueError(f"duplicate {what} index {n}")
         if n <= last:
@@ -425,8 +424,8 @@ def sequence_from_dict(doc: dict) -> CoefficientSeq:
         raise ValueError(f"unknown sequence fields: {sorted(unknown)}")
     if "truncation" not in doc:
         raise ValueError("sequence document needs a truncation field")
-    a = _entries_to_map(doc.get("a", []), 2, "a")
-    b = _entries_to_map(doc.get("b", []), 1, "b")
+    a = _entries_to_map(doc.get("a", []), "a")
+    b = _entries_to_map(doc.get("b", []), "b")
     tail = None
     if "tail" in doc:
         t = doc["tail"]

@@ -227,4 +227,4 @@ def get_extremal(label: str, c: float | None = None,
         known = ", ".join(sorted(EXTREMALS))
         raise ValueError(f"unknown extremal {label!r}; known labels: {known}") from None
     family = BoundFamily(kind, c, 0.0 if b1_abs is None else b1_abs)
-    return HarmonicMap(label, bounds=(family, sign_a, sign_b))
+    return HarmonicMap(label, (family, sign_a, sign_b))

@@ -1,9 +1,10 @@
 """Harmonic mappings of the unit disk, f = h + conj(g).
 
-A HarmonicMap is a coefficient sequence or a named map.  A sequence is
-compiled into polynomial evaluators of the pairs (h, g) and (h', g'); a
-named map is a bound family and two signs, which give its coefficients,
-and extremals derives its pair evaluators from them.  Maps support
+A HarmonicMap has one definition: a coefficient sequence or a named
+map.  A sequence is compiled into polynomial evaluators of the pairs
+(h, g) and (h', g'); a named map is a bound family and two signs, which
+give its coefficients, and extremals derives its pair evaluators from
+them.  Every map evaluates on the open unit disk |z| < 1.  Maps support
 evaluation, the two Wirtinger derivatives f_z = h' and f_zbar =
 conj(g'), the Jacobian |h'|^2 - |g'|^2, the second complex dilatation
 g'/h', dilation f_r(z) = f(rz)/r, and truncation to partial sums.
@@ -18,7 +19,7 @@ Maps are immutable once constructed.
 import math
 
 from ._util import UnsupportedOperation, check_index, check_real, horner, horner_array, record
-from .coefficients import SERIES_EVAL_MAX, BoundFamily, CoefficientSeq
+from .coefficients import BoundFamily, CoefficientSeq
 from .extremals import named_forms
 
 __all__ = [
@@ -32,7 +33,7 @@ _MAX_SERIES_DEGREE = 10_000  # highest stored index a series map is compiled to
 
 
 class EvaluationDomainError(ValueError):
-    """Raised when an evaluation point falls outside the trusted domain."""
+    """Raised when an evaluation point lies off the open unit disk."""
 
 
 class ClosedForm(record("ClosedForm", "f df")):
@@ -66,79 +67,71 @@ def _polynomials(p, q):
                       else (horner_array(p, w), horner_array(q, w)))
 
 
-# Evaluation domain per backing: the largest accepted |z| and the refusal
-# message.  Named maps refuse |z| >= 1, i.e. |z| above the float below 1.
-_SERIES_DOMAIN = (SERIES_EVAL_MAX * (1.0 + 1e-12),
-                  f"series evaluation requires |z| <= {SERIES_EVAL_MAX}")
-_CLOSED_DOMAIN = (math.nextafter(1.0, 0.0), "evaluation requires |z| < 1")
+# The largest |z| a map is evaluated at: the float below 1, for every map.
+_MAX_MODULUS = math.nextafter(1.0, 0.0)
 
 
 class HarmonicMap:
     """A normalized harmonic mapping f = h + conj(g) on the unit disk, given by
-    exactly one of a coefficient sequence (series) and a named map's bounds
-    (family, sign_a, sign_b): a BoundFamily and two signs, +1 or -1, with
+    one definition: a coefficient sequence, or a named map's row (family,
+    sign_a, sign_b) of a BoundFamily and two signs, +1 or -1, with
     a_n = sign_a A_n past a_1 = 1 and b_n = sign_b B_n.  Its evaluators are
     built on first evaluation, so coefficient, section, dilate and the
-    coefficient checks, which read only that data, never build them.
+    coefficient checks, which read only the definition, never build them.
     """
 
-    def __init__(self, label: str, *, series: CoefficientSeq | None = None,
-                 bounds: tuple | None = None, scale: float = 1.0):
-        if (series is None) == (bounds is None):
-            raise ValueError("exactly one of a series and bounds must be given")
-        if series is not None and not isinstance(series, CoefficientSeq):
-            raise TypeError(f"series must be a CoefficientSeq, got {series!r}")
-        if bounds is not None:
-            if not (isinstance(bounds, tuple) and len(bounds) == 3
-                    and isinstance(bounds[0], BoundFamily)):
-                raise TypeError(f"bounds must be (BoundFamily, sign_a, sign_b), got {bounds!r}")
-            family, *signs = bounds
-            bounds = (family, *(check_index(s, None, "a named map's sign") for s in signs))
-            if not set(bounds[1:]) <= {1, -1}:
+    def __init__(self, label: str, definition, scale: float = 1.0):
+        if not isinstance(definition, CoefficientSeq):
+            if not (isinstance(definition, tuple) and len(definition) == 3
+                    and isinstance(definition[0], BoundFamily)):
+                raise TypeError("definition must be a CoefficientSeq or (BoundFamily, "
+                                f"sign_a, sign_b), got {definition!r}")
+            family, *signs = definition
+            definition = (family, *(check_index(s, None, "a named map's sign") for s in signs))
+            if not set(definition[1:]) <= {1, -1}:
                 raise ValueError("a named map's signs must be +1 or -1")
         self.label = str(label)
-        self._series, self._bounds = series, bounds
-        self._domain = _CLOSED_DOMAIN if series is None else _SERIES_DOMAIN
+        self._definition = definition
         self._scale = check_real(scale, "scale", 0.0, 1.0, "(]")
 
     def _evaluators(self) -> ClosedForm:
         """The pair evaluators, built on first use and kept as vars(self)["_forms"]."""
         forms = vars(self).get("_forms")
         if forms is None:  # a CoefficientSeq is normalized by construction: a_1 = 1, |b_1| < 1
-            forms = self._forms = (ClosedForm(*named_forms(*self._bounds))
-                                   if self._series is None else _compile(self._series))
+            forms = self._forms = (_compile(self._definition) if self.is_series
+                                   else ClosedForm(*named_forms(*self._definition)))
         return forms
 
     # -- constructors -----------------------------------------------------
 
     @classmethod
     def from_series(cls, seq: CoefficientSeq, label: str = "series") -> "HarmonicMap":
-        """The polynomial map with the stored coefficients of seq.
+        """The polynomial map with the stored coefficients of seq, exact on
+        the whole disk.
 
         A tail majorant on seq is kept (source returns seq) but never
         evaluated: every sampled check on this map sees the stored
-        polynomial only.  The tail enters only S(r)-based computations
-        (radius_by_bisection, coeff_condition).
+        polynomial only, at any |z| < 1.  The tail enters only S(r)-based
+        computations (radius_by_bisection, coeff_condition).
         """
-        return cls(label, series=seq)
+        return cls(label, seq)
 
     # -- internals ---------------------------------------------------------
 
     def _point(self, z):
-        """z checked against the domain, times the dilation: a complex for a
-        number or a 0-d array, a complex array otherwise (z itself, when z is
-        a complex array and the map is not dilated)."""
-        limit, message = self._domain
+        """z checked to lie in the open unit disk, times the dilation: a complex
+        for a number or a 0-d array, a complex array otherwise (z itself, when
+        z is a complex array and the map is not dilated)."""
         if getattr(z, "ndim", 0) or isinstance(z, (list, tuple)):
             import numpy as np
 
             w = np.asarray(z, dtype=complex)
-            outside = (abs(w) > limit).any()
+            outside = (abs(w) > _MAX_MODULUS).any()
         else:
             w = complex(z)
-            outside = abs(w) > limit
+            outside = abs(w) > _MAX_MODULUS
         if outside:
-            raise EvaluationDomainError(message)
+            raise EvaluationDomainError("evaluation requires |z| < 1")
         return w if self._scale == 1.0 else w * self._scale
 
     # -- evaluation --------------------------------------------------------
@@ -176,14 +169,14 @@ class HarmonicMap:
 
     @property
     def is_series(self) -> bool:
-        return self._series is not None
+        return isinstance(self._definition, CoefficientSeq)
 
     @property
     def source(self) -> tuple:
         """(CoefficientSeq or BoundFamily, rho): the stored sequence of a series,
         or a named map's family, and the dilation rho.  The map's coefficient
         moduli are the sequence's, or the family's bounds, times rho^(n-1)."""
-        return (self._bounds[0] if self._series is None else self._series), self._scale
+        return (self._definition if self.is_series else self._definition[0]), self._scale
 
     def coefficient(self, n: int) -> tuple[complex, complex]:
         """The series coefficients (a_n, b_n); a_1 is 1 by normalization.
@@ -193,9 +186,10 @@ class HarmonicMap:
         """
         n = check_index(n, 1, "coefficient index")
         if self.is_series:
-            a, b = (1.0 if n == 1 else self._series.a.get(n, 0j)), self._series.b.get(n, 0j)
+            seq = self._definition
+            a, b = (1.0 if n == 1 else seq.a.get(n, 0j)), seq.b.get(n, 0j)
         else:
-            family, sign_a, sign_b = self._bounds
+            family, sign_a, sign_b = self._definition
             a, b = family.bounds(n)
             a, b = (1.0 if n == 1 else sign_a * a), sign_b * b
         s = self._scale ** (n - 1)
@@ -206,8 +200,7 @@ class HarmonicMap:
         r = check_real(r, "dilation parameter", 0.0, 1.0, "(]")
         if r == 1.0:
             return self
-        return HarmonicMap(f"dilate({self.label},{r!r})", series=self._series,
-                           bounds=self._bounds, scale=self._scale * r)
+        return HarmonicMap(f"dilate({self.label},{r!r})", self._definition, self._scale * r)
 
     def section(self, n: int, m: int) -> "HarmonicMap":
         """Partial sums: h truncated at degree n, g at degree m.

@@ -90,7 +90,7 @@ class GridSpec(record("GridSpec", "n_radial n_angular r_max", (200, 64, SERIES_E
     """Polar sampling grid: n_radial circles, geometrically clustered
     toward r_max (which is included; 0 is not), times n_angular equally
     spaced angles starting on the positive real axis; at most 512 x 512
-    points in all."""
+    points in all.  It holds the checked numbers: two ints and a float r_max."""
 
     __slots__ = ()
 
@@ -101,8 +101,8 @@ class GridSpec(record("GridSpec", "n_radial n_angular r_max", (200, 64, SERIES_E
         if n_radial * n_angular > _MAX_GRID_POINTS:
             raise ValueError(f"grid of {n_radial}x{n_angular} points exceeds "
                              f"the {_MAX_GRID_POINTS} points a grid may sample")
-        check_real(self.r_max, "r_max", 0.0, 1.0)
-        return self
+        r_max = check_real(self.r_max, "r_max", 0.0, 1.0)
+        return super().__new__(cls, n_radial, n_angular, r_max)
 
     def radii(self) -> np.ndarray:
         np = _np()
@@ -291,9 +291,9 @@ def starlike_scan(f: HarmonicMap, r: float,
     raises ValueError: numpy's complex division of subnormals is not finite.
     """
     np = _np()
-    r = check_real(r, "scan radius", 0.0, 1.0)
-    grid = grid or GridSpec(r_max=r)
-    if grid.r_max > r:
+    if grid is None:
+        grid = GridSpec(r_max=r)  # checks r, as r_max
+    elif grid.r_max > check_real(r, "scan radius", 0.0, 1.0):
         raise ValueError("grid r_max exceeds the scan radius")
     pts = grid.points()
     if pts[0].real < sys.float_info.min:  # pts[0] lies on the innermost circle

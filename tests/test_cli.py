@@ -12,6 +12,7 @@ import io
 import json
 import math
 import os
+import shlex
 import shutil
 import subprocess
 import sys
@@ -36,6 +37,8 @@ from harmradius.radii import (
     uniform_family_radius,
 )
 from harmradius._util import fmt12, round12
+
+from test_golden import REPORT_SCHEMA
 
 SCHEMA_DIR = Path(__file__).resolve().parents[1] / "docs" / "schemas"
 
@@ -465,6 +468,17 @@ def test_membership_dilate_one_is_the_undilated_subject(capsys):
     assert out == undilated
 
 
+@pytest.mark.parametrize("check_name", ["c-h2", "starlike", "injectivity"])
+def test_series_maps_answer_on_the_whole_open_disk(capsys, check_name):
+    # a series map is its stored polynomial, evaluated on every |z| < 1
+    path = str(Path(__file__).resolve().parent / "golden" / "tailed_seq.json")
+    code, doc, _ = run_json(capsys, "membership", "--check", check_name, "--seq", path,
+                            "--r", "0.9995")
+    assert code == 0
+    check(doc, "membership_report.schema.json")
+    assert doc["subject"] == "seq-file" and "0.9995" in doc["grid_spec"]
+
+
 def test_membership_starlike_f0(capsys):
     code, doc, _ = run_json(capsys, "membership", "--check", "starlike",
                             "--map", "F0", "--r", "0.2")
@@ -719,15 +733,42 @@ def test_identical_invocations_are_byte_identical(capsys):
     assert outs[0] == outs[1]
 
 
-def test_console_script_smoke():
+def readme_cli_examples():
+    """(line, argv) for each line of the sh block under README's "## CLI",
+    with my_seq.json read as tests/golden/tailed_seq.json and a stdout
+    redirect dropped."""
+    root = Path(__file__).resolve().parents[1]
+    text = (root / "README.md").read_text(encoding="utf-8")
+    block = text.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    seq = str(root / "tests" / "golden" / "tailed_seq.json")
+    examples = []
+    for line in block.splitlines():
+        argv = shlex.split(line)
+        assert argv[0] == "harmradius", line
+        argv = argv[1:argv.index(">")] if ">" in argv else argv[1:]
+        examples.append((line, [seq if a == "my_seq.json" else a for a in argv]))
+    assert examples
+    return examples
+
+
+def test_readme_cli_examples_run(capsys):
+    for line, argv in readme_cli_examples():
+        code, out, err = run(capsys, *argv)
+        assert code == 0, (line, err)
+        if argv[0] != "jacobian-scan" and "--csv" not in argv:
+            check(json.loads(out), f"{REPORT_SCHEMA[argv[0]]}.schema.json")
+
+
+def test_console_script_smoke(capsys):
+    # the README's CLI examples, through the installed script: each exits 0
+    # and prints what main prints in process
     exe = shutil.which("harmradius")
     if exe is None:
         pytest.skip("console script not on PATH")
-    proc = subprocess.run([exe, "radius", "--family", "koebe"],
-                          capture_output=True, text=True, timeout=60)
-    assert proc.returncode == 0
-    doc = json.loads(proc.stdout)
-    assert doc["radius"] == pytest.approx(0.112902931208, abs=1e-11)
+    for line, argv in readme_cli_examples():
+        proc = subprocess.run([exe, *argv], capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, (line, proc.stderr)
+        assert proc.stdout == run(capsys, *argv)[1], line
 
 
 # numpy is the one runtime dependency: in a fresh process that refuses to

@@ -506,6 +506,18 @@ def test_sequence_from_dict_rejects_garbage():
         sequence_from_dict({"a": [[2, 1e308, 1e308]], "b": [], "truncation": 2})
 
 
+def test_sequence_from_dict_leaves_index_ranges_to_coefficient_seq():
+    # the loader checks the JSON rules; CoefficientSeq checks each index's
+    # range, with the message it gives a dict, after the loader's rules
+    for doc, message in (({"a": [[1, 0.1, 0.0]], "b": []}, "a index must be >= 2, got 1"),
+                         ({"a": [], "b": [[0, 0.1, 0.0]]}, "b index must be >= 1, got 0"),
+                         ({"a": [[3, 0.1, 0.0]], "b": []}, "a index 3 exceeds truncation 2"),
+                         ({"a": [[3, 0.1, 0.0], [1, 0.1, 0.0]], "b": []},
+                          "a indices must be strictly increasing")):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            sequence_from_dict({**doc, "truncation": 2})
+
+
 def test_sequence_from_dict_accepts_integral_floats():
     seq = sequence_from_dict({"a": [[2.0, 0.1, 0.0]], "b": [], "truncation": 3.0})
     assert seq.a == {2: 0.1 + 0j} and seq.truncation == 3

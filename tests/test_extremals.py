@@ -79,7 +79,7 @@ def test_uniform_witness_validation():
 # -- closed form vs series ------------------------------------------------------
 
 def _signed(family, sign_a, sign_b):
-    return pytest.param(lambda: HarmonicMap("x", bounds=(family, sign_a, sign_b)),
+    return pytest.param(lambda: HarmonicMap("x", (family, sign_a, sign_b)),
                         id=f"{family.kind}{'+-'[sign_a < 0]}{'+-'[sign_b < 0]}")
 
 
@@ -89,7 +89,7 @@ def _registered(label, name):
 
 
 # every family with every sign pair: the five registered pairs through
-# get_extremal, which builds HarmonicMap(label, bounds=...), and the other seven
+# get_extremal, which builds HarmonicMap(label, definition), and the other seven
 @pytest.mark.parametrize("factory", [
     _registered("koebe", "harmonic_koebe"), _registered("convex_L", "convex_extremal"),
     _registered("F0", "koebe_witness"), _registered("L0", "convex_witness"),
@@ -228,7 +228,7 @@ def test_signed_maps_keep_the_bits_of_their_hand_written_forms(rng):
                     refs[0::2] = (lambda z, h=h: 2 * z - h(z)), (lambda z, dh=dh: 2 - dh(z))
                 if sign_b != base_b:
                     refs[1::2] = (lambda z, g=g: -g(z)), (lambda z, dg=dg: -dg(z))
-                cases.append((HarmonicMap("x", bounds=(family, sign_a, sign_b)), refs))
+                cases.append((HarmonicMap("x", (family, sign_a, sign_b)), refs))
     assert len(cases) == 15
     points = _bit_points(rng)
     numbers = [complex(z) for z in points]

@@ -20,7 +20,8 @@ from harmradius import (
     get_extremal,
     identity_map,
 )
-from harmradius.maps import SERIES_EVAL_MAX, ClosedForm, _compile
+from harmradius.coefficients import SERIES_EVAL_MAX
+from harmradius.maps import ClosedForm, _compile
 
 from conftest import fd_wirtinger, fd_jacobian
 
@@ -149,22 +150,25 @@ def test_dilatation_raises_at_critical_point():
 
 # -- domain guards ------------------------------------------------------------
 
+DISK_MESSAGE = "evaluation requires |z| < 1"
+
+
 def test_series_domain_guard():
+    # a series map is its stored polynomial, exact on the whole open disk
     f = HarmonicMap.from_series(_sample_seq())
-    f(SERIES_EVAL_MAX)  # boundary of the trusted region is allowed
-    with pytest.raises(EvaluationDomainError):
-        f(0.9995)
-    with pytest.raises(EvaluationDomainError):
-        f(np.array([0.1, 0.9999j]))
+    for z in (SERIES_EVAL_MAX, 0.9995, math.nextafter(1.0, 0.0), -0.9999999j):
+        assert f(z) == pytest.approx(_brute_eval(_sample_seq(), z), abs=1e-14)
+    for z in (1.0, np.array([0.1, 1j]), -1.2):
+        with pytest.raises(EvaluationDomainError, match=re.escape(DISK_MESSAGE)):
+            f(z)
 
 
 def test_closed_form_domain_guard():
     f = get_extremal("koebe")
     f(0.9995)  # fine: closed forms work on the open disk
-    with pytest.raises(EvaluationDomainError):
-        f(1.0)
-    with pytest.raises(EvaluationDomainError):
-        f(-1.2)
+    for z in (1.0, -1.2):
+        with pytest.raises(EvaluationDomainError, match=re.escape(DISK_MESSAGE)):
+            f(z)
 
 
 # -- scalar and array paths ------------------------------------------------------
@@ -203,7 +207,8 @@ def test_scalar_and_array_paths_agree(f, rng):
 @pytest.mark.parametrize("f", [get_extremal("koebe"), HarmonicMap.from_series(_sample_seq())],
                          ids=lambda f: f.label)
 def test_scalar_path_refuses_at_the_array_boundary(f):
-    limit = SERIES_EVAL_MAX * (1.0 + 1e-12) if f.is_series else math.nextafter(1.0, 0.0)
+    # one domain for every map: the float below 1 is evaluated, 1 is not
+    limit = math.nextafter(1.0, 0.0)
     beyond = math.nextafter(limit, 2.0)
     for evaluate in (f, f.wirtinger, f.jacobian, f.dilatation):
         for direction in (1.0, -1j):
@@ -215,7 +220,7 @@ def test_scalar_path_refuses_at_the_array_boundary(f):
                 with pytest.raises(EvaluationDomainError) as info:
                     evaluate(z)
                 messages.append(str(info.value))
-            assert len(set(messages)) == 1, messages
+            assert set(messages) == {DISK_MESSAGE}, messages
 
 
 def test_numbers_and_zero_d_arrays_take_the_scalar_path():
@@ -288,7 +293,7 @@ def test_dilate_calls_no_evaluator(monkeypatch):
     calls = []
     named_forms = maps.named_forms
     monkeypatch.setattr(maps, "named_forms", lambda *b: calls.append(b) or named_forms(*b))
-    f = HarmonicMap("x", bounds=(BoundFamily("uniform", 1e-300), 1, 1))
+    f = HarmonicMap("x", (BoundFamily("uniform", 1e-300), 1, 1))
     g = f.dilate(0.5).dilate(0.5)
     # a named map builds its evaluators on its first evaluation, not on dilate
     assert calls == [] and "_forms" not in vars(g)
@@ -299,42 +304,45 @@ def test_dilate_calls_no_evaluator(monkeypatch):
 
 
 def test_constructor_takes_a_series_or_bounds():
+    # one positional definition: a CoefficientSeq or a named map's row
     koebe = BoundFamily("koebe")
-    for kwargs in ({}, {"series": _sample_seq(), "bounds": (koebe, 1, 1)}):
-        with pytest.raises(ValueError, match="exactly one of a series and bounds"):
-            HarmonicMap("bad", **kwargs)
     for signs in ((0, 1), (1, 2)):
         with pytest.raises(ValueError, match="signs must be [+]1 or -1"):
-            HarmonicMap("bad", bounds=(koebe, *signs))
+            HarmonicMap("bad", (koebe, *signs))
     # each sign is an integer by check_index's rule: a bool or a float is refused
     for signs in ((True, -1), (1, 1.0), (-1, 0.5), (np.True_, 1)):
         with pytest.raises(TypeError, match="a named map's sign must be an integer, got "):
-            HarmonicMap("bad", bounds=(koebe, *signs))
-    f = HarmonicMap("x", bounds=(koebe, 1, np.int64(-1)))
-    assert f._bounds == (koebe, 1, -1) and type(f._bounds[2]) is int
-    assert f.coefficient(2) == (2.5 + 0j, -0.5 + 0j)
-    with pytest.raises(TypeError, match="forms"):
-        HarmonicMap("bad", forms=ClosedForm(abs, abs))
+            HarmonicMap("bad", (koebe, *signs))
+    f = HarmonicMap("x", (koebe, 1, np.int64(-1)))
+    assert f._definition == (koebe, 1, -1) and type(f._definition[2]) is int
+    assert f.coefficient(2) == (2.5 + 0j, -0.5 + 0j) and not f.is_series
+    for removed in ("series", "bounds", "forms"):
+        with pytest.raises(TypeError, match=removed):
+            HarmonicMap("bad", **{removed: _sample_seq()})
     assert ClosedForm._fields == ("f", "df")
-    assert HarmonicMap("K", bounds=(koebe, 1, 1)).coefficient(2) == (2.5 + 0j, 0.5 + 0j)
+    assert HarmonicMap("K", (koebe, 1, 1)).coefficient(2) == (2.5 + 0j, 0.5 + 0j)
+    g = HarmonicMap("s", _sample_seq(), 0.5)
+    assert g.is_series and g.source == (_sample_seq(), 0.5)
+    assert g.coefficient(2) == (0.5 * (0.25 + 0.1j), 0j)
 
 
-# -- dilation -------------------------------------------------------------------
+DEFINITION_MESSAGE = "definition must be a CoefficientSeq or (BoundFamily, sign_a, sign_b), got "
+
 
 def test_series_must_be_a_coefficient_seq():
-    for series in ({2: 0.1}, BoundFamily("koebe"), ({2: 0.1}, {}, 2)):
-        with pytest.raises(TypeError, match=re.escape(
-                f"series must be a CoefficientSeq, got {series!r}")):
-            HarmonicMap("bad", series=series)
+    for series in ({2: 0.1}, BoundFamily("koebe"), ({2: 0.1}, {}, 2), None):
+        with pytest.raises(TypeError, match=re.escape(f"{DEFINITION_MESSAGE}{series!r}")):
+            HarmonicMap("bad", series)
 
 
 def test_bounds_must_be_a_family_and_two_signs():
     koebe = BoundFamily("koebe")
     for bounds in (("koebe", 1, 1), (koebe, 1), (koebe, 1, 1, 1), [koebe, 1, 1], koebe):
-        with pytest.raises(TypeError, match=re.escape(
-                f"bounds must be (BoundFamily, sign_a, sign_b), got {bounds!r}")):
-            HarmonicMap("bad", bounds=bounds)
+        with pytest.raises(TypeError, match=re.escape(f"{DEFINITION_MESSAGE}{bounds!r}")):
+            HarmonicMap("bad", bounds)
 
+
+# -- dilation -------------------------------------------------------------------
 
 def test_dilate_eval_definition(rng):
     f = HarmonicMap.from_series(_sample_seq())

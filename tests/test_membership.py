@@ -1048,8 +1048,9 @@ def test_grid_descriptions_keep_every_digit_of_the_radius():
     # 0.9999999999999999 is the float below 1, inside the disk; :g read it as 1
     for r in (0.9999999999999999, 0.1129031):
         assert GridSpec(8, 4, r).describe().endswith(f"r_max={r!r}")
-        rep = injectivity_oracle(get_extremal("F0"), r, 8)  # a series map stops at 0.999
-        assert f"cartesian grid on |z|<={r!r}, pitch" in rep.grid_spec
+        for f in (get_extremal("F0"), identity_map()):  # every map answers on |z| < 1
+            rep = injectivity_oracle(f, r, 8)
+            assert f"cartesian grid on |z|<={r!r}, pitch" in rep.grid_spec
     assert GridSpec(8, 4, np.float64(0.5)).describe().endswith("r_max=0.5")
 
 

@@ -31,6 +31,7 @@ from harmradius import (
     power_sums,
     psi,
     radius_by_bisection,
+    sequence_from_dict,
     starlike_scan,
     uniform_family_radius,
     uniform_witness_profile,
@@ -75,7 +76,7 @@ ENTRIES = [
      "[0, 1)", 1.0, 0.3),
     ("verify_sharpness", lambda x: verify_sharpness(koebe_witness_profile(), x),
      "claimed radius", "(0, 0.999)", 0.9995, 0.1129029312079177),
-    ("HarmonicMap.scale", lambda x: HarmonicMap("x", series=SEQ, scale=x), "scale",
+    ("HarmonicMap.scale", lambda x: HarmonicMap("x", SEQ, x), "scale",
      "(0, 1]", 0.0, 0.5),
     ("HarmonicMap.dilate", F0.dilate, "dilation parameter", "(0, 1]", 2.0, 0.5),
     ("GridSpec.r_max", lambda x: GridSpec(r_max=x), "r_max", "(0, 1)", 1.0, 0.5),
@@ -83,7 +84,8 @@ ENTRIES = [
     ("coefficient_growth_check", lambda x: coefficient_growth_check(SEQ, x), "beta",
      "[0, 1)", -0.1, 0.25),
     ("c_h2_numeric", lambda x: c_h2_numeric(F0, x), "beta", "[0, 1)", 1.0, 0.25),
-    ("starlike_scan", lambda x: starlike_scan(F0, x), "scan radius", "(0, 1)", 0.0, 0.25),
+    # with no grid, the default GridSpec(r_max=r) checks the scan radius
+    ("starlike_scan", lambda x: starlike_scan(F0, x), "r_max", "(0, 1)", 0.0, 0.25),
     ("injectivity_oracle", lambda x: injectivity_oracle(F0, x), "radius", "(0, 1)", 1.0, 0.2),
     ("coefficient_bound", coefficient_bound, "sup-norm bound M", M_INTERVAL, 0.5, 2.0),
     ("bloch_radius", bloch_radius, "sup-norm bound M", M_INTERVAL, 0.5, 2.0),
@@ -147,13 +149,31 @@ def checks(monkeypatch):
     return seen
 
 
-@pytest.mark.parametrize("name, entry, what, interval, outside, inside", ENTRIES, ids=IDS)
+# entries whose number is an index, not a real parameter: only counted
+INDEX_ENTRIES = [
+    ("sequence_from_dict", lambda n: sequence_from_dict(
+        {"a": [[2, 0.1, 0.0], [n, 0.0, 0.1]], "b": [[1, 0.2, 0.0]], "truncation": 3}),
+     "a index", None, None, 3),
+]
+
+
+@pytest.mark.parametrize("name, entry, what, interval, outside, inside", ENTRIES + INDEX_ENTRIES,
+                         ids=IDS + [name for name, *_ in INDEX_ENTRIES])
 def test_each_entry_checks_its_number_once(checks, name, entry, what, interval, outside,
                                            inside):
     # code inside the package passes a checked number on: of all the checks
     # that the package makes, exactly one sees the entry's number by its name
     entry(inside)
     assert [x for w, x in checks if w == what and x == inside] == [inside]
+
+
+@pytest.mark.parametrize("grid, what", [(None, "r_max"), (GridSpec(20, 8, 0.1), "scan radius")],
+                         ids=["default-grid", "grid"])
+def test_starlike_scan_checks_its_radius_once(checks, grid, what):
+    # under any name: the default grid's r_max is the scan radius, which a
+    # given grid's r_max must not exceed
+    starlike_scan(get_extremal("koebe"), 0.2, grid)
+    assert [(w, x) for w, x in checks if x == 0.2] == [(what, 0.2)]
 
 
 @pytest.mark.parametrize("call", [
@@ -193,6 +213,15 @@ def test_numpy_scalars_give_the_reports_of_floats(call, value):
     expected = repr(call(float(value)))
     for x in (np.float64(value), np.int64(value)) if value == int(value) else (np.float64(value),):
         assert repr(call(x)) == expected
+
+
+def test_grids_store_their_checked_numbers():
+    # a GridSpec holds ints and a float r_max, so a Fraction radius samples
+    # the grid of its float
+    grid = GridSpec(np.int64(20), 8, Fraction(1, 10))
+    assert grid == (20, 8, 0.1) and type(grid.n_radial) is int and type(grid.r_max) is float
+    assert repr(c_h2_numeric(F0, 0.0, grid)) == repr(c_h2_numeric(F0, 0.0, GridSpec(20, 8, 0.1)))
+    assert repr(starlike_scan(F0, Fraction(1, 5))) == repr(starlike_scan(F0, 0.2))
 
 
 def test_the_sums_compute_with_the_callers_number():
