@@ -30,7 +30,7 @@ __version__ = "0.1.0"
 # The lazy submodules' __all__, in order; a test keeps the two in step.
 _LAZY = {
     "maps": (
-        "EvaluationDomainError", "UnsupportedOperation", "HarmonicMap", "identity_map",
+        "EvaluationDomainError", "HarmonicMap", "identity_map",
     ),
     "membership": (
         "BOUNDARY_TOL", "COLLISION_TOL", "GridSpec", "MembershipReport",

@@ -11,17 +11,6 @@ import math
 import operator
 from collections import namedtuple
 
-__all__ = ["UnsupportedOperation", "record", "fmt12", "round12", "horner", "horner_array",
-           "dtype_kind", "check_index", "check_real"]
-
-
-class UnsupportedOperation(RuntimeError):
-    """Raised when an operation needs a finite coefficient sequence, which a
-    named map does not have.
-
-    Defined here, and re-exported by maps, so the CLI can catch it without
-    importing maps."""
-
 
 def record(name: str, fields: str, defaults=()):
     """The namedtuple base of an immutable record.  A record class subclasses

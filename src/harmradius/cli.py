@@ -20,7 +20,7 @@ import argparse
 import json
 import sys
 
-from ._util import UnsupportedOperation, round12, fmt12
+from ._util import round12, fmt12
 from .coefficients import SERIES_EVAL_MAX, BoundFamily, load_sequence, power_sums
 from .extremals import EXTREMALS, WITNESSES, get_extremal
 from .radii import (
@@ -269,7 +269,7 @@ def main(argv=None) -> int:
     except NoRadiusError as exc:
         _emit({"error": str(exc), "kind": "no-radius"})
         return 2
-    except (ValueError, ArithmeticError, UnsupportedOperation) as exc:
+    except (ValueError, ArithmeticError) as exc:
         _emit({"error": str(exc), "kind": "domain"})
         return 2
     except MemoryError as exc:

@@ -17,14 +17,14 @@ Maps are immutable once constructed.
 """
 
 import math
+import sys
 
-from ._util import UnsupportedOperation, check_index, check_real, horner, horner_array, record
+from ._util import check_index, check_real, horner, horner_array, record
 from .coefficients import BoundFamily, CoefficientSeq
 from .extremals import named_forms
 
 __all__ = [
     "EvaluationDomainError",
-    "UnsupportedOperation",
     "HarmonicMap",
     "identity_map",
 ]
@@ -33,7 +33,8 @@ _MAX_SERIES_DEGREE = 10_000  # highest stored index a series map is compiled to
 
 
 class EvaluationDomainError(ValueError):
-    """Raised when an evaluation point lies off the open unit disk."""
+    """Raised when an evaluation point lies off the open unit disk, and when f
+    is asked of a map dilated below the least normal float (see __call__)."""
 
 
 class ClosedForm(record("ClosedForm", "f df")):
@@ -78,9 +79,10 @@ class HarmonicMap:
     a_n = sign_a A_n past a_1 = 1 and b_n = sign_b B_n.  Its evaluators are
     built on first evaluation, so coefficient, section, dilate and the
     coefficient checks, which read only the definition, never build them.
+    A map is built undilated; dilate is the one way to scale it.
     """
 
-    def __init__(self, label: str, definition, scale: float = 1.0):
+    def __init__(self, label: str, definition):
         if not isinstance(definition, CoefficientSeq):
             if not (isinstance(definition, tuple) and len(definition) == 3
                     and isinstance(definition[0], BoundFamily)):
@@ -92,7 +94,7 @@ class HarmonicMap:
                 raise ValueError("a named map's signs must be +1 or -1")
         self.label = str(label)
         self._definition = definition
-        self._scale = check_real(scale, "scale", 0.0, 1.0, "(]")
+        self._scale = 1.0
 
     def _evaluators(self) -> ClosedForm:
         """The pair evaluators, built on first use and kept as vars(self)["_forms"]."""
@@ -137,7 +139,12 @@ class HarmonicMap:
     # -- evaluation --------------------------------------------------------
 
     def __call__(self, z):
-        """f(z) = h(z) + conj(g(z)), broadcasting over array input."""
+        """f(z) = h(z) + conj(g(z)), broadcasting over array input.  A map
+        dilated below the least normal float is refused: there f(rz) / r
+        overflows (an array) or loses digits (a number)."""
+        if self._scale < sys.float_info.min:
+            raise EvaluationDomainError(f"{self.label}: f is not evaluated at scale "
+                                        f"{self._scale!r}, below the least normal float")
         h, g = self._evaluators().f(self._point(z))
         f = h + g.conjugate()
         return f if self._scale == 1.0 else f / self._scale
@@ -196,11 +203,18 @@ class HarmonicMap:
         return complex(a) * s, complex(b) * s
 
     def dilate(self, r: float) -> "HarmonicMap":
-        """The dilated map f_r(z) = f(rz)/r; series coefficients pick up r^(n-1)."""
+        """The dilated map f_r(z) = f(rz)/r; series coefficients pick up r^(n-1).
+        It shares this map's definition and built evaluators, which read the
+        scaled point, never the scale.  A scale that underflows to 0 is refused."""
         r = check_real(r, "dilation parameter", 0.0, 1.0, "(]")
         if r == 1.0:
             return self
-        return HarmonicMap(f"dilate({self.label},{r!r})", self._definition, self._scale * r)
+        scale = self._scale * r
+        if not scale:
+            raise ValueError("scale must lie in (0, 1], got 0.0")
+        g = object.__new__(HarmonicMap)
+        vars(g).update(vars(self), label=f"dilate({self.label},{r!r})", _scale=scale)
+        return g
 
     def section(self, n: int, m: int) -> "HarmonicMap":
         """Partial sums: h truncated at degree n, g at degree m.

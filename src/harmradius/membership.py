@@ -31,7 +31,7 @@ from __future__ import annotations
 import math
 import sys
 
-from ._util import UnsupportedOperation, check_index, check_real, record
+from ._util import check_index, check_real, record
 from .coefficients import (SERIES_EVAL_MAX, BoundFamily, CoefficientSeq, _has_tail, _moduli,
                            _sum_limit, weighted_sum)
 from .maps import HarmonicMap
@@ -55,6 +55,9 @@ BOUNDARY_TOL = 1e-12
 COLLISION_TOL = 1e-9
 # Most points a GridSpec samples: the injectivity oracle's largest grid, 512 x 512.
 _MAX_GRID_POINTS = 512 * 512
+# Largest radius a GridSpec samples, 1 - 3 * 2^-53: at the two floats above
+# it, r_max e^(i theta) rounds to |z| = 1 for most angular counts.
+_MAX_CIRCLE = 0.9999999999999997
 # Most candidate pairs the injectivity oracle Newton-refines, closest images first.
 _MAX_REFINED = 2000
 # Shortest pair-search reach: its square is the smallest normal float, and it
@@ -90,7 +93,9 @@ class GridSpec(record("GridSpec", "n_radial n_angular r_max", (200, 64, SERIES_E
     """Polar sampling grid: n_radial circles, geometrically clustered
     toward r_max (which is included; 0 is not), times n_angular equally
     spaced angles starting on the positive real axis; at most 512 x 512
-    points in all.  It holds the checked numbers: two ints and a float r_max."""
+    points in all.  It holds the checked numbers: two ints and a float r_max.
+    The outer circle is sampled at min(r_max, 0.9999999999999997), so that
+    no rounded sample lies on |z| = 1; describe prints r_max itself."""
 
     __slots__ = ()
 
@@ -107,7 +112,7 @@ class GridSpec(record("GridSpec", "n_radial n_angular r_max", (200, 64, SERIES_E
     def radii(self) -> np.ndarray:
         np = _np()
         rem = np.geomspace(0.99, 1e-6, self.n_radial - 1)
-        return np.append(self.r_max * (1.0 - rem), self.r_max)
+        return np.append(self.r_max * (1.0 - rem), min(self.r_max, _MAX_CIRCLE))
 
     def points(self) -> np.ndarray:
         np = _np()
@@ -150,14 +155,13 @@ def _graded_verdict(margin: float, witness, grid_spec: str, note: str = "") -> M
 
 def _source(x, closed_form: bool = False) -> tuple:
     """(CoefficientSeq or BoundFamily, rho) that a coefficient check reads: a
-    sequence undilated, or a map's source.  A named map is refused, unless
-    closed_form admits one dilated by rho < 1."""
+    sequence undilated, or a map's source.  A named map is refused
+    (ValueError), unless closed_form admits one dilated by rho < 1."""
     if not isinstance(x, (CoefficientSeq, HarmonicMap)):
         raise TypeError("expected a CoefficientSeq or a series-backed HarmonicMap")
     seq, rho = x.source if isinstance(x, HarmonicMap) else (x, 1.0)
     if isinstance(seq, BoundFamily) and not (closed_form and rho < 1.0):
-        raise UnsupportedOperation(f"{x.label}: closed-form map has no finite "
-                                   "coefficient sequence")
+        raise ValueError(f"{x.label}: closed-form map has no finite coefficient sequence")
     return seq, rho
 
 

@@ -62,7 +62,10 @@ class RadiusReport(record("RadiusReport", "radius method residual tolerance brac
     |S(radius) - (1-beta)| for bisection, the polynomial or rational
     residual for closed forms.  bracket is the final bisection interval
     (None for closed forms).  saturated means the condition held on all
-    of [0, 1) and the radius is the conventional 1 - 1e-12.
+    of [0, 1) and the radius is the conventional 1 - 1e-12, with the
+    bracket collapsed onto it; its residual is taken at 1 - 1e-12, or for
+    a tailed sequence at 0.999, |S(0.999) - (1-beta)|, the last r its tail
+    majorant is evaluated at.
     """
 
     __slots__ = ()
@@ -129,9 +132,9 @@ def radius_by_bisection(family, beta: float = 0.0) -> RadiusReport:
                 f"crossing lies beyond r={SERIES_EVAL_MAX} where the tail "
                 "majorant is not evaluable; supply more explicit coefficients"
             )
-        return RadiusReport(1.0 - 1e-12, "bisection", abs(ghi), BISECTION_TOL,
-                            bracket=(hi, hi), saturated=True, label=label,
-                            beta=beta)
+        top = 1.0 - 1e-12  # the conventional radius, and the bracket collapsed onto it
+        return RadiusReport(top, "bisection", abs(ghi), BISECTION_TOL, bracket=(top, top),
+                            saturated=True, label=label, beta=beta)
 
     root, lo, hi = _solve(lambda r: weighted_sum(family, r) - target,
                           0.0, hi, g0, ghi)

@@ -283,8 +283,9 @@ STEEP_TAIL = {"a": [], "b": [], "truncation": 3,
               "tail": {"degree": 1e6, "constant": 1e-300}}
 HUGE_INDEX = {"a": [[10 ** 13, 1e-15, 0]], "b": [], "truncation": 10 ** 13}
 HUGE_GRID = ["membership", "--check", "c-h2", "--map", "F0", "--grid-radial", str(10 ** 13)]
-# injectivity grids whose images overflow, and whose image span squared overflows
-OVERFLOWING_IMAGES = ["membership", "--check", "injectivity", "--map", "F0", "--dilate", "1e-310",
+# an injectivity grid on a map dilated below the least normal float, whose f
+# is refused, and one whose image span squared overflows
+SUBNORMAL_DILATION = ["membership", "--check", "injectivity", "--map", "F0", "--dilate", "1e-310",
                       "--r", "0.2", "--resolution", "32"]
 HUGE_SPAN = ["membership", "--check", "injectivity", "--map", "f0:1e300,0", "--r", "0.5",
              "--resolution", "16"]
@@ -328,12 +329,14 @@ HUGE_TRUNCATION_ERROR = _domain("truncation exceeds the float range: "
         "sup-norm bound M = 1e+308 is too large: 8M/pi overflows")),
     (["radius"], HUGE_TRUNCATION, HUGE_TRUNCATION_ERROR),
     (["membership", "--check", "coeff"], HUGE_TRUNCATION, HUGE_TRUNCATION_ERROR),
-    (OVERFLOWING_IMAGES, None, _domain("map evaluation is not finite on the grid")),
+    (SUBNORMAL_DILATION, None, _domain("dilate(F0,1e-310): f is not evaluated at scale 1e-310, "
+                                       "below the least normal float")),
     (HUGE_SPAN, None, _domain("the images of a 16x16 grid on |z|<=0.5 span 5.7e+299: "
                               "the pair search's squared distances would overflow")),
     (C_H2_OVERFLOW, None, _domain("map evaluation is not finite on the grid")),
     (STARLIKE_OVERFLOW, None, _domain("map evaluation is not finite on the grid")),
-    (STARLIKE_SUBNORMAL_DILATION, None, _domain("map evaluation is not finite on the grid")),
+    (STARLIKE_SUBNORMAL_DILATION, None, _domain(
+        "dilate(F0,1e-320): f is not evaluated at scale 1e-320, below the least normal float")),
     (STARLIKE_SUBNORMAL_CIRCLE, None, _domain(
         "scan radius 1e-307 is too small: its inner circle is subnormal")),
     # the object a cold process, which samples by float calls, prints too
@@ -342,8 +345,8 @@ HUGE_TRUNCATION_ERROR = _domain("truncation exceeds the float range: "
     (["membership", "--check", "growth"], SQUARES_OVERFLOW, _domain(
         "sum of squares n^2 (|a_n|^2 + |b_n|^2) is not finite")),
 ], ids=["divergent-tail", "steep-tail", "huge-grid", "huge-index-c-h2", "huge-M",
-        "huge-truncation-radius", "huge-truncation-coeff", "overflowing-images", "huge-span",
-        "c-h2-overflow", "starlike-overflow", "starlike-subnormal-dilation",
+        "huge-truncation-radius", "huge-truncation-coeff", "injectivity-subnormal-dilation",
+        "huge-span", "c-h2-overflow", "starlike-overflow", "starlike-subnormal-dilation",
         "starlike-subnormal-circle", "sharpness-overflow", "coeff-family-overflow",
         "growth-squares-overflow"])
 def test_hostile_inputs_are_exit_2(capsys, tmp_path, argv, doc, expected):
@@ -355,6 +358,15 @@ def test_hostile_inputs_are_exit_2(capsys, tmp_path, argv, doc, expected):
     code, out, _ = run_json(capsys, *argv)
     assert (code, out) == (2, expected)
     check(out, "error.schema.json")
+
+
+@pytest.mark.parametrize("check_name", ["c-h2", "coeff"])
+def test_checks_that_do_not_evaluate_f_answer_at_a_subnormal_dilation(capsys, check_name):
+    # f(rz)/r is refused below the least normal float; f_z, f_zbar and the
+    # coefficients of dilate(F0,5e-324) are those of z
+    code, out, _ = run_json(capsys, "membership", "--check", check_name, "--map", "F0",
+                            "--dilate", "5e-324")
+    assert (code, out["verdict"], out["margin"]) == (0, "satisfied", 1.0)
 
 
 @pytest.mark.parametrize("check_name", ["coeff", "growth"])
@@ -997,7 +1009,7 @@ def _must_answer(argv) -> bool:
 @example(argv=["bloch-table", "--M", ",,"], doc=HUGE_INDEX)
 @example(argv=["radius", "--family", "uniform:1e308"], doc=HUGE_INDEX)
 @example(argv=["radius", "--family", "uniform:5e-324"], doc=HUGE_INDEX)
-@example(argv=OVERFLOWING_IMAGES, doc=HUGE_INDEX)
+@example(argv=SUBNORMAL_DILATION, doc=HUGE_INDEX)
 @example(argv=HUGE_SPAN, doc=HUGE_INDEX)
 @example(argv=C_H2_OVERFLOW, doc=HUGE_INDEX)
 @example(argv=STARLIKE_OVERFLOW, doc=HUGE_INDEX)

@@ -9,9 +9,14 @@ exact stdout.  Every JSON output validates against its schema in
 docs/schemas/ (a failure, exit 2, against error.schema.json).  The
 sharpness cases run once more in a fresh process, which has no numpy.
 
-Re-record (only when a change of output is intended and explained):
+Re-record a case or demo by name, only when a change of its output is
+intended and explained:
 
-    PYTHONPATH=src python tests/test_golden.py
+    PYTHONPATH=src python tests/test_golden.py NAME [NAME ...]
+
+An unknown name is refused and nothing is written.  With no name, the
+script lists the cases and demos whose bytes would change, writes nothing
+and exits 1.
 """
 
 import contextlib
@@ -19,6 +24,7 @@ import io
 import json
 import os
 import runpy
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -111,13 +117,64 @@ def test_demo_output(demo):
     assert run_demo(demo) == (GOLDEN / "demos" / f"{demo.stem}.out").read_bytes()
 
 
-if __name__ == "__main__":
+def test_rerecord_writes_only_the_named_cases(monkeypatch, tmp_path, capsys):
+    golden = tmp_path / "golden"
+    shutil.copytree(GOLDEN, golden)
+    recorded = (GOLDEN / "radius_koebe.out").read_bytes()
+    monkeypatch.setitem(globals(), "GOLDEN", golden)
+    for path in (golden / "radius_koebe.out", golden / "demos" / "radii_tour.out"):
+        path.write_bytes(b"stale\n")
+    files = lambda: {p: p.read_bytes() for p in sorted(golden.rglob("*.out"))}
+    stale = files()
+    # no name: the changed outputs are listed and nothing is written
+    assert rerecord([]) == 1 and files() == stale
+    assert capsys.readouterr().out.splitlines() == ["radius_koebe: bytes would change",
+                                                    "radii_tour: bytes would change"]
+    # an unknown name refuses the whole call
+    assert rerecord(["radius_koebe", "no_such_case"]) == 2 and files() == stale
+    assert "unknown case or demo: no_such_case" in capsys.readouterr().err
+    # a name rewrites that output alone
+    assert rerecord(["radius_koebe"]) == 0
+    assert files() == {**stale, golden / "radius_koebe.out": recorded}
+
+
+def recording(name: str) -> tuple[Path, bytes, str]:
+    """(golden file, bytes now, "" or why the case would not be recorded) of a
+    case or demo name."""
     for case in CASES:
-        code, out = invoke(case["argv"])
-        if code != case["exit"]:
-            sys.exit(f"{case['name']}: exit {code}, expected {case['exit']}")
-        (GOLDEN / f"{case['name']}.out").write_bytes(out)
-    (GOLDEN / "demos").mkdir(exist_ok=True)
-    for demo in DEMOS:
-        (GOLDEN / "demos" / f"{demo.stem}.out").write_bytes(run_demo(demo))
-    print(f"recorded {len(CASES)} cases and {len(DEMOS)} demos under {GOLDEN}")
+        if case["name"] == name:
+            code, out = invoke(case["argv"])
+            wrong = f"exit {code}, expected {case['exit']}" if code != case["exit"] else ""
+            return GOLDEN / f"{name}.out", out, wrong
+    demo, = [d for d in DEMOS if d.stem == name]
+    return GOLDEN / "demos" / f"{name}.out", run_demo(demo), ""
+
+
+def rerecord(names) -> int:
+    """Rewrite the golden files of the named cases and demos; with no name,
+    print those whose bytes would change and write nothing.  The exit code."""
+    known = [c["name"] for c in CASES] + [d.stem for d in DEMOS]
+    unknown = [n for n in names if n not in known]
+    if unknown:
+        print(f"unknown case or demo: {', '.join(unknown)}", file=sys.stderr)
+        return 2
+    if not names:
+        for name in known:
+            path, out, wrong = recording(name)
+            if wrong or not path.exists() or path.read_bytes() != out:
+                print(f"{name}: {wrong or 'bytes would change'}")
+        print("nothing written: name the cases and demos to re-record", file=sys.stderr)
+        return 1
+    recorded = {name: recording(name) for name in names}
+    wrong = [f"{name}: {why}" for name, (_, _, why) in recorded.items() if why]
+    if wrong:
+        print(*wrong, "nothing written", sep="\n", file=sys.stderr)
+        return 2
+    for path, out, _ in recorded.values():
+        path.write_bytes(out)
+    print(f"recorded {len(recorded)} of {len(known)} cases and demos under {GOLDEN}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(rerecord(sys.argv[1:]))

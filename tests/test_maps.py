@@ -316,12 +316,15 @@ def test_constructor_takes_a_series_or_bounds():
     f = HarmonicMap("x", (koebe, 1, np.int64(-1)))
     assert f._definition == (koebe, 1, -1) and type(f._definition[2]) is int
     assert f.coefficient(2) == (2.5 + 0j, -0.5 + 0j) and not f.is_series
-    for removed in ("series", "bounds", "forms"):
+    for removed in ("series", "bounds", "forms", "scale"):
         with pytest.raises(TypeError, match=removed):
             HarmonicMap("bad", **{removed: _sample_seq()})
     assert ClosedForm._fields == ("f", "df")
     assert HarmonicMap("K", (koebe, 1, 1)).coefficient(2) == (2.5 + 0j, 0.5 + 0j)
-    g = HarmonicMap("s", _sample_seq(), 0.5)
+    # a label and a definition, nothing more: dilate is the one way to scale
+    with pytest.raises(TypeError, match="positional"):
+        HarmonicMap("s", _sample_seq(), 0.5)
+    g = HarmonicMap("s", _sample_seq()).dilate(0.5)
     assert g.is_series and g.source == (_sample_seq(), 0.5)
     assert g.coefficient(2) == (0.5 * (0.25 + 0.1j), 0j)
 
@@ -377,6 +380,53 @@ def test_dilate_validates():
     with pytest.raises(ValueError):
         f.dilate(1.0001)
     assert f.dilate(1.0) is f
+    # each factor is in (0, 1], but the composed scale underflows to 0
+    g = f.dilate(1e-200)
+    with pytest.raises(ValueError, match=re.escape("scale must lie in (0, 1], got 0.0")):
+        g.dilate(1e-200)
+
+
+@pytest.mark.parametrize("f, builder", [
+    (HarmonicMap.from_series(_sample_seq()), "_compile"),
+    (get_extremal("F0"), "named_forms"),
+], ids=["series", "named"])
+def test_dilate_keeps_built_evaluators(monkeypatch, f, builder):
+    # the evaluators read the scaled point, never the scale: a dilated map
+    # shares those already built, and building them once serves both
+    from harmradius import maps
+
+    calls = []
+    build = getattr(maps, builder)
+    monkeypatch.setattr(maps, builder, lambda *a: calls.append(a) or build(*a))
+    f = HarmonicMap(f.label, f._definition)
+    value = f(0.4)
+    g = f.dilate(0.5)
+    assert g(0.8) == pytest.approx(value / 0.5, abs=1e-15)
+    assert len(calls) == 1 and vars(g)["_forms"] is vars(f)["_forms"]
+    assert g.label == f"dilate({f.label},0.5)" and (f.source[1], g.source[1]) == (1.0, 0.5)
+
+
+@pytest.mark.parametrize("f", [HarmonicMap.from_series(_sample_seq()), get_extremal("koebe")],
+                         ids=["series", "named"])
+def test_f_refuses_a_scale_below_the_least_normal_float(f):
+    # f(rz)/r: numpy divides an array by multiplying by 1/r, which overflows
+    # past 1/DBL_MAX, and a number loses digits; the derivatives divide by nothing
+    z = np.array([0.3 + 0.1j, -0.5j])
+    for scale in (sys.float_info.min / 2, 1e-310, 1e-320, 5e-324):
+        g = f.dilate(scale)
+        message = re.escape(f"{g.label}: f is not evaluated at scale {scale!r}, "
+                            "below the least normal float")
+        for point in (z, z[0]):
+            with pytest.raises(EvaluationDomainError, match=message):
+                g(point)
+        fz, fzbar = g.wirtinger(z)
+        assert np.allclose(fz, 1.0) and np.allclose(fzbar, np.conj(f.coefficient(1)[1]))
+        assert np.allclose(g.jacobian(z), 1.0 - abs(f.coefficient(1)[1]) ** 2)
+        assert np.allclose(g.dilatation(z), f.coefficient(1)[1])
+    # the least normal float itself is evaluated, on both paths
+    g = f.dilate(sys.float_info.min)
+    assert g(z[0]) == pytest.approx(z[0] + f.coefficient(1)[1].conjugate() * z[0].conjugate())
+    assert g(z)[0] == g(z[0])
 
 
 def test_dilate_label_keeps_every_digit():

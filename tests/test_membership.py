@@ -14,7 +14,6 @@ from harmradius import (
     GridSpec,
     HarmonicMap,
     MembershipReport,
-    UnsupportedOperation,
     c_h2_numeric,
     closed_form_radius,
     coeff_condition,
@@ -135,7 +134,8 @@ def test_coefficient_checks_read_a_series_map_without_compiling_it():
 
 
 def test_coeff_condition_rejects_closed_form_map():
-    with pytest.raises(UnsupportedOperation):
+    with pytest.raises(ValueError, match=re.escape(
+            "koebe: closed-form map has no finite coefficient sequence")):
         coeff_condition(get_extremal("koebe"), 0.0)
 
 
@@ -237,7 +237,8 @@ def test_coeff_condition_flips_at_the_radius_of_each_named_map(label, params, fa
         assert rep.margin == pytest.approx(summed.margin, abs=1e-12)
         assert abs(rep.margin) > 1e-3 if k != 1.0 else abs(rep.margin) <= 4.5e-16
         # the growth check has no closed form on a named map
-        with pytest.raises(UnsupportedOperation):
+        with pytest.raises(ValueError, match=re.escape(
+                f"{g.label}: closed-form map has no finite coefficient sequence")):
             coefficient_growth_check(g)
 
 
@@ -1051,6 +1052,14 @@ def test_grid_descriptions_keep_every_digit_of_the_radius():
         for f in (get_extremal("F0"), identity_map()):  # every map answers on |z| < 1
             rep = injectivity_oracle(f, r, 8)
             assert f"cartesian grid on |z|<={r!r}, pitch" in rep.grid_spec
+    # at the two largest radii a grid takes, r_max e^(i theta) would round onto
+    # |z| = 1: the outer circle is sampled inside, and r_max is printed
+    f = get_extremal("koebe").dilate(0.1)
+    for r in (0.9999999999999999, 0.9999999999999998):
+        grid = GridSpec(8, 64, r)
+        for rep in (c_h2_numeric(f, 0.0, grid), starlike_scan(f, r, grid)):
+            assert rep.verdict == "satisfied"
+            assert rep.grid_spec.endswith(f"r_max={r!r}")
     assert GridSpec(8, 4, np.float64(0.5)).describe().endswith("r_max=0.5")
 
 

@@ -76,8 +76,6 @@ ENTRIES = [
      "[0, 1)", 1.0, 0.3),
     ("verify_sharpness", lambda x: verify_sharpness(koebe_witness_profile(), x),
      "claimed radius", "(0, 0.999)", 0.9995, 0.1129029312079177),
-    ("HarmonicMap.scale", lambda x: HarmonicMap("x", SEQ, x), "scale",
-     "(0, 1]", 0.0, 0.5),
     ("HarmonicMap.dilate", F0.dilate, "dilation parameter", "(0, 1]", 2.0, 0.5),
     ("GridSpec.r_max", lambda x: GridSpec(r_max=x), "r_max", "(0, 1)", 1.0, 0.5),
     ("coeff_condition", lambda x: coeff_condition(SEQ, x), "beta", "[0, 1)", 1.0, 0.25),
@@ -174,6 +172,14 @@ def test_starlike_scan_checks_its_radius_once(checks, grid, what):
     # given grid's r_max must not exceed
     starlike_scan(get_extremal("koebe"), 0.2, grid)
     assert [(w, x) for w, x in checks if x == 0.2] == [(what, 0.2)]
+
+
+@pytest.mark.parametrize("f", [F0, SERIES], ids=["named", "series"])
+def test_dilate_checks_its_parameter_only(checks, f):
+    # a dilated map is derived from the checked one: neither its signs nor
+    # the composed scale are checked again
+    f.dilate(0.5)
+    assert checks == [("dilation parameter", 0.5)]
 
 
 @pytest.mark.parametrize("call", [

@@ -201,6 +201,12 @@ def test_bisection_report_invariants():
     assert rep.bracket[0] <= rep.radius <= rep.bracket[1]
     assert rep.residual <= 1e-12
     assert not rep.saturated
+    # a saturated report, tailed or not, lies in its bracket, collapsed onto 1 - 1e-12
+    for seq in (CoefficientSeq({2: 0.1}, {}, 2), CoefficientSeq({2: 0.1}, {}, 2,
+                                                                TailBound(-3.0, 0.01))):
+        rep = radius_by_bisection(seq)
+        assert rep.saturated and rep.bracket == (1.0 - 1e-12, 1.0 - 1e-12)
+        assert rep.bracket[0] <= rep.radius <= rep.bracket[1]
 
 
 def test_bisection_on_explicit_sequence():
