@@ -10,8 +10,10 @@ a map on a finite grid; they can certify violation with a witness point
 but can only report satisfied-on-grid, never a proof, so their verdicts
 carry the grid description and, for the injectivity oracle, the verdict
 "inconclusive" when no collision is found.  The oracle first tries the
-argument principle on its samples (J > 0 everywhere and a simple
-boundary image) and searches for a collision only when that fails.
+argument principle on its samples: a crossing of the image of |z| = r
+that refines to a collision decides violated, and J > 0 everywhere with
+a simple boundary image settles inconclusive; it searches the grid for a
+collision only when neither holds.
 Each covers a disk |z| <= r (a GridSpec's r_max, or the oracle's r) and
 evaluates it with numpy's overflow warnings off: the inf or NaN of an
 overflow is refused as "map evaluation is not finite on the grid".
@@ -341,6 +343,45 @@ def _newton_collide(f: HarmonicMap, target: complex, z: complex, r: float, scale
     return z, abs(f(z) - target)
 
 
+def _ring_collide(f: HarmonicMap, rho: float, alpha: np.ndarray, beta: np.ndarray,
+                  scale: float):
+    """Refine each pair of angles so that f(rho e^(i alpha)) = f(rho e^(i beta)),
+    all pairs at once; returns the points z1 and z2 and the residuals
+    |f(z1) - f(z2)|, nan where Newton gave up.  Newton runs in the arc
+    lengths rho alpha and rho beta, along which f moves at
+    i(w f_z - conj(w) f_zbar), w = e^(i angle), with _newton_collide's
+    stopping tests, pair by pair."""
+    np = _np()
+
+    def speed(w):  # df / d(arc length) at rho w
+        fz, fzbar = f.wirtinger(rho * w)
+        return 1j * (w * fz - np.conj(w) * fzbar)
+
+    alpha, beta = alpha.copy(), beta.copy()
+    live, gave_up = np.arange(alpha.size), np.zeros(alpha.size, bool)
+    for _ in range(25):
+        w1, w2 = np.exp(1j * alpha[live]), np.exp(1j * beta[live])
+        val = f(rho * w1) - f(rho * w2)
+        go = np.abs(val) > 1e-13 * scale
+        live, val, w1, w2 = live[go], val[go], w1[go], w2[go]
+        if live.size == 0:
+            break
+        d1, d2 = speed(w1), -speed(w2)
+        det = d1.real * d2.imag - d2.real * d1.imag
+        singular = np.abs(det) < 1e-14
+        gave_up[live[singular]] = True
+        live, val, d1, d2, det = (x[~singular] for x in (live, val, d1, d2, det))
+        du = (-val.real * d2.imag + val.imag * d2.real) / det
+        dv = (-d1.real * val.imag + val.real * d1.imag) / det
+        alpha[live] += du / rho
+        beta[live] += dv / rho
+        live = live[np.hypot(du, dv) >= 1e-14 * scale]
+    z1, z2 = rho * np.exp(1j * alpha), rho * np.exp(1j * beta)
+    resid = np.abs(f(z1) - f(z2))
+    resid[gave_up] = np.nan
+    return z1, z2, resid
+
+
 def _closest_first(dist: np.ndarray, key: np.ndarray) -> np.ndarray:
     """Indices of the _MAX_REFINED smallest entries of dist, smallest first;
     equal entries in increasing order of key (distinct keys)."""
@@ -459,38 +500,56 @@ def _reaches(pitch: float) -> list[float]:
     return reaches + [5.0 * pitch]
 
 
-def _simple_polygon(p: np.ndarray) -> bool:
-    """Whether the closed polygon through the points p, in order, is simple:
-    no two non-adjacent edges meet, touching included.
+def _span(p: np.ndarray) -> float:
+    """The diagonal of the bounding box of the points p: inf or nan when
+    one is not finite."""
+    return math.hypot(p.real.max() - p.real.min(), p.imag.max() - p.imag.min())
+
+
+def _crossings(p: np.ndarray):
+    """The pairs of non-adjacent edges of the closed polygon through the
+    points p, in order, that meet, touching included: edge k runs from
+    p[k] to p[k + 1].  Returns (i, j, s, t), the pairs i < j in increasing
+    order and the parameters in [0, 1] of the meeting point along each
+    edge (1/2 on both where the two edges are parallel); or None when p
+    is not finite or spans more than _MAX_SPAN (see _span), images the
+    pair search refuses too, so that every cross product below is finite.
 
     Two edges that meet have midpoints at most the longest edge apart, so
     only the pairs of edges whose midpoints are that near (see _cell_pairs)
-    are tested.  A non-finite point, edge or cross product counts as a
-    meeting."""
+    are tested."""
     np = _np()
+    if not _span(p) <= _MAX_SPAN:
+        return None
     m = p.size
     a, b = p, np.roll(p, -1)
     d = b - a
     # padded, so that rounding cannot put two meeting edges' midpoints out of reach
     reach = float(np.abs(d).max()) * (1.0 + 1e-9)
-    if not (np.isfinite(p).all() and 0.0 < reach < math.inf):
-        return False
     mid = a + d / 2
     i, j = _cell_pairs(mid.real, mid.imag, reach)
     gap = j - i
     keep = (gap > 1) & (gap < m - 1)  # adjacent edges share a vertex by design
     i, j = i[keep], j[keep]
 
-    def side_of(e, q):  # the sign of the cross product e x q; nan stays nan
-        return np.sign(e.real * q.imag - e.imag * q.real)
+    def cross(e, q):  # the cross product e x q
+        return e.real * q.imag - e.imag * q.real
 
     lo_x, hi_x = np.minimum(a.real, b.real), np.maximum(a.real, b.real)
     lo_y, hi_y = np.minimum(a.imag, b.imag), np.maximum(a.imag, b.imag)
-    apart = ((side_of(d[i], a[j] - a[i]) * side_of(d[i], b[j] - a[i]) > 0.0)
-             | (side_of(d[j], a[i] - a[j]) * side_of(d[j], b[i] - a[j]) > 0.0)
+    apart = ((np.sign(cross(d[i], a[j] - a[i])) * np.sign(cross(d[i], b[j] - a[i])) > 0.0)
+             | (np.sign(cross(d[j], a[i] - a[j])) * np.sign(cross(d[j], b[i] - a[j])) > 0.0)
              | (hi_x[i] < lo_x[j]) | (hi_x[j] < lo_x[i])
              | (hi_y[i] < lo_y[j]) | (hi_y[j] < lo_y[i]))
-    return bool(apart.all())
+    i, j = i[~apart], j[~apart]
+    order = np.lexsort((j, i))
+    i, j = i[order], j[order]
+    # p[i] + s d[i] = p[j] + t d[j]
+    w, den = a[j] - a[i], cross(d[i], d[j])
+    parallel = den == 0.0
+    den = np.where(parallel, 1.0, den)
+    s, t = (np.where(parallel, 0.5, np.clip(cross(w, e) / den, 0.0, 1.0)) for e in (d[j], d[i]))
+    return i, j, s, t
 
 
 def injectivity_oracle(f: HarmonicMap, r: float,
@@ -500,12 +559,22 @@ def injectivity_oracle(f: HarmonicMap, r: float,
     First, the argument principle (Duren, Hengartner & Laugesen, Amer.
     Math. Monthly 103 (1996) 411-415): a map with J > 0 on |z| <= r whose
     image of |z| = r is a Jordan curve is univalent there.  The oracle
-    samples f and J at 4 * resolution points of |z| = r and J on the grid
-    below; when J > 0 at every sample and the closed polygon through the
-    ring's images is simple (see _simple_polygon), it reports inconclusive,
-    with the margin 5 pitches - tol that the search reports when it finds
-    no collision, without searching.  Any other map, one with a
-    non-finite sample included, goes to the pair search.
+    samples f at 4 * resolution points of the ring |z| = r (pulled in by
+    2^-50, so that every sample lies in the disk) and finds where the
+    closed polygon through their images crosses itself (see _crossings).
+    At most _MAX_REFINED crossings, in edge order, are Newton-refined in
+    the two angles to a double point of the ring (see _ring_collide); the
+    first whose points lie more than two pitches apart and whose images,
+    f evaluated at each point alone, lie within the collision tolerance
+    ends the call as violated, with the margin residual - tol, as the
+    search reports it, and a note that names the ring.  When the polygon
+    is simple and J > 0 at the ring's samples and on the grid below, it
+    reports inconclusive, with the margin 5 pitches - tol that the search
+    reports when it finds no collision, without searching.  Any other map
+    goes to the pair search, and so does one whose ring images are not
+    finite or span more than _MAX_SPAN, which the search then refuses if
+    its grid images do too.  The grid is built only when the ring does
+    not decide.
 
     The search samples f on a resolution x resolution Cartesian grid over
     |z| <= r, collects image near-coincidences, within 5 grid pitches, between
@@ -542,9 +611,6 @@ def injectivity_oracle(f: HarmonicMap, r: float,
     resolution = check_index(resolution, None, "resolution")
     if not 8 <= resolution <= 512:
         raise ValueError("resolution must lie in [8, 512]")
-    axis = np.linspace(-r, r, resolution)
-    pts = (axis + 1j * axis[:, None]).ravel()
-    pts = pts[np.abs(pts) <= r]
     pitch = 2.0 * r / (resolution - 1)
     if 5.0 * pitch / 16 < _MIN_REACH:
         raise ValueError(f"radius {r!r} is too small for a {resolution}x{resolution} grid: "
@@ -557,10 +623,31 @@ def injectivity_oracle(f: HarmonicMap, r: float,
 
     m = 4 * resolution
     # pulled in by a few ulps, so that no rounded ring sample lies beyond r
-    ring = r * (1.0 - 2.0 ** -50) * np.exp(2j * np.pi * np.arange(m) / m)
-    # a non-finite sample fails the stage below and is refused before the search
+    rho = r * (1.0 - 2.0 ** -50)
+    ring = rho * np.exp(2j * np.pi * np.arange(m) / m)
     with np.errstate(over="ignore", invalid="ignore"):
-        if (_sense_preserving(f, ring) and _simple_polygon(f(ring))
+        # None on images the search refuses: the stage then leaves them to it
+        crossed = _crossings(f(ring))
+        if crossed is not None and crossed[0].size:
+            i, j, s, t = (part[:_MAX_REFINED] for part in crossed)
+            edge = 2.0 * math.pi / m
+            z1, z2, resid = _ring_collide(f, rho, (i + s) * edge, (j + t) * edge, scale)
+            # the crossings in edge order; f at each point alone, as the search
+            # evaluates it, certifies a collision
+            for k in np.flatnonzero((resid <= tol) & (np.abs(z1 - z2) > sep)).tolist():
+                w1, w2 = complex(z1[k]), complex(z2[k])
+                gap = abs(f(w1) - f(w2))
+                if gap <= tol:
+                    return MembershipReport(
+                        "violated", gap - tol, (w1, w2), spec,
+                        note=f"images coincide to {gap:.3g} at separated points of the "
+                             f"ring |z|=r",
+                    )
+
+        axis = np.linspace(-r, r, resolution)
+        pts = (axis + 1j * axis[:, None]).ravel()
+        pts = pts[np.abs(pts) <= r]
+        if (crossed is not None and crossed[0].size == 0 and _sense_preserving(f, ring)
                 and all(_sense_preserving(f, pts[s]) for s in _blocks(pts.size))):
             return MembershipReport(
                 "inconclusive", 5.0 * pitch - tol, None, spec,
@@ -571,8 +658,7 @@ def injectivity_oracle(f: HarmonicMap, r: float,
         for s in _blocks(pts.size):
             images[s] = f(pts[s])
         _require_finite(images)
-        span = math.hypot(images.real.max() - images.real.min(),
-                          images.imag.max() - images.imag.min())
+        span = _span(images)
     if span > _MAX_SPAN:
         raise ValueError(f"the images of a {resolution}x{resolution} grid on |z|<={r!r} "
                          f"span {span:.3g}: the pair search's squared distances would "

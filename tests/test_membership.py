@@ -470,10 +470,28 @@ def test_newton_gives_up_on_a_singular_jacobian_and_outside_the_disk():
     assert _newton_collide(identity_map(), 0.4, 0j, 0.5, 1.0) == (0.4 + 0j, 0.0)
 
 
-def test_injectivity_no_near_coincidence_between_separated_samples():
+def test_ring_newton_refines_each_pair_and_gives_up_on_a_singular_step():
+    from harmradius.membership import _ring_collide
+
+    # F0 has real coefficients, so its ring's double points at r = 0.2 are
+    # conjugate pairs; the identity's speeds at opposite points are parallel,
+    # where no step can be solved for, and a pair that starts collided stays
+    f, rho = get_extremal("F0"), 0.2 * (1.0 - 2.0 ** -50)
+    z1, z2, resid = _ring_collide(f, rho, np.array([0.5]), np.array([-0.55]), 1.0)
+    assert resid[0] <= 1e-13 and abs(z1[0] - z2[0].conjugate()) < 1e-12
+    assert abs(abs(z1[0]) - rho) < 1e-16 and abs(abs(z2[0]) - rho) < 1e-16
+    z1, z2, resid = _ring_collide(identity_map(), 0.5, np.array([0.0, 1.0]),
+                                  np.array([np.pi, 1.0]), 1.0)
+    assert math.isnan(resid[0]) and resid[1] == 0.0 and z1[1] == z2[1]
+
+
+def test_injectivity_no_near_coincidence_between_separated_samples(monkeypatch):
     # a map that stretches its grid apart: no pair of separated samples has
-    # images within the largest reach, so nothing is refined
+    # images within the largest reach, so nothing is refined.  Its ring has a
+    # double point, which the ring stage refines first
     f = HarmonicMap.from_series(CoefficientSeq({3: 500.0}, {2: 400.0}, 3))
+    _assert_ring_witness(f, 0.3, 8, injectivity_oracle(f, 0.3, 8))
+    _search_only(monkeypatch)
     rep = injectivity_oracle(f, 0.3, 8)
     assert rep.verdict == "inconclusive" and rep.witness is None
     assert rep.note == "no image near-coincidence between separated samples"
@@ -488,13 +506,29 @@ def test_injectivity_dilated_koebe_no_collision():
 
 # the note of a report the argument-principle stage settled
 STAGE_NOTE = "argument principle: J > 0 at every sample and the image of |z|=r is a simple polygon"
+# the note of a collision the stage refined on its ring
+RING_NOTE = re.compile(r"images coincide to \S+ at separated points of the ring \|z\|=r")
 
 
 def _search_only(monkeypatch):
-    """Turn the argument-principle stage off: every call runs the pair search."""
+    """Turn the whole ring stage off, as on images the search refuses: every
+    call runs the pair search."""
     from harmradius import membership
 
-    monkeypatch.setattr(membership, "_simple_polygon", lambda p: False)
+    monkeypatch.setattr(membership, "_crossings", lambda p: None)
+
+
+def _assert_ring_witness(f, r, resolution, rep):
+    """rep is a collision refined on the ring: two points of |z| <= r more
+    than two pitches apart whose images lie within the collision tolerance,
+    which sets the margin."""
+    pitch = 2.0 * r / (resolution - 1)
+    tol = 1e-9 * min(1.0, pitch / 1e-4)
+    assert rep.verdict == "violated" and RING_NOTE.fullmatch(rep.note), rep
+    z1, z2 = rep.witness
+    resid = abs(f(z1) - f(z2))
+    assert abs(z1) <= r and abs(z2) <= r and abs(z1 - z2) > 2.0 * pitch
+    assert resid <= tol and rep.margin == resid - tol
 
 
 def _grid_images(f, r, resolution):
@@ -589,10 +623,11 @@ def _oracle_map(label):
 @pytest.mark.parametrize("label, r, resolution", ORACLE_CASES)
 def test_injectivity_report_matches_full_sort_selection(monkeypatch, label, r, resolution):
     f = _oracle_map(label)
+    # the stage settles the identity and Koebe and decides F0 past about
+    # r = 0.165 without a search; compare the search itself
     if label in ("identity", "koebe"):
-        # the stage settles these without a search; compare the search itself
         assert injectivity_oracle(f, r, resolution).note == STAGE_NOTE
-        _search_only(monkeypatch)
+    _search_only(monkeypatch)
     got = _with_refined(monkeypatch, lambda: injectivity_oracle(f, r, resolution))
     want = _with_refined(monkeypatch,
                          lambda: _full_search_reference(monkeypatch, f, r, resolution))
@@ -619,13 +654,15 @@ def test_injectivity_report_matches_full_search_on_a_seeded_sweep(monkeypatch, l
                                                                    r, resolution):
     f = _oracle_map(label)
     log = _record_queries(monkeypatch)
-    # a map the stage settles makes no search, whose first reach is the largest
-    # power of two at or below 5/16 of a pitch; the search below runs on every map
+    # a map the stage settles, or decides on its ring, makes no search, whose
+    # first reach is the largest power of two at or below 5/16 of a pitch; the
+    # search below runs on every map
     pitch = 2.0 * r / (resolution - 1)
     first_reach = 2.0 ** math.floor(math.log2(5.0 * pitch / 16))
     assert first_reach <= 5.0 * pitch / 16 < 2 * first_reach
-    settled = injectivity_oracle(f, r, resolution).note == STAGE_NOTE
-    assert settled == (first_reach not in [reach for reach, _ in log])
+    note = injectivity_oracle(f, r, resolution).note
+    staged = note == STAGE_NOTE or RING_NOTE.fullmatch(note) is not None
+    assert staged == (first_reach not in [reach for reach, _ in log])
     _search_only(monkeypatch)
     log.clear()
     got = _with_refined(monkeypatch, lambda: injectivity_oracle(f, r, resolution))
@@ -664,6 +701,16 @@ def _stage_sweep(seed=17, size=16):
     return cases
 
 
+def _ring_sweep(seed=19, size=12):
+    """Seeded (label, parameters, r, resolution) draws: F0 and L0 at 1.0005
+    to 2 times their radii, resolutions log-uniform in [8, 256)."""
+    rng = np.random.default_rng(seed)
+    return [(label, (), round(radius * rng.uniform(1.0005, 2.0), 5), int(2 ** rng.uniform(3, 8)))
+            for label, radius in (("F0", koebe_family_radius().radius),
+                                  ("L0", convex_family_radius().radius))
+            for _ in range(size)]
+
+
 def _stage_map(label, params):
     if label == "one-term":
         n, a, anti = params
@@ -675,8 +722,11 @@ def _stage_map(label, params):
 
 @pytest.mark.parametrize("label, params, r, resolution",
                          [(label, (), r, res) for label, r, res in ORACLE_CASES + _sweep()]
-                         + _stage_sweep())
+                         + _stage_sweep() + _ring_sweep())
 def test_injectivity_stage_changes_only_the_note(monkeypatch, label, params, r, resolution):
+    # the stage against the search alone: a settled map changes only its note,
+    # a ring collision, checked here, may replace the search's report, and
+    # every other report is the search's: no violation is lost
     f = _stage_map(label, params)
     got = injectivity_oracle(f, r, resolution)
     with monkeypatch.context() as m:
@@ -684,14 +734,17 @@ def test_injectivity_stage_changes_only_the_note(monkeypatch, label, params, r, 
         want = injectivity_oracle(f, r, resolution)
     if got.note == STAGE_NOTE:
         assert got._replace(note=want.note) == want
+    elif RING_NOTE.fullmatch(got.note):
+        _assert_ring_witness(f, r, resolution, got)
     else:
         assert got == want
 
 
 @pytest.mark.parametrize("resolution", [64, 256])
-def test_injectivity_boundary_loop_goes_to_the_search(resolution):
+def test_injectivity_boundary_loop_is_decided_on_the_ring(monkeypatch, resolution):
     # z + 0.6 z^2 is sense-preserving off z = -1/1.2, which no sample hits,
-    # and its image of |z| = 0.99 loops round the image of that point
+    # and its image of |z| = 0.99 loops round the image of that point: the
+    # ring's crossing refines to a collision, which the search finds too
     from harmradius import membership
 
     f = HarmonicMap.from_series(CoefficientSeq({2: 0.6}, {}, 2))
@@ -701,10 +754,11 @@ def test_injectivity_boundary_loop_goes_to_the_search(resolution):
     grid = (axis[None, :] + 1j * axis[:, None]).ravel()
     grid = grid[np.abs(grid) <= r]
     assert membership._sense_preserving(f, ring) and membership._sense_preserving(f, grid)
-    assert not membership._simple_polygon(f(ring))
+    assert membership._crossings(f(ring))[0].size > 0
+    _assert_ring_witness(f, r, resolution, injectivity_oracle(f, r, resolution))
+    _search_only(monkeypatch)
     rep = injectivity_oracle(f, r, resolution)
-    assert rep.verdict == "violated"
-    assert rep.note != STAGE_NOTE
+    assert rep.verdict == "violated" and rep.note.endswith("at separated points")
 
 
 def _segments_meet(p1, p2, q1, q2):
@@ -725,15 +779,15 @@ def _segments_meet(p1, p2, q1, q2):
             or (d3 == 0 and on_segment(p1, p2, q1)) or (d4 == 0 and on_segment(p1, p2, q2)))
 
 
-def _simple_by_all_pairs(vertices):
+def _crossings_by_all_pairs(vertices):
     m = len(vertices)
     edges = [(vertices[k], vertices[(k + 1) % m]) for k in range(m)]
-    return not any(_segments_meet(*edges[i], *edges[j])
-                   for i in range(m) for j in range(i + 2, m) if (i, j) != (0, m - 1))
+    return [(i, j) for i in range(m) for j in range(i + 2, m)
+            if (i, j) != (0, m - 1) and _segments_meet(*edges[i], *edges[j])]
 
 
-def test_simple_polygon_matches_all_pairs_test(rng):
-    from harmradius.membership import _simple_polygon
+def test_crossings_match_all_pairs_test(rng):
+    from harmradius.membership import _crossings
 
     seen = set()
     for _ in range(400):
@@ -747,21 +801,33 @@ def test_simple_polygon_matches_all_pairs_test(rng):
         if rng.integers(4) == 0:  # a few swapped vertices fold the polygon
             k = rng.integers(m, size=2)
             pts[k] = pts[k[::-1]]
-        want = _simple_by_all_pairs([(int(p.real), int(p.imag)) for p in pts])
-        assert _simple_polygon(pts) == want, pts.tolist()
-        seen.add(want)
+        want = _crossings_by_all_pairs([(int(p.real), int(p.imag)) for p in pts])
+        i, j, s, t = _crossings(pts)
+        assert list(zip(i.tolist(), j.tolist())) == want, pts.tolist()
+        # the parameters name the meeting point on both edges, 1/2 on parallel ones
+        a, d = pts, np.roll(pts, -1) - pts
+        assert ((0.0 <= s) & (s <= 1.0) & (0.0 <= t) & (t <= 1.0)).all()
+        parallel = d[i].real * d[j].imag == d[i].imag * d[j].real
+        assert (s[parallel] == 0.5).all() and (t[parallel] == 0.5).all()
+        gap = np.abs(a[i] + s * d[i] - a[j] - t * d[j])[~parallel]
+        assert (gap <= 1e-12 * scale).all(), pts.tolist()
+        seen.add(bool(want))
     assert seen == {True, False}
 
 
 def test_stage_refuses_non_finite_samples():
-    from harmradius.membership import _sense_preserving, _simple_polygon
+    # the stage takes only the images the search takes: finite, spanning at
+    # most _MAX_SPAN (about 1.34e154)
+    from harmradius.membership import _crossings, _sense_preserving
 
     square = np.array([0, 1, 1 + 1j, 1j])
-    assert _simple_polygon(square) and _simple_polygon(1e150 * square)
+    for p in (square, 1e150 * square):
+        assert all(part.size == 0 for part in _crossings(p))
     for bad in (np.nan, np.inf, complex(np.nan, 0.5)):
-        assert not _simple_polygon(np.append(square, bad))
+        assert _crossings(np.append(square, bad)) is None
+    assert _crossings(1e154 * square) is None  # spans 1.41e154
     with np.errstate(over="ignore", invalid="ignore"):  # as the oracle calls it
-        assert not _simple_polygon(1e308 * (2 * square - 1 - 1j))  # edges overflow
+        assert _crossings(1e308 * (2 * square - 1 - 1j)) is None  # edges overflow
 
     class Jacobian:
         def __init__(self, values):
@@ -864,12 +930,13 @@ def test_cell_pairs_of_a_clustered_map(monkeypatch):
     # z + 1e13 z^40 sends the grid of |z| <= 0.9 to a cluster of width 1 and a
     # spray out to 1.5e11, 4e13 cell widths apart: the cell keys are renumbered
     # rows, not coordinates, which would overflow int64, and the cells keep
-    # their width
+    # their width.  The search is measured alone
     import tracemalloc
 
     from harmradius.membership import _reaches
 
     f = HarmonicMap.from_series(CoefficientSeq({40: 1e13}, {}, 40))
+    _search_only(monkeypatch)
     injectivity_oracle(f, 0.9, 64)  # imports and first-call set-up outside the count
     tracemalloc.start()
     try:
@@ -997,16 +1064,25 @@ def test_injectivity_oracle_memory():
 
     f = get_extremal("F0")
     injectivity_oracle(f, 0.2, 64)  # imports and first-call set-up outside the count
-    for r in (0.18, 0.2):
+
+    def peak_of(r):
         tracemalloc.start()
         try:
-            assert injectivity_oracle(f, r, 512).verdict == "violated"
-            peak = tracemalloc.get_traced_memory()[1]
+            return injectivity_oracle(f, r, 512), tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+
+    for r in (0.15, 0.16):  # the ring's polygon is simple: the search runs
+        rep, peak = peak_of(r)
+        assert rep.verdict == "violated" and rep.note.endswith("at separated points")
         # 22.4 MB measured at both radii: the reaches are their own cell
         # sides, and f is evaluated on the grid in slices
         assert peak < 24 * 2 ** 20, f"r={r}: {peak / 2 ** 20:.1f} MB"
+    for r in (0.18, 0.2):  # the ring decides, and no grid is built
+        rep, peak = peak_of(r)
+        assert RING_NOTE.fullmatch(rep.note)
+        # 0.4 MB measured, where the grid's points alone take 3.1 MB
+        assert peak < 2 ** 20, f"r={r}: {peak / 2 ** 20:.1f} MB"
 
 
 def test_cell_pairs_memory_on_dense_cells():
