@@ -12,8 +12,9 @@ carry the grid description and, for the injectivity oracle, the verdict
 "inconclusive" when no collision is found.  The oracle first tries the
 argument principle on its samples: a crossing of the image of |z| = r
 that refines to a collision decides violated, and J > 0 everywhere with
-a simple boundary image settles inconclusive; it searches the grid for a
-collision only when neither holds.
+a simple boundary image settles inconclusive.  Otherwise it refines
+pairs of points across the fold or branch point that its sample of
+least J marks, next to which the map is two-to-one.
 Each covers a disk |z| <= r (a GridSpec's r_max, or the oracle's r) and
 evaluates it with numpy's overflow warnings off: the inf or NaN of an
 overflow is refused as "map evaluation is not finite on the grid".
@@ -30,6 +31,7 @@ scipy.spatial likewise; no check calls it, but perfbench's tracer wraps it.
 
 from __future__ import annotations
 
+import cmath
 import math
 import sys
 
@@ -37,6 +39,7 @@ from ._util import check_index, check_real, record
 from .coefficients import (SERIES_EVAL_MAX, BoundFamily, CoefficientSeq, _has_tail, _moduli,
                            _sum_limit, weighted_sum)
 from .maps import HarmonicMap
+from .radii import _solve
 
 __all__ = [
     "BOUNDARY_TOL",
@@ -51,26 +54,28 @@ __all__ = [
 ]
 
 BOUNDARY_TOL = 1e-12
-# Two grid samples whose images land within COLLISION_TOL (after Newton
-# refinement) count as one image point; injectivity_oracle scales it down on
-# grids with a pitch below 1e-4.
+# Two points more than two grid pitches apart whose images, after Newton
+# refinement, lie within COLLISION_TOL certify a collision; injectivity_oracle
+# scales it down on grids with a pitch below 1e-4.
 COLLISION_TOL = 1e-9
 # Most points a GridSpec samples: the injectivity oracle's largest grid, 512 x 512.
 _MAX_GRID_POINTS = 512 * 512
 # Largest radius a GridSpec samples, 1 - 3 * 2^-53: at the two floats above
 # it, r_max e^(i theta) rounds to |z| = 1 for most angular counts.
 _MAX_CIRCLE = 0.9999999999999997
-# Most candidate pairs the injectivity oracle Newton-refines, closest images first.
+# Most crossings of its ring polygon the injectivity oracle Newton-refines.
 _MAX_REFINED = 2000
-# Shortest pair-search reach: its square is the smallest normal float, and it
-# is a power of two, 2^-511.
+# Least 5/16 of a grid pitch the injectivity oracle takes, so that squared
+# distances at the grid's scale do not underflow: its square is the smallest
+# normal float, and it is a power of two, 2^-511.
 _MIN_REACH = math.sqrt(sys.float_info.min)
-# Widest image span the pair search takes: its square is the largest finite float.
+# Widest span of ring images the crossing test takes: its square is the
+# largest finite float.
 _MAX_SPAN = math.sqrt(sys.float_info.max)
-# Points per slice of the oracle's grid evaluations, so that each temporary
-# stays small.  numpy elides temporaries of 256 KiB and up, 16,384 complex
-# points, which moves the last bits of f and J: every slice of an array over
-# _BLOCK / 2 points is over it too (see _blocks).
+# Points per slice of the oracle's grid evaluation of J, so that each
+# temporary stays small.  numpy elides temporaries of 256 KiB and up, 16,384
+# complex points, which moves the last bits of f and J: every slice of an
+# array over _BLOCK / 2 points is over it too (see _blocks).
 _BLOCK = 32_768
 
 
@@ -382,29 +387,11 @@ def _ring_collide(f: HarmonicMap, rho: float, alpha: np.ndarray, beta: np.ndarra
     return z1, z2, resid
 
 
-def _closest_first(dist: np.ndarray, key: np.ndarray) -> np.ndarray:
-    """Indices of the _MAX_REFINED smallest entries of dist, smallest first;
-    equal entries in increasing order of key (distinct keys)."""
-    np = _np()
-    if dist.size > _MAX_REFINED:
-        cut = np.partition(dist, _MAX_REFINED - 1)[_MAX_REFINED - 1]
-        keep = np.flatnonzero(dist <= cut)
-    else:
-        keep = np.arange(dist.size)
-    return keep[np.lexsort((key[keep], dist[keep]))][:_MAX_REFINED]
-
-
 def _blocks(n: int):
     """Slices of range(n), _BLOCK long but for the last, which takes any
     remainder of at most _BLOCK / 2: over n > _BLOCK / 2 each slice is too."""
     cuts = [*range(0, max(n - _BLOCK // 2, 1), _BLOCK), n]
     return [slice(a, b) for a, b in zip(cuts, cuts[1:])]
-
-
-def _sense_preserving(f: HarmonicMap, pts: np.ndarray) -> bool:
-    """Whether J > 0, and finite, at every point of pts."""
-    jac = f.jacobian(pts)
-    return bool(((jac > 0.0) & (jac < math.inf)).all())
 
 
 def _cell_rows(c: np.ndarray) -> np.ndarray:
@@ -487,19 +474,6 @@ def _cell_pairs(x: np.ndarray, y: np.ndarray, reach: float):
     return tuple(np.concatenate(column) for column in zip(*pairs))
 
 
-def _reaches(pitch: float) -> list[float]:
-    """The pair search's reaches: the powers of two from the largest at or
-    below 5/16 of a pitch while they stay below 5 pitches, then 5 pitches;
-    five or six in all.  Each but the last is its own cell side (see
-    _cell_pairs)."""
-    reach = math.ldexp(1.0, math.frexp(5.0 * pitch / 16)[1] - 1)
-    reaches = []
-    while reach < 5.0 * pitch:
-        reaches.append(reach)
-        reach *= 2.0
-    return reaches + [5.0 * pitch]
-
-
 def _span(p: np.ndarray) -> float:
     """The diagonal of the bounding box of the points p: inf or nan when
     one is not finite."""
@@ -513,7 +487,7 @@ def _crossings(p: np.ndarray):
     order and the parameters in [0, 1] of the meeting point along each
     edge (1/2 on both where the two edges are parallel); or None when p
     is not finite or spans more than _MAX_SPAN (see _span), images the
-    pair search refuses too, so that every cross product below is finite.
+    oracle refuses, so that every cross product below is finite.
 
     Two edges that meet have midpoints at most the longest edge apart, so
     only the pairs of edges whose midpoints are that near (see _cell_pairs)
@@ -552,6 +526,16 @@ def _crossings(p: np.ndarray):
     return i, j, s, t
 
 
+def _fold(f: HarmonicMap, c: complex) -> complex:
+    """Where J = 0 on the segment from 0 to c, when J(0) > 0 > J(c) (a
+    fold of f, see radii._solve); otherwise c itself."""
+    lo, hi = f.jacobian(0j), f.jacobian(c)
+    if not lo > 0.0 > hi:
+        return c
+    t = _solve(lambda t: f.jacobian(t * c), 0.0, 1.0, lo, hi)[0]
+    return t * c
+
+
 def injectivity_oracle(f: HarmonicMap, r: float,
                        resolution: int = 256) -> MembershipReport:
     """Search for two well-separated points with the same image.
@@ -566,45 +550,36 @@ def injectivity_oracle(f: HarmonicMap, r: float,
     the two angles to a double point of the ring (see _ring_collide); the
     first whose points lie more than two pitches apart and whose images,
     f evaluated at each point alone, lie within the collision tolerance
-    ends the call as violated, with the margin residual - tol, as the
-    search reports it, and a note that names the ring.  When the polygon
-    is simple and J > 0 at the ring's samples and on the grid below, it
-    reports inconclusive, with the margin 5 pitches - tol that the search
-    reports when it finds no collision, without searching.  Any other map
-    goes to the pair search, and so does one whose ring images are not
-    finite or span more than _MAX_SPAN, which the search then refuses if
-    its grid images do too.  The grid is built only when the ring does
-    not decide.
+    ends the call as violated, with the margin residual - tol and a note
+    that names the ring.  When the polygon is simple and J > 0 at the
+    ring's samples and at the samples of a resolution x resolution
+    Cartesian grid over |z| <= r, it reports inconclusive, with the
+    margin 5 pitches - tol.
 
-    The search samples f on a resolution x resolution Cartesian grid over
-    |z| <= r, collects image near-coincidences, within 5 grid pitches, between
-    domain points more than two pitches apart, and Newton-refines the
-    _MAX_REFINED (2000) candidates with the closest images, closest first;
-    equal image distances are refined in the order of the domain indices
-    (i, j) of the pair.  A refined pair with image distance at most the
-    collision tolerance certifies non-injectivity (verdict violated);
-    otherwise the verdict is inconclusive, since sampling cannot prove
-    injectivity.
-
-    The pair search reaches out only as far as those candidates need: its
-    radius, the reach, runs through the powers of two from the largest at
-    or below 5/16 of a pitch, each its own cell side, while they stay below
-    5 pitches, then 5 pitches (see _reaches).  It stops at the first reach
-    that holds _MAX_REFINED candidates with image distance
-    <= reach * (1 - 1e-9).  Every candidate of the 5-pitch search up to the
-    _MAX_REFINED-th closest image, ties included, is then among them, so
-    the refined pairs are those of the 5-pitch search, for any increasing
-    reaches that end at 5 pitches.  f and J are evaluated on the grid in
-    slices (see _blocks), which give the bytes of one whole-grid call.
+    Otherwise a univalent map has J != 0 (Lewy, Bull. Amer. Math. Soc. 42
+    (1936) 689-692), and next to a fold or branch point of J the map is
+    two-to-one.  The oracle takes the sample of least J; where J < 0
+    there it finds the fold J = 0 on the segment from 0 to it (see _fold),
+    and otherwise keeps the sample, a branch point, where J only touches
+    0.  It places two points across that point, 1.25, 2, 4 and 8 pitches
+    to either side along v = sqrt(-f_zbar / f_z) / |.| (v = 1 where either
+    derivative is 0), the direction f folds, and along i v, and
+    Newton-refines the second of each, in both orders, onto the image of
+    the first (see _newton_collide).  A pair in |z| <= r more than two
+    pitches apart with images within the collision tolerance is violated,
+    margin residual - tol; otherwise the verdict is inconclusive, since
+    sampling cannot prove injectivity, with the margin the least refined
+    residual - tol, or 5 pitches - tol when no start refined.
 
     The collision tolerance is COLLISION_TOL and Newton stops at a residual
     of 1e-13, both times the grid's image scale, min(1, pitch / 1e-4): on
     a grid with a pitch below 1e-4 (a tiny radius) a collision must lie
-    far below the grid's own resolution.  A radius whose shortest reach is
-    below _MIN_REACH, where the search's squared distances would underflow
-    (r below about 1e-151 at resolution 512), raises ValueError; so do grid
-    images that are not finite, or that span more than _MAX_SPAN, where
-    they would overflow.
+    far below the grid's own resolution.  A radius whose 5/16 of a pitch
+    is below _MIN_REACH (r below about 1e-151 at resolution 512) raises
+    ValueError, and so do ring images or Jacobians that are not finite,
+    and ring images that span more than _MAX_SPAN, where the crossing test
+    would overflow.  J is evaluated on the grid in slices (see _blocks),
+    which give the bytes of one whole-grid call.
     """
     np = _np()
     r = check_real(r, "radius", 0.0, 1.0)
@@ -614,7 +589,7 @@ def injectivity_oracle(f: HarmonicMap, r: float,
     pitch = 2.0 * r / (resolution - 1)
     if 5.0 * pitch / 16 < _MIN_REACH:
         raise ValueError(f"radius {r!r} is too small for a {resolution}x{resolution} grid: "
-                         f"the pair search's squared distances would underflow")
+                         f"squared distances at its pitch would underflow")
     sep = 2.0 * pitch
     scale = min(1.0, pitch / 1e-4)
     tol = COLLISION_TOL * scale
@@ -626,14 +601,17 @@ def injectivity_oracle(f: HarmonicMap, r: float,
     rho = r * (1.0 - 2.0 ** -50)
     ring = rho * np.exp(2j * np.pi * np.arange(m) / m)
     with np.errstate(over="ignore", invalid="ignore"):
-        # None on images the search refuses: the stage then leaves them to it
-        crossed = _crossings(f(ring))
-        if crossed is not None and crossed[0].size:
+        images = f(ring)
+        _require_finite(images)
+        crossed = _crossings(images)
+        if crossed is None:
+            raise ValueError(f"the images of the ring |z|={r!r} span {_span(images):.3g}: "
+                             f"the crossing test's cross products would overflow")
+        if crossed[0].size:
             i, j, s, t = (part[:_MAX_REFINED] for part in crossed)
             edge = 2.0 * math.pi / m
             z1, z2, resid = _ring_collide(f, rho, (i + s) * edge, (j + t) * edge, scale)
-            # the crossings in edge order; f at each point alone, as the search
-            # evaluates it, certifies a collision
+            # the crossings in edge order; f at each point alone certifies a collision
             for k in np.flatnonzero((resid <= tol) & (np.abs(z1 - z2) > sep)).tolist():
                 w1, w2 = complex(z1[k]), complex(z2[k])
                 gap = abs(f(w1) - f(w2))
@@ -645,57 +623,43 @@ def injectivity_oracle(f: HarmonicMap, r: float,
                     )
 
         axis = np.linspace(-r, r, resolution)
-        pts = (axis + 1j * axis[:, None]).ravel()
-        pts = pts[np.abs(pts) <= r]
-        if (crossed is not None and crossed[0].size == 0 and _sense_preserving(f, ring)
-                and all(_sense_preserving(f, pts[s]) for s in _blocks(pts.size))):
+        grid = (axis + 1j * axis[:, None]).ravel()
+        grid = grid[np.abs(grid) <= r]
+        jac = np.concatenate([f.jacobian(ring), *(f.jacobian(grid[s]) for s in _blocks(grid.size))])
+        _require_finite(jac)
+        if crossed[0].size == 0 and jac.min() > 0.0:
             return MembershipReport(
                 "inconclusive", 5.0 * pitch - tol, None, spec,
                 note="argument principle: J > 0 at every sample and the image "
                      "of |z|=r is a simple polygon",
             )
-        images = np.empty_like(pts)
-        for s in _blocks(pts.size):
-            images[s] = f(pts[s])
-        _require_finite(images)
-        span = _span(images)
-    if span > _MAX_SPAN:
-        raise ValueError(f"the images of a {resolution}x{resolution} grid on |z|<={r!r} "
-                         f"span {span:.3g}: the pair search's squared distances would "
-                         f"overflow")
+        k = int(np.argmin(jac))
+        centre = _fold(f, complex(ring[k] if k < m else grid[k - m]))
+        # where |f_z| = |f_zbar|, f_z v + f_zbar conj(v) = 0: f folds along v
+        fz, fzbar = f.wirtinger(centre)
+        v = cmath.sqrt(-fzbar / fz) if fz else 0.0
+        v = v / abs(v) if 0.0 < abs(v) < math.inf else 1.0
 
-    for reach in _reaches(pitch):
-        first, second = _cell_pairs(images.real, images.imag, reach)
-        far = np.abs(pts[first] - pts[second]) > sep
-        first, second = first[far], second[far]
-        dist = np.abs(images[first] - images[second])
-        # the guard covers the squared test's rounding of a distance against np.abs's
-        if np.count_nonzero(dist <= reach * (1.0 - 1e-9)) >= _MAX_REFINED:
-            break
-    if first.size == 0:
-        return MembershipReport(
-            "inconclusive", 5.0 * pitch - tol, None, spec,
-            note="no image near-coincidence between separated samples",
-        )
-
-    order = _closest_first(dist, first * pts.size + second)
     best = None
-    for z1, z2 in zip(pts[first[order]].tolist(), pts[second[order]].tolist()):
-        refined = _newton_collide(f, f(z1), z2, r, scale)
-        if refined is None:
-            continue
-        z2r, resid = refined
-        if abs(z2r - z1) <= sep:
-            continue
-        if best is None or resid < best[0]:
-            best = (resid, z1, z2r)
-        if resid <= tol:
-            return MembershipReport(
-                "violated", resid - tol, (z1, z2r), spec,
-                note=f"images coincide to {resid:.3g} at separated points",
-            )
-    margin = (best[0] if best else 5.0 * pitch) - tol
+    for step in (1.25, 2.0, 4.0, 8.0):
+        for u in (v, 1j * v):
+            a, b = centre + step * pitch * u, centre - step * pitch * u
+            if not (abs(a) <= r and abs(b) <= r):
+                continue
+            for z1, z2 in ((a, b), (b, a)):
+                refined = _newton_collide(f, f(z1), z2, r, scale)
+                if refined is None:
+                    continue
+                z2r, resid = refined
+                if abs(z2r - z1) <= sep:
+                    continue
+                best = resid if best is None else min(best, resid)
+                if resid <= tol:
+                    return MembershipReport(
+                        "violated", resid - tol, (z1, z2r), spec,
+                        note=f"images coincide to {resid:.3g} at separated points",
+                    )
     return MembershipReport(
-        "inconclusive", margin, None, spec,
-        note="near-coincidences did not refine to a collision",
+        "inconclusive", (5.0 * pitch if best is None else best) - tol, None, spec,
+        note="no pair across the sample of least J refined to a collision",
     )

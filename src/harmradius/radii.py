@@ -9,7 +9,8 @@ Closed forms are provided for the three stock families (koebe, convex,
 uniform); bisection handles any BoundFamily or CoefficientSeq.  One
 bracketed solver (bisection closed by a secant step) serves the bisection
 radii, the koebe and convex polynomials (FAMILY_POLYNOMIALS, which the
-witness profiles share) and the Jacobian root scan.  Sharpness of a radius
+witness profiles share), the Jacobian root scan and the fold the
+injectivity oracle refines across.  Sharpness of a radius
 is certified by locating the first zero of a witness Jacobian and checking
 its sign pattern.  The root scan evaluates its grid in one numpy call;
 verify_sharpness samples with float calls unless numpy is already loaded,

@@ -284,7 +284,7 @@ STEEP_TAIL = {"a": [], "b": [], "truncation": 3,
 HUGE_INDEX = {"a": [[10 ** 13, 1e-15, 0]], "b": [], "truncation": 10 ** 13}
 HUGE_GRID = ["membership", "--check", "c-h2", "--map", "F0", "--grid-radial", str(10 ** 13)]
 # an injectivity grid on a map dilated below the least normal float, whose f
-# is refused, and one whose image span squared overflows
+# is refused, and one whose ring images span more than the crossing test takes
 SUBNORMAL_DILATION = ["membership", "--check", "injectivity", "--map", "F0", "--dilate", "1e-310",
                       "--r", "0.2", "--resolution", "32"]
 HUGE_SPAN = ["membership", "--check", "injectivity", "--map", "f0:1e300,0", "--r", "0.5",
@@ -331,8 +331,8 @@ HUGE_TRUNCATION_ERROR = _domain("truncation exceeds the float range: "
     (["membership", "--check", "coeff"], HUGE_TRUNCATION, HUGE_TRUNCATION_ERROR),
     (SUBNORMAL_DILATION, None, _domain("dilate(F0,1e-310): f is not evaluated at scale 1e-310, "
                                        "below the least normal float")),
-    (HUGE_SPAN, None, _domain("the images of a 16x16 grid on |z|<=0.5 span 5.7e+299: "
-                              "the pair search's squared distances would overflow")),
+    (HUGE_SPAN, None, _domain("the images of the ring |z|=0.5 span 7.59e+299: "
+                              "the crossing test's cross products would overflow")),
     (C_H2_OVERFLOW, None, _domain("map evaluation is not finite on the grid")),
     (STARLIKE_OVERFLOW, None, _domain("map evaluation is not finite on the grid")),
     (STARLIKE_SUBNORMAL_DILATION, None, _domain(

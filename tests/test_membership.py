@@ -28,6 +28,7 @@ from harmradius import (
     starlike_scan,
     weighted_sum,
 )
+from harmradius._util import round12
 from harmradius.coefficients import TailBound
 
 from conftest import random_accepted_sequences
@@ -470,6 +471,30 @@ def test_newton_gives_up_on_a_singular_jacobian_and_outside_the_disk():
     assert _newton_collide(identity_map(), 0.4, 0j, 0.5, 1.0) == (0.4 + 0j, 0.0)
 
 
+def test_newton_stops_on_a_step_below_the_image_rounding():
+    # z + 1e13 z^40 sends 0.9 to 1.48e11, whose ulp is 2^-15: a target one ulp
+    # away asks for a step of 4.5e-18, which leaves z = 0.9 as it is.  The
+    # residual stays at the ulp, far above 1e-13, and the step test stops
+    # Newton after one step
+    from harmradius.membership import _newton_collide
+
+    f = HarmonicMap.from_series(CoefficientSeq({40: 1e13}, {}, 40))
+    steps = []
+
+    class Counting:
+        def __call__(self, z):
+            return f(z)
+
+        def wirtinger(self, z):
+            steps.append(z)
+            return f.wirtinger(z)
+
+    target = f(0.9) + 2.0 ** -15
+    assert math.ulp(target.real) == 2.0 ** -15
+    assert _newton_collide(Counting(), target, 0.9, 0.95, 1.0) == (0.9 + 0j, 2.0 ** -15)
+    assert steps == [0.9]
+
+
 def test_ring_newton_refines_each_pair_and_gives_up_on_a_singular_step():
     from harmradius.membership import _ring_collide
 
@@ -485,17 +510,11 @@ def test_ring_newton_refines_each_pair_and_gives_up_on_a_singular_step():
     assert math.isnan(resid[0]) and resid[1] == 0.0 and z1[1] == z2[1]
 
 
-def test_injectivity_no_near_coincidence_between_separated_samples(monkeypatch):
-    # a map that stretches its grid apart: no pair of separated samples has
-    # images within the largest reach, so nothing is refined.  Its ring has a
-    # double point, which the ring stage refines first
+def test_injectivity_no_near_coincidence_between_separated_samples():
+    # a map that stretches its grid apart, so that no two separated samples
+    # have near images; its ring has a double point, which the ring refines
     f = HarmonicMap.from_series(CoefficientSeq({3: 500.0}, {2: 400.0}, 3))
-    _assert_ring_witness(f, 0.3, 8, injectivity_oracle(f, 0.3, 8))
-    _search_only(monkeypatch)
-    rep = injectivity_oracle(f, 0.3, 8)
-    assert rep.verdict == "inconclusive" and rep.witness is None
-    assert rep.note == "no image near-coincidence between separated samples"
-    assert rep.margin == 0.4285714275714286
+    _assert_witness(f, 0.3, 8, injectivity_oracle(f, 0.3, 8), RING_NOTE)
 
 
 def test_injectivity_dilated_koebe_no_collision():
@@ -506,29 +525,33 @@ def test_injectivity_dilated_koebe_no_collision():
 
 # the note of a report the argument-principle stage settled
 STAGE_NOTE = "argument principle: J > 0 at every sample and the image of |z|=r is a simple polygon"
-# the note of a collision the stage refined on its ring
+# the note of a collision the stage refined on its ring, and of one refined
+# across the sample of least J
 RING_NOTE = re.compile(r"images coincide to \S+ at separated points of the ring \|z\|=r")
+PAIR_NOTE = re.compile(r"images coincide to \S+ at separated points")
+# the note of a report whose pairs across the sample of least J do not refine
+UNREFINED_NOTE = "no pair across the sample of least J refined to a collision"
 
 
-def _search_only(monkeypatch):
-    """Turn the whole ring stage off, as on images the search refuses: every
-    call runs the pair search."""
-    from harmradius import membership
-
-    monkeypatch.setattr(membership, "_crossings", lambda p: None)
-
-
-def _assert_ring_witness(f, r, resolution, rep):
-    """rep is a collision refined on the ring: two points of |z| <= r more
-    than two pitches apart whose images lie within the collision tolerance,
-    which sets the margin."""
+def _assert_witness(f, r, resolution, rep, note=None):
+    """rep is a refined collision: two points of |z| <= r more than two
+    pitches apart whose images, f at each point alone, lie within the
+    collision tolerance, which sets the margin; its note is note, or
+    either of RING_NOTE and PAIR_NOTE."""
     pitch = 2.0 * r / (resolution - 1)
     tol = 1e-9 * min(1.0, pitch / 1e-4)
-    assert rep.verdict == "violated" and RING_NOTE.fullmatch(rep.note), rep
+    notes = [note] if note else [RING_NOTE, PAIR_NOTE]
+    assert rep.verdict == "violated" and any(n.fullmatch(rep.note) for n in notes), rep
     z1, z2 = rep.witness
     resid = abs(f(z1) - f(z2))
     assert abs(z1) <= r and abs(z2) <= r and abs(z1 - z2) > 2.0 * pitch
     assert resid <= tol and rep.margin == resid - tol
+
+
+def _ring(r, resolution):
+    """The oracle's ring samples."""
+    m = 4 * resolution
+    return r * (1.0 - 2.0 ** -50) * np.exp(2j * np.pi * np.arange(m) / m)
 
 
 def _grid_images(f, r, resolution):
@@ -540,40 +563,9 @@ def _grid_images(f, r, resolution):
     return pts, f(pts)
 
 
-def _full_search_reference(monkeypatch, f, r, resolution):
-    """The oracle's report from one pair search out to 5 pitches on the
-    images as they are, made by scipy's k-d tree, with every separated
-    candidate sorted on (image distance, i, j), of which the first 2000 are
-    refined.  The stage is forced off: it would call _cell_pairs too."""
-    from scipy.spatial import cKDTree
-
-    from harmradius import membership
-
-    pitch = 2.0 * r / (resolution - 1)
-    pts, images = _grid_images(f, r, resolution)
-    full = cKDTree(np.column_stack([images.real, images.imag])).query_pairs(
-        5.0 * pitch, output_type="ndarray")
-    i, j = full.T
-    far = np.abs(pts[i] - pts[j]) > 2.0 * pitch
-    i, j = i[far], j[far]  # the candidates, in the order the oracle keeps them
-    queries = []
-
-    def one_search(x, y, reach):
-        # the shorter reaches find nothing, so the oracle takes the last, 5 pitches
-        queries.append(reach)
-        return full.T if reach == 5.0 * pitch else (np.empty(0, np.intp), np.empty(0, np.intp))
-
-    with monkeypatch.context() as m:
-        _search_only(m)
-        m.setattr(membership, "_cell_pairs", one_search)
-        m.setattr(membership, "_closest_first",
-                  lambda dist, key: np.lexsort((j, i, dist))[:2000])
-        return injectivity_oracle(f, r, resolution)
-
-
 def _record_queries(monkeypatch):
-    """Log (reach, pairs found) of every _cell_pairs call the oracle makes,
-    the stage's own call on the ring's edge midpoints included."""
+    """Log (reach, pairs found) of every _cell_pairs call the oracle makes:
+    the ring's crossing test on its edge midpoints."""
     from harmradius import membership
 
     log = []
@@ -586,22 +578,6 @@ def _record_queries(monkeypatch):
 
     monkeypatch.setattr(membership, "_cell_pairs", recording)
     return log
-
-
-def _with_refined(monkeypatch, run):
-    """run()'s report and the (target, start) of every Newton refinement it made."""
-    from harmradius import membership
-
-    starts = []
-    newton = membership._newton_collide
-
-    def recording(f, target, z, r, scale):
-        starts.append((target, z))
-        return newton(f, target, z, r, scale)
-
-    with monkeypatch.context() as m:
-        m.setattr(membership, "_newton_collide", recording)
-        return run(), starts
 
 
 # F0 and L0 past their radii, the identity, and Koebe just inside its radius
@@ -620,62 +596,18 @@ def _oracle_map(label):
     return get_extremal(label)
 
 
-@pytest.mark.parametrize("label, r, resolution", ORACLE_CASES)
-def test_injectivity_report_matches_full_sort_selection(monkeypatch, label, r, resolution):
-    f = _oracle_map(label)
-    # the stage settles the identity and Koebe and decides F0 past about
-    # r = 0.165 without a search; compare the search itself
-    if label in ("identity", "koebe"):
-        assert injectivity_oracle(f, r, resolution).note == STAGE_NOTE
-    _search_only(monkeypatch)
-    got = _with_refined(monkeypatch, lambda: injectivity_oracle(f, r, resolution))
-    want = _with_refined(monkeypatch,
-                         lambda: _full_search_reference(monkeypatch, f, r, resolution))
-    assert got == want  # the same report from the same refinements
-    assert got[0].verdict == ("inconclusive" if label in ("identity", "koebe") else "violated")
-
-
 def _sweep(seed=15, size=10):
     """Seeded (map, r, resolution) draws: maps that fold (F0, L0, f0 past
     their radii) and maps that do not, resolutions log-uniform in [8, 512)
     (ORACLE_CASES holds the 512 case)."""
     rng = np.random.default_rng(seed)
     labels = ["F0", "L0", "f0", "identity", "koebe", "convex_L"]
-    cases = [("F0", 0.2, 8)]  # about 50 samples: fewer than 2000 candidates in all
+    cases = [("F0", 0.2, 8)]  # about 50 samples
     for _ in range(size - 1):
         label = labels[rng.integers(len(labels))]
         r = 0.999 if label == "koebe" else float(rng.uniform(0.05, 0.6))
         cases.append((label, round(r, 3), int(2 ** rng.uniform(3, 9))))
     return cases
-
-
-@pytest.mark.parametrize("label, r, resolution", _sweep())
-def test_injectivity_report_matches_full_search_on_a_seeded_sweep(monkeypatch, label,
-                                                                   r, resolution):
-    f = _oracle_map(label)
-    log = _record_queries(monkeypatch)
-    # a map the stage settles, or decides on its ring, makes no search, whose
-    # first reach is the largest power of two at or below 5/16 of a pitch; the
-    # search below runs on every map
-    pitch = 2.0 * r / (resolution - 1)
-    first_reach = 2.0 ** math.floor(math.log2(5.0 * pitch / 16))
-    assert first_reach <= 5.0 * pitch / 16 < 2 * first_reach
-    note = injectivity_oracle(f, r, resolution).note
-    staged = note == STAGE_NOTE or RING_NOTE.fullmatch(note) is not None
-    assert staged == (first_reach not in [reach for reach, _ in log])
-    _search_only(monkeypatch)
-    log.clear()
-    got = _with_refined(monkeypatch, lambda: injectivity_oracle(f, r, resolution))
-    reaches = [reach for reach, _ in log]
-    # the powers of two below 5 pitches, doubling, then 5 pitches; cut at the stop
-    schedule = [first_reach * 2 ** k for k in range(5) if first_reach * 2 ** k < 5.0 * pitch]
-    assert 1 <= len(reaches) <= 6
-    assert reaches == (schedule + [5.0 * pitch])[:len(reaches)]
-    if resolution == 8:
-        # too few candidates: the search goes out to 5 pitches
-        assert reaches[-1] == 5.0 * pitch
-    assert got == _with_refined(monkeypatch,
-                                lambda: _full_search_reference(monkeypatch, f, r, resolution))
 
 
 def _stage_sweep(seed=17, size=16):
@@ -720,45 +652,380 @@ def _stage_map(label, params):
     return get_extremal(label, *params) if params else _oracle_map(label)
 
 
+# F0 at 256 between its radius and the ring's crossover, about 0.1649: its
+# ring polygon is simple up to 0.1625, and the grid's least J decides
+FOLD_CASES = [("F0", (), r, 256) for r in (0.1525, 0.155, 0.1575, 0.16, 0.1625, 0.165)]
+
+# Each case's report from the oracle as it was with the grid pair search
+# (6936da8), to 12 significant digits as the CLI prints them: ("ring",
+# margin, z1, z2) for a collision refined on the ring, ("settled", margin)
+# for a map the argument principle settled, and the verdict of a report of
+# the search
+GRID_SEARCH_REPORTS = {
+    ("F0", (), 0.2, 64): ("ring", -9.99997283345e-10,
+        0.173589838486+0.0993305993857j, 0.173589838486-0.0993305993857j),
+    ("F0", (), 0.2, 256): ("ring", -9.99999764078e-10,
+        0.173589838486+0.0993305993857j, 0.173589838486-0.0993305993857j),
+    ("F0", (), 0.15, 256): "violated",
+    ("F0", (), 0.21, 512): ("ring", -9.99990583553e-10,
+        0.176380360026+0.113973543409j, 0.176380360026-0.113973543409j),
+    ("F0", (), 0.18, 128): ("ring", -9.99998677849e-10,
+        0.168421334754+0.0635157775639j, 0.168421334754-0.0635157775639j),
+    ("L0", (), 0.18, 128): ("ring", -9.99997876698e-10,
+        0.168421644413+0.0635149564541j, 0.168421025103-0.0635165986424j),
+    ("identity", (), 0.9, 128): ("settled", 0.0708661407323),
+    ("koebe", (), 0.999, 256): ("settled", 0.0391764695882),
+    ("F0", (), 0.2, 8): ("ring", -9.9999983801e-10,
+        0.173589838486+0.0993305993857j, 0.173589838486-0.0993305993857j),
+    ("convex_L", (), 0.499, 33): ("settled", 0.155937499),
+    ("koebe", (), 0.999, 9): ("settled", 1.248749999),
+    ("f0", (), 0.13, 158): ("settled", 0.00828025377707),
+    ("identity", (), 0.24, 53): ("settled", 0.0461538451538),
+    ("L0", (), 0.48, 267): ("ring", -9.99999751747e-10,
+        0.467604327393+0.108379855153j, -0.0365806267697-0.478604072011j),
+    ("convex_L", (), 0.355, 401): ("settled", 0.008874999),
+    ("convex_L", (), 0.539, 40): ("settled", 0.138205127205),
+    ("F0", (), 0.177, 73): ("ring", -9.99987787421e-10,
+        0.167693416431+0.056638485905j, 0.167693416431-0.056638485905j),
+    ("identity", (), 0.232, 350): ("settled", 0.00664756346991),
+    ("F0", (), 0.1892, 13): ("ring", -9.99976484023e-10,
+        0.170730608368+0.0815334248416j, 0.170730608368-0.0815334248416j),
+    ("F0", (), 0.1633, 28): "violated",
+    ("F0", (), 0.1323, 30): "violated",
+    ("F0", (), 0.1516, 66): "violated",
+    ("F0", (), 0.1794, 8): ("ring", -9.99996942283e-10,
+        0.168274763817+0.0621929566931j, 0.168274763817-0.0621929566931j),
+    ("F0", (), 0.1358, 64): "violated",
+    ("F0", (), 0.1205, 254): "violated",
+    ("F0", (), 0.1881, 9): ("ring", -9.99999873377e-10,
+        0.170448384276+0.0795547503143j, 0.170448384276-0.0795547503143j),
+    ("F0", (), 0.1642, 66): "violated",
+    ("F0", (), 0.1135, 14): "inconclusive",
+    ("F0", (), 0.1278, 39): "violated",
+    ("F0", (), 0.1641, 38): "violated",
+    ("F0", (), 0.196, 134): ("ring", -9.99999765203e-10,
+        0.172512167894+0.0930352187544j, 0.172512167894-0.0930352187544j),
+    ("F0", (), 0.1491, 16): "inconclusive",
+    ("F0", (), 0.1453, 158): "violated",
+    ("F0", (), 0.1444, 248): "violated",
+    ("L0", (), 0.2395, 18): ("ring", -9.87733936835e-10,
+        0.18541555581+0.151595915722j, 0.185417291239-0.15159379311j),
+    ("L0", (), 0.2518, 78): ("ring", -9.99965902275e-10,
+        0.189540164479+0.165764188078j, 0.189539774734-0.165764633724j),
+    ("L0", (), 0.2328, 21): ("ring", -9.05757108731e-10,
+        0.18325664695+0.143571728932j, 0.183260430812-0.143566899036j),
+    ("L0", (), 0.248, 42): ("ring", -9.99978130434e-10,
+        0.188239101415+0.161462195881j, 0.188248110585-0.161451692035j),
+    ("L0", (), 0.251, 52): ("ring", -9.99982319677e-10,
+        0.189264616181+0.164863292039j, 0.189266150722-0.164861530355j),
+    ("L0", (), 0.1809, 186): ("ring", -9.99999965306e-10,
+        0.168642081896+0.0654573006904j, 0.168642151922-0.0654571202782j),
+    ("L0", (), 0.1671, 23): ("ring", -9.9993309171e-10,
+        0.165378742343+0.0239224075128j, 0.16537884138-0.023921722843j),
+    ("L0", (), 0.1875, 26): ("ring", -7.95993306506e-10,
+        0.170296231204+0.0784566353966j, 0.170294057035-0.078461354427j),
+    ("L0", (), 0.2463, 53): ("ring", -9.99939395675e-10,
+        0.187670136948+0.159510531621j, 0.187670158588-0.15951050616j),
+    ("L0", (), 0.2593, 43): ("ring", -9.96472710428e-10,
+        0.19215821603+0.174102584738j, 0.192156788732-0.174104160042j),
+    ("L0", (), 0.2759, 26): ("ring", -9.91086574446e-10,
+        0.198228405692+0.191901821713j, 0.198231021706-0.191899119418j),
+    ("L0", (), 0.2372, 45): ("ring", -9.97270253016e-10,
+        0.184667903808+0.148867744334j, 0.184669389903-0.14886590084j),
+    ("L0", (), 0.1678, 17): ("ring", -9.99986240173e-10,
+        0.165538042139+0.0274589986109j, 0.165538042137-0.0274589986226j),
+    ("L0", (), 0.1759, 18): ("ring", -9.99913770365e-10,
+        0.16742960459+0.0539271499981j, 0.16742960459-0.0539271499967j),
+    ("L0", (), 0.1657, 22): "inconclusive",
+    ("L0", (), 0.2142, 75): ("ring", -9.99999555911e-10,
+        0.177593461624+0.119758934483j, 0.177593470129-0.11975892187j),
+    ("f0", (3.453, 0.374), 0.587, 48): ("ring", -9.99999644555e-10,
+        0.559692578052+0.176955412671j, -0.559692578052+0.176955412671j),
+    ("f0", (1.308, 0.179), 0.434, 125): "violated",
+    ("f0", (2.576, 0.629), 0.671, 68): ("ring", -9.99998778755e-10,
+        0.636916306001+0.211136494121j, -0.636916306001+0.211136494121j),
+    ("f0", (1.355, 0.398), 0.487, 8): "violated",
+    ("f0", (1.534, 0.323), 0.059, 56): ("settled", 0.0107272717273),
+    ("f0", (2.421, 0.081), 0.262, 183): "violated",
+    ("f0", (2.034, 0.234), 0.783, 38): ("ring", -9.99999306111e-10,
+        0.761740263627+0.181220227264j, -0.761740263627+0.181220227264j),
+    ("f0", (2.689, 0.813), 0.513, 13): ("ring", -9.99999875873e-10,
+        0.476097235225+0.191050837765j, -0.476097235225+0.191050837765j),
+    ("f0", (2.999, 0.842), 0.406, 79): ("ring", -9.99958255467e-10,
+        0.375325454915+0.154812153569j, -0.375325454915+0.154812153569j),
+    ("f0", (3.56, 0.141), 0.715, 41): ("ring", -9.99999313365e-10,
+        0.687393252087+0.196762590412j, -0.687393252087+0.196762590412j),
+    ("f0", (2.434, 0.832), 0.741, 12): ("ring", -9.9999944212e-10,
+        0.703179716335+0.233707694641j, -0.703179716335+0.233707694641j),
+    ("f0", (1.952, 0.608), 0.74, 13): ("ring", -9.9999720453e-10,
+        0.710338492883+0.20741076522j, -0.710338492883+0.20741076522j),
+    ("f0", (2.954, 0.467), 0.116, 48): "violated",
+    ("f0", (2.071, 0.399), 0.277, 28): "violated",
+    ("f0", (3.167, 0.308), 0.78, 91): ("ring", -9.99998220177e-10,
+        0.75259097292+0.204955671985j, -0.75259097292+0.204955671985j),
+    ("f0", (3.133, 0.362), 0.197, 8): "violated",
+    ("one-term", (7, 1.664, False), 0.566, 11): ("settled", 0.565999999),
+    ("one-term", (2, 2.694, False), 0.57, 161): ("ring", -9.99999776227e-10,
+        -0.371195248701+0.432566858811j, -0.371195248701-0.432566858811j),
+    ("one-term", (4, 1.937, True), 0.896, 216): ("ring", -9.99999842991e-10,
+        0.841518043623+0.307674149479j, 0.841518043623-0.307674149479j),
+    ("one-term", (2, 0.507, True), 0.742, 44): ("settled", 0.172558138535),
+    ("one-term", (3, 1.398, True), 0.778, 28): ("settled", 0.288148147148),
+    ("one-term", (6, 1.629, True), 0.445, 24): ("settled", 0.19347825987),
+    ("one-term", (2, 2.059, False), 0.916, 63): ("ring", -9.99999352634e-10,
+        -0.485672656629+0.776645395662j, -0.485672656629-0.776645395662j),
+    ("one-term", (7, 1.845, False), 0.479, 30): ("settled", 0.165172412793),
+    ("one-term", (3, 2.898, False), 0.661, 57): ("ring", -9.99999799852e-10,
+        0.262472052145+0.606654285275j, -0.262472052145+0.606654285275j),
+    ("one-term", (2, 0.829, False), 0.909, 150): ("settled", 0.0610067104094),
+    ("one-term", (6, 2.237, True), 0.943, 83): ("ring", -9.99999191745e-10,
+        0.906273811157+0.260608478779j, 0.906273811157-0.260608478779j),
+    ("one-term", (5, 0.871, True), 0.458, 17): ("settled", 0.286249999),
+    ("one-term", (4, 1.534, False), 0.332, 186): ("settled", 0.0179459449459),
+    ("one-term", (2, 1.334, True), 0.483, 102): ("settled", 0.0478217811782),
+    ("one-term", (7, 2.987, True), 0.358, 37): ("settled", 0.0994444434444),
+    ("one-term", (4, 1.968, True), 0.852, 30): ("ring", -9.99999861222e-10,
+        0.820191984498+0.230627640504j, 0.820191984498-0.230627640504j),
+    ("one-term", (6, 2.912, True), 0.485, 25): ("settled", 0.202083332333),
+    ("one-term", (6, 2.907, False), 0.346, 65): ("settled", 0.054062499),
+    ("one-term", (4, 2.417, True), 0.355, 13): ("settled", 0.295833332333),
+    ("one-term", (5, 2.863, True), 0.672, 47): ("settled", 0.146086955522),
+    ("one-term", (6, 0.998, True), 0.871, 8): ("settled", 1.24428571329),
+    ("one-term", (7, 2.605, True), 0.388, 27): ("settled", 0.149230768231),
+    ("one-term", (5, 2.441, False), 0.423, 31): ("settled", 0.140999999),
+    ("one-term", (3, 0.597, True), 0.559, 14): ("settled", 0.429999999),
+    ("one-term", (2, 0.925, False), 0.569, 9): ("settled", 0.711249999),
+    ("one-term", (5, 1.039, False), 0.768, 86): ("settled", 0.0903529401765),
+    ("one-term", (5, 0.767, False), 0.664, 48): ("settled", 0.141276594745),
+    ("one-term", (5, 1.449, True), 0.486, 8): ("settled", 0.694285713286),
+    ("one-term", (7, 0.851, False), 0.513, 20): ("settled", 0.269999999),
+    ("one-term", (3, 2.662, False), 0.934, 30): ("ring", -9.99999751747e-10,
+        0.610347400799+0.706988012867j, -0.610347400799+0.706988012867j),
+    ("one-term", (3, 2.843, True), 0.765, 9): ("ring", -9.99936605876e-10,
+        0.64039994449+0.41846494608j, 0.64039994449-0.41846494608j),
+    ("one-term", (4, 2.432, False), 0.572, 206): ("settled", 0.0279024380244),
+    ("F0", (), 0.1604, 197): "violated",
+    ("F0", (), 0.14386, 9): "inconclusive",
+    ("F0", (), 0.148, 96): "violated",
+    ("F0", (), 0.20109, 51): ("ring", -9.99998943828e-10,
+        0.173887319852+0.10099697072j, 0.173887319852-0.10099697072j),
+    ("F0", (), 0.14813, 191): "violated",
+    ("F0", (), 0.21769, 36): ("ring", -9.99998548709e-10,
+        0.178620007987+0.124434034117j, 0.178620007987-0.124434034117j),
+    ("F0", (), 0.15919, 67): "violated",
+    ("F0", (), 0.19349, 68): ("ring", -9.99975755024e-10,
+        0.171847163955+0.0889209330852j, 0.171847163955-0.0889209330852j),
+    ("F0", (), 0.16182, 37): "violated",
+    ("F0", (), 0.18586, 192): ("ring", -9.99999957792e-10,
+        0.169878809893+0.0753997980717j, 0.169878809893-0.0753997980717j),
+    ("F0", (), 0.11837, 10): "inconclusive",
+    ("F0", (), 0.1989, 39): ("ring", -9.99999745521e-10,
+        0.173291285179+0.0976285843439j, 0.173291285179-0.0976285843439j),
+    ("L0", (), 0.29303, 51): ("ring", -9.97883887157e-10,
+        0.20489883946+0.209482807142j, 0.204900651907-0.20948103434j),
+    ("L0", (), 0.24107, 218): ("ring", -6.18733398376e-10,
+        0.18592655817+0.153447254348j, 0.185935589179-0.153436311141j),
+    ("L0", (), 0.22567, 75): ("ring", -9.99999220864e-10,
+        0.181031055138+0.134739400235j, 0.181029777929-0.134741116231j),
+    ("L0", (), 0.25452, 11): ("ring", -9.82020146283e-10,
+        0.190479850837+0.168813082506j, 0.190480585112-0.168812253985j),
+    ("L0", (), 0.19258, 135): ("ring", -5.92679766898e-10,
+        0.171604811214+0.0874004872302j, 0.171611600338-0.0873871559743j),
+    ("L0", (), 0.2511, 84): ("ring", -9.99991725067e-10,
+        0.189297787739+0.164977445601j, 0.189301528425-0.16497315338j),
+    ("L0", (), 0.23977, 152): ("ring", -9.99958216564e-10,
+        0.185499954753+0.151919122189j, 0.185509419242-0.151907564895j),
+    ("L0", (), 0.30537, 35): ("ring", -9.90020316254e-10,
+        0.209959978729+0.2217377826j, 0.209959898275-0.22173785878j),
+    ("L0", (), 0.18624, 142): ("ring", -9.99970218254e-10,
+        0.16997514102+0.0761169431552j, 0.169974756864-0.0761178009994j),
+    ("L0", (), 0.2472, 55): ("ring", -9.99999811242e-10,
+        0.187972619114+0.160543247953j, 0.187973867629-0.160541786114j),
+    ("L0", (), 0.24872, 9): ("ring", -9.99997085665e-10,
+        0.188487325072+0.162278053622j, 0.188488059415-0.162277200672j),
+    ("L0", (), 0.24947, 11): ("ring", -9.99997515256e-10,
+        0.188742714658+0.163130219651j, 0.188742714435-0.16313021991j),
+    ("F0", (), 0.1525, 256): "violated",
+    ("F0", (), 0.155, 256): "violated",
+    ("F0", (), 0.1575, 256): "violated",
+    ("F0", (), 0.16, 256): "violated",
+    ("F0", (), 0.1625, 256): "violated",
+    ("F0", (), 0.165, 256): ("ring", -9.99999994362e-10,
+        0.164905065322+0.00559637662093j, 0.164905065322-0.00559637662093j),
+}
+
+
+def _recorded(rep):
+    """rep as GRID_SEARCH_REPORTS records it."""
+    if rep.note == STAGE_NOTE and rep.witness is None:
+        return "settled", round12(rep.margin)
+    if RING_NOTE.fullmatch(rep.note):
+        return ("ring", round12(rep.margin),
+                *(complex(round12(z.real), round12(z.imag)) for z in rep.witness))
+    return rep.verdict
+
+
 @pytest.mark.parametrize("label, params, r, resolution",
                          [(label, (), r, res) for label, r, res in ORACLE_CASES + _sweep()]
-                         + _stage_sweep() + _ring_sweep())
-def test_injectivity_stage_changes_only_the_note(monkeypatch, label, params, r, resolution):
-    # the stage against the search alone: a settled map changes only its note,
-    # a ring collision, checked here, may replace the search's report, and
-    # every other report is the search's: no violation is lost
+                         + _stage_sweep() + _ring_sweep() + FOLD_CASES)
+def test_injectivity_stage_changes_only_the_note(label, params, r, resolution):
+    # each report against the grid pair search's: a ring collision and a
+    # settled map are unchanged, a violation stays violated with a checked
+    # witness, and an inconclusive report may turn violated only with one
     f = _stage_map(label, params)
     got = injectivity_oracle(f, r, resolution)
-    with monkeypatch.context() as m:
-        _search_only(m)
-        want = injectivity_oracle(f, r, resolution)
-    if got.note == STAGE_NOTE:
-        assert got._replace(note=want.note) == want
-    elif RING_NOTE.fullmatch(got.note):
-        _assert_ring_witness(f, r, resolution, got)
+    want = GRID_SEARCH_REPORTS[label, params, r, resolution]
+    if got.verdict == "violated" and want in ("violated", "inconclusive"):
+        _assert_witness(f, r, resolution, got)
     else:
-        assert got == want
+        assert _recorded(got) == want
+
+
+def _full_search_reference(f, r, resolution):
+    """A full search of the grid's images, made with scipy's k-d tree: the
+    pairs of samples more than two pitches apart whose images lie within the
+    first of _reaches(pitch) that holds 2000 of them, sorted on (image
+    distance, i, j).  The first 2000 are Newton-refined, the second point
+    onto the first's image, and the first pair that refines to a collision
+    is the report; None when none does."""
+    from scipy.spatial import cKDTree
+
+    from harmradius.membership import _newton_collide
+
+    pitch = 2.0 * r / (resolution - 1)
+    scale = min(1.0, pitch / 1e-4)
+    tol = 1e-9 * scale
+    pts, images = _grid_images(f, r, resolution)
+    tree = cKDTree(np.column_stack([images.real, images.imag]))
+    for reach in _reaches(pitch):
+        i, j = tree.query_pairs(reach, output_type="ndarray").T
+        far = np.abs(pts[i] - pts[j]) > 2.0 * pitch
+        i, j = i[far], j[far]
+        dist = np.abs(images[i] - images[j])
+        if np.count_nonzero(dist <= reach * (1.0 - 1e-9)) >= 2000:
+            break
+    for k in np.lexsort((j, i, dist))[:2000]:
+        z1, z2 = complex(pts[i[k]]), complex(pts[j[k]])
+        refined = _newton_collide(f, f(z1), z2, r, scale)
+        if refined is not None and abs(refined[0] - z1) > 2.0 * pitch and refined[1] <= tol:
+            return MembershipReport("violated", refined[1] - tol, (z1, refined[0]), "",
+                                    note=f"images coincide to {refined[1]:.3g} at separated points")
+    return None
+
+
+@pytest.mark.parametrize("label, r, resolution", ORACLE_CASES)
+def test_injectivity_report_matches_full_sort_selection(label, r, resolution):
+    # the oracle finds a collision where a full search of the grid's images
+    # does, each with a checked witness, and settles the identity and Koebe,
+    # where the search finds none
+    f = _oracle_map(label)
+    got = injectivity_oracle(f, r, resolution)
+    want = _full_search_reference(f, r, resolution)
+    if label in ("identity", "koebe"):
+        assert want is None and got.note == STAGE_NOTE
+    else:
+        _assert_witness(f, r, resolution, want, PAIR_NOTE)
+        _assert_witness(f, r, resolution, got)
+
+
+@pytest.mark.parametrize("label, r, resolution", _sweep())
+def test_injectivity_report_matches_full_search_on_a_seeded_sweep(label, r, resolution):
+    # a map the oracle settles has no collision a full search finds, and
+    # every other report is a collision with a checked witness; the ring may
+    # find one the search does not (F0 at resolution 8)
+    f = _oracle_map(label)
+    got = injectivity_oracle(f, r, resolution)
+    want = _full_search_reference(f, r, resolution)
+    if want is not None:
+        _assert_witness(f, r, resolution, want, PAIR_NOTE)
+    if got.note == STAGE_NOTE:
+        assert want is None
+    else:
+        _assert_witness(f, r, resolution, got)
+
+
+@pytest.mark.parametrize("resolution", [64, 256, 512])
+def test_singular_pair_across_a_fold(resolution):
+    # F0 at r = 0.15, past its radius: J < 0 on part of the ring, whose image
+    # polygon is simple, so the ring decides nothing.  The fold J = 0 on the
+    # segment to the least-J sample lies near the radius, and the pair across
+    # it is a collision, one point on each side of the fold
+    from harmradius.membership import _crossings
+
+    f, r = get_extremal("F0"), 0.15
+    pitch = 2.0 * r / (resolution - 1)
+    ring = _ring(r, resolution)
+    assert f.jacobian(ring).min() < 0.0 and _crossings(f(ring))[0].size == 0
+    rep = injectivity_oracle(f, r, resolution)
+    _assert_witness(f, r, resolution, rep, PAIR_NOTE)
+    z1, z2 = rep.witness
+    assert f.jacobian(z1) * f.jacobian(z2) < 0.0
+    assert all(abs(z - koebe_family_radius().radius) < 2.0 * pitch for z in rep.witness)
+
+
+@pytest.mark.parametrize("resolution", [64, 512])
+def test_singular_pair_at_a_branch_point(resolution):
+    # z + 1e13 z^40 has g' = 0 and J = |h'|^2, which only touches 0 at the 39
+    # zeros of h', on |z| = (4e14)^(-1/39) = 0.4223: branch points, where f is
+    # two-to-one.  J > 0 at every sample and none of the ring's crossings
+    # refines to a collision; the pair across the least-J sample, along v = 1
+    # and i, is one
+    from harmradius.membership import _crossings
+
+    f, r = HarmonicMap.from_series(CoefficientSeq({40: 1e13}, {}, 40)), 0.9
+    ring, (pts, _) = _ring(r, resolution), _grid_images(f, r, resolution)
+    assert f.jacobian(ring).min() > 0.0 and f.jacobian(pts).min() > 0.0
+    assert _crossings(f(ring))[0].size > 0
+    rep = injectivity_oracle(f, r, resolution)
+    _assert_witness(f, r, resolution, rep, PAIR_NOTE)
+    if resolution == 512:
+        assert all(abs(abs(z) - 4e14 ** (-1 / 39)) < 0.01 for z in rep.witness)
+
+
+@pytest.mark.parametrize("f, r, resolution", [
+    # a pitch of 0.026: all but one pair across F0's fold leave the disk, and
+    # Newton gives up on that one
+    (get_extremal("F0"), 0.11837, 10),
+    # images up to 3e14, whose rounding leaves every refined residual above tol
+    (HarmonicMap.from_series(CoefficientSeq({5: 1e16}, {}, 5)), 0.5, 16),
+], ids=["F0-coarse", "huge-images"])
+def test_singular_pair_that_does_not_refine_stays_inconclusive(monkeypatch, f, r, resolution):
+    # the margin is the least residual of a pair refined more than two
+    # pitches apart, minus tol, or 5 pitches - tol when none is
+    from harmradius import membership
+
+    pitch = 2.0 * r / (resolution - 1)
+    tol = 1e-9 * min(1.0, pitch / 1e-4)
+    calls = []  # (target, start, result) of every Newton refinement
+    newton = membership._newton_collide
+
+    def recording(f, target, z, r, scale):
+        calls.append((target, z, newton(f, target, z, r, scale)))
+        return calls[-1][2]
+
+    monkeypatch.setattr(membership, "_newton_collide", recording)
+    rep = injectivity_oracle(f, r, resolution)
+    assert rep.verdict == "inconclusive" and rep.witness is None and rep.note == UNREFINED_NOTE
+    # each pair is refined in both orders: a target is the image of another start
+    first = {f(z): z for _, z, _ in calls}
+    resid = [out[1] for target, _, out in calls
+             if out is not None and abs(out[0] - first[target]) > 2.0 * pitch]
+    assert calls and len(calls) % 2 == 0
+    assert rep.margin == (min(resid) if resid else 5.0 * pitch) - tol
 
 
 @pytest.mark.parametrize("resolution", [64, 256])
-def test_injectivity_boundary_loop_is_decided_on_the_ring(monkeypatch, resolution):
+def test_injectivity_boundary_loop_is_decided_on_the_ring(resolution):
     # z + 0.6 z^2 is sense-preserving off z = -1/1.2, which no sample hits,
     # and its image of |z| = 0.99 loops round the image of that point: the
-    # ring's crossing refines to a collision, which the search finds too
-    from harmradius import membership
+    # ring's crossing refines to a collision
+    from harmradius.membership import _crossings
 
-    f = HarmonicMap.from_series(CoefficientSeq({2: 0.6}, {}, 2))
-    r, m = 0.99, 4 * resolution
-    ring = r * np.exp(2j * np.pi * np.arange(m) / m)
-    axis = np.linspace(-r, r, resolution)
-    grid = (axis[None, :] + 1j * axis[:, None]).ravel()
-    grid = grid[np.abs(grid) <= r]
-    assert membership._sense_preserving(f, ring) and membership._sense_preserving(f, grid)
-    assert membership._crossings(f(ring))[0].size > 0
-    _assert_ring_witness(f, r, resolution, injectivity_oracle(f, r, resolution))
-    _search_only(monkeypatch)
-    rep = injectivity_oracle(f, r, resolution)
-    assert rep.verdict == "violated" and rep.note.endswith("at separated points")
+    f, r = HarmonicMap.from_series(CoefficientSeq({2: 0.6}, {}, 2)), 0.99
+    ring, (grid, _) = _ring(r, resolution), _grid_images(f, r, resolution)
+    assert f.jacobian(ring).min() > 0.0 and f.jacobian(grid).min() > 0.0
+    assert _crossings(f(ring))[0].size > 0
+    _assert_witness(f, r, resolution, injectivity_oracle(f, r, resolution), RING_NOTE)
 
 
 def _segments_meet(p1, p2, q1, q2):
@@ -816,9 +1083,9 @@ def test_crossings_match_all_pairs_test(rng):
 
 
 def test_stage_refuses_non_finite_samples():
-    # the stage takes only the images the search takes: finite, spanning at
-    # most _MAX_SPAN (about 1.34e154)
-    from harmradius.membership import _crossings, _sense_preserving
+    # the ring's crossing test takes finite images spanning at most _MAX_SPAN
+    # (about 1.34e154), and the oracle refuses the others
+    from harmradius.membership import _crossings
 
     square = np.array([0, 1, 1 + 1j, 1j])
     for p in (square, 1e150 * square):
@@ -829,16 +1096,27 @@ def test_stage_refuses_non_finite_samples():
     with np.errstate(over="ignore", invalid="ignore"):  # as the oracle calls it
         assert _crossings(1e308 * (2 * square - 1 - 1j)) is None  # edges overflow
 
-    class Jacobian:
-        def __init__(self, values):
-            self.values = np.array(values)
+    class Constant:  # the identity's images, with one Jacobian everywhere
+        def __init__(self, jacobian):
+            self.value = jacobian
+
+        def __call__(self, z):
+            return z
 
         def jacobian(self, z):
-            return self.values
+            return np.full(np.shape(z), self.value)
 
-    assert _sense_preserving(Jacobian([1.0, 2.0]), None)
-    for bad in (0.0, -1.0, np.inf, np.nan):
-        assert not _sense_preserving(Jacobian([1.0, bad]), None)
+        def wirtinger(self, z):
+            return 1.0, 0.0
+
+    # J > 0 at every sample settles; J = 0 or J < 0 does not, and a Jacobian
+    # that is not finite is refused
+    assert injectivity_oracle(Constant(1.0), 0.5, 16).note == STAGE_NOTE
+    for value in (0.0, -1.0):
+        assert injectivity_oracle(Constant(value), 0.5, 16).note == UNREFINED_NOTE
+    for value in (np.inf, np.nan):
+        with pytest.raises(ValueError, match="map evaluation is not finite on the grid"):
+            injectivity_oracle(Constant(value), 0.5, 16)
 
 
 def _pairs_by_all_pairs(x, y, reach):
@@ -913,55 +1191,48 @@ def _assert_query_pairs(images, reaches):
                               np.sort(want[:, 0] * images.size + want[:, 1])), reach
 
 
+def _reaches(pitch):
+    """Reaches at a grid's scale: the powers of two from the largest at or
+    below 5/16 of a pitch while they stay below 5 pitches, each its own cell
+    side in _cell_pairs, then 5 pitches, which is not."""
+    first = 2.0 ** math.floor(math.log2(5.0 * pitch / 16))
+    return [first * 2 ** k for k in range(5) if first * 2 ** k < 5.0 * pitch] + [5.0 * pitch]
+
+
 @pytest.mark.parametrize("label, r, resolution",
                          [case for case in ORACLE_CASES + _sweep() if case[2] <= 128]
                          + [("F0", 0.18, 512), ("F0", 0.15, 256)])
 def test_cell_pairs_are_the_query_pairs_of_the_oracle_reaches(label, r, resolution):
-    # every reach up to resolution 128; above it, at benchmark scale, the first
-    # reach only, where F0's oracle calls stop and nearly every cell holds one image
-    from harmradius.membership import _reaches
-
+    # grid images at every reach up to resolution 128; above it the first
+    # reach only, where nearly every cell holds one image
     reaches = _reaches(2.0 * r / (resolution - 1))
     _, images = _grid_images(_oracle_map(label), r, resolution)
     _assert_query_pairs(images, reaches if resolution <= 128 else reaches[:1])
 
 
-def test_cell_pairs_of_a_clustered_map(monkeypatch):
+def test_cell_pairs_of_a_clustered_map():
     # z + 1e13 z^40 sends the grid of |z| <= 0.9 to a cluster of width 1 and a
     # spray out to 1.5e11, 4e13 cell widths apart: the cell keys are renumbered
     # rows, not coordinates, which would overflow int64, and the cells keep
-    # their width.  The search is measured alone
+    # their width
     import tracemalloc
 
-    from harmradius.membership import _reaches
+    from harmradius.membership import _cell_pairs
 
     f = HarmonicMap.from_series(CoefficientSeq({40: 1e13}, {}, 40))
-    _search_only(monkeypatch)
-    injectivity_oracle(f, 0.9, 64)  # imports and first-call set-up outside the count
+    _, images = _grid_images(f, 0.9, 512)
+    reach = _reaches(1.8 / 511)[0]
+    _cell_pairs(images.real[:64], images.imag[:64], reach)  # first-call set-up outside the count
     tracemalloc.start()
     try:
-        rep = injectivity_oracle(f, 0.9, 512)
+        i, _ = _cell_pairs(images.real, images.imag, reach)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 64 * 2 ** 20, f"{peak / 2 ** 20:.0f} MB"
-    assert rep.verdict == "violated"
-    assert rep == _full_search_reference(monkeypatch, f, 0.9, 512)
-    _, images = _grid_images(f, 0.9, 512)
-    _assert_query_pairs(images, _reaches(1.8 / 511)[:1])  # the first reach
-
-
-def test_closest_first_is_the_head_of_a_stable_sort(rng):
-    from harmradius.membership import _MAX_REFINED, _closest_first
-
-    for size in (0, 1, 5, _MAX_REFINED, _MAX_REFINED + 1, 3 * _MAX_REFINED):
-        key = rng.permutation(10 * size)[:size]  # distinct, in no order
-        by_key = np.argsort(key)
-        # few distinct values, so ties fall on the cut
-        for dist in (rng.uniform(0.0, 1.0, size), rng.integers(0, 7, size).astype(float)):
-            # equal distances in key order: a stable sort of the entries in key order
-            want = by_key[np.argsort(dist[by_key], kind="stable")][:_MAX_REFINED]
-            assert np.array_equal(_closest_first(dist, key), want), size
+    # 16.1 MB measured, for 205,012 points
+    assert peak < 20 * 2 ** 20, f"{peak / 2 ** 20:.1f} MB"
+    assert i.size > 1000
+    _assert_query_pairs(images, [reach])
 
 
 @pytest.mark.parametrize("r", [1e-11, 1e-12, 1e-14, 1e-100])
@@ -982,54 +1253,19 @@ def test_injectivity_refuses_radii_whose_squared_reach_underflows():
     from harmradius.membership import _MIN_REACH
 
     for resolution in (8, 64, 512):
-        # the radius whose 5/16 of a pitch is _MIN_REACH, a power of two: the
-        # shortest reach, the largest power of two at or below it, is _MIN_REACH
+        # the radius whose 5/16 of a pitch is _MIN_REACH, and the radii about it:
+        # those below it are refused
         least = _MIN_REACH * 16 / 5 * (resolution - 1) / 2
-        assert injectivity_oracle(identity_map(), 2 * least, resolution).verdict == "inconclusive"
-        for r in (least / 2, 1e-200, 5e-324):
-            with pytest.raises(ValueError, match="too small"):
-                injectivity_oracle(identity_map(), r, resolution)
-
-
-def test_pair_search_reaches_are_powers_of_two_then_five_pitches(rng):
-    from harmradius.membership import _MIN_REACH, _reaches
-
-    def power_of_two(x):  # then x is its own cell side in _cell_pairs
-        return math.frexp(x)[0] == 0.5
-
-    pitches = [2.0 * r / (n - 1) for r, n in zip(rng.uniform(1e-6, 1.0, 400),
-                                                 rng.integers(8, 513, 400))]
-    # pitches whose 5/16 is a power of two: five reaches, 5 pitches / 2^k
-    exact = [p for k in range(-500, 0) for p in [math.ldexp(16 / 5, k)]
-             if power_of_two(5.0 * p / 16)]
-    assert len(exact) > 100
-    for p in pitches + exact:
-        reaches = _reaches(p)
-        *powers, last = reaches
-        assert last == 5.0 * p
-        assert all(power_of_two(reach) and reach < last for reach in powers)
-        assert powers[0] <= 5.0 * p / 16 < 2 * powers[0]
-        assert all(longer == 2 * shorter for shorter, longer in zip(powers, powers[1:]))
-        assert 2 * powers[-1] >= last  # the last power of two below 5 pitches
-        assert len(reaches) == (5 if p in exact else 6)
-    for p in exact:
-        assert _reaches(p) == [5.0 * p / 2 ** k for k in range(4, -1, -1)]
-
-    # the same refused radii: the shortest reach is below _MIN_REACH exactly
-    # when 5/16 of a pitch is
-    for resolution in (8, 64, 512):
-        least = _MIN_REACH * 16 / 5 * (resolution - 1) / 2
-        radii = [least * (1.0 + d) for d in (-0.5, -1e-9, 0.0, 1e-9, 0.5)]
-        radii += [math.nextafter(least, 0.0), math.nextafter(least, 1.0)]
-        for r in radii:
-            p = 2.0 * r / (resolution - 1)
-            refused = 5.0 * p / 16 < _MIN_REACH
-            assert (_reaches(p)[0] < _MIN_REACH) == refused
-            if refused:
+        radii = [least * (1.0 + d) for d in (-0.5, -1e-9, 0.0, 1e-9, 0.5, 1.0)]
+        for r in radii + [math.nextafter(least, 0.0), math.nextafter(least, 1.0)]:
+            if 5.0 * (2.0 * r / (resolution - 1)) / 16 < _MIN_REACH:
                 with pytest.raises(ValueError, match="too small"):
                     injectivity_oracle(identity_map(), r, resolution)
             else:
                 assert injectivity_oracle(identity_map(), r, resolution).verdict == "inconclusive"
+        for r in (least / 2, 1e-200, 5e-324):
+            with pytest.raises(ValueError, match="too small"):
+                injectivity_oracle(identity_map(), r, resolution)
 
 
 @pytest.mark.parametrize("size", [16_384, 16_385, 32_768, 32_769, 49_152, 49_153, 205_012])
@@ -1072,12 +1308,11 @@ def test_injectivity_oracle_memory():
         finally:
             tracemalloc.stop()
 
-    for r in (0.15, 0.16):  # the ring's polygon is simple: the search runs
+    for r in (0.15, 0.16):  # the ring's polygon is simple: the grid's least J decides
         rep, peak = peak_of(r)
-        assert rep.verdict == "violated" and rep.note.endswith("at separated points")
-        # 22.4 MB measured at both radii: the reaches are their own cell
-        # sides, and f is evaluated on the grid in slices
-        assert peak < 24 * 2 ** 20, f"r={r}: {peak / 2 ** 20:.1f} MB"
+        assert rep.verdict == "violated" and PAIR_NOTE.fullmatch(rep.note)
+        # 7.6 MB measured at both radii: J is evaluated on the grid in slices
+        assert peak < 9 * 2 ** 20, f"r={r}: {peak / 2 ** 20:.1f} MB"
     for r in (0.18, 0.2):  # the ring decides, and no grid is built
         rep, peak = peak_of(r)
         assert RING_NOTE.fullmatch(rep.note)
