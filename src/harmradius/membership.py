@@ -10,8 +10,9 @@ a map on a finite grid; they can certify violation with a witness point
 but can only report satisfied-on-grid, never a proof, so their verdicts
 carry the grid description and, for the injectivity oracle, the verdict
 "inconclusive" when no collision is found.  The oracle first tries the
-argument principle on its samples: a crossing of the image of |z| = r
-that refines to a collision decides violated, and J > 0 everywhere with
+argument principle on its samples: a crossing of the image of |z| = r,
+found by a sweep over the image polygon's edges sorted by x, that
+refines to a collision decides violated, and J > 0 everywhere with
 a simple boundary image settles inconclusive.  Otherwise it refines
 pairs of points across the fold or branch point that its sample of
 least J marks, next to which the map is two-to-one.
@@ -65,9 +66,10 @@ _MAX_GRID_POINTS = 512 * 512
 _MAX_CIRCLE = 0.9999999999999997
 # Most crossings of its ring polygon the injectivity oracle Newton-refines.
 _MAX_REFINED = 2000
-# Least 5/16 of a grid pitch the injectivity oracle takes, so that squared
-# distances at the grid's scale do not underflow: its square is the smallest
-# normal float, and it is a power of two, 2^-511.
+# Least 5/16 of a grid pitch the injectivity oracle takes, a power of two,
+# 2^-511, whose square is the smallest normal float: at it a ring edge is about
+# 3.7e-154 long, so the crossing test's cross product of two edges is about
+# 1.4e-307, at the edge of the normal range.
 _MIN_REACH = math.sqrt(sys.float_info.min)
 # Widest span of ring images the crossing test takes: its square is the
 # largest finite float.
@@ -394,86 +396,6 @@ def _blocks(n: int):
     return [slice(a, b) for a, b in zip(cuts, cuts[1:])]
 
 
-def _cell_rows(c: np.ndarray) -> np.ndarray:
-    """The occupied cell rows c (integers as floats) numbered from 0 below
-    2 * c.size, touching rows touching and the others apart: as offsets from
-    the lowest when they span fewer than 2 * c.size, as a grid's images mostly
-    do, and otherwise with every gap between neighbouring ones capped at 2."""
-    np = _np()
-    low = c.min()
-    if c.max() - low < 2 * c.size:  # exact: integers at most 2 * c.size apart
-        return (c - low).astype(np.int64)
-    rows, index = np.unique(c, return_inverse=True)
-    number = np.r_[0.0, np.minimum(np.diff(rows), 2.0).cumsum()].astype(np.int64)
-    return number[index]
-
-
-def _cell_pairs(x: np.ndarray, y: np.ndarray, reach: float):
-    """Every index pair i < j of the points (x, y) at most reach apart, by
-    the squared test (x[i]-x[j])^2 + (y[i]-y[j])^2 <= reach^2: the pairs
-    scipy's cKDTree.query_pairs(reach) returns, as two index arrays.
-
-    The points are bucketed into square cells at least reach wide, and
-    each cell is compared with itself and its four forward neighbours
-    (Bentley, Stanat & Williams, Inf. Process. Lett. 6 (1977) 209-212):
-    the next cell of a row is the next key, and one search over the keys
-    finds the first of the three in the row above.  Two cells of one point
-    each give their pair directly; only the others are expanded."""
-    np = _np()
-    frac, exp = math.frexp(reach)
-    # a power of two, so that x / side is exact: cells of side reach could
-    # part two points one ulp apart by two cells where |x| > 2^53 reach
-    side = reach if frac == 0.5 else math.ldexp(1.0, exp)
-    # renumbered, so that the keys below cannot overflow
-    cx, cy = _cell_rows(np.floor(x / side)), _cell_rows(np.floor(y / side))
-    width = int(cy.max()) + 2  # so that no row's cell y +- 1 lands in another row
-    key = cx * width + cy
-    order = key.argsort(kind="stable")
-    start = np.flatnonzero(np.r_[True, np.diff(key[order]) != 0])
-    cells = key[order[start]]
-    count = np.diff(np.r_[start, key.size])
-
-    # links (src, dst): a cell to each neighbour; a cell of several points also
-    # pairs with itself (see triangle)
-    same, step = np.flatnonzero(count > 1), np.flatnonzero(np.diff(cells) == 1)
-    links = [(step, step + 1)]
-    at = np.searchsorted(cells, cells + width - 1)
-    for dy in (-1, 0, 1):  # the keys are sorted and distinct: step past each hit
-        hit = cells[np.minimum(at, cells.size - 1)] == cells + width + dy
-        links.append((np.flatnonzero(hit), at[hit]))
-        at = at + hit
-
-    def close(i, j):  # the pairs (i, j) within reach, each as (min, max)
-        near = (x[i] - x[j]) ** 2 + (y[i] - y[j]) ** 2 <= reach * reach
-        i, j = i[near], j[near]
-        return np.minimum(i, j), np.maximum(i, j)
-
-    def ranges(size):  # (g, k) for each g in turn and each k in range(size[g])
-        g = np.repeat(np.arange(size.size), size)
-        return g, np.arange(g.size) - np.repeat(np.cumsum(size) - size, size)
-
-    def combinations(src, dst):  # every (point of src, point of dst), one per row
-        n_dst = count[dst]
-        group, local = ranges(count[src] * n_dst)
-        p = start[src][group] + local // n_dst[group]
-        q = start[dst][group] + local % n_dst[group]
-        return order[p], order[q]
-
-    def triangle(cell):  # every (p, q), p < q, of the points of each cell
-        n = count[cell]
-        group, k = ranges(n - 1)  # each point but the last of its cell, then those after it
-        after, local = ranges(n[group] - 1 - k)
-        p = (start[cell][group] + k)[after]
-        return order[p], order[p + 1 + local]
-
-    pairs = [close(*triangle(same))]
-    for src, dst in links:
-        one = (count[src] == 1) & (count[dst] == 1)  # one point each: the pair itself
-        pairs.append(close(order[start[src[one]]], order[start[dst[one]]]))
-        pairs.append(close(*combinations(src[~one], dst[~one])))
-    return tuple(np.concatenate(column) for column in zip(*pairs))
-
-
 def _span(p: np.ndarray) -> float:
     """The diagonal of the bounding box of the points p: inf or nan when
     one is not finite."""
@@ -489,32 +411,36 @@ def _crossings(p: np.ndarray):
     is not finite or spans more than _MAX_SPAN (see _span), images the
     oracle refuses, so that every cross product below is finite.
 
-    Two edges that meet have midpoints at most the longest edge apart, so
-    only the pairs of edges whose midpoints are that near (see _cell_pairs)
-    are tested."""
+    Two edges that meet overlap in x.  The edges are sorted by their least
+    x, and one search finds, for each edge, the later ones that start
+    within its x-range: the interval-overlap step of a sweep (Shamos &
+    Hoey, FOCS 1976).  Of those pairs, the ones whose y-ranges overlap too
+    take the cross-product test."""
     np = _np()
     if not _span(p) <= _MAX_SPAN:
         return None
     m = p.size
     a, b = p, np.roll(p, -1)
     d = b - a
-    # padded, so that rounding cannot put two meeting edges' midpoints out of reach
-    reach = float(np.abs(d).max()) * (1.0 + 1e-9)
-    mid = a + d / 2
-    i, j = _cell_pairs(mid.real, mid.imag, reach)
+    lo_x, hi_x = np.minimum(a.real, b.real), np.maximum(a.real, b.real)
+    lo_y, hi_y = np.minimum(a.imag, b.imag), np.maximum(a.imag, b.imag)
+    # sorted by least x: each edge and every later one whose least x is at most its most x
+    order = np.argsort(lo_x, kind="stable")
+    later = np.searchsorted(lo_x[order], hi_x[order], side="right") - np.arange(1, m + 1)
+    u = np.repeat(np.arange(m), later)
+    v = u + 1 + np.arange(u.size) - np.repeat(np.cumsum(later) - later, later)
+    u, v = order[u], order[v]
+    i, j = np.minimum(u, v), np.maximum(u, v)
     gap = j - i
-    keep = (gap > 1) & (gap < m - 1)  # adjacent edges share a vertex by design
+    keep = ((gap > 1) & (gap < m - 1)  # adjacent edges share a vertex by design
+            & (lo_y[i] <= hi_y[j]) & (lo_y[j] <= hi_y[i]))
     i, j = i[keep], j[keep]
 
     def cross(e, q):  # the cross product e x q
         return e.real * q.imag - e.imag * q.real
 
-    lo_x, hi_x = np.minimum(a.real, b.real), np.maximum(a.real, b.real)
-    lo_y, hi_y = np.minimum(a.imag, b.imag), np.maximum(a.imag, b.imag)
     apart = ((np.sign(cross(d[i], a[j] - a[i])) * np.sign(cross(d[i], b[j] - a[i])) > 0.0)
-             | (np.sign(cross(d[j], a[i] - a[j])) * np.sign(cross(d[j], b[i] - a[j])) > 0.0)
-             | (hi_x[i] < lo_x[j]) | (hi_x[j] < lo_x[i])
-             | (hi_y[i] < lo_y[j]) | (hi_y[j] < lo_y[i]))
+             | (np.sign(cross(d[j], a[i] - a[j])) * np.sign(cross(d[j], b[i] - a[j])) > 0.0))
     i, j = i[~apart], j[~apart]
     order = np.lexsort((j, i))
     i, j = i[order], j[order]
@@ -575,8 +501,9 @@ def injectivity_oracle(f: HarmonicMap, r: float,
     of 1e-13, both times the grid's image scale, min(1, pitch / 1e-4): on
     a grid with a pitch below 1e-4 (a tiny radius) a collision must lie
     far below the grid's own resolution.  A radius whose 5/16 of a pitch
-    is below _MIN_REACH (r below about 1e-151 at resolution 512) raises
-    ValueError, and so do ring images or Jacobians that are not finite,
+    is below _MIN_REACH (r below about 1e-151 at resolution 512), where the
+    crossing test's cross products would underflow, raises ValueError,
+    and so do ring images or Jacobians that are not finite,
     and ring images that span more than _MAX_SPAN, where the crossing test
     would overflow.  J is evaluated on the grid in slices (see _blocks),
     which give the bytes of one whole-grid call.
@@ -589,7 +516,7 @@ def injectivity_oracle(f: HarmonicMap, r: float,
     pitch = 2.0 * r / (resolution - 1)
     if 5.0 * pitch / 16 < _MIN_REACH:
         raise ValueError(f"radius {r!r} is too small for a {resolution}x{resolution} grid: "
-                         f"squared distances at its pitch would underflow")
+                         f"the crossing test's cross products at its pitch would underflow")
     sep = 2.0 * pitch
     scale = min(1.0, pitch / 1e-4)
     tol = COLLISION_TOL * scale

@@ -563,20 +563,20 @@ def _grid_images(f, r, resolution):
     return pts, f(pts)
 
 
-def _record_queries(monkeypatch):
-    """Log (reach, pairs found) of every _cell_pairs call the oracle makes:
-    the ring's crossing test on its edge midpoints."""
+def _record_crossings(monkeypatch):
+    """Log the count of crossings of every _crossings call the oracle makes
+    on its ring images, None where it refuses them."""
     from harmradius import membership
 
     log = []
-    cell_pairs = membership._cell_pairs
+    crossings = membership._crossings
 
-    def recording(x, y, reach):
-        out = cell_pairs(x, y, reach)
-        log.append((reach, out[0].size))
+    def recording(p):
+        out = crossings(p)
+        log.append(None if out is None else out[0].size)
         return out
 
-    monkeypatch.setattr(membership, "_cell_pairs", recording)
+    monkeypatch.setattr(membership, "_crossings", recording)
     return log
 
 
@@ -881,6 +881,13 @@ def test_injectivity_stage_changes_only_the_note(label, params, r, resolution):
         assert _recorded(got) == want
 
 
+def _reaches(pitch):
+    """Reaches at a grid's scale: the powers of two from the largest at or
+    below 5/16 of a pitch while they stay below 5 pitches, then 5 pitches."""
+    first = 2.0 ** math.floor(math.log2(5.0 * pitch / 16))
+    return [first * 2 ** k for k in range(5) if first * 2 ** k < 5.0 * pitch] + [5.0 * pitch]
+
+
 def _full_search_reference(f, r, resolution):
     """A full search of the grid's images, made with scipy's k-d tree: the
     pairs of samples more than two pitches apart whose images lie within the
@@ -1053,13 +1060,11 @@ def _crossings_by_all_pairs(vertices):
             if (i, j) != (0, m - 1) and _segments_meet(*edges[i], *edges[j])]
 
 
-def test_crossings_match_all_pairs_test(rng):
-    from harmradius.membership import _crossings
-
-    seen = set()
+def _lattice_polygons(rng):
+    """(scale, vertices) of closed polygons on a small integer lattice, which
+    brings repeated vertices, collinear overlaps and vertices on edges:
+    star-shaped ones, then ones for each edge case of a sweep by x."""
     for _ in range(400):
-        # star-shaped polygons on a small integer lattice: the lattice brings
-        # repeated vertices, collinear overlaps and vertices on edges
         m = int(rng.integers(4, 40))
         angles = np.sort(rng.uniform(0.0, 2 * np.pi, m))
         radii = rng.uniform(0.2, 1.0, m) * (1.0 if rng.integers(3) else rng.uniform(0, 3, m))
@@ -1068,6 +1073,30 @@ def test_crossings_match_all_pairs_test(rng):
         if rng.integers(4) == 0:  # a few swapped vertices fold the polygon
             k = rng.integers(m, size=2)
             pts[k] = pts[k[::-1]]
+        yield scale, pts
+    for _ in range(40):
+        m = int(rng.integers(4, 40))
+        # many vertices on each of three x values: ties in the sort, and vertical edges
+        yield 6, rng.integers(0, 3, m) + 1j * rng.integers(-6, 7, m)
+        # vertical and horizontal edges in turn
+        x, y = rng.integers(-8, 9, (2, m // 2 + 2))
+        yield 8, np.repeat(x, 2) + 1j * np.roll(np.repeat(y, 2), 1)
+        # out along x = 0, 1, ..., n and back: edges whose x-ranges only touch
+        # at an end, and meet there where the two walks share a vertex
+        n = m // 2
+        yield n, np.r_[np.arange(n + 1), np.arange(n, -1, -1)] + 1j * rng.integers(0, 3, 2 * n + 2)
+        # a few long edges among short ones: antipodal vertices on a fine star
+        pts = np.round(40 * np.exp(1j * np.sort(rng.uniform(0.0, 2 * np.pi, 2 * m))))
+        k = rng.integers(2 * m, size=int(rng.integers(1, 4)))
+        pts[k] = -pts[k]
+        yield 40, pts
+
+
+def test_crossings_match_all_pairs_test(rng):
+    from harmradius.membership import _crossings
+
+    seen = set()
+    for scale, pts in _lattice_polygons(rng):
         want = _crossings_by_all_pairs([(int(p.real), int(p.imag)) for p in pts])
         i, j, s, t = _crossings(pts)
         assert list(zip(i.tolist(), j.tolist())) == want, pts.tolist()
@@ -1119,132 +1148,16 @@ def test_stage_refuses_non_finite_samples():
             injectivity_oracle(Constant(value), 0.5, 16)
 
 
-def _pairs_by_all_pairs(x, y, reach):
-    """Every pair i < j of the points (x, y) at most reach apart, by the
-    squared test on all pairs."""
-    i, j = np.triu_indices(x.size, 1)
-    near = (x[i] - x[j]) ** 2 + (y[i] - y[j]) ** 2 <= reach * reach
-    return sorted(zip(i[near].tolist(), j[near].tolist()))
-
-
-def test_cell_pairs_matches_all_pairs(rng):
-    from harmradius.membership import _cell_pairs
-
-    seen = 0
-    for _ in range(3000):
-        # a power-of-two step and reach = 5 steps: lattice points 3 and 4 steps
-        # apart along the axes are exactly reach apart
-        step = math.ldexp(1.0, int(rng.integers(-500, 31)))  # reach in [1e-150, 1e10]
-        reach = 5.0 * step
-        n = int(rng.integers(1, 60))
-        if rng.integers(2):
-            x, y = step * rng.integers(-8, 9, (2, n)).astype(float)
-        else:
-            x, y = rng.normal(0.0, 2.0 * reach, (2, n))
-        # offsets up to 1e150, and near 2^53 reaches, where one ulp is a reach
-        # and cells of side reach can part two points one reach apart by two cells
-        offset = (rng.choice([0.0, reach * 2.0 ** rng.uniform(48, 56),
-                              10.0 ** rng.uniform(-150, 150)], 2)
-                  * rng.choice([-1.0, 1.0], 2))
-        x, y = x + offset[0], y + offset[1]
-        i, j = _cell_pairs(x, y, reach)
-        got = sorted(zip(i.tolist(), j.tolist()))
-        assert got == _pairs_by_all_pairs(x, y, reach), (reach, x.tolist(), y.tolist())
-        seen += len(got)
-    assert seen > 10_000
-
-
-def test_cell_pairs_at_the_compact_row_edge(rng):
-    # n points whose occupied rows span 2n - 1 cell numbers (offsets from the
-    # lowest row) and 2n (renumbered with every gap capped at 2)
-    from harmradius.membership import _cell_pairs, _cell_rows
-
-    for n in (2, 3, 7, 40):
-        for span in (2 * n - 1, 2 * n):
-            for _ in range(25):
-                rows = np.r_[0, span, rng.integers(0, span + 1, n - 2)] + rng.integers(-99, 99)
-                numbers = _cell_rows(rows.astype(float))
-                if span < 2 * n:
-                    assert np.array_equal(numbers, rows - rows.min())
-                else:  # n - 1 gaps add up to 2n, so at least one is capped
-                    assert numbers.max() < span
-                # cells of side 1: a point of row k lies in [k, k + 1)
-                x = rows + rng.choice([0.0, 0.5, 0.75], n)
-                y = rng.integers(0, rng.integers(1, 2 * n + 2), n) + rng.choice([0.0, 0.25], n)
-                for px, py in ((x, y), (y, x)):
-                    i, j = _cell_pairs(px, py, 1.0)
-                    got = sorted(zip(i.tolist(), j.tolist()))
-                    assert got == _pairs_by_all_pairs(px, py, 1.0), (px.tolist(), py.tolist())
-
-
-def _assert_query_pairs(images, reaches):
-    """_cell_pairs finds the pairs of scipy's k-d tree at every reach."""
-    from scipy.spatial import cKDTree
-
-    from harmradius.membership import _cell_pairs
-
-    tree = cKDTree(np.column_stack([images.real, images.imag]))
-    for reach in reaches:
-        i, j = _cell_pairs(images.real, images.imag, reach)
-        want = tree.query_pairs(reach, output_type="ndarray")
-        assert np.array_equal(np.sort(i * images.size + j),
-                              np.sort(want[:, 0] * images.size + want[:, 1])), reach
-
-
-def _reaches(pitch):
-    """Reaches at a grid's scale: the powers of two from the largest at or
-    below 5/16 of a pitch while they stay below 5 pitches, each its own cell
-    side in _cell_pairs, then 5 pitches, which is not."""
-    first = 2.0 ** math.floor(math.log2(5.0 * pitch / 16))
-    return [first * 2 ** k for k in range(5) if first * 2 ** k < 5.0 * pitch] + [5.0 * pitch]
-
-
-@pytest.mark.parametrize("label, r, resolution",
-                         [case for case in ORACLE_CASES + _sweep() if case[2] <= 128]
-                         + [("F0", 0.18, 512), ("F0", 0.15, 256)])
-def test_cell_pairs_are_the_query_pairs_of_the_oracle_reaches(label, r, resolution):
-    # grid images at every reach up to resolution 128; above it the first
-    # reach only, where nearly every cell holds one image
-    reaches = _reaches(2.0 * r / (resolution - 1))
-    _, images = _grid_images(_oracle_map(label), r, resolution)
-    _assert_query_pairs(images, reaches if resolution <= 128 else reaches[:1])
-
-
-def test_cell_pairs_of_a_clustered_map():
-    # z + 1e13 z^40 sends the grid of |z| <= 0.9 to a cluster of width 1 and a
-    # spray out to 1.5e11, 4e13 cell widths apart: the cell keys are renumbered
-    # rows, not coordinates, which would overflow int64, and the cells keep
-    # their width
-    import tracemalloc
-
-    from harmradius.membership import _cell_pairs
-
-    f = HarmonicMap.from_series(CoefficientSeq({40: 1e13}, {}, 40))
-    _, images = _grid_images(f, 0.9, 512)
-    reach = _reaches(1.8 / 511)[0]
-    _cell_pairs(images.real[:64], images.imag[:64], reach)  # first-call set-up outside the count
-    tracemalloc.start()
-    try:
-        i, _ = _cell_pairs(images.real, images.imag, reach)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    # 16.1 MB measured, for 205,012 points
-    assert peak < 20 * 2 ** 20, f"{peak / 2 ** 20:.1f} MB"
-    assert i.size > 1000
-    _assert_query_pairs(images, [reach])
-
-
 @pytest.mark.parametrize("r", [1e-11, 1e-12, 1e-14, 1e-100])
 def test_injectivity_tiny_radius_is_not_violated(monkeypatch, r):
     # F0 is univalent near 0: a grid far finer than 1e-9 must not report the
-    # images of neighbouring samples as a collision
-    log = _record_queries(monkeypatch)
+    # images of neighbouring samples as a collision, and its ring image is
+    # simple, so the crossing test finds no crossing
+    log = _record_crossings(monkeypatch)
     rep = injectivity_oracle(get_extremal("F0"), r, 64)
     assert rep.verdict == "inconclusive"
     assert rep.margin >= 0.0
-    # each query, if any, finds pairs of neighbours only, not most of the grid's 5 million
-    assert max((found for _, found in log), default=0) < 100_000
+    assert log == [0]
     rep = injectivity_oracle(get_extremal("koebe").dilate(0.1), min(r, 1e-14), 16)
     assert rep.verdict == "inconclusive"
 
@@ -1316,32 +1229,32 @@ def test_injectivity_oracle_memory():
     for r in (0.18, 0.2):  # the ring decides, and no grid is built
         rep, peak = peak_of(r)
         assert RING_NOTE.fullmatch(rep.note)
-        # 0.4 MB measured, where the grid's points alone take 3.1 MB
+        # 0.6 MB measured, where the grid's points alone take 3.1 MB
         assert peak < 2 ** 20, f"r={r}: {peak / 2 ** 20:.1f} MB"
 
 
-def test_cell_pairs_memory_on_dense_cells():
-    # the edge midpoints of the harmonic Koebe ring at r = 0.9 crowd two cells
-    # of the polygon test's reach: 1.8 M of the 2.1 M edge pairs are in reach
+def test_crossings_on_an_uneven_ring():
+    # the harmonic Koebe ring at r = 0.9, 2048 samples: a few long edges
+    # among many short ones, where a search out to the longest edge tested
+    # 1.8 M of the 2.1 M edge pairs; the sweep tests those that overlap in x
     import tracemalloc
 
-    from harmradius.membership import _cell_pairs
+    from harmradius.membership import _crossings
 
-    m = 4 * 512
-    p = get_extremal("koebe")(0.9 * np.exp(2j * np.pi * np.arange(m) / m))
-    d = np.roll(p, -1) - p
-    mid = p + d / 2
-    reach = float(np.abs(d).max()) * (1.0 + 1e-9)
-    _cell_pairs(mid.real[:64], mid.imag[:64], reach)  # first-call set-up outside the count
+    f = get_extremal("koebe")
+    p = f(_ring(0.9, 512))
+    _crossings(p[:64])  # first-call set-up outside the count
     tracemalloc.start()
     try:
-        i, _ = _cell_pairs(mid.real, mid.imag, reach)
+        i, _, _, _ = _crossings(p)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert i.size > 1_800_000
-    # 56.5 MB measured, with a cell's pairs with itself expanded as a triangle
-    assert peak < 62 * 2 ** 20, f"{peak / 2 ** 20:.0f} MB"
+    assert i.size == 0
+    # 0.6 MB measured; 141.5 MB with the search out to the longest edge
+    assert peak < 4 * 2 ** 20, f"{peak / 2 ** 20:.1f} MB"
+    rep = injectivity_oracle(f, 0.9, 512)
+    assert rep.verdict == "inconclusive" and rep.note == STAGE_NOTE
 
 
 def test_ckdtree_is_a_lazy_module_attribute():
