@@ -12,10 +12,11 @@ carry the grid description and, for the injectivity oracle, the verdict
 "inconclusive" when no collision is found.  The oracle first tries the
 argument principle on its samples: a crossing of the image of |z| = r,
 found by a sweep over the image polygon's edges sorted by x, that
-refines to a collision decides violated, and J > 0 everywhere with
-a simple boundary image settles inconclusive.  Otherwise it refines
-pairs of points across the fold or branch point that its sample of
-least J marks, next to which the map is two-to-one.
+refines to a collision decides violated, and a simple boundary image
+with J > 0 on it, around which f_z winds 0 times, settles inconclusive.
+Otherwise it refines pairs of points across the fold or branch point
+that its least J on the ring and a Cartesian grid marks, next to which
+the map is two-to-one.
 Each covers a disk |z| <= r (a GridSpec's r_max, or the oracle's r) and
 evaluates it with numpy's overflow warnings off: the inf or NaN of an
 overflow is refused as "map evaluation is not finite on the grid".
@@ -74,10 +75,7 @@ _MIN_REACH = math.sqrt(sys.float_info.min)
 # Widest span of ring images the crossing test takes: its square is the
 # largest finite float.
 _MAX_SPAN = math.sqrt(sys.float_info.max)
-# Points per slice of the oracle's grid evaluation of J, so that each
-# temporary stays small.  numpy elides temporaries of 256 KiB and up, 16,384
-# complex points, which moves the last bits of f and J: every slice of an
-# array over _BLOCK / 2 points is over it too (see _blocks).
+# Points per slice of the oracle's grid evaluation of J, so that each temporary stays small.
 _BLOCK = 32_768
 
 
@@ -389,13 +387,6 @@ def _ring_collide(f: HarmonicMap, rho: float, alpha: np.ndarray, beta: np.ndarra
     return z1, z2, resid
 
 
-def _blocks(n: int):
-    """Slices of range(n), _BLOCK long but for the last, which takes any
-    remainder of at most _BLOCK / 2: over n > _BLOCK / 2 each slice is too."""
-    cuts = [*range(0, max(n - _BLOCK // 2, 1), _BLOCK), n]
-    return [slice(a, b) for a, b in zip(cuts, cuts[1:])]
-
-
 def _span(p: np.ndarray) -> float:
     """The diagonal of the bounding box of the points p: inf or nan when
     one is not finite."""
@@ -477,14 +468,17 @@ def injectivity_oracle(f: HarmonicMap, r: float,
     first whose points lie more than two pitches apart and whose images,
     f evaluated at each point alone, lie within the collision tolerance
     ends the call as violated, with the margin residual - tol and a note
-    that names the ring.  When the polygon is simple and J > 0 at the
-    ring's samples and at the samples of a resolution x resolution
-    Cartesian grid over |z| <= r, it reports inconclusive, with the
-    margin 5 pitches - tol.
+    that names the ring.  When the polygon is simple, J > 0 at the ring's
+    samples and f_z = h', nonzero at each, winds 0 times over them (the
+    rounded sum of the principal arguments of successive ratios), it
+    reports inconclusive, with the margin 5 pitches - tol: h' then has no
+    zero in |z| <= r, so |f_zbar / f_z| < 1 on the ring holds inside too
+    (maximum principle), and J > 0 on the disk.
 
     Otherwise a univalent map has J != 0 (Lewy, Bull. Amer. Math. Soc. 42
     (1936) 689-692), and next to a fold or branch point of J the map is
-    two-to-one.  The oracle takes the sample of least J; where J < 0
+    two-to-one.  The oracle takes the sample of least J, on the ring and
+    on a resolution x resolution Cartesian grid over |z| <= r; where J < 0
     there it finds the fold J = 0 on the segment from 0 to it (see _fold),
     and otherwise keeps the sample, a branch point, where J only touches
     0.  It places two points across that point, 1.25, 2, 4 and 8 pitches
@@ -505,8 +499,7 @@ def injectivity_oracle(f: HarmonicMap, r: float,
     crossing test's cross products would underflow, raises ValueError,
     and so do ring images or Jacobians that are not finite,
     and ring images that span more than _MAX_SPAN, where the crossing test
-    would overflow.  J is evaluated on the grid in slices (see _blocks),
-    which give the bytes of one whole-grid call.
+    would overflow.
     """
     np = _np()
     r = check_real(r, "radius", 0.0, 1.0)
@@ -549,17 +542,23 @@ def injectivity_oracle(f: HarmonicMap, r: float,
                              f"ring |z|=r",
                     )
 
+        jac = f.jacobian(ring)
+        _require_finite(jac)
+        if crossed[0].size == 0 and jac.min() > 0.0:
+            # f_z winding 0 times has no zero inside the ring, and then J > 0 inside too
+            fz = f.wirtinger(ring)[0]
+            if fz.all() and abs(np.angle(np.roll(fz, -1) / fz).sum()) < math.pi:
+                return MembershipReport(
+                    "inconclusive", 5.0 * pitch - tol, None, spec,
+                    note="argument principle: J > 0 at every sample and the image "
+                         "of |z|=r is a simple polygon",
+                )
         axis = np.linspace(-r, r, resolution)
         grid = (axis + 1j * axis[:, None]).ravel()
         grid = grid[np.abs(grid) <= r]
-        jac = np.concatenate([f.jacobian(ring), *(f.jacobian(grid[s]) for s in _blocks(grid.size))])
+        jac = np.concatenate([jac, *(f.jacobian(grid[k:k + _BLOCK])
+                                     for k in range(0, grid.size, _BLOCK))])
         _require_finite(jac)
-        if crossed[0].size == 0 and jac.min() > 0.0:
-            return MembershipReport(
-                "inconclusive", 5.0 * pitch - tol, None, spec,
-                note="argument principle: J > 0 at every sample and the image "
-                     "of |z|=r is a simple polygon",
-            )
         k = int(np.argmin(jac))
         centre = _fold(f, complex(ring[k] if k < m else grid[k - m]))
         # where |f_z| = |f_zbar|, f_z v + f_zbar conj(v) = 0: f folds along v
