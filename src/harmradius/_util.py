@@ -4,7 +4,9 @@ Output formatting: all user-facing floats use 12 significant digits,
 below the tolerance floors and above printed-table precision.  Every
 number parameter is checked by check_index (an integer) or check_real (a
 real number), each with one message format for a wrong type and one for
-a value out of range.  The records are immutable namedtuples.
+a value out of range.  The records are immutable namedtuples.  Series
+maps, profiles and family polynomials share one Horner, horner, for
+numbers and arrays.
 """
 
 import math
@@ -31,31 +33,18 @@ def round12(x: float) -> float:
 
 
 def horner(coeffs, x):
-    """The polynomial coeffs (highest degree first) at x, a number or a numpy array."""
-    acc = 0.0
-    for k in coeffs:
-        acc = acc * x + k
-    return acc
-
-
-def horner_array(coeffs, x):
-    """horner(coeffs, x), bit for bit, for a numpy array x and at least one
-    coefficient, computed in place in one accumulator array.
-
-    A zero coefficient before the last is not added.  Adding a zero changes
-    at most the sign of a zero part of the accumulator, and so of the
-    result; adding a last coefficient with no -0.0 part gives every zero
-    part of the result the sign horner gives it.  Before a last coefficient
-    with a -0.0 part every coefficient is added."""
-    last = coeffs[-1]
-    skip_zeros = not any(p == 0.0 and math.copysign(1.0, p) < 0.0
-                         for p in (last.real, last.imag))
+    """The polynomial coeffs (highest degree first, at least one) at x, a number
+    or a numpy array, in one accumulator that starts at 0.0 * x and is updated
+    in place, so an array costs no temporary per term.  A coefficient None
+    marks an absent term, which is not added (maps._compile marks a series'
+    zero terms so, once per polynomial); the constant term is always added.
+    With no None this is the plain loop acc = acc * x + k, bit for bit."""
     acc = 0.0 * x
     for k in coeffs[:-1]:
-        if k or not skip_zeros:
+        if k is not None:
             acc += k
         acc *= x
-    acc += last
+    acc += coeffs[-1]
     return acc
 
 

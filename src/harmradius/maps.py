@@ -13,13 +13,16 @@ All evaluators are pure and accept a number or a numpy array.  A number
 (a Python or numpy scalar, or a 0-d array) is evaluated in plain complex
 arithmetic and gives a complex (the Jacobian a float); an array is
 evaluated by numpy, which this module imports on the first array call.
+Numbers and arrays evaluate a series map's h, g, h' and g' by the one
+Horner of the profiles and family polynomials, _util.horner; _compile
+decides once per polynomial which zero terms it leaves out (_sparse).
 Maps are immutable once constructed.
 """
 
 import math
 import sys
 
-from ._util import check_index, check_real, horner, horner_array, record
+from ._util import check_index, check_real, horner, record
 from .coefficients import BoundFamily, CoefficientSeq
 from .extremals import named_forms
 
@@ -55,17 +58,24 @@ def _compile(seq: CoefficientSeq) -> ClosedForm:
     # the stored values are complex already
     ch = [1 + 0j if k == 1 else seq.a.get(k, 0j) for k in range(degree + 1)]
     cg = [seq.b.get(k, 0j) for k in range(degree + 1)]
-    # highest degree first, as horner and horner_array take them
-    h, g = tuple(reversed(ch)), tuple(reversed(cg))
-    dh = tuple(reversed([c * n for n, c in enumerate(ch) if n]))
-    dg = tuple(reversed([c * n for n, c in enumerate(cg) if n]))
-    return ClosedForm(_polynomials(h, g), _polynomials(dh, dg))
+    h, g, dh, dg = map(_sparse, (ch, cg, [c * n for n, c in enumerate(ch) if n],
+                                 [c * n for n, c in enumerate(cg) if n]))
+    # a point is a complex or a complex array (see HarmonicMap._point)
+    return ClosedForm(lambda w: (horner(h, w), horner(g, w)),
+                      lambda w: (horner(dh, w), horner(dg, w)))
 
 
-def _polynomials(p, q):
-    # a point is a complex, or a complex array (see HarmonicMap._point)
-    return lambda w: ((horner(p, w), horner(q, w)) if isinstance(w, complex)
-                      else (horner_array(p, w), horner_array(q, w)))
+def _sparse(coeffs: list) -> tuple:
+    """coeffs, given constant first, in horner's order, each zero term but the
+    constant marked absent (None), which horner does not add; before a
+    constant with a -0.0 part every term is kept.  Adding a zero changes at
+    most the sign of a zero part of the accumulator, and so of the value;
+    adding a constant with no -0.0 part gives every zero part of the value
+    the sign that adding every term gives it."""
+    constant, *rest = coeffs
+    if any(p == 0.0 and math.copysign(1.0, p) < 0.0 for p in (constant.real, constant.imag)):
+        return tuple(reversed(coeffs))
+    return (*(k if k else None for k in reversed(rest)), constant)
 
 
 # The largest |z| a map is evaluated at: the float below 1, for every map.

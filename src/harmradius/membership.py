@@ -213,7 +213,7 @@ def coeff_condition(seq, beta: float = 0.0) -> MembershipReport:
         terms = (_family_terms(seq, rho) if named
                  else {n: n * (a + b) for n, (a, b) in _moduli(seq, rho).items()})
         witness = max(terms, key=terms.get, default=1)
-    note = f"the {seq.kind} family's S(r) in closed form at r={rho:.12g}" if named else ""
+    note = f"the {seq.kind} family's S(r) in closed form at r={rho!r}" if named else ""
     return _graded_verdict(margin, witness, spec, note)
 
 

@@ -3,6 +3,7 @@
 import math
 import os
 import re
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -98,7 +99,7 @@ def test_compiled_evaluators_match_numpy_polynomial_bit_for_bit(rng):
             if zeros == "top":
                 a[degree] = b[degree] = 0.0
             if zeros == "sparse":
-                # interior zeros, which the array path does not add, and a
+                # interior zeros, which the evaluators do not add, and a
                 # b1 that may be 0, -0.0 or nonzero: the last coefficient of g'
                 a[rng.random(degree + 1) < 0.6] = 0.0
                 b[rng.random(degree + 1) < 0.6] = 0.0
@@ -115,6 +116,18 @@ def test_compiled_evaluators_match_numpy_polynomial_bit_for_bit(rng):
                         got, want = np.asarray(got), np.asarray(npoly.polyval(w, c))
                         assert got.dtype == want.dtype and got.shape == want.shape
                         assert got.tobytes() == want.tobytes(), (degree, zeros)
+            # numbers leave the zero terms out too; they must give the sum of
+            # every term, zero signs included, in plain Python arithmetic
+            for w in (complex(0.5 * rand(1)[0]), 0j, complex(-0.0, 0.0), complex(-0.4, -0.0),
+                      complex(-0.0, 0.3)):
+                for evaluate, cs in pairs:
+                    for got, c in zip(evaluate(w), cs, strict=True):
+                        want = 0.0
+                        for k in reversed(c.tolist()):
+                            want = want * w + k
+                        assert type(got) is complex, (degree, zeros, w)
+                        assert (struct.pack("dd", got.real, got.imag)
+                                == struct.pack("dd", want.real, want.imag)), (degree, zeros, w)
 
 
 def test_wirtinger_matches_finite_differences(rng):

@@ -253,10 +253,14 @@ def test_coeff_condition_witness_is_the_heaviest_term_of_a_named_map(label, para
         terms.update((n, n * sum(family.bounds(n)) * rho ** (n - 1)) for n in range(2, 20000))
         rep = coeff_condition(f.dilate(rho))
         assert (rep.verdict, rep.witness) == ("violated", max(terms, key=terms.get))
+        assert rep.note == f"the {family.kind} family's S(r) in closed form at r={rho!r}"
     # a dilation next to 1 puts the heaviest term near n = 3e16 (koebe): the
     # bracket reaches it in some 100 steps, with no walk over the indices
-    rep = coeff_condition(f.dilate(math.nextafter(1.0, 0.0)))
+    rep = coeff_condition(f.dilate(0.9999999999999999))
     assert rep.verdict == "violated" and rep.witness >= 2
+    # the note gives rho in full: to 12 digits it would read r=1, where S(r) diverges
+    assert rep.note == (f"the {family.kind} family's S(r) in closed form "
+                        "at r=0.9999999999999999")
 
 
 def test_coeff_condition_beta_shifts_margin():
